@@ -816,6 +816,66 @@ func BenchmarkStoreScanWindow(b *testing.B) {
 	b.ReportMetric(float64(st.BlocksPruned+st.PartitionsPruned), "pruned")
 }
 
+// BenchmarkSnapshotQueryWindow answers a twelve-hour, one-collector
+// window from a snapshot index over a full-scale day (the shape bench/
+// serves, ~18k events per collector) sealed every 2048 events — the
+// layout live ingest produces, where the window jumps a prelude of
+// partitions, scans the two it cuts, merges the ones between and skips
+// the tail (on one partition per collector-day, as every other store
+// benchmark uses, a sub-day window is a full scan).
+// restores/op is the classifier states decoded per query: at most one
+// per scanned partition, however long the prelude.
+func BenchmarkSnapshotQueryWindow(b *testing.B) {
+	dir := b.TempDir()
+	w, err := evstore.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Seal = evstore.SealPolicy{MaxEvents: 2048}
+	_, sources := workload.DaySources(workload.DefaultDayConfig(benchDay))
+	if err := w.Ingest(stream.Merge(sources...)); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	named := func() []evstore.NamedAnalyzer {
+		return []evstore.NamedAnalyzer{
+			{Key: "table1", Proto: analysis.NewTable1()},
+			{Key: "counts", Proto: analysis.NewCounts()},
+			{Key: "peers", Proto: analysis.NewPeerBehavior()},
+		}
+	}
+	ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, named())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := evstore.Query{
+		Window: evstore.TimeRange{
+			From: benchDay.Add(6*time.Hour + 30*time.Minute),
+			To:   benchDay.Add(18*time.Hour + 30*time.Minute),
+		},
+		Collectors: []string{"rrc00"},
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	var ss evstore.ServeStats
+	for i := 0; i < b.N; i++ {
+		got := named()
+		if ss, err = ix.Query(context.Background(), q, 1, got...); err != nil {
+			b.Fatal(err)
+		}
+		if got[1].Proto.(*classify.CountsAnalyzer).Counts.Announcements() == 0 {
+			b.Fatal("empty window")
+		}
+	}
+	if ss.Plan.Jumped < 2 || ss.Plan.Merged < 2 || ss.Plan.Scanned == 0 || ss.Plan.Skipped == 0 {
+		b.Fatalf("window does not exercise the live-shaped plan: %+v", ss.Plan)
+	}
+	b.ReportMetric(float64(ss.Restores), "restores/op")
+	b.ReportMetric(float64(ss.Plan.Jumped+ss.Plan.Merged), "sidecars/op")
+}
+
 // BenchmarkScanParallel runs the combined Table 1 + Table 2 + peer
 // inference analysis off shard-parallel store scans at 1/2/4 workers —
 // compare with BenchmarkStoreScan, the sequential single-analyzer scan

@@ -17,9 +17,10 @@ import (
 //
 //   - merge: the window covers every event and a sidecar holds all
 //     requested analyzer states → merge the precomputed accumulators
-//     and jump the classifier to the recorded end state. No decode.
+//     and note the sidecar as the classifier chain's position. No
+//     decode.
 //   - jump: every event precedes the window → only the classifier
-//     end state matters; restore it. No decode.
+//     end state matters; note the sidecar that records it. No decode.
 //   - scan: the window cuts through the partition (or no usable
 //     sidecar exists) → decode and classify it, tallying in-window
 //     events. This is the residual scan.
@@ -28,10 +29,17 @@ import (
 //     window end in the shard's tail (later events feed no tallied
 //     classification).
 //
+// The classifier chain is lazy (classChain): Classifier.Restore
+// replaces the whole state, so of a run of jumps and merges only the
+// last one's recorded end state can ever be read, and only if a
+// partition is decoded after it. Walking a shard therefore costs at
+// most one restore per decoded partition; a reused sidecar costs a
+// pointer.
+//
 // Executing the plan in shard order with classifier chaining yields
 // results bit-identical to RunAll over a full sequential scan with the
-// same tally window — pinned by TestQueryMatchesScanParallel across
-// window positions, producers, and snapshot coverage.
+// same tally window — pinned by TestSnapshotQueryMatchesScanParallel
+// across window positions, partition layouts, and snapshot coverage.
 
 // planAction is the per-partition decision.
 type planAction uint8
@@ -60,8 +68,43 @@ type ServeStats struct {
 	// Scan aggregates the residual scans' pushdown accounting.
 	Scan ScanStats
 	// Merges counts analyzer-state merges from sidecars.
-	Merges  int
-	Elapsed time.Duration
+	Merges int
+	// Restores counts classifier end states decoded from sidecars: at
+	// most one per scanned partition, none for an all-merge answer.
+	Restores int
+	Elapsed  time.Duration
+}
+
+// classChain is one shard's classifier chain, walked lazily. at notes
+// the most recent trusted sidecar whose end state the chain has reached
+// without decoding it; settle applies that state to the live
+// classifier, and is called only immediately before a partition is
+// decoded. After a decode the live classifier is authoritative until
+// the next at.
+type classChain struct {
+	cl       *classify.Classifier
+	restores *int               // counts settle's restores
+	pending  *PartitionSnapshot // end state not yet restored into cl
+	from     string             // partition path pending was recorded for
+}
+
+// at moves the chain to the end of the partition snap describes.
+func (c *classChain) at(partPath string, snap *PartitionSnapshot) {
+	c.pending, c.from = snap, partPath
+}
+
+// settle brings the live classifier to the chain's position. A blob
+// that fails to decode is reported against the sidecar it came from.
+func (c *classChain) settle() error {
+	if c.pending == nil {
+		return nil
+	}
+	if err := c.cl.Restore(c.pending.Classifier); err != nil {
+		return fmt.Errorf("%s: %w", SnapshotPath(c.from), err)
+	}
+	c.pending = nil
+	*c.restores++
+	return nil
 }
 
 // shardPlan is one shard's partition list with per-partition actions.
@@ -79,6 +122,10 @@ type shardPlan struct {
 type SnapshotIndex struct {
 	dir   string
 	named []NamedAnalyzer
+
+	// refreshMu serializes Refresh: concurrent passes would race on the
+	// sidecar temp files and could publish an older view over a newer.
+	refreshMu sync.Mutex
 
 	mu       sync.RWMutex
 	manifest Manifest
@@ -118,11 +165,23 @@ func (ix *SnapshotIndex) Manifest() Manifest {
 	return ix.manifest
 }
 
-// Refresh incrementally rebuilds sidecars for newly sealed partitions
-// and reloads the index. Safe to call concurrently with Query: queries
-// in flight keep using the previous view until the swap.
+// Refresh brings the index up to date after new partitions seal, as a
+// delta against what it already holds: a partition whose sidecar is in
+// memory and still matches (path, size, chain) costs one stat and a
+// pointer — it is neither re-read nor decompressed nor restored — a
+// sidecar this pass builds is kept rather than read back, and only
+// partitions the index has never seen touch their sidecar files. Safe
+// to call concurrently with Query (queries in flight keep using the
+// previous view until the swap) and with itself (refreshes run one at a
+// time).
 func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error) {
-	bs, err := BuildSnapshots(ctx, ix.dir, ix.named)
+	ix.refreshMu.Lock()
+	defer ix.refreshMu.Unlock()
+	ix.mu.RLock()
+	held := ix.snaps
+	ix.mu.RUnlock()
+	current := make(map[string]*PartitionSnapshot, len(held))
+	bs, err := buildSnapshots(ctx, ix.dir, ix.named, held, current)
 	if err != nil {
 		return bs, err
 	}
@@ -130,20 +189,14 @@ func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error
 	if err != nil {
 		return bs, err
 	}
-	ix.mu.RLock()
-	prev := ix.snaps
-	ix.mu.RUnlock()
 	snaps := make(map[string]*PartitionSnapshot, len(m.Partitions))
 	for _, p := range m.Partitions {
-		if old, ok := prev[p.Path]; ok && old.Size == p.Size {
-			snaps[p.Path] = old
-			continue
+		// A partition sealed or replaced since the build pass listed the
+		// store has no matching entry: queries scan it until the next
+		// refresh.
+		if snap := current[p.Path]; snap != nil && snap.Size == p.Size {
+			snaps[p.Path] = snap
 		}
-		snap, err := ReadSnapshot(p.Path)
-		if err != nil || snap.Size != p.Size {
-			continue // no usable sidecar: queries will scan this partition
-		}
-		snaps[p.Path] = snap
 	}
 	ix.mu.Lock()
 	ix.manifest = m
@@ -264,13 +317,14 @@ func partitionSize(path string) (int64, bool) {
 }
 
 // Query answers a windowed analysis from the index: merged sidecar
-// states where the window covers whole partitions, classifier jumps
-// over the prelude, and residual scans only where the window cuts
-// through — shard-parallel on a worker pool, merging into the passed
-// analyzers. Each analyzer is merged/restored under its NamedAnalyzer
-// key; an analyzer with an empty key (or one absent from a partition's
-// sidecar) forces that partition onto the residual-scan path, which is
-// always correct, just slower.
+// states where the window covers whole partitions, a lazy classifier
+// chain over the prelude (one restore, of the last sidecar before a
+// scan, and none when nothing is scanned), and residual scans only
+// where the window cuts through — shard-parallel on a worker pool,
+// merging into the passed analyzers. Each analyzer is merged/restored
+// under its NamedAnalyzer key; an analyzer with an empty key (or one
+// absent from a partition's sidecar) forces that partition onto the
+// residual-scan path, which is always correct, just slower.
 //
 // Only Window and Collectors query dimensions are supported here —
 // per-event filters (PeerAS, PrefixRange) change which events feed
@@ -326,10 +380,8 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 				}
 				sp := plans[idx]
 				locals := classify.FreshAll(protos)
-				cl := classify.New()
-				var shardScan ScanStats
-				merges := 0
-				err := sp.run(ctx, &br, cl, locals, keys, protos, q.Window, &shardScan, &merges)
+				var shard ServeStats
+				err := sp.run(ctx, &br, locals, keys, protos, q.Window, &shard)
 				mu.Lock()
 				if err != nil {
 					failed.Store(true)
@@ -338,8 +390,9 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 					}
 				} else {
 					classify.MergeAll(protos, locals)
-					ss.Scan.Add(shardScan)
-					ss.Merges += merges
+					ss.Scan.Add(shard.Scan)
+					ss.Merges += shard.Merges
+					ss.Restores += shard.Restores
 				}
 				mu.Unlock()
 			}
@@ -354,20 +407,17 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 	return ss, firstErr
 }
 
-// run executes one shard's plan in partition order, maintaining the
-// classifier chain. The chain is restored lazily: a jump or merge only
-// decodes its recorded classifier state when a residual scan still
-// lies ahead in the shard — the common all-merge query never touches
-// classifier bytes at all, which is what makes warm windowed answers
+// run executes one shard's plan in partition order on a fresh
+// classifier, adding its scan, merge and restore counts to st. Jumps
+// and merges only move the lazy classifier chain; it is settled — one
+// Restore, of the last sidecar passed — immediately before each
+// residual scan, so a shard costs at most one restore per scanned
+// partition and the common all-merge query never touches classifier
+// bytes at all, which is what makes warm windowed answers
 // microsecond-scale.
-func (sp shardPlan) run(ctx context.Context, br *blockReader, cl *classify.Classifier, locals []classify.Analyzer, keys []string, protos []classify.Analyzer, tally TimeRange, scan *ScanStats, merges *int) error {
-	lastScan := -1
-	for i, a := range sp.actions {
-		if a == actionScan {
-			lastScan = i
-		}
-	}
-	run := newBatchRunner(cl, locals, tally)
+func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.Analyzer, keys []string, protos []classify.Analyzer, tally TimeRange, st *ServeStats) error {
+	chain := classChain{cl: classify.New(), restores: &st.Restores}
+	run := newBatchRunner(chain.cl, locals, tally)
 	for i, entry := range sp.shard.entries {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -376,11 +426,7 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, cl *classify.Class
 		case actionSkip:
 			continue
 		case actionJump:
-			if i < lastScan {
-				if err := cl.Restore(sp.snaps[i].Classifier); err != nil {
-					return fmt.Errorf("%s: %w", SnapshotPath(entry.path), err)
-				}
-			}
+			chain.at(entry.path, sp.snaps[i])
 		case actionMerge:
 			snap := sp.snaps[i]
 			for j, key := range keys {
@@ -389,20 +435,19 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, cl *classify.Class
 					return fmt.Errorf("%s[%s]: %w", SnapshotPath(entry.path), key, err)
 				}
 				locals[j].Merge(tmp)
-				*merges++
+				st.Merges++
 			}
-			if i < lastScan {
-				if err := cl.Restore(snap.Classifier); err != nil {
-					return fmt.Errorf("%s: %w", SnapshotPath(entry.path), err)
-				}
-			}
+			chain.at(entry.path, snap)
 		case actionScan:
-			var st ScanStats
-			_, err := scanPartitionBatch(ctx, entry.path, sp.shard.cq, br, &st, run.proj, func(b *classify.Batch, sel []int32) bool {
+			if err := chain.settle(); err != nil {
+				return err
+			}
+			var part ScanStats
+			_, err := scanPartitionBatch(ctx, entry.path, sp.shard.cq, br, &part, run.proj, func(b *classify.Batch, sel []int32) bool {
 				run.observe(b, sel)
 				return true
 			})
-			scan.Add(st)
+			st.Scan.Add(part)
 			if err != nil {
 				return err
 			}

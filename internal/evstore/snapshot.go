@@ -1,6 +1,7 @@
 package evstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -27,8 +28,9 @@ import (
 // Together these make windowed queries incremental: partitions fully
 // inside the window contribute their precomputed states (a Merge per
 // analyzer), partitions before the window contribute only their
-// classifier end-state (a Restore), and only partitions the window
-// cuts through are decoded and classified — the residual scan.
+// classifier end-state (restored once, from the last of them, and only
+// when a decode follows — see classChain), and only partitions the
+// window cuts through are decoded and classified — the residual scan.
 //
 // Sidecars are derived data: they live beside the partitions as
 // "<partition>.evps", are rebuilt whenever missing or stale (the
@@ -241,19 +243,38 @@ type SnapshotBuildStats struct {
 	Built      int // sidecars (re)written this pass
 	Reused     int // up-to-date sidecars skipped
 	Events     int // events decoded to build
-	Elapsed    time.Duration
+	// SidecarsRead counts sidecar files read and decoded from disk; a
+	// Refresh reads none for partitions its index already holds.
+	SidecarsRead int
+	// Restores counts classifier end states decoded from reused
+	// sidecars: at most one per built partition.
+	Restores int
+	Elapsed  time.Duration
 }
 
 // BuildSnapshots brings the store's snapshot sidecars up to date for
 // the given analyzer set: every sealed partition missing a sidecar (or
 // whose sidecar is stale or lacks one of the keys) is scanned ONCE —
 // with classifier state carried over from the collector's earlier
-// partitions, restored from their sidecars when available — and its
-// per-analyzer states and end-of-partition classifier are written
-// beside it. Partitions with up-to-date sidecars are not decoded at
-// all, so a daemon watching a live store pays only for what ingest
-// just sealed: the incremental half of incremental snapshots.
+// partitions — and its per-analyzer states and end-of-partition
+// classifier are written beside it. Partitions with up-to-date
+// sidecars are not decoded at all, and the classifier chain over them
+// is lazy: a reused sidecar's end state is restored only if it is the
+// last one before a partition that must be built, so a pass costs at
+// most one restore per built partition and a fully current store costs
+// none. A daemon watching a live store pays only for what ingest just
+// sealed: the incremental half of incremental snapshots.
 func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (SnapshotBuildStats, error) {
+	return buildSnapshots(ctx, dir, named, nil, nil)
+}
+
+// buildSnapshots is the build pass behind BuildSnapshots and
+// SnapshotIndex.Refresh. held (may be nil) maps partition paths to
+// sidecars the caller already has in memory: one that still matches its
+// partition's size and chain and covers the keys is reused as is,
+// without touching the sidecar file. current (may be nil) receives
+// every partition's up-to-date sidecar, reused or just built.
+func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held, current map[string]*PartitionSnapshot) (SnapshotBuildStats, error) {
 	start := time.Now()
 	var bs SnapshotBuildStats
 	keys := make([]string, len(named))
@@ -275,8 +296,9 @@ func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (Sna
 	// (resolving their id-state) before the next partition is scanned.
 	defer br.release()
 	zero := compileQuery(Query{})
+	var enc []byte // state encoding scratch
 	for _, sh := range shards {
-		cl := classify.New()
+		cc := classChain{cl: classify.New(), restores: &bs.Restores}
 		chain := uint64(0)
 		for _, entry := range sh.entries {
 			if err := ctx.Err(); err != nil {
@@ -288,19 +310,32 @@ func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (Sna
 				return bs, err
 			}
 			chain = chainHash(chain, filepath.Base(entry.path), fi.Size())
-			old, _ := ReadSnapshot(entry.path) // missing/corrupt → rebuild
-			if old != nil && old.Chain == chain && snapshotCovers(old, fi.Size(), keys) {
-				// Up to date AND built against this exact chain of
-				// predecessors: just advance the classifier.
-				if err := cl.Restore(old.Classifier); err != nil {
-					return bs, fmt.Errorf("%s: %w", SnapshotPath(entry.path), err)
+			// Up to date means built for this file AND against this exact
+			// chain of predecessors.
+			upToDate := func(snap *PartitionSnapshot) bool {
+				return snap != nil && snap.Chain == chain && snapshotCovers(snap, fi.Size(), keys)
+			}
+			old := held[entry.path]
+			if !upToDate(old) {
+				// Missing or corrupt reads as nil → rebuild.
+				if old, err = ReadSnapshot(entry.path); err == nil {
+					bs.SidecarsRead++
 				}
+			}
+			if upToDate(old) {
+				cc.at(entry.path, old)
 				bs.Reused++
+				if current != nil {
+					current[entry.path] = old
+				}
 				continue
 			}
 
+			if err := cc.settle(); err != nil {
+				return bs, err
+			}
 			locals := classify.FreshAll(protos)
-			run := newBatchRunner(cl, locals, TimeRange{})
+			run := newBatchRunner(cc.cl, locals, TimeRange{})
 			snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: fi.Size(), Chain: chain}
 			first := true
 			_, err = scanPartitionBatch(ctx, entry.path, zero, &br, nil, run.proj, func(b *classify.Batch, sel []int32) bool {
@@ -327,10 +362,15 @@ func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (Sna
 				return bs, err
 			}
 			bs.Events += snap.Events
-			snap.Classifier = cl.Snapshot(nil)
+			// Encode into one reused buffer and keep exact-size copies: the
+			// caller may hold the snapshot for as long as it serves the
+			// store, and append-grown capacity would ride along.
+			enc = cc.cl.Snapshot(enc[:0])
+			snap.Classifier = bytes.Clone(enc)
 			snap.States = make(map[string][]byte, len(named))
 			for i, a := range locals {
-				snap.States[keys[i]] = a.Snapshot(nil)
+				enc = a.Snapshot(enc[:0])
+				snap.States[keys[i]] = bytes.Clone(enc)
 			}
 			if old != nil && old.Size == fi.Size() && old.Chain == chain {
 				// Carry forward states for keys other registries built:
@@ -347,6 +387,9 @@ func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (Sna
 				return bs, err
 			}
 			bs.Built++
+			if current != nil {
+				current[entry.path] = snap
+			}
 		}
 	}
 	bs.Elapsed = time.Since(start)

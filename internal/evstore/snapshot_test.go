@@ -2,8 +2,11 @@ package evstore_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,11 +57,97 @@ func TestSnapshotSidecarRoundTrip(t *testing.T) {
 	}
 }
 
+// appendLiveDays ingests n generated days, starting at cfg.Day plus
+// first days, the way live ingest lays them out: each day's sessions
+// merged into one time-ordered feed and partitions sealed every
+// maxEvents events, so a collector's shard is a run of short,
+// time-disjoint partitions rather than one per day.
+func appendLiveDays(t *testing.T, dir string, cfg workload.DayConfig, first, n, maxEvents int) {
+	t.Helper()
+	w, err := evstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BlockEvents = 64
+	w.Seal = evstore.SealPolicy{MaxEvents: maxEvents}
+	for d, day := range workload.MultiDayConfigs(cfg, first+n)[first:] {
+		_, sources := workload.DaySources(day)
+		src := stream.Merge(sources...)
+		if first+d > 0 {
+			// Later days' warm-ups would replay announcements the streams
+			// already carry over (see workload.MultiDaySource).
+			src = stream.Filter(src, func(e classify.Event) bool { return !e.Time.Before(day.Day) })
+		}
+		if err := w.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveShapedStore is a fresh store holding two days in that layout.
+func liveShapedStore(t *testing.T, cfg workload.DayConfig, maxEvents int) string {
+	t.Helper()
+	dir := t.TempDir()
+	appendLiveDays(t, dir, cfg, 0, 2, maxEvents)
+	return dir
+}
+
+// cutInstant returns an instant strictly inside the partition's event
+// span, so a window edge placed there cuts the partition.
+func cutInstant(t *testing.T, snap *evstore.PartitionSnapshot) time.Time {
+	t.Helper()
+	if snap.TMax-snap.TMin < 2 {
+		t.Fatalf("%s spans %d ns; cannot cut it", snap.Partition, snap.TMax-snap.TMin)
+	}
+	return time.Unix(0, snap.TMin+(snap.TMax-snap.TMin)/2).UTC()
+}
+
+// checkSnapshotQuery pins one query's equivalence — the index's answer
+// against a cold ScanParallel of the full collector timelines tallying
+// the same window — and the lazy chain's restore bound.
+func checkSnapshotQuery(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query) evstore.ServeStats {
+	t.Helper()
+	ref := snapNamed()
+	refAnalyzers := make([]classify.Analyzer, len(ref))
+	for i, na := range ref {
+		refAnalyzers[i] = na.Proto
+	}
+	_, err := evstore.ScanParallel(context.Background(), ix.Dir(),
+		evstore.Query{Collectors: q.Collectors}, q.Window,
+		2, refAnalyzers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := snapNamed()
+	ss, err := ix.Query(context.Background(), q, 2, got...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		g, w := got[i].Proto.Finish(), ref[i].Proto.Finish()
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("analyzer %q diverged:\n got %+v\nwant %+v", got[i].Key, g, w)
+		}
+	}
+	if ss.Restores > ss.Plan.Scanned {
+		t.Errorf("%d classifier restores for %d scanned partitions (plan %+v)",
+			ss.Restores, ss.Plan.Scanned, ss.Plan)
+	}
+	return ss
+}
+
 // TestSnapshotQueryMatchesScanParallel is the tentpole equivalence: a
 // snapshot-merge query must be bit-identical to a cold shard-parallel
 // scan of the full collector timelines tallying the same window — for
 // unbounded, day-aligned, partition-cutting, collector-filtered, and
-// empty windows alike.
+// empty windows alike, on the one-partition-per-collector-day layout
+// batch ingest writes and on the many-short-partitions layout live
+// ingest writes — decoding at most one classifier state per scanned
+// partition.
 func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 	cfg := smallDayConfig()
 	cfg.Collectors = 3
@@ -97,35 +186,97 @@ func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := snapNamed()
-			refAnalyzers := make([]classify.Analyzer, len(ref))
-			for i, na := range ref {
-				refAnalyzers[i] = na.Proto
-			}
-			_, err := evstore.ScanParallel(context.Background(), dir,
-				evstore.Query{Collectors: tc.q.Collectors}, tc.q.Window,
-				2, refAnalyzers...)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			got := snapNamed()
-			ss, err := ix.Query(context.Background(), tc.q, 2, got...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				g, w := got[i].Proto.Finish(), ref[i].Proto.Finish()
-				if !reflect.DeepEqual(g, w) {
-					t.Errorf("analyzer %q diverged:\n got %+v\nwant %+v", got[i].Key, g, w)
-				}
-			}
+			ss := checkSnapshotQuery(t, ix, tc.q)
 			if tc.wantResidual >= 0 && ss.Plan.Scanned != tc.wantResidual {
 				t.Errorf("planner scanned %d partitions, want %d (plan %+v)",
 					ss.Plan.Scanned, tc.wantResidual, ss.Plan)
 			}
+			if ss.Plan.Scanned == 0 && ss.Restores != 0 {
+				t.Errorf("all-merge answer restored %d classifier states", ss.Restores)
+			}
 		})
 	}
+
+	t.Run("live-shaped", func(t *testing.T) {
+		dir := liveShapedStore(t, cfg, 40)
+		ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := evstore.ScanShards(dir, evstore.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, sh := range shards {
+			if len(sh.Partitions()) < 10 {
+				t.Fatalf("%s: %d partitions, want >= 10", sh.Collector, len(sh.Partitions()))
+			}
+			if sh.Collector == "rrc00" {
+				paths = sh.Partitions()
+			}
+		}
+		inside := func(i int) time.Time {
+			snap, err := evstore.ReadSnapshot(paths[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cutInstant(t, snap)
+		}
+		n := len(paths)
+		one := []string{"rrc00"}
+
+		// jump·jump·scan·merge·merge·scan·skip…
+		cut := evstore.Query{Collectors: one, Window: evstore.TimeRange{From: inside(2), To: inside(5)}}
+		ss := checkSnapshotQuery(t, ix, cut)
+		want := evstore.PlanStats{Shards: 1, Partitions: n, Jumped: 2, Scanned: 2, Merged: 2, Skipped: n - 6}
+		if ss.Plan != want {
+			t.Errorf("plan %+v, want %+v", ss.Plan, want)
+		}
+		if ss.Restores != 2 {
+			t.Errorf("%d restores, want 2: the sidecar before each scan", ss.Restores)
+		}
+
+		// The same cut across every collector's shard, and windows whose
+		// edges fall on the layout's ends.
+		checkSnapshotQuery(t, ix, evstore.Query{Window: cut.Window})
+		checkSnapshotQuery(t, ix, evstore.Query{Collectors: one, Window: evstore.TimeRange{To: inside(4)}})
+		checkSnapshotQuery(t, ix, evstore.Query{Collectors: one, Window: evstore.TimeRange{From: inside(n - 2)}})
+		if ss := checkSnapshotQuery(t, ix, evstore.Query{}); ss.Plan.Scanned != 0 || ss.Restores != 0 {
+			t.Errorf("unbounded: scanned %d, restored %d; want an all-merge answer", ss.Plan.Scanned, ss.Restores)
+		}
+
+		// A mid-shard partition with no sidecar (deleted on disk and
+		// unknown to the index, as one sealed after the last refresh's
+		// build pass is) scans between merges: the chain settles before
+		// it and is live, not restored, after it.
+		if err := os.Remove(evstore.SnapshotPath(paths[4])); err != nil {
+			t.Fatal(err)
+		}
+		evstore.DropSnapshot(ix, paths[4])
+		wide := evstore.Query{Collectors: one, Window: evstore.TimeRange{From: inside(2), To: inside(7)}}
+		ss = checkSnapshotQuery(t, ix, wide)
+		want = evstore.PlanStats{Shards: 1, Partitions: n, Jumped: 2, Scanned: 3, Merged: 3, Skipped: n - 8}
+		if ss.Plan != want {
+			t.Errorf("plan with a sidecar missing %+v, want %+v", ss.Plan, want)
+		}
+		if ss.Restores != 3 {
+			t.Errorf("%d restores, want 3", ss.Restores)
+		}
+		checkSnapshotQuery(t, ix, evstore.Query{Window: wide.Window})
+
+		// The next refresh rebuilds exactly that sidecar, restoring only
+		// its predecessor's end state.
+		bs, err := ix.Refresh(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs.Built != 1 || bs.SidecarsRead != 0 || bs.Restores != 1 {
+			t.Errorf("healing refresh built %d, read %d sidecars, restored %d; want 1, 0, 1",
+				bs.Built, bs.SidecarsRead, bs.Restores)
+		}
+		checkSnapshotQuery(t, ix, wide)
+	})
 }
 
 // TestSnapshotQueryRejectsPerEventDims pins the supported-dimension
@@ -194,27 +345,47 @@ func TestSnapshotIncrementalRefresh(t *testing.T) {
 		t.Errorf("refresh built %d reused %d, want %d built %d reused",
 			bs.Built, bs.Reused, after-before, before)
 	}
+	// The delta: the index already holds every reused sidecar, and only
+	// the one before each new partition has its classifier decoded.
+	if bs.SidecarsRead != 0 || bs.Restores > bs.Built {
+		t.Errorf("refresh read %d sidecars and restored %d classifier states for %d built",
+			bs.SidecarsRead, bs.Restores, bs.Built)
+	}
 
 	// Grown store still answers identically to a cold rescan.
-	q := evstore.Query{Window: evstore.TimeRange{From: day2.Day, To: day2.Day.Add(24 * time.Hour)}}
-	ref := snapNamed()
-	refAnalyzers := make([]classify.Analyzer, len(ref))
-	for i, na := range ref {
-		refAnalyzers[i] = na.Proto
-	}
-	if _, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{},
-		q.Window, 2, refAnalyzers...); err != nil {
+	checkSnapshotQuery(t, ix, evstore.Query{Window: evstore.TimeRange{From: day2.Day, To: day2.Day.Add(24 * time.Hour)}})
+
+	// Exactly one more partition seals: one build, nothing read back,
+	// at most one restore.
+	day3 := cfg
+	day3.Day = cfg.Day.Add(48 * time.Hour)
+	peers3, sources3 := workload.DaySources(day3)
+	one := peers3[0].Collector
+	w, err = evstore.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := snapNamed()
-	if _, err := ix.Query(context.Background(), q, 2, got...); err != nil {
+	err = w.Ingest(stream.Filter(stream.Concat(sources3...), func(e classify.Event) bool {
+		return e.Collector == one && !e.Time.Before(day3.Day)
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if g, w := got[i].Proto.Finish(), ref[i].Proto.Finish(); !reflect.DeepEqual(g, w) {
-			t.Errorf("analyzer %q diverged after refresh", got[i].Key)
-		}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
+	bs, err = ix.Refresh(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts, snapped := ix.Coverage(); parts != after+1 || snapped != parts {
+		t.Fatalf("coverage %d/%d after one more partition, want %d/%d", snapped, parts, after+1, after+1)
+	}
+	if bs.Built != 1 || bs.Reused != after || bs.SidecarsRead != 0 || bs.Restores > 1 {
+		t.Errorf("refresh after one new partition: built %d reused %d read %d restored %d; want 1, %d, 0, <= 1",
+			bs.Built, bs.Reused, bs.SidecarsRead, bs.Restores, after)
+	}
+	checkSnapshotQuery(t, ix, evstore.Query{Window: evstore.TimeRange{From: day3.Day, To: day3.Day.Add(24 * time.Hour)}})
 }
 
 // TestSnapshotBackfillInvalidatesChain pins the chain fingerprint: a
@@ -284,6 +455,186 @@ func TestSnapshotBackfillInvalidatesChain(t *testing.T) {
 			t.Errorf("analyzer %q diverged after backfill", got[i].Key)
 		}
 	}
+}
+
+// TestSnapshotCorruptClassifierProvenance pins what the lazy chain does
+// with a classifier blob that does not decode: one a scan (or a sidecar
+// build) consumes fails the pass naming the sidecar it came from, not
+// the partition about to be decoded; one that a later sidecar supersedes
+// is never decoded, so it neither fails nor changes the answer.
+func TestSnapshotCorruptClassifierProvenance(t *testing.T) {
+	cfg := smallDayConfig()
+	cfg.Collectors = 1
+	dir := liveShapedStore(t, cfg, 40)
+	if _, err := evstore.BuildSnapshots(context.Background(), dir, snapNamed()); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := evstore.ScanShards(dir, evstore.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := shards[0].Partitions()
+	if len(paths) < 4 {
+		t.Fatalf("%d partitions, want >= 4", len(paths))
+	}
+	snaps := make([]*evstore.PartitionSnapshot, 4)
+	for i := range snaps {
+		if snaps[i], err = evstore.ReadSnapshot(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// rewrite replaces partition i's sidecar, classifier blob truncated
+	// mid-record when corrupt.
+	rewrite := func(i int, corrupt bool) {
+		t.Helper()
+		snap := *snaps[i]
+		if corrupt {
+			snap.Classifier = snap.Classifier[:len(snap.Classifier)/2]
+		}
+		if err := evstore.WriteSnapshot(paths[i], &snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The window cuts partition 2: partitions 0 and 1 are jumps, and only
+	// partition 1's end state is consumed.
+	cut := evstore.Query{Window: evstore.TimeRange{From: cutInstant(t, snaps[2])}}
+
+	rewrite(0, true)
+	ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+	if err != nil {
+		t.Fatalf("open over a corrupt blob no build consumes: %v", err)
+	}
+	if ss := checkSnapshotQuery(t, ix, cut); ss.Plan.Jumped != 2 || ss.Plan.Scanned != 1 || ss.Restores != 1 {
+		t.Errorf("plan %+v with %d restores; want 2 jumps, 1 scan, 1 restore", ss.Plan, ss.Restores)
+	}
+	checkSnapshotQuery(t, ix, evstore.Query{})
+
+	rewrite(0, false)
+	rewrite(1, true)
+	if ix, _, err = evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed()); err != nil {
+		t.Fatal(err)
+	}
+	wantErr := func(err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("corrupt classifier blob was consumed without an error")
+		}
+		if msg := err.Error(); !strings.Contains(msg, filepath.Base(evstore.SnapshotPath(paths[1]))) ||
+			strings.Contains(msg, filepath.Base(paths[2])) {
+			t.Errorf("error %q: want it to name partition 1's sidecar %s, not partition 2",
+				msg, filepath.Base(evstore.SnapshotPath(paths[1])))
+		}
+	}
+	_, err = ix.Query(context.Background(), cut, 2, snapNamed()...)
+	wantErr(err)
+	checkSnapshotQuery(t, ix, evstore.Query{}) // all-merge: never decoded
+
+	// A build pass that must decode partition 2 consumes the same blob.
+	if err := os.Remove(evstore.SnapshotPath(paths[2])); err != nil {
+		t.Fatal(err)
+	}
+	_, err = evstore.BuildSnapshots(context.Background(), dir, snapNamed())
+	wantErr(err)
+}
+
+// TestSnapshotConcurrentRefresh runs concurrent Refresh and Query calls
+// while live ingest seals partitions (run it under -race): refreshes
+// serialize, every answer over the already-sealed day equals the cold
+// scan, and once ingest stops the index ends at full coverage answering
+// like a cold scan of the grown store.
+func TestSnapshotConcurrentRefresh(t *testing.T) {
+	cfg := smallDayConfig()
+	dir := liveShapedStore(t, cfg, 40)
+	ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Partitions sealing after the window cannot change its answer, so
+	// one cold reference holds throughout.
+	frozen := evstore.Query{Window: evstore.TimeRange{
+		From: testDay.Add(3 * time.Hour), To: testDay.Add(30 * time.Hour)}}
+	ref := snapNamed()
+	refAnalyzers := make([]classify.Analyzer, len(ref))
+	for i, na := range ref {
+		refAnalyzers[i] = na.Proto
+	}
+	if _, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{}, frozen.Window, 2, refAnalyzers...); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]any, len(ref))
+	for i, na := range ref {
+		want[i] = na.Proto.Finish()
+	}
+
+	sealed := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := ix.Refresh(context.Background()); err != nil {
+					t.Errorf("refresh: %v", err)
+					return
+				}
+				select {
+				case <-sealed:
+					return
+				default:
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				got := snapNamed()
+				ss, err := ix.Query(context.Background(), frozen, 2, got...)
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				for i := range got {
+					if g := got[i].Proto.Finish(); !reflect.DeepEqual(g, want[i]) {
+						t.Errorf("analyzer %q diverged from the cold scan mid-ingest", got[i].Key)
+						return
+					}
+				}
+				if ss.Restores > ss.Plan.Scanned {
+					t.Errorf("%d restores for %d scanned partitions", ss.Restores, ss.Plan.Scanned)
+				}
+				select {
+				case <-sealed:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	// Live append: two more days seal 40 events at a time.
+	appendLiveDays(t, dir, cfg, 2, 2, 40)
+	close(sealed)
+	wg.Wait()
+
+	before, _ := ix.Coverage()
+	if _, err := ix.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	parts, snapped := ix.Coverage()
+	if parts < before || snapped != parts {
+		t.Fatalf("coverage %d/%d after the last refresh (%d partitions before it)", snapped, parts, before)
+	}
+	m, err := evstore.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts != len(m.Partitions) {
+		t.Fatalf("index holds %d partitions, store has %d", parts, len(m.Partitions))
+	}
+	if ss := checkSnapshotQuery(t, ix, evstore.Query{}); ss.Plan.Scanned != 0 {
+		t.Errorf("grown store still scans %d partitions (plan %+v)", ss.Plan.Scanned, ss.Plan)
+	}
+	checkSnapshotQuery(t, ix, frozen)
 }
 
 // TestManifestDiffAndWatch covers the change-detection API the daemon
