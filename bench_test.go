@@ -116,8 +116,9 @@ func BenchmarkTable1(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t1 := analysis.ComputeTable1(ds)
-		if t1.Announcements == 0 {
+		t1a := analysis.NewTable1()
+		analysis.RunAll(ds.Source(), ds.CountingWindow, t1a)
+		if t1a.Table1().Announcements == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -131,7 +132,7 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportAllocs()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		counts = analysis.ClassifyDataset(ds)
+		counts = stream.Classify(ds.Source(), ds.CountingWindow)
 	}
 	for _, ty := range classify.Types() {
 		b.ReportMetric(100*counts.Share(ty), ty.String()+"_pct")
@@ -146,7 +147,7 @@ func BenchmarkTable2BeaconColumn(b *testing.B) {
 	b.ReportAllocs()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		counts = analysis.ClassifyDataset(ds)
+		counts = stream.Classify(ds.Source(), ds.CountingWindow)
 	}
 	b.ReportMetric(100*counts.Share(classify.PC), "pc_pct")
 }
@@ -202,7 +203,7 @@ func BenchmarkFigure3(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mixes := analysis.Figure3PerSession(ds, "rrc00", prefix)
+		mixes := analysis.Figure3PerSessionStream(ds.Source(), ds.CountingWindow, "rrc00", prefix)
 		if len(mixes) == 0 {
 			b.Fatal("no sessions")
 		}
@@ -244,7 +245,7 @@ func BenchmarkFigure4(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := analysis.CumulativeByPath(ds, session, prefix, path)
+		series := analysis.CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, path)
 		if len(series.Points) == 0 {
 			b.Fatal("empty series")
 		}
@@ -259,7 +260,7 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := analysis.CumulativeByPath(ds, session, prefix, path)
+		series := analysis.CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, path)
 		if len(series.Points) == 0 {
 			b.Fatal("empty series")
 		}
@@ -273,7 +274,7 @@ func BenchmarkFigure6(b *testing.B) {
 	b.ReportAllocs()
 	var s beacon.RevealedSummary
 	for i := 0; i < b.N; i++ {
-		s = analysis.RevealedForDataset(ds, cfg.Schedule)
+		s = analysis.RevealedForStream(ds.Source(), ds.CountingWindow, cfg.Schedule)
 	}
 	b.ReportMetric(100*s.WithdrawalRatio, "withdrawal_pct")
 }
@@ -959,21 +960,6 @@ func BenchmarkRunAll(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTable2Parallel classifies the day fanned out per collector via
-// stream.ParallelClassify: events are routed to per-collector workers in
-// batches, with no up-front grouping copy of the dataset.
-func BenchmarkTable2Parallel(b *testing.B) {
-	ds := benchDayDataset()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		counts := analysis.ClassifyDatasetParallel(ds)
-		if counts.Announcements() == 0 {
-			b.Fatal("empty")
-		}
-	}
 }
 
 // --- Streaming pipeline (stream.EventSource) --------------------------------

@@ -15,7 +15,7 @@
 //
 // recode rewrites an existing store's partitions block-by-block into
 // the target codec (never in place — temp file + atomic rename), the
-// migration path from legacy deflate-only stores to the fast in-repo
+// migration path from deflate stores to the fast in-repo
 // lz codec. Block summaries, footers, and event payloads are preserved
 // bit-for-bit and valid snapshot sidecars are refreshed alongside, so
 // recoding never forces a snapshot rebuild.

@@ -8,10 +8,10 @@
 // Observe folds classified events in, Merge combines shard accumulators,
 // Finish produces the table or figure. RunAll answers any number of
 // questions in ONE classification pass over a stream.EventSource, and the
-// same analyzers run shard-parallel via stream.ParallelRun or
-// evstore.ScanParallel. The historical *Stream functions are thin
-// wrappers (one analyzer, one pass); the *Dataset-taking functions
-// stream a materialized workload.Dataset.
+// same analyzers run shard-parallel over a store via evstore. The
+// remaining *Stream functions are one-analyzer, one-pass conveniences
+// for the study commands; a materialized workload.Dataset is streamed
+// with ds.Source() and ds.CountingWindow.
 package analysis
 
 import (
@@ -196,19 +196,6 @@ func runPlain(src stream.EventSource, inWindow func(classify.Event) bool, analyz
 	}
 }
 
-// ComputeTable1Stream scans a source's in-window events in one pass
-// (inWindow nil counts everything).
-func ComputeTable1Stream(src stream.EventSource, inWindow func(classify.Event) bool) Table1 {
-	a := NewTable1()
-	runPlain(src, inWindow, a)
-	return a.Table1()
-}
-
-// ComputeTable1 scans the dataset's in-window events.
-func ComputeTable1(ds *workload.Dataset) Table1 {
-	return ComputeTable1Stream(ds.Source(), ds.CountingWindow)
-}
-
 // Report computes Table 1 and the Table 2 type counts in one combined
 // pass over the stream — the full §4–§5 measurement on archive-backed
 // sources that can only be read once.
@@ -217,13 +204,6 @@ func Report(src stream.EventSource, inWindow func(classify.Event) bool) (Table1,
 	counts := NewCounts()
 	RunAll(src, inWindow, t1, counts)
 	return t1.Table1(), counts.Counts
-}
-
-// ClassifyDataset runs the classifier over all events in order (warm-up
-// events seed stream state) and tallies only in-window events — the
-// Table 2 computation. Equivalent to stream.Classify over the dataset.
-func ClassifyDataset(ds *workload.Dataset) classify.Counts {
-	return stream.Classify(ds.Source(), ds.CountingWindow)
 }
 
 // Figure2Row is one day of the longitudinal type series.
@@ -280,11 +260,6 @@ func Figure3PerSessionStream(src stream.EventSource, inWindow func(classify.Even
 	return a.Mixes()
 }
 
-// Figure3PerSession is Figure3PerSessionStream over a materialized dataset.
-func Figure3PerSession(ds *workload.Dataset, collector string, prefix netip.Prefix) []SessionMix {
-	return Figure3PerSessionStream(ds.Source(), ds.CountingWindow, collector, prefix)
-}
-
 // CumPoint is one classified announcement on a (session, prefix, path)
 // stream.
 type CumPoint struct {
@@ -308,11 +283,6 @@ func CumulativeByPathStream(src stream.EventSource, inWindow func(classify.Event
 	return a.Series()
 }
 
-// CumulativeByPath is CumulativeByPathStream over a materialized dataset.
-func CumulativeByPath(ds *workload.Dataset, session classify.SessionKey, prefix netip.Prefix, pathStr string) CumSeries {
-	return CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, pathStr)
-}
-
 // TypeCounts tallies the series by type.
 func (c CumSeries) TypeCounts() classify.Counts {
 	var counts classify.Counts
@@ -327,11 +297,6 @@ func RevealedForStream(src stream.EventSource, inWindow func(classify.Event) boo
 	a := NewRevealed(sched)
 	runPlain(src, inWindow, a)
 	return a.Summary()
-}
-
-// RevealedForDataset runs the Figure 6 attribution over a beacon dataset.
-func RevealedForDataset(ds *workload.Dataset, sched beacon.Schedule) beacon.RevealedSummary {
-	return RevealedForStream(ds.Source(), ds.CountingWindow, sched)
 }
 
 // Figure6Row is one year of the revealed-information series.
@@ -362,23 +327,6 @@ func Figure6SeriesWorkers(fromYear, toYear, workers int) []Figure6Row {
 		rows[i] = Figure6Row{Year: y, Summary: summary}
 	})
 	return rows
-}
-
-// BeaconSubsetStream filters a source to the RIPE beacon prefixes, the
-// paper's d_beacon selection from d_hist.
-func BeaconSubsetStream(src stream.EventSource) stream.EventSource {
-	return stream.Filter(src, func(e classify.Event) bool {
-		return beacon.IsBeaconPrefix(e.Prefix)
-	})
-}
-
-// BeaconSubset filters a dataset to the RIPE beacon prefixes.
-func BeaconSubset(ds *workload.Dataset) *workload.Dataset {
-	return &workload.Dataset{
-		Day:    ds.Day,
-		Peers:  ds.Peers,
-		Events: stream.Collect(BeaconSubsetStream(ds.Source())),
-	}
 }
 
 // Figure2QuarterRow is one quarterly sample of the longitudinal series.

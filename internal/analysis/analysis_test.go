@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/beacon"
 	"repro/internal/classify"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -27,9 +28,17 @@ func smallBeaconCfg() workload.BeaconConfig {
 	return cfg
 }
 
+// table1Of computes Table 1 over a materialized dataset's counting
+// window.
+func table1Of(ds *workload.Dataset) Table1 {
+	a := NewTable1()
+	RunAll(ds.Source(), ds.CountingWindow, a)
+	return a.Table1()
+}
+
 func TestTable1Overview(t *testing.T) {
 	ds := smallDay()
-	t1 := ComputeTable1(ds)
+	t1 := table1Of(ds)
 	if t1.PrefixesV4 == 0 || t1.PrefixesV6 == 0 {
 		t.Errorf("prefix counts: %+v", t1)
 	}
@@ -56,7 +65,7 @@ func TestTable1Overview(t *testing.T) {
 
 func TestTable1ExcludesWarmup(t *testing.T) {
 	ds := smallDay()
-	t1 := ComputeTable1(ds)
+	t1 := table1Of(ds)
 	total := 0
 	for _, e := range ds.Events {
 		if ds.CountingWindow(e) {
@@ -129,7 +138,7 @@ func TestFigure3PerSession(t *testing.T) {
 	cfg := smallBeaconCfg()
 	ds := workload.GenerateBeacon(cfg)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	mixes := Figure3PerSession(ds, "rrc00", prefix)
+	mixes := Figure3PerSessionStream(ds.Source(), ds.CountingWindow, "rrc00", prefix)
 	if len(mixes) != cfg.PeersPerCollector {
 		t.Fatalf("sessions = %d, want %d", len(mixes), cfg.PeersPerCollector)
 	}
@@ -155,7 +164,7 @@ func TestFigure3PerSession(t *testing.T) {
 		t.Errorf("only %d types across sessions", len(seen))
 	}
 	// Filtering by another collector yields a disjoint session set.
-	other := Figure3PerSession(ds, "rrc01", prefix)
+	other := Figure3PerSessionStream(ds.Source(), ds.CountingWindow, "rrc01", prefix)
 	for _, m := range other {
 		if m.Session.Collector != "rrc01" {
 			t.Error("collector filter leaked")
@@ -203,7 +212,7 @@ func TestFigure4CommunityExploration(t *testing.T) {
 	ds := workload.GenerateBeacon(smallBeaconCfg())
 	session, backup := findStream(t, ds, workload.PeerTransparent, true)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	series := CumulativeByPath(ds, session, prefix, backup)
+	series := CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, backup)
 	if len(series.Points) < 6 {
 		t.Fatalf("points = %d, want >= 6 (one per withdrawal phase)", len(series.Points))
 	}
@@ -231,7 +240,7 @@ func TestFigure5DuplicatesFromEgressCleaning(t *testing.T) {
 	ds := workload.GenerateBeacon(smallBeaconCfg())
 	session, backup := findStream(t, ds, workload.PeerCleansEgress, true)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	series := CumulativeByPath(ds, session, prefix, backup)
+	series := CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, backup)
 	counts := series.TypeCounts()
 	if counts.Of(classify.PN) != 6 {
 		t.Errorf("pn = %d, want 6", counts.Of(classify.PN))
@@ -247,7 +256,7 @@ func TestFigure5DuplicatesFromEgressCleaning(t *testing.T) {
 func TestFigure6Revealed(t *testing.T) {
 	cfg := workload.DefaultBeaconConfig(day)
 	ds := workload.GenerateBeacon(cfg)
-	s := RevealedForDataset(ds, cfg.Schedule)
+	s := RevealedForStream(ds.Source(), ds.CountingWindow, cfg.Schedule)
 	if s.Total == 0 {
 		t.Fatal("no community attributes observed")
 	}
@@ -287,14 +296,17 @@ func TestBeaconSubset(t *testing.T) {
 	ds := smallDay()
 	// The day generator uses 10.0.0.0/8 and 2001:db8::/32 prefixes, none of
 	// which are beacons.
-	sub := BeaconSubset(ds)
-	if len(sub.Events) != 0 {
-		t.Errorf("day dataset should contain no beacon prefixes, got %d", len(sub.Events))
+	beacons := func(ds *workload.Dataset) int {
+		return stream.Count(stream.Filter(ds.Source(), func(e classify.Event) bool {
+			return beacon.IsBeaconPrefix(e.Prefix)
+		}))
+	}
+	if n := beacons(ds); n != 0 {
+		t.Errorf("day dataset should contain no beacon prefixes, got %d", n)
 	}
 	bds := workload.GenerateBeacon(smallBeaconCfg())
-	sub = BeaconSubset(bds)
-	if len(sub.Events) != len(bds.Events) {
-		t.Errorf("beacon dataset should be fully retained: %d vs %d", len(sub.Events), len(bds.Events))
+	if n := beacons(bds); n != len(bds.Events) {
+		t.Errorf("beacon dataset should be fully retained: %d vs %d", n, len(bds.Events))
 	}
 }
 

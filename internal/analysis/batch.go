@@ -173,14 +173,6 @@ func countPending(s []uint8) int {
 // value-keyed accumulator; every accumulator read boundary calls it.
 func (a *Table1Analyzer) resolvePending() { a.bt.resolve(a.acc) }
 
-// FlushBatch resolves the pending gids and severs the dictionary
-// reference, making the analyzer safe to hold across scans whose
-// decode scratch is recycled.
-func (a *Table1Analyzer) FlushBatch() {
-	a.resolvePending()
-	a.bt = table1Batch{}
-}
-
 // Project declares the columns Table 1 reads. MED is the only column
 // the overview ignores.
 func (a *Table1Analyzer) Project() classify.Projection {
@@ -268,10 +260,6 @@ func (bb *sessMixBatch) sync(d *classify.Dict) {
 	bb.pfxOK = growVerdicts(bb.pfxOK, len(d.Prefixes))
 }
 
-// FlushBatch drops the dictionary-keyed verdict caches; the mixes map
-// itself is value-keyed and survives.
-func (a *SessionMixAnalyzer) FlushBatch() { a.bb = sessMixBatch{} }
-
 // Project declares the columns Figure 3 reads: the collector/prefix
 // filters plus the session identity and peer AS.
 func (a *SessionMixAnalyzer) Project() classify.Projection {
@@ -350,10 +338,6 @@ func (cb *cumBatch) sync(d *classify.Dict) {
 	cb.pfxOK = growVerdicts(cb.pfxOK, len(d.Prefixes))
 	cb.pathOK = growVerdicts(cb.pathOK, len(d.Paths))
 }
-
-// FlushBatch drops the dictionary-keyed verdict caches; the series is
-// value-only and survives.
-func (a *CumulativeAnalyzer) FlushBatch() { a.cb = cumBatch{} }
 
 // Project declares the columns Figures 4/5 read. The path column is
 // needed for the route's path-string filter; peer AS and MED are not.

@@ -14,9 +14,9 @@ import (
 // this package implements (defined in classify so the stream and
 // evstore engines can run analyzers without importing this package).
 // Construct analyzers with the New* functions, run any number of them
-// in one classification pass with RunAll (or shard-parallel with
-// stream.ParallelRun / evstore.ScanParallel), then read each result
-// off its typed accessor.
+// in one classification pass with RunAll (or shard-parallel over a
+// store with evstore.ScanParallel), then read each result off its typed
+// accessor.
 type Analyzer = classify.Analyzer
 
 // RunAll answers N questions in one pass: one classifier, one
@@ -424,8 +424,19 @@ func (a *IngressAnalyzer) Locations() []IngressInference {
 // §6 — geo community breakdown
 // ---------------------------------------------------------------------------
 
-// GeoBreakdownAnalyzer categorizes the distinct geo communities of one
-// (session, prefix, path) route (GeoBreakdownStream as an accumulator).
+// GeoBreakdown categorizes the distinct geo communities observed for one
+// (session, prefix, path) route using the 3356-style value convention the
+// generator mirrors (cities 2000–2999, countries 1000–1999, regions
+// 100–199) — the §6 observation "9 city communities, two country and two
+// geographical regions" encoded in 19 announcements.
+type GeoBreakdown struct {
+	Cities    int
+	Countries int
+	Regions   int
+	Other     int
+}
+
+// GeoBreakdownAnalyzer accumulates the GeoBreakdown of one route.
 type GeoBreakdownAnalyzer struct {
 	session classify.SessionKey
 	prefix  string

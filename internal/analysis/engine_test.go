@@ -116,9 +116,9 @@ func TestAnalyzerMergeLaws(t *testing.T) {
 	}
 }
 
-// TestWrappersMatchAnalyzers pins the compatibility wrappers to the
-// engine: each legacy *Stream function must return exactly what its
-// analyzer produces under RunAll.
+// TestWrappersMatchAnalyzers pins the convenience wrappers to the
+// engine: each *Stream function must return exactly what its analyzer
+// produces under RunAll.
 func TestWrappersMatchAnalyzers(t *testing.T) {
 	sources, protos := mergeLawFixture(t)
 	all := func() stream.EventSource { return stream.Concat(sources...) }
@@ -128,11 +128,7 @@ func TestWrappersMatchAnalyzers(t *testing.T) {
 
 	mix := protos[2].(*SessionMixAnalyzer)
 	cum := protos[3].(*CumulativeAnalyzer)
-	geo := protos[7].(*GeoBreakdownAnalyzer)
 
-	if got, want := ComputeTable1Stream(all(), nil), run[0].Finish(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Table1 wrapper %+v != analyzer %+v", got, want)
-	}
 	t1, counts := Report(all(), nil)
 	if !reflect.DeepEqual(t1, run[0].Finish()) || !reflect.DeepEqual(counts, run[1].Finish()) {
 		t.Error("Report wrapper diverged from analyzers")
@@ -152,9 +148,6 @@ func TestWrappersMatchAnalyzers(t *testing.T) {
 	}
 	if got, want := InferIngressLocationsStream(all()), run[6].Finish(); !reflect.DeepEqual(got, want) {
 		t.Error("InferIngressLocations wrapper diverged")
-	}
-	if got, want := GeoBreakdownStream(all(), geo.session, geo.prefix, geo.path), run[7].Finish(); !reflect.DeepEqual(got, want) {
-		t.Error("GeoBreakdown wrapper diverged")
 	}
 }
 

@@ -73,17 +73,6 @@ func InferPeerBehaviorStream(src stream.EventSource, inWindow func(classify.Even
 	return a.Inferences()
 }
 
-// InferPeerBehavior classifies every session in the dataset.
-func InferPeerBehavior(ds *workload.Dataset) []PeerInference {
-	return InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
-}
-
-// InferenceAccuracy scores inferences against the workload's ground-truth
-// peer profiles.
-func InferenceAccuracy(ds *workload.Dataset, inferences []PeerInference) float64 {
-	return InferenceAccuracyPeers(ds.Peers, inferences)
-}
-
 // InferenceAccuracyPeers scores inferences against ground-truth peer
 // profiles, mapping ground truth to the closest observable class:
 // transparent+tagged → propagates; cleans-egress+tagged → cleans-egress;
@@ -131,9 +120,4 @@ func InferIngressLocationsStream(src stream.EventSource) []IngressInference {
 	a := NewIngress()
 	runPlain(src, nil, a)
 	return a.Locations()
-}
-
-// InferIngressLocations is InferIngressLocationsStream over a dataset.
-func InferIngressLocations(ds *workload.Dataset) []IngressInference {
-	return InferIngressLocationsStream(ds.Source())
 }

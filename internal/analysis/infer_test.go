@@ -9,7 +9,7 @@ import (
 
 func TestInferPeerBehaviorOnBeaconData(t *testing.T) {
 	ds := workload.GenerateBeacon(smallBeaconCfg())
-	inferences := InferPeerBehavior(ds)
+	inferences := InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
 	if len(inferences) == 0 {
 		t.Fatal("no inferences")
 	}
@@ -19,7 +19,7 @@ func TestInferPeerBehaviorOnBeaconData(t *testing.T) {
 	}
 	// The beacon workload exercises the mechanisms strongly, so inference
 	// should be near-perfect.
-	acc := InferenceAccuracy(ds, inferences)
+	acc := InferenceAccuracyPeers(ds.Peers, inferences)
 	if acc < 0.9 {
 		t.Errorf("accuracy = %.2f, want >= 0.9", acc)
 	}
@@ -38,8 +38,8 @@ func TestInferPeerBehaviorOnBeaconData(t *testing.T) {
 
 func TestInferPeerBehaviorOnDayData(t *testing.T) {
 	ds := smallDay()
-	inferences := InferPeerBehavior(ds)
-	acc := InferenceAccuracy(ds, inferences)
+	inferences := InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
+	acc := InferenceAccuracyPeers(ds.Peers, inferences)
 	// The wild-style day data is noisier than the beacon view; accuracy
 	// must still be well above random guessing among three classes.
 	if acc < 0.7 {
@@ -49,7 +49,7 @@ func TestInferPeerBehaviorOnDayData(t *testing.T) {
 
 func TestInferPeerBehaviorEvidence(t *testing.T) {
 	ds := workload.GenerateBeacon(smallBeaconCfg())
-	for _, inf := range InferPeerBehavior(ds) {
+	for _, inf := range InferPeerBehaviorStream(ds.Source(), ds.CountingWindow) {
 		switch inf.Behavior {
 		case BehaviorPropagates:
 			if inf.CommShare <= commShareThreshold {
@@ -69,7 +69,7 @@ func TestInferPeerBehaviorEvidence(t *testing.T) {
 
 func TestInferenceAccuracyEmpty(t *testing.T) {
 	ds := smallDay()
-	if InferenceAccuracy(ds, nil) != 0 {
+	if InferenceAccuracyPeers(ds.Peers, nil) != 0 {
 		t.Error("empty inference accuracy should be 0")
 	}
 }
@@ -77,7 +77,7 @@ func TestInferenceAccuracyEmpty(t *testing.T) {
 func TestInferIngressLocations(t *testing.T) {
 	cfg := smallBeaconCfg()
 	ds := workload.GenerateBeacon(cfg)
-	infs := InferIngressLocations(ds)
+	infs := InferIngressLocationsStream(ds.Source())
 	if len(infs) == 0 {
 		t.Fatal("no ingress inferences")
 	}
@@ -121,7 +121,7 @@ func TestBehaviorString(t *testing.T) {
 
 func TestInferenceSessionsMatchClassifierSessions(t *testing.T) {
 	ds := workload.GenerateBeacon(smallBeaconCfg())
-	infs := InferPeerBehavior(ds)
+	infs := InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
 	sessions := make(map[classify.SessionKey]bool)
 	for _, e := range ds.Events {
 		sessions[e.Session()] = true

@@ -7,8 +7,8 @@ import "iter"
 // analyzer observes (classification, event) pairs, can absorb another
 // instance of its own type, and produces its result once the stream is
 // exhausted. N analyzers answer N questions in ONE classification pass
-// (RunAll), and shard-parallel runs (stream.ParallelRun,
-// evstore.ScanParallel) run a Fresh instance per shard and Merge.
+// (RunAll), and shard-parallel runs over a store (the evstore
+// executor) run a Fresh instance per shard and Merge.
 //
 // Contract:
 //

@@ -165,17 +165,6 @@ type BatchAnalyzer interface {
 	ObserveBatch(results []Result, b *Batch, sel []int32)
 }
 
-// BatchFlusher is an optional companion to BatchAnalyzer. FlushBatch
-// marks the end of a batch stream: the analyzer must resolve any
-// id-keyed state to values and drop every reference to the stream's
-// dictionary. Scan engines call it before recycling decode scratch
-// (whose dictionary may grow under a later scan), so an analyzer that
-// defers id-to-value resolution MUST implement it; an analyzer whose
-// ObserveBatch leaves only value-keyed state behind need not.
-type BatchFlusher interface {
-	FlushBatch()
-}
-
 // packStreamID packs a (collector, peerAddr, prefix) dictionary-id
 // triple into one integer stream key — the batch path's stand-in for
 // streamKey. Ids are 21 bits each; a scan whose dictionaries outgrow

@@ -22,12 +22,10 @@
 // classifies every selected row using id equality to skip value
 // comparisons, and analyzers implementing BatchAnalyzer aggregate on
 // dictionary ids, resolving ids to strings only at snapshot, merge, or
-// finish boundaries. Analyzers that additionally implement
-// BatchFlusher can be told the batch stream ended so they drop
-// dictionary references, which lets callers pool and reuse the Dict
-// across scans. The two paths may be interleaved freely on one
-// Classifier; Observe materializes any deferred batch-side state
-// first.
+// finish boundaries — after which they hold no reference into the
+// Dict, which lets callers pool and reuse it across scans. The two
+// paths may be interleaved freely on one Classifier; Observe
+// materializes any deferred batch-side state first.
 package classify
 
 import (

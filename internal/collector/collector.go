@@ -1,7 +1,7 @@
 // Package collector emulates route collectors (RouteViews / RIPE RIS): it
-// serializes normalized update events and lab packet traces into the MRT
-// archives the measurement pipeline consumes, modelling collector quirks
-// such as IXP route servers omitting their own ASN from the AS path.
+// serializes normalized update events into the MRT archives the
+// measurement pipeline consumes, modelling collector quirks such as IXP
+// route servers omitting their own ASN from the AS path.
 package collector
 
 import (
@@ -16,7 +16,6 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/classify"
 	"repro/internal/mrt"
-	"repro/internal/router"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -167,26 +166,11 @@ func WriteSourcesDir(peers []workload.Peer, sources []stream.EventSource, dir st
 // collector → file path. Files are named <collector>.updates.mrt as the
 // real archives name their update dumps.
 func WriteDatasetDir(ds *workload.Dataset, dir string) (map[string]string, error) {
-	return writeDatasetDir(ds, dir, false)
-}
-
-// WriteDatasetDirWindow is WriteDatasetDir restricted to the measured day,
-// for use together with WriteRIBSnapshotDir: the snapshot carries the
-// pre-day state, the update archive only the day's messages — exactly how
-// RIS publishes bview + updates files.
-func WriteDatasetDirWindow(ds *workload.Dataset, dir string) (map[string]string, error) {
-	return writeDatasetDir(ds, dir, true)
-}
-
-func writeDatasetDir(ds *workload.Dataset, dir string, windowOnly bool) (map[string]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	byCollector := make(map[string][]classify.Event)
 	for _, e := range ds.Events {
-		if windowOnly && !ds.CountingWindow(e) {
-			continue
-		}
 		byCollector[e.Collector] = append(byCollector[e.Collector], e)
 	}
 	routeServers := ds.RouteServerASNs()
@@ -214,35 +198,6 @@ func writeDatasetDir(ds *workload.Dataset, dir string, windowOnly bool) (map[str
 		files[name] = path
 	}
 	return files, nil
-}
-
-// TraceRecords converts a lab packet trace (messages received by the
-// collector router) into MRT records, as the C1 capture of §3 would
-// produce. resolve maps a router name to its (ASN, session address).
-func TraceRecords(w *mrt.Writer, msgs []router.TracedMessage, collectorRouter string,
-	resolve func(name string) (uint32, netip.Addr)) error {
-	for _, m := range msgs {
-		if m.To != collectorRouter {
-			continue
-		}
-		peerAS, peerAddr := resolve(m.From)
-		wire, err := bgp.Marshal(m.Update, bgp.MarshalOptions{FourByteAS: true})
-		if err != nil {
-			return err
-		}
-		rec := &mrt.BGP4MPMessage{
-			PeerAS:     peerAS,
-			LocalAS:    LocalAS,
-			PeerAddr:   peerAddr,
-			LocalAddr:  localAddrFor(peerAddr),
-			Data:       wire,
-			FourByteAS: true,
-		}
-		if err := w.Write(m.Time, rec); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
 }
 
 // CountRecords scans an MRT file and returns the number of BGP4MP message

@@ -3,18 +3,14 @@ package collector
 import (
 	"net/netip"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/classify"
-	"repro/internal/labexp"
 	"repro/internal/mrt"
 	"repro/internal/pipeline"
 	"repro/internal/registry"
-	"repro/internal/router"
-	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
@@ -187,38 +183,6 @@ func TestCountRecords(t *testing.T) {
 	}
 	if total != len(ds.Events) {
 		t.Errorf("records = %d, events = %d", total, len(ds.Events))
-	}
-}
-
-func TestTraceRecordsFromLab(t *testing.T) {
-	// Run Exp2 and archive the collector's view as MRT, then read it back.
-	res, err := labexp.Run(labexp.Exp2, router.CiscoIOS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.X1toC1) == 0 {
-		t.Fatal("no collector messages")
-	}
-	path := filepath.Join(t.TempDir(), "c1.mrt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mrt.NewWriter(f)
-	w.ExtendedTime = true
-	resolve := func(name string) (uint32, netip.Addr) {
-		return topo.ASX, netip.MustParseAddr("10.0.41.1")
-	}
-	if err := TraceRecords(w, res.X1toC1, "C1", resolve); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	n, err := CountRecords(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(res.X1toC1) {
-		t.Errorf("records = %d, want %d", n, len(res.X1toC1))
 	}
 }
 

@@ -246,10 +246,11 @@ func readIDColumn(r *wire.Reader, payload []byte, n, dictLen int, remap []uint32
 
 // decodeBatch parses a columnar payload into the scratch's batch,
 // decoding only the projected columns (times, flags, and MED always).
-// It accepts and rejects exactly the payloads decodeBlock does —
-// unprojected columns are still parsed and validated at the wire
-// level, just never interned or stored. The returned batch aliases the
-// scratch and the payload; it is valid only until the next decode.
+// It accepts and rejects exactly the payloads the row-decoder oracle
+// (decodeBlock, in the tests) does — unprojected columns are still
+// parsed and validated at the wire level, just never interned or
+// stored. The returned batch aliases the scratch and the payload; it is
+// valid only until the next decode.
 func (ds *decodeScratch) decodeBatch(payload []byte, proj classify.Projection) (*classify.Batch, error) {
 	r := wire.NewReader(payload)
 	rawN := r.Uvarint()
@@ -623,13 +624,7 @@ func newBatchRunner(cl *classify.Classifier, analyzers []classify.Analyzer, tall
 	if len(run.rowA) > 0 {
 		run.proj |= classify.ProjAll
 	}
-	run.tallyFrom, run.tallyTo = math.MinInt64, math.MaxInt64
-	if !tally.From.IsZero() {
-		run.tallyFrom = tally.From.UnixNano()
-	}
-	if !tally.To.IsZero() {
-		run.tallyTo = tally.To.UnixNano()
-	}
+	run.tallyFrom, run.tallyTo = tally.nanos()
 	run.tallyAll = run.tallyFrom == math.MinInt64 && run.tallyTo == math.MaxInt64
 	return run
 }
@@ -672,20 +667,9 @@ func (run *batchRunner) observe(b *classify.Batch, sel []int32) {
 // the column arrays and arenas are already sized. Interning is by
 // value, so a shared dictionary growing monotonically across scans
 // (and even across stores) never changes an issued gid's meaning.
-// Callers must finish resolving analyzer id-state before release —
-// see classify.BatchFlusher.
+// Callers must finish resolving analyzer id-state (a Merge or Snapshot
+// does) before release.
 var scratchPool = sync.Pool{New: func() any { return newDecodeScratch() }}
-
-// finish ends the batch stream: analyzers that deferred id-keyed
-// state resolve it and drop their dictionary references, making the
-// scan's decode scratch safe to recycle.
-func (run *batchRunner) finish() {
-	for _, a := range run.batchA {
-		if f, ok := a.(classify.BatchFlusher); ok {
-			f.FlushBatch()
-		}
-	}
-}
 
 // release returns the decode scratch to the pool. Only call once every
 // consumer of this scan's batches has resolved its id-keyed state: a
@@ -713,9 +697,9 @@ func (br *blockReader) selection(cq *compiledQuery, b *classify.Batch) []int32 {
 
 // scanPartitionBatch streams one partition's matching (batch,
 // selection) pairs; more reports whether the consumer wants to
-// continue. Pushdown and cancellation semantics are identical to the
-// row scan — this IS the scan kernel; the row path materializes from
-// it.
+// continue. Cancellation is honoured at block boundaries: a cancelled
+// ctx never interrupts the decode of a block already in flight. This IS
+// the scan kernel; the row path materializes from it.
 func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn func(b *classify.Batch, sel []int32) bool) (more bool, err error) {
 	p, f, err := readPartition(path)
 	if err != nil {
@@ -791,70 +775,4 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 		return false, fmt.Errorf("%s: %w", path, err)
 	}
 	return handle(payload, blocks[0], false)
-}
-
-// scanEntriesBatch is scanEntries for the batch kernel: name-level
-// prune plus per-partition batch scan over a partition list.
-func scanEntriesBatch(ctx context.Context, entries []storeEntry, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn func(b *classify.Batch, sel []int32) bool) (more bool, err error) {
-	for _, e := range entries {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		if st != nil {
-			st.Partitions++
-		}
-		if cq.pruneByName(e) {
-			if st != nil {
-				st.PartitionsPruned++
-			}
-			continue
-		}
-		more, err := scanPartitionBatch(ctx, e.path, cq, br, st, proj, fn)
-		if err != nil {
-			return false, err
-		}
-		if !more {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// ScanAnalyze classifies and analyzes the store's events matching q in
-// one sequential pass over the batch kernels — the vectorized
-// equivalent of classify.RunAll over Scan(dir, q), bit-identical in
-// results. Events matching q feed classifier state; only those inside
-// tally (zero = everything) reach the analyzers, the same warm-up
-// convention as ScanParallel. Analyzers implementing BatchAnalyzer
-// consume columns directly; the rest receive materialized events.
-//
-// The scan stops at the tally window's upper bound: classification is
-// causal (an event's result depends only on events at or before it),
-// so events at or after tally.To cannot influence any tallied result.
-// ScanStats therefore reflect the clamped scan, not all of q.
-func ScanAnalyze(ctx context.Context, dir string, q Query, tally TimeRange, analyzers ...classify.Analyzer) (ScanStats, error) {
-	if !tally.To.IsZero() && (q.Window.To.IsZero() || tally.To.Before(q.Window.To)) {
-		q.Window.To = tally.To
-	}
-	var st ScanStats
-	entries, err := listPartitions(dir)
-	if err != nil {
-		return st, err
-	}
-	if len(entries) == 0 {
-		return st, noPartitionsError(dir)
-	}
-	cq := compileQuery(q)
-	var br blockReader
-	run := newBatchRunner(classify.New(), analyzers, tally)
-	_, err = scanEntriesBatch(ctx, entries, cq, &br, &st, run.proj, func(b *classify.Batch, sel []int32) bool {
-		run.observe(b, sel)
-		return true
-	})
-	// The caller owns the analyzers beyond this scan: flush their
-	// id-keyed state before recycling the scratch they'd resolve it
-	// against.
-	run.finish()
-	br.release()
-	return st, err
 }

@@ -2,6 +2,7 @@ package evstore_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -15,12 +16,70 @@ import (
 	"repro/internal/workload"
 )
 
+// checkEngines pins every engine to the row-path reference for one
+// (query, tally) pair: ScanAnalyze, ScanParallel and — where the query
+// has no scan window, which the index cannot express — SnapshotIndex.Query
+// must each produce results bit-identical to classify.RunAll over Scan's
+// event stream, for every analyzer named returns.
+func checkEngines(t *testing.T, ix *evstore.SnapshotIndex, label string, q evstore.Query, tally evstore.TimeRange, named func() []evstore.NamedAnalyzer) {
+	t.Helper()
+	protos := func() []classify.Analyzer {
+		var as []classify.Analyzer
+		for _, na := range named() {
+			as = append(as, na.Proto)
+		}
+		return as
+	}
+	ref := protos()
+	var refErr error
+	inWindow := func(e classify.Event) bool { return tally.Contains(e.Time) }
+	analysis.RunAll(evstore.Scan(ix.Dir(), q, &refErr), inWindow, ref...)
+	if refErr != nil {
+		t.Fatal(refErr)
+	}
+	check := func(engine string, got []classify.Analyzer) {
+		t.Helper()
+		for i, a := range got {
+			if g, w := a.Finish(), ref[i].Finish(); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s (q=%+v tally=%+v): %s %T diverged:\n got %+v\nwant %+v", label, q, tally, engine, a, g, w)
+			}
+		}
+	}
+
+	seq := protos()
+	if _, err := evstore.ScanAnalyze(context.Background(), ix.Dir(), q, tally, seq...); err != nil {
+		t.Fatal(err)
+	}
+	check("ScanAnalyze", seq)
+
+	par := protos()
+	if _, err := evstore.ScanParallel(context.Background(), ix.Dir(), q, tally, 3, par...); err != nil {
+		t.Fatal(err)
+	}
+	check("ScanParallel", par)
+
+	if q.Window == (evstore.TimeRange{}) {
+		warm := named()
+		iq := q
+		iq.Window = tally
+		if _, err := ix.Query(context.Background(), iq, 3, warm...); err != nil {
+			t.Fatal(err)
+		}
+		var got []classify.Analyzer
+		for _, na := range warm {
+			got = append(got, na.Proto)
+		}
+		check("SnapshotIndex.Query", got)
+	}
+}
+
 // TestBatchPathMatchesRowPath is the batch==row property pin: for
 // random queries (residual windows, collector/peer/prefix filters) and
-// random tally windows, the vectorized engines — ScanAnalyze and
-// ScanParallel — must produce results bit-identical to the row-path
-// reference (classify.RunAll over Scan's event stream) for every
-// analyzer, batch-capable and row-fallback alike.
+// random tally windows, every engine over the one executor — ScanAnalyze,
+// ScanParallel, SnapshotIndex.Query — must produce results bit-identical
+// to the row-path reference for every analyzer, batch-capable and
+// row-fallback alike; and on a store whose ingest order disagrees with
+// its timestamps the tally window's end must not cut classifier history.
 func TestBatchPathMatchesRowPath(t *testing.T) {
 	cfg := smallDayConfig()
 	cfg.Collectors = 3
@@ -46,15 +105,19 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 	// Batch-capable analyzers (Table1, Counts, SessionMix, Cumulative)
 	// mixed with row-fallback ones (PeerBehavior, Ingress) in one run,
 	// so both observation paths execute against the same batches.
-	protos := func() []classify.Analyzer {
-		return []classify.Analyzer{
-			analysis.NewTable1(),
-			analysis.NewCounts(),
-			analysis.NewSessionMix(sample.Collector, sample.Prefix),
-			analysis.NewCumulative(sample.Session(), sample.Prefix, sample.ASPath.String()),
-			analysis.NewPeerBehavior(),
-			analysis.NewIngress(),
+	named := func() []evstore.NamedAnalyzer {
+		return []evstore.NamedAnalyzer{
+			{Key: "table1", Proto: analysis.NewTable1()},
+			{Key: "counts", Proto: analysis.NewCounts()},
+			{Key: "sessionmix", Proto: analysis.NewSessionMix(sample.Collector, sample.Prefix)},
+			{Key: "cumulative", Proto: analysis.NewCumulative(sample.Session(), sample.Prefix, sample.ASPath.String())},
+			{Key: "peers", Proto: analysis.NewPeerBehavior()},
+			{Key: "ingress", Proto: analysis.NewIngress()},
 		}
+	}
+	ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, named())
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	rnd := rand.New(rand.NewSource(11))
@@ -79,39 +142,30 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 				tally = evstore.TimeRange{From: hour(), To: hour()}
 			}
 		}
+		checkEngines(t, ix, fmt.Sprintf("trial %d", trial), q, tally, named)
+	}
 
-		ref := protos()
-		var refErr error
-		inWindow := func(e classify.Event) bool { return tally.Contains(e.Time) }
-		analysis.RunAll(evstore.Scan(dir, q, &refErr), inWindow, ref...)
-		if refErr != nil {
-			t.Fatal(refErr)
-		}
-		want := make([]any, len(ref))
-		for i, a := range ref {
-			want[i] = a.Finish()
-		}
-
-		seq := protos()
-		if _, err := evstore.ScanAnalyze(context.Background(), dir, q, tally, seq...); err != nil {
-			t.Fatal(err)
-		}
-		for i, a := range seq {
-			if got := a.Finish(); !reflect.DeepEqual(got, want[i]) {
-				t.Errorf("trial %d (q=%+v tally=%+v): ScanAnalyze %T diverged:\n got %+v\nwant %+v",
-					trial, q, tally, a, got, want[i])
-			}
-		}
-
-		par := protos()
-		if _, err := evstore.ScanParallel(context.Background(), dir, q, tally, 3, par...); err != nil {
-			t.Fatal(err)
-		}
-		for i, a := range par {
-			if got := a.Finish(); !reflect.DeepEqual(got, want[i]) {
-				t.Errorf("trial %d (q=%+v tally=%+v): ScanParallel %T diverged:\n got %+v\nwant %+v",
-					trial, q, tally, a, got, want[i])
-			}
-		}
+	// The out-of-order store: one stream's later-stamped announcement
+	// is ingested BEFORE an earlier-stamped duplicate. Tallying up to
+	// 11:00 counts only the 10:00 event, but it must still be classified
+	// against the 12:00 one that precedes it (nn) — a scan that stopped
+	// at tally.To by timestamp would call it the stream's first (pn).
+	late := sample
+	late.Time = testDay.Add(12 * time.Hour)
+	early := sample
+	early.Time = testDay.Add(10 * time.Hour)
+	ooo, _, err := evstore.OpenSnapshotIndex(context.Background(),
+		ingest(t, stream.FromSlice([]classify.Event{late, early})), named())
+	if err != nil {
+		t.Fatal(err)
+	}
+	upTo11 := evstore.TimeRange{To: testDay.Add(11 * time.Hour)}
+	checkEngines(t, ooo, "out-of-order", evstore.Query{}, upTo11, named)
+	counts := analysis.NewCounts()
+	if _, err := evstore.ScanAnalyze(context.Background(), ooo.Dir(), evstore.Query{}, upTo11, counts); err != nil {
+		t.Fatal(err)
+	}
+	if got := counts.Counts.Of(classify.NN); got != 1 || counts.Counts.Announcements() != 1 {
+		t.Errorf("out-of-order store: tallied %+v, want exactly one nn", counts.Counts)
 	}
 }

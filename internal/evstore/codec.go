@@ -18,8 +18,8 @@ const (
 	// CodecRaw stores the payload uncompressed. Also the automatic
 	// fallback when a compressor fails to shrink a block.
 	CodecRaw Codec = 0
-	// CodecDeflate is compress/flate at BestSpeed — the v1 format's
-	// only codec, kept for legacy stores. Densest, slowest to decode.
+	// CodecDeflate is compress/flate at BestSpeed. Densest, slowest to
+	// decode.
 	CodecDeflate Codec = 1
 	// CodecLZ is the in-repo LZ4-style codec (internal/lz): slightly
 	// larger blocks than deflate, several times faster to decompress.
@@ -76,7 +76,20 @@ func (bc *blockCompressor) compress(c Codec, payload []byte) ([]byte, Codec, err
 	case CodecRaw:
 		return payload, CodecRaw, nil
 	case CodecDeflate:
-		if err := bc.deflate(payload); err != nil {
+		bc.fbuf.Reset()
+		if bc.flate == nil {
+			fw, err := flate.NewWriter(&bc.fbuf, flate.BestSpeed)
+			if err != nil {
+				return nil, 0, err
+			}
+			bc.flate = fw
+		} else {
+			bc.flate.Reset(&bc.fbuf)
+		}
+		if _, err := bc.flate.Write(payload); err != nil {
+			return nil, 0, err
+		}
+		if err := bc.flate.Close(); err != nil {
 			return nil, 0, err
 		}
 		if bc.fbuf.Len() >= len(payload) {
@@ -91,26 +104,6 @@ func (bc *blockCompressor) compress(c Codec, payload []byte) ([]byte, Codec, err
 		return bc.lbuf, CodecLZ, nil
 	}
 	return nil, 0, fmt.Errorf("evstore: unknown codec %d", c)
-}
-
-// deflate fills bc.fbuf with the deflated payload (no raw fallback —
-// the v1 legacy format has no codec ids, so its blocks must be deflate
-// whatever the size).
-func (bc *blockCompressor) deflate(payload []byte) error {
-	bc.fbuf.Reset()
-	if bc.flate == nil {
-		fw, err := flate.NewWriter(&bc.fbuf, flate.BestSpeed)
-		if err != nil {
-			return err
-		}
-		bc.flate = fw
-	} else {
-		bc.flate.Reset(&bc.fbuf)
-	}
-	if _, err := bc.flate.Write(payload); err != nil {
-		return err
-	}
-	return bc.flate.Close()
 }
 
 // blockDecompressor holds the decode-side state for every codec; safe

@@ -2,16 +2,19 @@ package evstore_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/evstore"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
-// ingestCodec writes src into a fresh store with the given block codec
-// (legacy == true writes the pre-codec v1 format instead).
-func ingestCodec(t *testing.T, src stream.EventSource, codec evstore.Codec, legacy bool) string {
+// ingestCodec writes src into a fresh store with the given block codec.
+func ingestCodec(t *testing.T, src stream.EventSource, codec evstore.Codec) string {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := evstore.Open(dir)
@@ -20,9 +23,6 @@ func ingestCodec(t *testing.T, src stream.EventSource, codec evstore.Codec, lega
 	}
 	w.BlockEvents = 512
 	w.Codec = codec
-	if legacy {
-		evstore.SetLegacyV1(w)
-	}
 	if err := w.Ingest(src); err != nil {
 		t.Fatal(err)
 	}
@@ -33,29 +33,17 @@ func ingestCodec(t *testing.T, src stream.EventSource, codec evstore.Codec, lega
 }
 
 // TestCrossCodecScanEquivalence pins that the same workload written
-// under every codec — and under the legacy v1 format — classifies
-// bit-identically, with pushdown stats (the deterministic ones) equal
-// across codecs.
+// under every codec classifies bit-identically, with pushdown stats
+// (the deterministic ones) equal across codecs.
 func TestCrossCodecScanEquivalence(t *testing.T) {
 	cfg := smallDayConfig()
 	const days = 2
 	want := stream.Classify(workload.MultiDaySource(cfg, days), nil)
 
-	type variant struct {
-		name   string
-		codec  evstore.Codec
-		legacy bool
-	}
-	variants := []variant{
-		{"raw", evstore.CodecRaw, false},
-		{"deflate", evstore.CodecDeflate, false},
-		{"lz", evstore.CodecLZ, false},
-		{"legacy-v1", 0, true},
-	}
 	var base *evstore.ScanStats
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			dir := ingestCodec(t, workload.MultiDaySource(cfg, days), v.codec, v.legacy)
+	for _, codec := range []evstore.Codec{evstore.CodecRaw, evstore.CodecDeflate, evstore.CodecLZ} {
+		t.Run(codec.String(), func(t *testing.T) {
+			dir := ingestCodec(t, workload.MultiDaySource(cfg, days), codec)
 			var scanErr error
 			var st evstore.ScanStats
 			got := stream.Classify(evstore.ScanWithStats(dir, evstore.Query{}, &scanErr, &st), nil)
@@ -90,7 +78,7 @@ func TestCodecStatsAttribution(t *testing.T) {
 	cfg := smallDayConfig()
 	src := func() stream.EventSource { return workload.MultiDaySource(cfg, 1) }
 
-	rawDir := ingestCodec(t, src(), evstore.CodecRaw, false)
+	rawDir := ingestCodec(t, src(), evstore.CodecRaw)
 	var scanErr error
 	var st evstore.ScanStats
 	stream.Classify(evstore.ScanWithStats(rawDir, evstore.Query{}, &scanErr, &st), nil)
@@ -103,7 +91,7 @@ func TestCodecStatsAttribution(t *testing.T) {
 		t.Fatalf("raw store attribution wrong: %+v (total %+v)", rc, st)
 	}
 
-	lzDir := ingestCodec(t, src(), evstore.CodecLZ, false)
+	lzDir := ingestCodec(t, src(), evstore.CodecLZ)
 	stream.Classify(evstore.ScanWithStats(lzDir, evstore.Query{}, &scanErr, &st), nil)
 	if scanErr != nil {
 		t.Fatal(scanErr)
@@ -164,14 +152,14 @@ func TestDecodeAheadPipeline(t *testing.T) {
 	}
 }
 
-// TestRecodeRoundTrip is the migration pin: a legacy v1 store with
-// built sidecars recodes to lz with bit-identical classification, a
+// TestRecodeRoundTrip is the migration pin: a deflate store with built
+// sidecars recodes to lz with bit-identical classification, a
 // smaller-or-similar footprint, sidecars reused without a single
 // rebuild (Built == 0), and a second recode is a no-op.
 func TestRecodeRoundTrip(t *testing.T) {
 	cfg := smallDayConfig()
 	const days = 2
-	dir := ingestCodec(t, workload.MultiDaySource(cfg, days), 0, true)
+	dir := ingestCodec(t, workload.MultiDaySource(cfg, days), evstore.CodecDeflate)
 
 	before := stream.Classify(evstore.Scan(dir, evstore.Query{}, nil), nil)
 	bs, err := evstore.BuildSnapshots(context.Background(), dir, snapNamed())
@@ -187,7 +175,7 @@ func TestRecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rs.Recoded != rs.Partitions || rs.Skipped != 0 {
-		t.Fatalf("expected every v1 partition recoded: %+v", rs)
+		t.Fatalf("expected every deflate partition recoded: %+v", rs)
 	}
 	if rs.Sidecars != rs.Partitions {
 		t.Fatalf("recoded %d sidecars for %d partitions", rs.Sidecars, rs.Partitions)
@@ -233,11 +221,66 @@ func TestRecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLegacyV1Rejected pins the one-format contract: a partition whose
+// magic is the retired "EVP1" is refused with the bad-magic error by
+// every reader (scan, stat, recode), never misread as v2; a sidecar
+// whose magic is the retired "EVS1" is an unreadable sidecar, which the
+// next build pass replaces.
+func TestLegacyV1Rejected(t *testing.T) {
+	dir := ingestCodec(t, stream.FromSlice(liveEvents(testDay, "rrc00", 0, 64)), evstore.CodecDeflate)
+	parts, err := filepath.Glob(filepath.Join(dir, "*"+evstore.Extension))
+	if err != nil || len(parts) != 1 {
+		t.Fatalf("partitions %v (%v), want one", parts, err)
+	}
+	bs, err := evstore.BuildSnapshots(context.Background(), dir, snapNamed())
+	if err != nil || bs.Built != 1 {
+		t.Fatalf("build: %+v, %v", bs, err)
+	}
+	overwriteMagic := func(path, magic string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte(magic), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	overwriteMagic(evstore.SnapshotPath(parts[0]), "EVS1")
+	if _, err := evstore.ReadSnapshot(parts[0]); err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Errorf("EVS1 sidecar read: %v, want bad snapshot magic", err)
+	}
+	bs, err = evstore.BuildSnapshots(context.Background(), dir, snapNamed())
+	if err != nil || bs.Built != 1 || bs.Reused != 0 {
+		t.Errorf("build over an EVS1 sidecar: %+v, %v; want it rebuilt", bs, err)
+	}
+	if _, err := evstore.ReadSnapshot(parts[0]); err != nil {
+		t.Errorf("rebuilt sidecar unreadable: %v", err)
+	}
+
+	overwriteMagic(parts[0], "EVP1")
+	var scanErr error
+	if n := stream.Count(evstore.Scan(dir, evstore.Query{}, &scanErr)); n != 0 || scanErr == nil || !strings.Contains(scanErr.Error(), "bad partition magic") {
+		t.Errorf("EVP1 scan yielded %d events, err %v; want bad partition magic", n, scanErr)
+	}
+	if _, err := evstore.Stat(dir); err == nil || !strings.Contains(err.Error(), "bad partition magic") {
+		t.Errorf("EVP1 stat: %v, want bad partition magic", err)
+	}
+	if _, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, 1, analysis.NewCounts()); err == nil || !strings.Contains(err.Error(), "bad partition magic") {
+		t.Errorf("EVP1 analysis scan: %v, want bad partition magic", err)
+	}
+	if _, err := evstore.Recode(context.Background(), dir, evstore.CodecLZ); err == nil || !strings.Contains(err.Error(), "bad partition magic") {
+		t.Errorf("EVP1 recode: %v, want bad partition magic", err)
+	}
+}
+
 // TestRecodeThereAndBack recodes lz → deflate → lz and pins
 // classification plus event-level fidelity throughout.
 func TestRecodeThereAndBack(t *testing.T) {
 	cfg := smallDayConfig()
-	dir := ingestCodec(t, workload.MultiDaySource(cfg, 1), evstore.CodecLZ, false)
+	dir := ingestCodec(t, workload.MultiDaySource(cfg, 1), evstore.CodecLZ)
 	want := stream.Collect(evstore.Scan(dir, evstore.Query{}, nil))
 
 	for _, codec := range []evstore.Codec{evstore.CodecDeflate, evstore.CodecRaw, evstore.CodecLZ} {

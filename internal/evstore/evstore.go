@@ -12,17 +12,14 @@
 // peer addresses, prefixes, AS paths, and community sets — each
 // compressed with a per-block codec: raw, deflate, or the in-repo
 // internal/lz fast byte-LZ (the default; Writer.Codec selects, with a
-// raw fallback when compression would grow a block). The format is
-// versioned by the header magic — v1 files are all-deflate with no
-// codec ids, v2 files carry the codec id in every block frame and
-// footer entry — and readers dispatch per file and per block, so
-// stores mix versions and codecs freely and old stores keep working
-// unmodified; Recode migrates one in place (atomically, via
-// temp+rename). The footer records, per block, its file offset
-// and a summary: event count, time min/max, the distinct peer-AS set,
-// the prefix network-address range, and a bloom membership filter over
-// the prefixes (keyed at every /8 ancestor level, so "/16 contains"
-// queries prune blocks, not just exact-prefix lookups).
+// raw fallback when compression would grow a block). The codec id rides
+// in every block frame and footer entry and readers dispatch per block,
+// so a store mixes codecs freely; Recode migrates one in place
+// (atomically, via temp+rename). The footer records, per block, its
+// file offset and a summary: event count, time min/max, the distinct
+// peer-AS set, the prefix network-address range, and a bloom membership
+// filter over the prefixes (keyed at every /8 ancestor level, so "/16
+// contains" queries prune blocks, not just exact-prefix lookups).
 //
 // Writer consumes any stream.EventSource in constant memory: events
 // are routed to per-(collector, day) partition writers whose only
@@ -51,13 +48,14 @@
 //
 // ScanShards splits the same scan into independent per-collector
 // shards (a collector's full timeline stays in one shard, so
-// classifier state never crosses a shard boundary), and ScanParallel
-// decodes, classifies, and analyzes shards on a worker pool, merging
+// classifier state never crosses a shard boundary). Every analysis
+// over those shards — ScanParallel, ScanAnalyze, SnapshotIndex.Query —
+// is one run of the planner and executor in plan.go, merging
 // classify.Analyzer accumulators into results bit-identical to the
-// sequential scan.
+// sequential scan; its header comment is the description of how.
 //
-// Analysis-bearing scans (ScanAnalyze, ScanParallel, snapshot builds
-// and queries) execute batch-at-a-time rather than event-at-a-time:
+// Analysis-bearing scans (those runs and snapshot builds) execute
+// batch-at-a-time rather than event-at-a-time:
 // decodeBatch parses each block's columnar payload directly into
 // classify.Batch column arrays, interning dictionary values into a
 // scan-lifetime classify.Dict so each distinct value is decoded once
@@ -69,30 +67,26 @@
 // the row fallback, with identical results either way. Decode scratch
 // (the dict, intern maps, and column arrays) is pooled across scans,
 // so warm scans decode in steady state with zero allocations per
-// event; analyzers are flushed of dictionary-id-keyed state
-// (classify.BatchFlusher) before the scratch is returned to the pool.
+// event; a shard's analyzers resolve their dictionary-id-keyed state
+// (on Merge or Snapshot) before the scratch is returned to the pool.
 package evstore
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"time"
 
 	"repro/internal/classify"
 )
 
-// Format constants. Partitions are self-describing: the header magic
-// selects the version, and a store may mix versions freely (readers
-// dispatch per file, and within a v2 file per block).
-//
-//	v1 ("EVP1"/"EVF1"): every block deflate-compressed; no codec ids.
-//	v2 ("EVP2"/"EVF2"): per-block codec id (raw, deflate, lz) carried
-//	    in both the block frame and the footer entry.
+// Format constants. The partition format is v2: a per-block codec id
+// (raw, deflate, lz) is carried in both the block frame and the footer
+// entry. Files with any other magic — including the retired all-deflate
+// v1 ("EVP1"/"EVF1") — are rejected as "bad partition magic".
 const (
-	partitionMagicV1 = "EVP1" // v1 file header
-	footerMagicV1    = "EVF1" // v1 footer and trailer
-	partitionMagicV2 = "EVP2" // v2 file header
-	footerMagicV2    = "EVF2" // v2 footer and trailer
+	partitionMagicV2 = "EVP2" // file header
+	footerMagicV2    = "EVF2" // footer and trailer
 
 	// DefaultBlockEvents is the default number of events per block: large
 	// enough that dictionaries and delta encoding pay off, small enough
@@ -122,6 +116,19 @@ func (r TimeRange) Contains(t time.Time) bool {
 		return false
 	}
 	return true
+}
+
+// nanos returns the window as unix-nanosecond bounds, inclusive lower
+// and exclusive upper, with an unbounded side at the int64 extreme.
+func (r TimeRange) nanos() (from, to int64) {
+	from, to = math.MinInt64, math.MaxInt64
+	if !r.From.IsZero() {
+		from = r.From.UnixNano()
+	}
+	if !r.To.IsZero() {
+		to = r.To.UnixNano()
+	}
+	return from, to
 }
 
 // Query selects a subset of a store's events. Zero-valued fields do

@@ -203,6 +203,25 @@ func isNoPartitions(err error) bool {
 	return err != nil && strings.HasPrefix(err.Error(), "evstore: no partitions")
 }
 
+// cancelAfter is a row-fallback analyzer that cancels the scan's context
+// once it has observed limit events. Fresh returns the analyzer itself,
+// so it is only good for a one-worker scan.
+type cancelAfter struct {
+	n, limit int
+	cancel   context.CancelFunc
+}
+
+func (a *cancelAfter) Observe(classify.Result, classify.Event) {
+	if a.n++; a.n == a.limit {
+		a.cancel()
+	}
+}
+func (a *cancelAfter) Merge(classify.Analyzer)    {}
+func (a *cancelAfter) Finish() any                { return a.n }
+func (a *cancelAfter) Fresh() classify.Analyzer   { return a }
+func (a *cancelAfter) Snapshot(dst []byte) []byte { return dst }
+func (a *cancelAfter) Restore([]byte) error       { return nil }
+
 // TestScanCancellation pins the satellite contract: cancelling the
 // context stops a scan at the next block boundary and surfaces the
 // context's error; a pre-cancelled ScanParallel returns it outright.
@@ -223,18 +242,12 @@ func TestScanCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var scanErr error
-	n := 0
-	for range evstore.ScanContext(ctx, dir, evstore.Query{}, &scanErr, nil) {
-		n++
-		if n == 100 {
-			cancel()
-		}
+	seen := &cancelAfter{limit: 100, cancel: cancel}
+	_, err = evstore.ScanParallel(ctx, dir, evstore.Query{}, evstore.TimeRange{}, 1, seen)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan reported %v, want context.Canceled", err)
 	}
-	if !errors.Is(scanErr, context.Canceled) {
-		t.Fatalf("cancelled scan reported %v, want context.Canceled", scanErr)
-	}
-	if n >= 2048 {
+	if seen.n >= 2048 {
 		t.Fatal("scan ran to completion despite cancellation")
 	}
 

@@ -3,8 +3,7 @@ package evstore
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,22 +11,33 @@ import (
 	"repro/internal/classify"
 )
 
-// The residual-scan planner decides, per partition of each shard, how
-// a windowed query is answered:
+// Every analysis over a store runs through one planner and one executor
+// (planShards, execute). Per partition of each collector's shard, in
+// shard order, the planner decides how a run tallying a time window is
+// answered:
 //
-//   - merge: the window covers every event and a sidecar holds all
-//     requested analyzer states → merge the precomputed accumulators
-//     and note the sidecar as the classifier chain's position. No
-//     decode.
-//   - jump: every event precedes the window → only the classifier
-//     end state matters; note the sidecar that records it. No decode.
-//   - scan: the window cuts through the partition (or no usable
-//     sidecar exists) → decode and classify it, tallying in-window
-//     events. This is the residual scan.
+//   - merge: the window covers every event and a trusted sidecar holds
+//     all requested analyzer states → merge the precomputed
+//     accumulators and note the sidecar as the classifier chain's
+//     position. No decode.
+//   - jump: every event precedes the window → only the classifier end
+//     state matters; note the sidecar that records it. No decode.
+//   - scan: the window cuts through the partition, or no trusted
+//     sidecar exists → decode and classify it, tallying in-window
+//     events.
 //   - skip: the partition provably cannot influence the answer — it
 //     belongs to an excluded collector, or sits entirely at/after the
 //     window end in the shard's tail (later events feed no tallied
-//     classification).
+//     classification). This suffix rule is the only way a run stops
+//     early: it is decided per partition in shard order, never by
+//     event timestamp, so an out-of-order store is still classified
+//     exactly as a full sequential pass classifies it.
+//
+// A cold run (ScanParallel, ScanAnalyze, a SnapshotIndex.Query with
+// per-event filters) is the plan in which no sidecar is trusted: every
+// partition scans or is skipped. A sequential run is the same plan on
+// one worker. A warm run (SnapshotIndex.Query) trusts the index's
+// sidecars.
 //
 // The classifier chain is lazy (classChain): Classifier.Restore
 // replaces the whole state, so of a run of jumps and merges only the
@@ -36,10 +46,11 @@ import (
 // most one restore per decoded partition; a reused sidecar costs a
 // pointer.
 //
-// Executing the plan in shard order with classifier chaining yields
-// results bit-identical to RunAll over a full sequential scan with the
-// same tally window — pinned by TestSnapshotQueryMatchesScanParallel
-// across window positions, partition layouts, and snapshot coverage.
+// Executing a plan in shard order with classifier chaining yields
+// results bit-identical to RunAll over a full sequential Scan with the
+// same tally window — pinned by TestBatchPathMatchesRowPath for cold
+// runs and TestSnapshotQueryMatchesScanParallel across window
+// positions, partition layouts, and snapshot coverage for warm ones.
 
 // planAction is the per-partition decision.
 type planAction uint8
@@ -51,7 +62,7 @@ const (
 	actionSkip
 )
 
-// PlanStats counts the planner's decisions for one query.
+// PlanStats counts the planner's decisions for one run.
 type PlanStats struct {
 	Shards     int
 	Partitions int
@@ -61,11 +72,11 @@ type PlanStats struct {
 	Skipped    int // provably irrelevant
 }
 
-// ServeStats describes one planned query execution.
+// ServeStats describes one SnapshotIndex.Query execution.
 type ServeStats struct {
 	Workers int
 	Plan    PlanStats
-	// Scan aggregates the residual scans' pushdown accounting.
+	// Scan aggregates the scanned partitions' pushdown accounting.
 	Scan ScanStats
 	// Merges counts analyzer-state merges from sidecars.
 	Merges int
@@ -111,7 +122,7 @@ func (c *classChain) settle() error {
 type shardPlan struct {
 	shard   Shard
 	actions []planAction
-	snaps   []*PartitionSnapshot // non-nil where actions use a sidecar
+	snaps   []*PartitionSnapshot // the trusted sidecar per partition, or nil
 }
 
 // SnapshotIndex is the in-memory sidecar inventory a serving process
@@ -205,21 +216,24 @@ func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error
 	return bs, nil
 }
 
-// plan computes the per-shard actions for a window+collectors query.
-func (ix *SnapshotIndex) plan(q Query, keys []string) ([]shardPlan, PlanStats, error) {
-	shards, err := ScanShards(ix.dir, Query{Collectors: q.Collectors})
+// planShards computes the per-shard actions of one run. scan selects
+// the events that exist for the run at all (its Window removes events
+// outright, the ScanParallel convention); tally gates which classified
+// events reach the analyzers and is what the decisions above are taken
+// against. snaps holds the sidecars the caller may trust (nil for a cold
+// run: nothing is stat'ed and every non-skipped partition scans); keys
+// are the analyzer states a merge needs.
+func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, keys []string) ([]shardPlan, PlanStats, error) {
+	shards, err := ScanShards(dir, scan)
 	if err != nil {
 		return nil, PlanStats{}, err
 	}
-	cq := compileQuery(q) // window bounds for the plan decisions only
-
-	ix.mu.RLock()
-	snaps := ix.snaps
-	ix.mu.RUnlock()
+	fromNano, toNano := tally.nanos()
 
 	var plans []shardPlan
 	var st PlanStats
 	for _, sh := range shards {
+		cq := sh.cq
 		if cq.sanitized != nil && sh.Collector != "" && !cq.sanitized[sh.Collector] {
 			continue // whole shard excluded by collector
 		}
@@ -228,21 +242,15 @@ func (ix *SnapshotIndex) plan(q Query, keys []string) ([]shardPlan, PlanStats, e
 			actions: make([]planAction, len(sh.entries)),
 			snaps:   make([]*PartitionSnapshot, len(sh.entries)),
 		}
-		// A sidecar is trustworthy only if it matches the partition file
-		// AND was built against this exact predecessor chain — a
-		// backfilled earlier day invalidates every later sidecar in the
-		// shard (their states embed classification against the old
-		// chain).
-		usable := make([]*PartitionSnapshot, len(sh.entries))
-		chain := uint64(0)
-		for i, e := range sh.entries {
-			size, ok := partitionSize(e.path)
-			if !ok {
-				break // listing/stat raced a rebuild; scan from here on
-			}
-			chain = chainHash(chain, filepath.Base(e.path), size)
-			if snap := snaps[e.path]; snap != nil && snap.Size == size && snap.Chain == chain {
-				usable[i] = snap
+		if snaps != nil {
+			var walk trustWalk
+			for i, e := range sh.entries {
+				if walk.next(e.path) != nil {
+					break // listing/stat raced a rebuild; scan from here on
+				}
+				if snap := snaps[e.path]; walk.trusts(snap, nil) {
+					sp.snaps[i] = snap
+				}
 			}
 		}
 		// Tail partitions entirely at/after the window end cannot
@@ -252,12 +260,12 @@ func (ix *SnapshotIndex) plan(q Query, keys []string) ([]shardPlan, PlanStats, e
 		afterStart := len(sh.entries)
 		for i := len(sh.entries) - 1; i >= 0; i-- {
 			e := sh.entries[i]
-			if snap := usable[i]; snap != nil && snap.Events > 0 {
-				if snap.TMin >= cq.toNano {
+			if snap := sp.snaps[i]; snap != nil && snap.Events > 0 {
+				if snap.TMin >= toNano {
 					afterStart = i
 					continue
 				}
-			} else if e.parsed && e.dayUnix*int64(time.Second) >= cq.toNano {
+			} else if e.parsed && e.dayUnix*int64(time.Second) >= toNano {
 				// No trustworthy sidecar: the filename day is still a
 				// hard lower bound on every event time in the partition.
 				afterStart = i
@@ -266,20 +274,15 @@ func (ix *SnapshotIndex) plan(q Query, keys []string) ([]shardPlan, PlanStats, e
 			break
 		}
 		for i := range sh.entries {
-			if i >= afterStart {
+			snap := sp.snaps[i]
+			switch {
+			case i >= afterStart:
 				sp.actions[i] = actionSkip
 				st.Skipped++
-				continue
-			}
-			snap := usable[i]
-			if snap == nil {
+			case snap == nil:
 				sp.actions[i] = actionScan
 				st.Scanned++
-				continue
-			}
-			sp.snaps[i] = snap
-			switch {
-			case snap.Events == 0 || snap.TMax < cq.fromNano:
+			case snap.Events == 0 || snap.TMax < fromNano:
 				sp.actions[i] = actionJump
 				st.Jumped++
 			case cq.collectors != nil && !cq.collectors[snap.Collector]:
@@ -288,7 +291,7 @@ func (ix *SnapshotIndex) plan(q Query, keys []string) ([]shardPlan, PlanStats, e
 				// delta matter to the queried sessions.
 				sp.actions[i] = actionSkip
 				st.Skipped++
-			case snap.TMin >= cq.fromNano && snap.TMax < cq.toNano && snapshotCovers(snap, snap.Size, keys):
+			case snap.TMin >= fromNano && snap.TMax < toNano && snapshotCovers(snap, snap.Size, keys):
 				// Merging additionally needs every requested analyzer's
 				// state in the sidecar; jump/skip above do not — a query
 				// for an unregistered analyzer still jumps its prelude.
@@ -306,64 +309,42 @@ func (ix *SnapshotIndex) plan(q Query, keys []string) ([]shardPlan, PlanStats, e
 	return plans, st, nil
 }
 
-// partitionSize re-stats the partition — cheap insurance against a
-// store rebuilt between index refreshes.
-func partitionSize(path string) (int64, bool) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, false
-	}
-	return fi.Size(), true
+// execution is what one plan-and-run reports: the pool's view
+// (ParallelStats, which a cold run publishes as is) plus the plan and
+// what the warm path took from sidecars.
+type execution struct {
+	ParallelStats
+	Plan PlanStats
+	// SidecarMerges counts analyzer states merged from sidecars,
+	// Restores classifier end states decoded from them.
+	SidecarMerges, Restores int
 }
 
-// Query answers a windowed analysis from the index: merged sidecar
-// states where the window covers whole partitions, a lazy classifier
-// chain over the prelude (one restore, of the last sidecar before a
-// scan, and none when nothing is scanned), and residual scans only
-// where the window cuts through — shard-parallel on a worker pool,
-// merging into the passed analyzers. Each analyzer is merged/restored
-// under its NamedAnalyzer key; an analyzer with an empty key (or one
-// absent from a partition's sidecar) forces that partition onto the
-// residual-scan path, which is always correct, just slower.
-//
-// Only Window and Collectors query dimensions are supported here —
-// per-event filters (PeerAS, PrefixRange) change which events feed
-// WHOLE sessions and compose fine with scans but not with precomputed
-// partition states; callers route such queries to ScanParallel.
-//
-// Results are bit-identical to
-// ScanParallel(ctx, dir, Query{Collectors: q.Collectors},
-// q.Window.Contains, ...) — a cold scan of the full collector
-// timelines tallying the same window.
-func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named ...NamedAnalyzer) (ServeStats, error) {
-	if len(q.PeerAS) > 0 || q.PrefixRange.IsValid() {
-		return ServeStats{}, fmt.Errorf("evstore: snapshot queries support only window and collector dimensions; use ScanParallel")
-	}
-	keys := make([]string, len(named))
-	protos := make([]classify.Analyzer, len(named))
-	for i, na := range named {
-		keys[i] = na.Key
-		protos[i] = na.Proto
-	}
-	plans, pst, err := ix.plan(q, keys)
+// execute is the store's one analysis executor: it plans the run (see
+// planShards) and drains the shard plans on a worker pool. Each worker
+// owns one blockReader — decompressor, block buffers and batch decode
+// scratch are reused across every shard it drains — and runs a fresh
+// classifier plus Fresh analyzer copies per shard; a finished shard
+// merges its accumulators into protos under the merge lock. workers <=
+// 0 uses GOMAXPROCS; 1 is a sequential run. The first error (ctx's,
+// when cancelled: workers stop at the next block boundary) is returned
+// and protos then hold partial state the caller must discard.
+func execute(ctx context.Context, dir string, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, workers int, keys []string, protos []classify.Analyzer) (execution, error) {
+	plans, pst, err := planShards(dir, scan, tally, snaps, keys)
 	if err != nil {
-		return ServeStats{}, err
+		return execution{}, err
 	}
 	if workers <= 0 {
-		workers = len(plans)
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ss := ServeStats{Workers: workers, Plan: pst}
+	workers = max(1, min(workers, len(plans)))
+	ex := execution{Plan: pst}
+	ex.Workers, ex.Shards = workers, make([]ShardStats, len(plans))
 	start := time.Now()
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
+	var mu sync.Mutex // serializes merges, stats and firstErr
 	var firstErr error
 	var failed atomic.Bool
 	for w := 0; w < workers; w++ {
@@ -371,17 +352,19 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 		go func() {
 			defer wg.Done()
 			var br blockReader
-			// Safe to recycle at worker exit: every plan's locals were
-			// resolved into the protos under the merge lock.
+			// Safe to recycle at worker exit: every shard's locals were
+			// resolved into protos under the merge lock.
 			defer br.release()
 			for idx := range jobs {
 				if failed.Load() {
-					continue
+					continue // an earlier shard failed; drain the queue
 				}
 				sp := plans[idx]
 				locals := classify.FreshAll(protos)
 				var shard ServeStats
-				err := sp.run(ctx, &br, locals, keys, protos, q.Window, &shard)
+				shardStart := time.Now()
+				err := sp.run(ctx, &br, locals, keys, protos, tally, &shard)
+				ex.Shards[idx] = ShardStats{Collector: sp.shard.Collector, Scan: shard.Scan, Elapsed: time.Since(shardStart)}
 				mu.Lock()
 				if err != nil {
 					failed.Store(true)
@@ -389,10 +372,12 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 						firstErr = err
 					}
 				} else {
+					mergeStart := time.Now()
 					classify.MergeAll(protos, locals)
-					ss.Scan.Add(shard.Scan)
-					ss.Merges += shard.Merges
-					ss.Restores += shard.Restores
+					ex.MergeElapsed += time.Since(mergeStart)
+					ex.Merges += len(protos)
+					ex.SidecarMerges += shard.Merges
+					ex.Restores += shard.Restores
 				}
 				mu.Unlock()
 			}
@@ -403,21 +388,26 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 	}
 	close(jobs)
 	wg.Wait()
-	ss.Elapsed = time.Since(start)
-	return ss, firstErr
+
+	for _, ss := range ex.Shards {
+		ex.Total.Add(ss.Scan)
+	}
+	ex.Elapsed = time.Since(start)
+	return ex, firstErr
 }
 
 // run executes one shard's plan in partition order on a fresh
 // classifier, adding its scan, merge and restore counts to st. Jumps
 // and merges only move the lazy classifier chain; it is settled — one
 // Restore, of the last sidecar passed — immediately before each
-// residual scan, so a shard costs at most one restore per scanned
+// decoded partition, so a shard costs at most one restore per scanned
 // partition and the common all-merge query never touches classifier
 // bytes at all, which is what makes warm windowed answers
 // microsecond-scale.
 func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.Analyzer, keys []string, protos []classify.Analyzer, tally TimeRange, st *ServeStats) error {
 	chain := classChain{cl: classify.New(), restores: &st.Restores}
 	run := newBatchRunner(chain.cl, locals, tally)
+	cq := sp.shard.cq
 	for i, entry := range sp.shard.entries {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -439,19 +429,55 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.
 			}
 			chain.at(entry.path, snap)
 		case actionScan:
+			st.Scan.Partitions++
+			if cq.pruneByName(entry) {
+				st.Scan.PartitionsPruned++
+				continue
+			}
 			if err := chain.settle(); err != nil {
 				return err
 			}
-			var part ScanStats
-			_, err := scanPartitionBatch(ctx, entry.path, sp.shard.cq, br, &part, run.proj, func(b *classify.Batch, sel []int32) bool {
+			_, err := scanPartitionBatch(ctx, entry.path, cq, br, &st.Scan, run.proj, func(b *classify.Batch, sel []int32) bool {
 				run.observe(b, sel)
 				return true
 			})
-			st.Scan.Add(part)
 			if err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// Query answers a windowed analysis from the index: merged sidecar
+// states where q.Window covers whole partitions, a lazy classifier
+// chain over the prelude, and residual scans only where the window cuts
+// through — one execute run, merging into the passed analyzers. Each
+// analyzer is merged/restored under its NamedAnalyzer key; an analyzer
+// with an empty key (or one absent from a partition's sidecar) forces
+// that partition onto the scan path, which is always correct, just
+// slower.
+//
+// q.Window is the tally window: events outside it still feed classifier
+// state. Per-event filters (PeerAS, PrefixRange) change which events
+// feed WHOLE sessions, which composes with scans but not with
+// precomputed partition states, so a filtered query trusts no sidecar
+// and scans every partition the tail rule does not skip.
+//
+// Results are bit-identical to ScanParallel(ctx, dir, q minus its
+// Window, q.Window, ...) — a cold scan of the same collector timelines
+// tallying the same window.
+func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named ...NamedAnalyzer) (ServeStats, error) {
+	keys, protos := splitNamed(named)
+	var snaps map[string]*PartitionSnapshot
+	if len(q.PeerAS) == 0 && !q.PrefixRange.IsValid() {
+		ix.mu.RLock()
+		snaps = ix.snaps
+		ix.mu.RUnlock()
+	}
+	scan := q
+	scan.Window = TimeRange{}
+	ex, err := execute(ctx, ix.dir, scan, q.Window, snaps, workers, keys, protos)
+	return ServeStats{Workers: ex.Workers, Plan: ex.Plan, Scan: ex.Total,
+		Merges: ex.SidecarMerges, Restores: ex.Restores, Elapsed: ex.Elapsed}, err
 }

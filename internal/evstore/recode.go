@@ -15,7 +15,7 @@ import (
 type RecodeStats struct {
 	Partitions int   // partition files considered
 	Recoded    int   // partitions rewritten
-	Skipped    int   // already in the target codec (and v2 format)
+	Skipped    int   // already in the target codec
 	Blocks     int   // blocks written into recoded partitions
 	BytesIn    int64 // partition file bytes before
 	BytesOut   int64 // partition file bytes after
@@ -23,13 +23,13 @@ type RecodeStats struct {
 }
 
 // Recode rewrites the store's partitions block-by-block into the
-// target codec — how an existing store migrates (e.g. legacy deflate →
-// lz) without re-ingesting. Per block it decompresses with the block's
+// target codec — how an existing store migrates (e.g. deflate → lz)
+// without re-ingesting. Per block it decompresses with the block's
 // recorded codec and recompresses with the target (blocks already in
 // the target codec, or stored raw by the fallback, are copied
 // verbatim); footers, block summaries, and event payloads are
 // preserved bit-for-bit, so scans over the recoded store classify
-// identically. Output is always the v2 format.
+// identically.
 //
 // Partitions are never modified in place: each is rewritten to a temp
 // file and atomically renamed over the original, so a concurrent scan
@@ -66,7 +66,7 @@ func Recode(ctx context.Context, dir string, codec Codec) (RecodeStats, error) {
 			oldSnap, _ := ReadSnapshot(entry.path)
 			oldChain = chainHash(oldChain, base, oldSize)
 
-			needs := p.version < 2
+			needs := false
 			for _, bm := range p.blocks {
 				if bm.codec != codec && bm.codec != CodecRaw {
 					needs = true

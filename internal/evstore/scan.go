@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -95,13 +94,8 @@ type compiledQuery struct {
 }
 
 func compileQuery(q Query) *compiledQuery {
-	cq := &compiledQuery{q: q, fromNano: math.MinInt64, toNano: math.MaxInt64}
-	if !q.Window.From.IsZero() {
-		cq.fromNano = q.Window.From.UnixNano()
-	}
-	if !q.Window.To.IsZero() {
-		cq.toNano = q.Window.To.UnixNano()
-	}
+	cq := &compiledQuery{q: q}
+	cq.fromNano, cq.toNano = q.Window.nanos()
 	if len(q.Collectors) > 0 {
 		cq.collectors = make(map[string]bool, len(q.Collectors))
 		cq.sanitized = make(map[string]bool, len(q.Collectors))
@@ -213,7 +207,6 @@ func (cq *compiledQuery) matchSummary(s blockSummary, useFilter bool) bool {
 type partition struct {
 	path      string
 	size      int64
-	version   int // partition format version (1 = legacy deflate-only)
 	collector string
 	day       time.Time
 	blocks    []blockMeta
@@ -241,7 +234,7 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size < int64(len(partitionMagicV1))+8 {
+	if size < int64(len(partitionMagicV2))+8 {
 		return nil, fmt.Errorf("evstore: %s: too short for a partition", path)
 	}
 
@@ -251,14 +244,7 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 		return nil, err
 	}
 	hr := wire.NewReader(head[:hn])
-	var version int
-	var footerMagic string
-	switch string(hr.Bytes(4)) {
-	case partitionMagicV1:
-		version, footerMagic = 1, footerMagicV1
-	case partitionMagicV2:
-		version, footerMagic = 2, footerMagicV2
-	default:
+	if string(hr.Bytes(4)) != partitionMagicV2 {
 		return nil, fmt.Errorf("evstore: %s: bad partition magic", path)
 	}
 	nameLen := hr.Bytes(1)
@@ -275,11 +261,11 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 	if _, err := f.ReadAt(trailer[:], size-8); err != nil {
 		return nil, err
 	}
-	if string(trailer[4:]) != footerMagic {
+	if string(trailer[4:]) != footerMagicV2 {
 		return nil, fmt.Errorf("evstore: %s: bad footer magic", path)
 	}
 	flen := int64(binary.LittleEndian.Uint32(trailer[:4]))
-	if flen < int64(len(footerMagic)) || flen > size-8 {
+	if flen < int64(len(footerMagicV2)) || flen > size-8 {
 		return nil, fmt.Errorf("evstore: %s: bad footer length %d", path, flen)
 	}
 	footer := make([]byte, flen)
@@ -287,14 +273,13 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 		return nil, err
 	}
 	fr := wire.NewReader(footer)
-	if string(fr.Bytes(4)) != footerMagic {
+	if string(fr.Bytes(4)) != footerMagicV2 {
 		return nil, fmt.Errorf("evstore: %s: bad footer header", path)
 	}
 	nblocks := fr.Count(1)
 	p := &partition{
 		path:      path,
 		size:      size,
-		version:   version,
 		collector: collector,
 		day:       time.Unix(dayUnix, 0).UTC(),
 		blocks:    make([]blockMeta, 0, nblocks),
@@ -304,13 +289,8 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 		b.offset = int64(fr.Uvarint())
 		b.ulen = int(fr.Uvarint())
 		b.clen = int(fr.Uvarint())
-		if version >= 2 {
-			cb := fr.Bytes(1)
-			if fr.Err() == nil {
-				b.codec = Codec(cb[0])
-			}
-		} else {
-			b.codec = CodecDeflate
+		if cb := fr.Bytes(1); fr.Err() == nil {
+			b.codec = Codec(cb[0])
 		}
 		b.sum = readSummary(fr)
 		if fr.Err() != nil {
@@ -467,14 +447,6 @@ func Scan(dir string, q Query, errp *error) stream.EventSource {
 // ScanWithStats is Scan with pushdown accounting: if st is non-nil it
 // is reset and filled while the returned source is consumed.
 func ScanWithStats(dir string, q Query, errp *error, st *ScanStats) stream.EventSource {
-	return ScanContext(context.Background(), dir, q, errp, st)
-}
-
-// ScanContext is ScanWithStats with cancellation: when ctx is
-// cancelled the scan stops at the next block boundary and reports
-// ctx's error via *errp — how the serving daemon aborts scans whose
-// client has gone away.
-func ScanContext(ctx context.Context, dir string, q Query, errp *error, st *ScanStats) stream.EventSource {
 	return func(yield func(classify.Event) bool) {
 		if st != nil {
 			*st = ScanStats{}
@@ -496,7 +468,7 @@ func ScanContext(ctx context.Context, dir string, q Query, errp *error, st *Scan
 		cq := compileQuery(q)
 		var br blockReader
 		defer br.release()
-		if _, err := scanEntries(ctx, entries, cq, &br, st, yield); err != nil {
+		if _, err := scanEntries(entries, cq, &br, st, yield); err != nil {
 			fail(err)
 		}
 	}
@@ -505,11 +477,8 @@ func ScanContext(ctx context.Context, dir string, q Query, errp *error, st *Scan
 // scanEntries streams the matching events of a partition list through
 // one blockReader, applying the name-level prune and per-partition
 // scan; more reports whether the consumer wants to continue.
-func scanEntries(ctx context.Context, entries []storeEntry, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
+func scanEntries(entries []storeEntry, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
 	for _, e := range entries {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
 		if st != nil {
 			st.Partitions++
 		}
@@ -519,7 +488,7 @@ func scanEntries(ctx context.Context, entries []storeEntry, cq *compiledQuery, b
 			}
 			continue
 		}
-		more, err := scanPartition(ctx, e.path, cq, br, st, yield)
+		more, err := scanPartition(e.path, cq, br, st, yield)
 		if err != nil {
 			return false, err
 		}
@@ -531,13 +500,12 @@ func scanEntries(ctx context.Context, entries []storeEntry, cq *compiledQuery, b
 }
 
 // scanPartition streams one partition's matching events; more reports
-// whether the consumer wants to continue. Cancellation is honoured at
-// block boundaries: a cancelled ctx never interrupts the decode of a
-// block already in flight. The events are materialized from the batch
-// kernel; their slice fields alias the reader's scan-lifetime
-// dictionary and stay valid after the scan.
-func scanPartition(ctx context.Context, path string, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
-	return scanPartitionBatch(ctx, path, cq, br, st, classify.ProjAll, func(b *classify.Batch, sel []int32) bool {
+// whether the consumer wants to continue (the row API stops by
+// breaking out of the range, not by context). The events are
+// materialized from the batch kernel; their slice fields alias the
+// reader's scan-lifetime dictionary and stay valid after the scan.
+func scanPartition(path string, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
+	return scanPartitionBatch(context.Background(), path, cq, br, st, classify.ProjAll, func(b *classify.Batch, sel []int32) bool {
 		for _, si := range sel {
 			if !yield(b.Event(int(si))) {
 				return false
@@ -663,7 +631,7 @@ func PartitionSource(path string, q Query, errp *error) stream.EventSource {
 		cq := compileQuery(q)
 		var br blockReader
 		defer br.release()
-		if _, err := scanPartition(context.Background(), path, cq, &br, nil, yield); err != nil {
+		if _, err := scanPartition(path, cq, &br, nil, yield); err != nil {
 			if errp != nil && *errp == nil {
 				*errp = err
 			}

@@ -2,9 +2,6 @@ package evstore
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
@@ -43,18 +40,13 @@ func (s Shard) Partitions() []string {
 // wins, may be nil) and end the stream; if st is non-nil it is reset
 // and filled while the source is consumed.
 func (s Shard) Events(errp *error, st *ScanStats) stream.EventSource {
-	return s.EventsContext(context.Background(), errp, st)
-}
-
-// EventsContext is Events with cancellation at block boundaries.
-func (s Shard) EventsContext(ctx context.Context, errp *error, st *ScanStats) stream.EventSource {
 	return func(yield func(classify.Event) bool) {
 		if st != nil {
 			*st = ScanStats{}
 		}
 		var br blockReader
 		defer br.release()
-		if _, err := scanEntries(ctx, s.entries, s.cq, &br, st, yield); err != nil {
+		if _, err := scanEntries(s.entries, s.cq, &br, st, yield); err != nil {
 			if errp != nil && *errp == nil {
 				*errp = err
 			}
@@ -100,10 +92,12 @@ type ShardStats struct {
 // ParallelStats describes a whole ScanParallel run.
 type ParallelStats struct {
 	Workers int
-	// Shards reports per-shard pushdown and timing, in shard order.
+	// Shards reports per-shard pushdown and timing, in shard order
+	// (shards of collectors q excludes are not planned and not listed).
 	Shards []ShardStats
 	// Total is the per-shard scan stats summed — equal to what a
-	// sequential ScanWithStats of the same query reports.
+	// sequential ScanWithStats of the same query reports, less the tail
+	// partitions a tally window lets the planner skip.
 	Total ScanStats
 	// Merges counts shard-accumulator merges into the prototype
 	// analyzers (shards × analyzers); MergeElapsed is the total time
@@ -113,20 +107,18 @@ type ParallelStats struct {
 	Elapsed      time.Duration
 }
 
-// ScanParallel decodes, classifies, and analyzes the store's shards on
-// a worker pool, generalizing stream.ParallelRun to predicate-pushdown
-// store scans: each worker owns one blockReader (the flate
-// decompressor, block buffers, and batch decode scratch are reused
-// across every shard it drains) and runs a fresh classifier plus Fresh
-// analyzer copies per shard; finished shards merge their accumulators
-// into the analyzers the caller passed. Shards ride the vectorized
-// batch kernel: residual predicates become selection vectors, and
-// analyzers implementing classify.BatchAnalyzer consume columns while
-// the rest receive materialized events. Events outside tally (zero =
-// everything) still feed classifier state, the warm-up convention;
-// q.Window instead excludes events from the scan entirely, so a
-// windowed analysis that needs warm-up should scan unwindowed and pass
-// the window here.
+// ScanParallel decodes, classifies, and analyzes the store's events
+// matching q in one cold run of the executor (see plan.go): per-collector
+// shards on a worker pool (workers <= 0 uses GOMAXPROCS), a fresh
+// classifier plus Fresh analyzer copies per shard, finished shards
+// merged into the analyzers the caller passed. Shards ride the
+// vectorized batch kernel: residual predicates become selection
+// vectors, and analyzers implementing classify.BatchAnalyzer consume
+// columns while the rest receive materialized events. Events outside
+// tally (zero = everything) still feed classifier state, the warm-up
+// convention; q.Window instead excludes events from the scan entirely,
+// so a windowed analysis that needs warm-up should scan unwindowed and
+// pass the window here.
 //
 // Results are bit-identical to RunAll over Scan(dir, q) for every
 // analyzer whose Merge is commutative (all of internal/analysis — a
@@ -136,72 +128,15 @@ type ParallelStats struct {
 // first error (ctx's) is returned and the analyzers hold partial
 // state the caller must discard.
 func ScanParallel(ctx context.Context, dir string, q Query, tally TimeRange, workers int, analyzers ...classify.Analyzer) (ParallelStats, error) {
-	shards, err := ScanShards(dir, q)
-	if err != nil {
-		return ParallelStats{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	ps := ParallelStats{Workers: workers, Shards: make([]ShardStats, len(shards))}
-	start := time.Now()
+	ex, err := execute(ctx, dir, q, tally, nil, workers, nil, analyzers)
+	return ex.ParallelStats, err
+}
 
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes merges and firstErr
-	var firstErr error
-	var failed atomic.Bool
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var br blockReader
-			// Safe to recycle at worker exit: every shard's locals were
-			// resolved under the merge lock before the next job started.
-			defer br.release()
-			for idx := range jobs {
-				if failed.Load() {
-					continue // an earlier shard failed; drain the queue
-				}
-				sh := shards[idx]
-				ss := &ps.Shards[idx]
-				ss.Collector = sh.Collector
-				locals := classify.FreshAll(analyzers)
-				run := newBatchRunner(classify.New(), locals, tally)
-				shardStart := time.Now()
-				_, err := scanEntriesBatch(ctx, sh.entries, sh.cq, &br, &ss.Scan, run.proj, func(b *classify.Batch, sel []int32) bool {
-					run.observe(b, sel)
-					return true
-				})
-				ss.Elapsed = time.Since(shardStart)
-				mu.Lock()
-				if err != nil {
-					failed.Store(true)
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					mergeStart := time.Now()
-					classify.MergeAll(analyzers, locals)
-					ps.Merges += len(analyzers)
-					ps.MergeElapsed += time.Since(mergeStart)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := range shards {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	for _, ss := range ps.Shards {
-		ps.Total.Add(ss.Scan)
-	}
-	ps.Elapsed = time.Since(start)
-	return ps, firstErr
+// ScanAnalyze is ScanParallel on one worker — the sequential pass —
+// returning the summed scan stats. With a tally window the stats cover
+// the partitions the plan scanned: a shard's tail partitions whose
+// file-name day starts at or after tally.To are skipped, not counted.
+func ScanAnalyze(ctx context.Context, dir string, q Query, tally TimeRange, analyzers ...classify.Analyzer) (ScanStats, error) {
+	ps, err := ScanParallel(ctx, dir, q, tally, 1, analyzers...)
+	return ps.Total, err
 }

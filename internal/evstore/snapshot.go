@@ -42,13 +42,11 @@ import (
 // glob never matches a sidecar.
 const SnapshotExtension = ".evps"
 
-// Sidecar format versions: v1 ("EVS1") is a flate-compressed body; v2
-// ("EVS2") adds a codec byte so sidecars ride the same per-block codec
-// abstraction as partitions. Readers accept both.
-const (
-	snapshotMagicV1 = "EVS1"
-	snapshotMagicV2 = "EVS2"
-)
+// snapshotMagicV2 heads a sidecar: magic, a codec byte (sidecars ride
+// the same per-block codec abstraction as partitions), the body length,
+// the compressed body. Any other magic — including the retired "EVS1" —
+// is a bad sidecar, which a build pass replaces.
+const snapshotMagicV2 = "EVS2"
 
 // snapCompPool recycles sidecar compressors across WriteSnapshot calls
 // (BuildSnapshots writes one sidecar per fresh partition).
@@ -62,6 +60,18 @@ var snapCompPool = sync.Pool{New: func() any { return new(blockCompressor) }}
 type NamedAnalyzer struct {
 	Key   string
 	Proto classify.Analyzer
+}
+
+// splitNamed separates a named analyzer set into its keys and
+// prototypes, index-aligned.
+func splitNamed(named []NamedAnalyzer) (keys []string, protos []classify.Analyzer) {
+	keys = make([]string, len(named))
+	protos = make([]classify.Analyzer, len(named))
+	for i, na := range named {
+		keys[i] = na.Key
+		protos[i] = na.Proto
+	}
+	return keys, protos
 }
 
 // PartitionSnapshot is one sidecar's content.
@@ -104,6 +114,33 @@ func chainHash(prev uint64, base string, size int64) uint64 {
 	h.Write(b[:])
 	h.Write([]byte(base))
 	return h.Sum64()
+}
+
+// trustWalk is the sidecar-trust walk over one shard's partitions in
+// shard order, shared by the planner and the build pass. next stats
+// the next partition and folds it into the chain fingerprint; trusts
+// then judges a candidate sidecar for that partition.
+type trustWalk struct {
+	chain uint64
+	size  int64 // of the partition next last stat'ed
+}
+
+func (w *trustWalk) next(partPath string) error {
+	fi, err := os.Stat(partPath)
+	if err != nil {
+		return err
+	}
+	w.size = fi.Size()
+	w.chain = chainHash(w.chain, filepath.Base(partPath), w.size)
+	return nil
+}
+
+// trusts reports whether snap was built for this exact partition file
+// AND against this exact predecessor chain — a backfilled earlier day
+// invalidates every later sidecar in the shard, whose states embed
+// classification against the old chain — and holds every key.
+func (w *trustWalk) trusts(snap *PartitionSnapshot, keys []string) bool {
+	return snap != nil && snap.Chain == w.chain && snapshotCovers(snap, w.size, keys)
 }
 
 // SnapshotPath returns the sidecar path for a partition path.
@@ -162,32 +199,18 @@ func ReadSnapshot(partPath string) (*PartitionSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := CodecDeflate // v1 bodies are always deflate
-	v2 := false
-	if len(raw) >= 4 {
-		switch string(raw[:4]) {
-		case snapshotMagicV1:
-		case snapshotMagicV2:
-			v2 = true
-		default:
-			return nil, fmt.Errorf("evstore: %s: bad snapshot magic", SnapshotPath(partPath))
-		}
-	} else {
+	if !bytes.HasPrefix(raw, []byte(snapshotMagicV2)) {
 		return nil, fmt.Errorf("evstore: %s: bad snapshot magic", SnapshotPath(partPath))
 	}
-	hr := wire.NewReader(raw[4:])
-	if v2 {
-		cb := hr.Bytes(1)
-		if hr.Err() == nil {
-			codec = Codec(cb[0])
-		}
-		if hr.Err() == nil && !codec.valid() {
-			return nil, fmt.Errorf("evstore: %s: unknown snapshot codec %d", SnapshotPath(partPath), codec)
-		}
-	}
+	hr := wire.NewReader(raw[len(snapshotMagicV2):])
+	cb := hr.Bytes(1)
 	ulen := hr.Uvarint()
 	if err := hr.Err(); err != nil {
 		return nil, err
+	}
+	codec := Codec(cb[0])
+	if !codec.valid() {
+		return nil, fmt.Errorf("evstore: %s: unknown snapshot codec %d", SnapshotPath(partPath), codec)
 	}
 	if ulen > uint64(maxBlockEvents)*256 {
 		return nil, fmt.Errorf("evstore: %s: implausible snapshot size %d", SnapshotPath(partPath), ulen)
@@ -277,12 +300,7 @@ func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (Sna
 func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held, current map[string]*PartitionSnapshot) (SnapshotBuildStats, error) {
 	start := time.Now()
 	var bs SnapshotBuildStats
-	keys := make([]string, len(named))
-	protos := make([]classify.Analyzer, len(named))
-	for i, na := range named {
-		keys[i] = na.Key
-		protos[i] = na.Proto
-	}
+	keys, protos := splitNamed(named)
 
 	shards, err := ScanShards(dir, Query{})
 	if err != nil {
@@ -299,30 +317,23 @@ func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held
 	var enc []byte // state encoding scratch
 	for _, sh := range shards {
 		cc := classChain{cl: classify.New(), restores: &bs.Restores}
-		chain := uint64(0)
+		var walk trustWalk
 		for _, entry := range sh.entries {
 			if err := ctx.Err(); err != nil {
 				return bs, err
 			}
 			bs.Partitions++
-			fi, err := os.Stat(entry.path)
-			if err != nil {
+			if err := walk.next(entry.path); err != nil {
 				return bs, err
 			}
-			chain = chainHash(chain, filepath.Base(entry.path), fi.Size())
-			// Up to date means built for this file AND against this exact
-			// chain of predecessors.
-			upToDate := func(snap *PartitionSnapshot) bool {
-				return snap != nil && snap.Chain == chain && snapshotCovers(snap, fi.Size(), keys)
-			}
 			old := held[entry.path]
-			if !upToDate(old) {
+			if !walk.trusts(old, keys) {
 				// Missing or corrupt reads as nil → rebuild.
 				if old, err = ReadSnapshot(entry.path); err == nil {
 					bs.SidecarsRead++
 				}
 			}
-			if upToDate(old) {
+			if walk.trusts(old, keys) {
 				cc.at(entry.path, old)
 				bs.Reused++
 				if current != nil {
@@ -336,7 +347,7 @@ func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held
 			}
 			locals := classify.FreshAll(protos)
 			run := newBatchRunner(cc.cl, locals, TimeRange{})
-			snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: fi.Size(), Chain: chain}
+			snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: walk.size, Chain: walk.chain}
 			first := true
 			_, err = scanPartitionBatch(ctx, entry.path, zero, &br, nil, run.proj, func(b *classify.Batch, sel []int32) bool {
 				run.observe(b, sel)
@@ -372,7 +383,7 @@ func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held
 				enc = a.Snapshot(enc[:0])
 				snap.States[keys[i]] = bytes.Clone(enc)
 			}
-			if old != nil && old.Size == fi.Size() && old.Chain == chain {
+			if walk.trusts(old, nil) {
 				// Carry forward states for keys other registries built:
 				// the partition AND its predecessor chain are unchanged,
 				// so they are still valid. (A stale chain invalidates

@@ -2,6 +2,7 @@ package evstore_test
 
 import (
 	"context"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,9 +116,9 @@ func checkSnapshotQuery(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query
 	for i, na := range ref {
 		refAnalyzers[i] = na.Proto
 	}
-	_, err := evstore.ScanParallel(context.Background(), ix.Dir(),
-		evstore.Query{Collectors: q.Collectors}, q.Window,
-		2, refAnalyzers...)
+	cold := q
+	cold.Window = evstore.TimeRange{}
+	_, err := evstore.ScanParallel(context.Background(), ix.Dir(), cold, q.Window, 2, refAnalyzers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,8 @@ func checkSnapshotQuery(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query
 // empty windows alike, on the one-partition-per-collector-day layout
 // batch ingest writes and on the many-short-partitions layout live
 // ingest writes — decoding at most one classifier state per scanned
-// partition.
+// partition; and a query with per-event filters must plan as that cold
+// scan itself, trusting no sidecar.
 func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 	cfg := smallDayConfig()
 	cfg.Collectors = 3
@@ -246,6 +248,41 @@ func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 			t.Errorf("unbounded: scanned %d, restored %d; want an all-merge answer", ss.Plan.Scanned, ss.Restores)
 		}
 
+		// Per-event filters select events WITHIN sessions, which whole-
+		// partition states cannot answer: no merge, no jump, no restore —
+		// every partition scans except the tail the window end rules out,
+		// here by file-name day alone (the second day's partitions).
+		var sample classify.Event
+		for e := range evstore.PartitionSource(paths[0], evstore.Query{}, nil) {
+			if !e.Withdraw {
+				sample = e
+				break
+			}
+		}
+		day2 := 0
+		for _, p := range paths {
+			if strings.Contains(filepath.Base(p), "__"+testDay.Add(24*time.Hour).Format("20060102")+"__") {
+				day2++
+			}
+		}
+		firstDay := evstore.TimeRange{From: inside(2), To: testDay.Add(24 * time.Hour)}
+		for _, q := range []evstore.Query{
+			{Collectors: one, PeerAS: []uint32{sample.PeerAS}, Window: firstDay},
+			{Collectors: one, PrefixRange: netip.PrefixFrom(sample.Prefix.Addr(), 8), Window: firstDay},
+		} {
+			ss := checkSnapshotQuery(t, ix, q)
+			want := evstore.PlanStats{Shards: 1, Partitions: n, Scanned: n - day2, Skipped: day2}
+			if day2 == 0 || ss.Plan != want {
+				t.Errorf("filtered plan %+v, want %+v (q=%+v)", ss.Plan, want, q)
+			}
+			if ss.Restores != 0 || ss.Merges != 0 {
+				t.Errorf("filtered query restored %d classifier and merged %d analyzer states; want none", ss.Restores, ss.Merges)
+			}
+			if ss.Scan.Events == 0 {
+				t.Errorf("filtered query matched no events (q=%+v)", q)
+			}
+		}
+
 		// A mid-shard partition with no sidecar (deleted on disk and
 		// unknown to the index, as one sealed after the last refresh's
 		// build pass is) scans between merges: the chain settles before
@@ -277,23 +314,6 @@ func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 		}
 		checkSnapshotQuery(t, ix, wide)
 	})
-}
-
-// TestSnapshotQueryRejectsPerEventDims pins the supported-dimension
-// contract: PeerAS / PrefixRange queries must be refused (callers fall
-// back to ScanParallel), not answered wrongly from whole-partition
-// states.
-func TestSnapshotQueryRejectsPerEventDims(t *testing.T) {
-	cfg := smallDayConfig()
-	_, sources := workload.DaySources(cfg)
-	dir := ingest(t, stream.Concat(sources...))
-	ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Query(context.Background(), evstore.Query{PeerAS: []uint32{64500}}, 1, snapNamed()...); err == nil {
-		t.Error("PeerAS query: want error")
-	}
 }
 
 // TestSnapshotIncrementalRefresh pins the incremental half: after live

@@ -120,11 +120,6 @@ type Writer struct {
 	// buffer and one compressor serve every partition.
 	payload []byte
 	comp    blockCompressor
-
-	// legacyV1 writes the pre-codec v1 format (EVP1/EVF1, every block
-	// deflate, no codec ids) — kept so compatibility tests can create
-	// the stores old releases wrote.
-	legacyV1 bool
 }
 
 type partKey struct {
@@ -440,11 +435,7 @@ func (w *Writer) openPartition(collector string, day time.Time, key partKey) (*p
 	}
 	pw := &partWriter{collector: collector, day: day, seq: seq, tmpPath: f.Name(), f: f,
 		bw: bufio.NewWriter(f), openedAt: w.now()}
-	magic := partitionMagicV2
-	if w.legacyV1 {
-		magic = partitionMagicV1
-	}
-	header := append([]byte(magic), byte(len(collector)))
+	header := append([]byte(partitionMagicV2), byte(len(collector)))
 	header = append(header, collector...)
 	header = wire.AppendVarint(header, day.Unix())
 	if _, err := pw.bw.Write(header); err != nil {
@@ -466,32 +457,19 @@ func (w *Writer) flushBlock(pw *partWriter) error {
 	w.payload, sum = encodeBlock(pw.pending, w.payload)
 	pw.pending = pw.pending[:0]
 
-	var data []byte
-	var codec Codec
-	if w.legacyV1 {
-		// The v1 frame has no codec id: deflate unconditionally.
-		if err := w.comp.deflate(w.payload); err != nil {
-			return err
-		}
-		data, codec = w.comp.fbuf.Bytes(), CodecDeflate
-	} else {
-		if !w.Codec.valid() {
-			return fmt.Errorf("evstore: invalid writer codec %d", w.Codec)
-		}
-		var err error
-		data, codec, err = w.comp.compress(w.Codec, w.payload)
-		if err != nil {
-			return err
-		}
+	if !w.Codec.valid() {
+		return fmt.Errorf("evstore: invalid writer codec %d", w.Codec)
+	}
+	data, codec, err := w.comp.compress(w.Codec, w.payload)
+	if err != nil {
+		return err
 	}
 
 	var frame [2*binary.MaxVarintLen64 + 1]byte
 	k := binary.PutUvarint(frame[:], uint64(len(w.payload)))
 	k += binary.PutUvarint(frame[k:], uint64(len(data)))
-	if !w.legacyV1 {
-		frame[k] = byte(codec)
-		k++
-	}
+	frame[k] = byte(codec)
+	k++
 	if _, err := pw.bw.Write(frame[:k]); err != nil {
 		return err
 	}
@@ -516,19 +494,13 @@ func (w *Writer) seal(key partKey, pw *partWriter, rollback bool) error {
 		os.Remove(pw.tmpPath)
 		return err
 	}
-	footerMagic := footerMagicV2
-	if w.legacyV1 {
-		footerMagic = footerMagicV1
-	}
-	footer := []byte(footerMagic)
+	footer := []byte(footerMagicV2)
 	footer = binary.AppendUvarint(footer, uint64(len(pw.blocks)))
 	for _, b := range pw.blocks {
 		footer = binary.AppendUvarint(footer, uint64(b.offset))
 		footer = binary.AppendUvarint(footer, uint64(b.ulen))
 		footer = binary.AppendUvarint(footer, uint64(b.clen))
-		if !w.legacyV1 {
-			footer = append(footer, byte(b.codec))
-		}
+		footer = append(footer, byte(b.codec))
 		footer = b.sum.append(footer)
 	}
 	if _, err := pw.bw.Write(footer); err != nil {
@@ -538,7 +510,7 @@ func (w *Writer) seal(key partKey, pw *partWriter, rollback bool) error {
 	}
 	var trailer [8]byte
 	binary.LittleEndian.PutUint32(trailer[:4], uint32(len(footer)))
-	copy(trailer[4:], footerMagic)
+	copy(trailer[4:], footerMagicV2)
 	if _, err := pw.bw.Write(trailer[:]); err != nil {
 		pw.f.Close()
 		os.Remove(pw.tmpPath)

@@ -34,6 +34,12 @@ import (
 // single-node daemon.)
 var ErrEmptyStore = errors.New("serve: no partitions in store yet")
 
+// ErrBadSpec reports a query spec the client must change before any
+// backend can answer it — a missing parameter, an unknown kind, an
+// undecodable wire spec. Validation wraps it so the HTTP layer can map
+// it to 400 by identity, not by message text.
+var ErrBadSpec = errors.New("serve: bad query spec")
+
 // RefreshStats describes one backend refresh. The embedded
 // SnapshotBuildStats is the local sidecar-build accounting (zero for
 // remote backends, which refresh on their own node).
@@ -143,7 +149,7 @@ func stateAnalyzers(spec QuerySpec) ([]evstore.NamedAnalyzer, error) {
 		return []evstore.NamedAnalyzer{{Key: "counts", Proto: analysis.NewCounts()}}, nil
 	case KindFigure3:
 		if !spec.Prefix.IsValid() || spec.Collector == "" {
-			return nil, fmt.Errorf("serve: figure3 needs collector and prefix")
+			return nil, fmt.Errorf("%w: figure3 needs collector and prefix", ErrBadSpec)
 		}
 		return []evstore.NamedAnalyzer{{
 			Key:   sessionMixKey(spec.Collector, spec.Prefix),
@@ -151,7 +157,7 @@ func stateAnalyzers(spec QuerySpec) ([]evstore.NamedAnalyzer, error) {
 		}}, nil
 	case KindFigure4, KindFigure5:
 		if spec.Collector == "" || !spec.PeerAddr.IsValid() || !spec.Prefix.IsValid() || spec.Path == "" {
-			return nil, fmt.Errorf("serve: %s needs collector, peer, prefix, and path", spec.Kind)
+			return nil, fmt.Errorf("%w: %s needs collector, peer, prefix, and path", ErrBadSpec, spec.Kind)
 		}
 		session := classify.SessionKey{Collector: spec.Collector, PeerAddr: spec.PeerAddr}
 		// Route-specific accumulators are not in the sidecar registry
@@ -164,9 +170,9 @@ func stateAnalyzers(spec QuerySpec) ([]evstore.NamedAnalyzer, error) {
 	case KindIngress:
 		return []evstore.NamedAnalyzer{{Key: "ingress", Proto: analysis.NewIngress()}}, nil
 	case KindFigure2:
-		return nil, fmt.Errorf("serve: figure2 has no single-state form; decompose into per-year table2 specs")
+		return nil, fmt.Errorf("%w: figure2 has no single-state form; decompose into per-year table2 specs", ErrBadSpec)
 	default:
-		return nil, fmt.Errorf("serve: unknown query kind %q", spec.Kind)
+		return nil, fmt.Errorf("%w: unknown query kind %q", ErrBadSpec, spec.Kind)
 	}
 }
 

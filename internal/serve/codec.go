@@ -89,7 +89,7 @@ func DecodeQuerySpec(b []byte) (QuerySpec, error) {
 	var spec QuerySpec
 	r := wire.NewReader(b)
 	if string(r.Bytes(len(specMagic))) != specMagic {
-		return spec, fmt.Errorf("serve: bad query-spec magic")
+		return spec, fmt.Errorf("%w: bad query-spec magic", ErrBadSpec)
 	}
 	spec.Kind = r.String()
 	spec.Window.From = readTimeOpt(r)
@@ -114,10 +114,10 @@ func DecodeQuerySpec(b []byte) (QuerySpec, error) {
 	spec.PeerAddr = r.Addr()
 	spec.Path = r.String()
 	if err := r.Err(); err != nil {
-		return QuerySpec{}, fmt.Errorf("serve: decode query spec: %w", err)
+		return QuerySpec{}, fmt.Errorf("%w: decode: %w", ErrBadSpec, err)
 	}
 	if r.Remaining() != 0 {
-		return QuerySpec{}, fmt.Errorf("serve: query spec has %d trailing bytes", r.Remaining())
+		return QuerySpec{}, fmt.Errorf("%w: %d trailing bytes", ErrBadSpec, r.Remaining())
 	}
 	return spec, nil
 }

@@ -183,9 +183,9 @@ func errStatus(r *http.Request, err error) int {
 	case errors.Is(err, r.Context().Err()) && r.Context().Err() != nil:
 		// Client went away; the scan already aborted. 499-style.
 		return http.StatusRequestTimeout
-	case errors.Is(err, ErrEmptyStore), strings.Contains(err.Error(), "no partitions"):
+	case errors.Is(err, ErrEmptyStore):
 		return http.StatusServiceUnavailable // store not ingested yet
-	case strings.Contains(err.Error(), "needs"):
+	case errors.Is(err, ErrBadSpec):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/evstore"
 )
 
-// LocalBackend answers state queries over one store directory: the
-// residual-scan planner for snapshot-covered windows, a cold parallel
-// scan when per-event filters force one. It keeps its own
+// LocalBackend answers state queries over one store directory through
+// the snapshot index's planner (evstore.SnapshotIndex.Query). It keeps its own
 // generation-guarded LRU of computed envelopes plus a singleflight
 // group, so in shard mode repeated coordinator fan-outs of a hot spec
 // cost one merge — the shard-local tier of the two-tier cache.
@@ -91,37 +89,25 @@ func (lb *LocalBackend) State(ctx context.Context, spec QuerySpec) (*StateEnvelo
 	return v.(*StateEnvelope), nil
 }
 
-// computeState runs the planned (or cold, for per-event filters) query
-// into fresh analyzers and snapshots them into an envelope.
+// computeState runs the spec through the index's planner into fresh
+// analyzers and snapshots them into an envelope. A spec with per-event
+// filters plans as a cold scan (no sidecar trusted), so it reports
+// Source "scan" like any answer that merged and jumped nothing.
 func (lb *LocalBackend) computeState(ctx context.Context, spec QuerySpec, named []evstore.NamedAnalyzer) (*StateEnvelope, error) {
 	start := time.Now()
 	env := &StateEnvelope{Backend: lb.Name()}
-	if len(spec.PeerAS) > 0 || spec.PrefixRange.IsValid() {
-		protos := make([]classify.Analyzer, len(named))
-		for i, na := range named {
-			protos[i] = na.Proto
-		}
-		q := evstore.Query{Collectors: spec.Collectors, PeerAS: spec.PeerAS, PrefixRange: spec.PrefixRange}
-		ps, err := evstore.ScanParallel(ctx, lb.cfg.Dir, q, spec.Window, lb.cfg.Workers, protos...)
-		if err != nil {
-			return nil, mapEmptyStore(err)
-		}
-		env.Source = "scan"
-		env.Scan = ps.Total
+	q := evstore.Query{Window: spec.Window, Collectors: spec.Collectors, PeerAS: spec.PeerAS, PrefixRange: spec.PrefixRange}
+	ss, err := lb.ix.Query(ctx, q, lb.cfg.Workers, named...)
+	if err != nil {
+		return nil, mapEmptyStore(err)
+	}
+	env.Plan = ss.Plan
+	env.Scan = ss.Scan
+	env.Merges = ss.Merges
+	if ss.Plan.Merged > 0 || ss.Plan.Jumped > 0 {
+		env.Source = "snapshots"
 	} else {
-		q := evstore.Query{Window: spec.Window, Collectors: spec.Collectors}
-		ss, err := lb.ix.Query(ctx, q, lb.cfg.Workers, named...)
-		if err != nil {
-			return nil, mapEmptyStore(err)
-		}
-		env.Plan = ss.Plan
-		env.Scan = ss.Scan
-		env.Merges = ss.Merges
-		if ss.Plan.Merged > 0 || ss.Plan.Jumped > 0 {
-			env.Source = "snapshots"
-		} else {
-			env.Source = "scan"
-		}
+		env.Source = "scan"
 	}
 	env.Generation = lb.generation()
 	env.Keys = make([]string, len(named))

@@ -453,10 +453,10 @@ func shapeData(spec QuerySpec, a classify.Analyzer) (any, error) {
 // coordinator, each year scatter-gathers independently).
 func (s *Server) figure2(ctx context.Context, spec QuerySpec) (*Answer, error) {
 	if spec.FromYear == 0 || spec.ToYear < spec.FromYear {
-		return nil, fmt.Errorf("serve: figure2 needs fromyear <= toyear")
+		return nil, fmt.Errorf("%w: figure2 needs fromyear <= toyear", ErrBadSpec)
 	}
 	if spec.ToYear-spec.FromYear > 200 {
-		return nil, fmt.Errorf("serve: figure2 year range too large")
+		return nil, fmt.Errorf("%w: figure2 year range too large", ErrBadSpec)
 	}
 	start := time.Now()
 	total := &Answer{Kind: spec.Kind, Source: "snapshots"}

@@ -398,6 +398,24 @@ func TestServeHTTP(t *testing.T) {
 	getJSON("/v1/figure/3", 400)               // missing params
 	getJSON("/v1/table2?from=not-a-time", 400) // bad time
 	getJSON("/v1/figure/2?fromyear=2020&toyear=2019", 400)
+	getJSON("/v1/figure/2?fromyear=1000&toyear=3000", 400) // range too large
+
+	// A per-event filter runs through the same planner but trusts no
+	// sidecar: the answer is still a cold scan, in body and tier header.
+	filtered := fmt.Sprintf("/v1/table2?from=%s&to=%s&peeras=%d", from, to, firstPeerAS(t, dir)[0])
+	resp, err := http.Get(ts.URL + filtered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if tier := resp.Header.Get("X-Comm-Tier"); tier != "cold-scan" {
+		t.Errorf("filtered table2 tier %q, want cold-scan", tier)
+	}
+	if ans := getJSON(filtered+"&collectors=rrc00", 200); ans["source"] != "scan" {
+		t.Errorf("filtered table2 source %v, want scan", ans["source"])
+	} else if plan := ans["plan"].(map[string]any); plan["Merged"].(float64) != 0 || plan["Jumped"].(float64) != 0 || plan["Scanned"].(float64) == 0 {
+		t.Errorf("filtered table2 plan %v, want scans only", plan)
+	}
 
 	stats := getJSON("/v1/stats", 200)
 	if stats["partitions"].(float64) == 0 {

@@ -15,10 +15,10 @@ type mergeCursor struct {
 
 // Merge combines time-sorted sources into one globally time-ordered
 // source via a k-way heap merge. Ties keep the input-source order, so the
-// merge is stable and deterministic, matching pipeline.MergeEvents. Each
-// source is pulled incrementally: at any moment only the heads of the
-// inputs are buffered here (the inputs themselves decide how much state
-// backs their iteration).
+// merge is stable and deterministic. Each source is pulled
+// incrementally: at any moment only the heads of the inputs are buffered
+// here (the inputs themselves decide how much state backs their
+// iteration).
 func Merge(sources ...EventSource) EventSource {
 	switch len(sources) {
 	case 0:

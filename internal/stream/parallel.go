@@ -1,104 +1,9 @@
 package stream
 
 import (
-	"context"
 	"runtime"
 	"sync"
-
-	"repro/internal/classify"
 )
-
-// classifyBatchLen sizes the event batches handed to collector workers,
-// amortizing channel synchronization without buffering whole collectors.
-const classifyBatchLen = 512
-
-// ParallelRun fans a single mixed stream out per collector and runs any
-// analyzer set shard-parallel in one pass over the source. Announcement
-// streams are keyed by (session, prefix) and sessions never span
-// collectors, so collectors are independent classification domains:
-// each gets one worker goroutine with its own classifier and a Fresh
-// copy of every analyzer, fed in small batches as events stream by
-// (only the in-flight batches are ever buffered). When the source is
-// drained each worker merges its accumulators into the prototypes, so
-// results land in the analyzers the caller passed — identical to a
-// sequential RunAll for any analyzer with a commutative Merge.
-//
-// Cancelling ctx stops the feed at the next batch boundary (early
-// exit propagates back to the producer); workers drain what was
-// already dispatched and the analyzers hold partial state the caller
-// must discard.
-func ParallelRun(ctx context.Context, src EventSource, inWindow func(classify.Event) bool, analyzers ...classify.Analyzer) {
-	type worker struct {
-		ch  chan []classify.Event
-		buf []classify.Event
-	}
-	workers := make(map[string]*worker)
-	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes merges into the prototypes
-	done := ctx.Done()
-	cancelled := false
-	for e := range src {
-		if done != nil {
-			select {
-			case <-done:
-				cancelled = true
-			default:
-			}
-			if cancelled {
-				break
-			}
-		}
-		w := workers[e.Collector]
-		if w == nil {
-			w = &worker{
-				ch:  make(chan []classify.Event, 4),
-				buf: make([]classify.Event, 0, classifyBatchLen),
-			}
-			workers[e.Collector] = w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				locals := classify.FreshAll(analyzers)
-				cl := classify.New()
-				for batch := range w.ch {
-					for _, e := range batch {
-						res, _ := cl.Observe(e)
-						if inWindow != nil && !inWindow(e) {
-							continue
-						}
-						for _, a := range locals {
-							a.Observe(res, e)
-						}
-					}
-				}
-				mu.Lock()
-				classify.MergeAll(analyzers, locals)
-				mu.Unlock()
-			}()
-		}
-		w.buf = append(w.buf, e)
-		if len(w.buf) == classifyBatchLen {
-			w.ch <- w.buf
-			w.buf = make([]classify.Event, 0, classifyBatchLen)
-		}
-	}
-	for _, w := range workers {
-		if len(w.buf) > 0 {
-			w.ch <- w.buf
-		}
-		close(w.ch)
-	}
-	wg.Wait()
-}
-
-// ParallelClassify is Classify fanned out per collector — a thin
-// wrapper running one CountsAnalyzer through ParallelRun. The merged
-// counts are identical to the sequential result.
-func ParallelClassify(src EventSource, inWindow func(classify.Event) bool) classify.Counts {
-	a := &classify.CountsAnalyzer{}
-	ParallelRun(context.Background(), src, inWindow, a)
-	return a.Counts
-}
 
 // ForEachIndexed runs n independent jobs on a bounded worker pool
 // (workers <= 0 uses GOMAXPROCS). Each job writes only its own result

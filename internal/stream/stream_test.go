@@ -1,7 +1,6 @@
 package stream_test
 
 import (
-	"context"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/pipeline"
 	"repro/internal/stream"
 )
 
@@ -133,9 +131,20 @@ func TestTee(t *testing.T) {
 	}
 }
 
+// mergeEvents is the materialized reference merge: the time-sorted
+// slices concatenated in input order, then stable-sorted by time.
+func mergeEvents(slices ...[]classify.Event) []classify.Event {
+	var out []classify.Event
+	for _, s := range slices {
+		out = append(out, s...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	return out
+}
+
 // TestMergeMatchesMergeEvents is the streaming/slice equivalence property:
 // on random seeded inputs, stream.Merge must produce byte-identical output
-// to the materialized pipeline.MergeEvents.
+// to the materialized reference mergeEvents.
 func TestMergeMatchesMergeEvents(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -152,7 +161,7 @@ func TestMergeMatchesMergeEvents(t *testing.T) {
 			slices[i] = mkEvents("c"+string(rune('0'+i)), times...)
 			sources[i] = stream.FromSlice(slices[i])
 		}
-		want := pipeline.MergeEvents(slices...)
+		want := mergeEvents(slices...)
 		got := stream.Collect(stream.Merge(sources...))
 		if len(got) == 0 && len(want) == 0 {
 			continue
@@ -239,70 +248,6 @@ func randomDayEvents(seed int64) []classify.Event {
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	return evs
-}
-
-// TestParallelClassifyMatchesSequential is the second equivalence
-// property: the sharded streaming classification must reproduce the
-// sequential counts exactly, including tie-break-sensitive inputs,
-// windowing, and the empty stream.
-func TestParallelClassifyMatchesSequential(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		evs := randomDayEvents(seed)
-		window := func(e classify.Event) bool { return e.Time.After(ts0.Add(6 * time.Hour)) }
-		for _, inWindow := range []func(classify.Event) bool{nil, window} {
-			want := classifySeq(evs, inWindow)
-			got := stream.ParallelClassify(stream.FromSlice(evs), inWindow)
-			if want != got {
-				t.Fatalf("seed %d: parallel %+v != sequential %+v", seed, got, want)
-			}
-		}
-	}
-	var zero classify.Counts
-	if got := stream.ParallelClassify(stream.Empty(), nil); got != zero {
-		t.Errorf("empty stream: %+v", got)
-	}
-}
-
-// TestParallelRunMultipleAnalyzers checks the generic engine beneath
-// ParallelClassify: several analyzers fed from one parallel pass must
-// each match their sequential single-pass result.
-func TestParallelRunMultipleAnalyzers(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		evs := randomDayEvents(seed)
-		want := classifySeq(evs, nil)
-		a1, a2 := &classify.CountsAnalyzer{}, &classify.CountsAnalyzer{}
-		stream.ParallelRun(context.Background(), stream.FromSlice(evs), nil, a1, a2)
-		if a1.Counts != want || a2.Counts != want {
-			t.Fatalf("seed %d: parallel analyzers %+v / %+v != sequential %+v", seed, a1.Counts, a2.Counts, want)
-		}
-	}
-	// No analyzers at all must still drain the stream without hanging.
-	stream.ParallelRun(context.Background(), stream.FromSlice(randomDayEvents(3)), nil)
-}
-
-// TestParallelRunCancellation pins the satellite contract: a cancelled
-// context stops the feed at the next batch boundary — the producer is
-// not drained to completion — and the call still returns cleanly.
-func TestParallelRunCancellation(t *testing.T) {
-	evs := randomDayEvents(7)
-	ctx, cancel := context.WithCancel(context.Background())
-	fed := 0
-	src := stream.EventSource(func(yield func(classify.Event) bool) {
-		for _, e := range evs {
-			fed++
-			if fed == len(evs)/4 {
-				cancel()
-			}
-			if !yield(e) {
-				return
-			}
-		}
-	})
-	a := &classify.CountsAnalyzer{}
-	stream.ParallelRun(ctx, src, nil, a) // must return, not hang
-	if fed >= len(evs) {
-		t.Fatalf("cancelled run drained the whole source (%d events)", fed)
-	}
 }
 
 func TestClassifyMatchesReference(t *testing.T) {
