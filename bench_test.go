@@ -824,8 +824,9 @@ func BenchmarkStoreScanWindow(b *testing.B) {
 // partitions, scans the two it cuts, merges the ones between and skips
 // the tail (on one partition per collector-day, as every other store
 // benchmark uses, a sub-day window is a full scan).
-// restores/op is the classifier states decoded per query: at most one
-// per scanned partition, however long the prelude.
+// Every partition has a sidecar, so the two cut partitions are replayed
+// from their result codes (replayed/op) and no classifier state is
+// decoded (restores/op, which must be 0).
 func BenchmarkSnapshotQueryWindow(b *testing.B) {
 	dir := b.TempDir()
 	w, err := evstore.Open(dir)
@@ -873,7 +874,11 @@ func BenchmarkSnapshotQueryWindow(b *testing.B) {
 	if ss.Plan.Jumped < 2 || ss.Plan.Merged < 2 || ss.Plan.Scanned == 0 || ss.Plan.Skipped == 0 {
 		b.Fatalf("window does not exercise the live-shaped plan: %+v", ss.Plan)
 	}
+	if ss.Restores != 0 || ss.Replayed != ss.Plan.Scanned {
+		b.Fatalf("%d restores, %d of %d scanned partitions replayed on a fully snapshotted store", ss.Restores, ss.Replayed, ss.Plan.Scanned)
+	}
 	b.ReportMetric(float64(ss.Restores), "restores/op")
+	b.ReportMetric(float64(ss.Replayed), "replayed/op")
 	b.ReportMetric(float64(ss.Plan.Jumped+ss.Plan.Merged), "sidecars/op")
 }
 

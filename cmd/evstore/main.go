@@ -160,9 +160,9 @@ func max64(a, b int64) int64 {
 
 // runSnap builds or inspects the snapshot sidecars the serving daemon
 // (cmd/commservd) answers from: per sealed partition, the serialized
-// accumulator state of every registered analyzer plus the classifier
-// end state. Building is incremental — partitions with up-to-date
-// sidecars are not decoded.
+// accumulator state of every registered analyzer, one result code per
+// event, and the classifier end state. Building is incremental —
+// partitions with up-to-date sidecars are not decoded.
 func runSnap(args []string) error {
 	fs := flag.NewFlagSet("snap", flag.ExitOnError)
 	store := fs.String("store", "", "store directory")
@@ -199,9 +199,9 @@ func snapStat(store string) error {
 		snap, err := evstore.ReadSnapshot(p.Path)
 		switch {
 		case err != nil:
-			rows = append(rows, []string{filepath.Base(p.Path), "-", "-", "-", "missing"})
+			rows = append(rows, []string{filepath.Base(p.Path), "-", "-", "-", "-", "missing"})
 		case snap.Size != p.Size:
-			rows = append(rows, []string{filepath.Base(p.Path), "-", "-", "-", "stale"})
+			rows = append(rows, []string{filepath.Base(p.Path), "-", "-", "-", "-", "stale"})
 		default:
 			covered++
 			keys := make([]string, 0, len(snap.States))
@@ -213,13 +213,14 @@ func snapStat(store string) error {
 				filepath.Base(p.Path),
 				strconv.Itoa(snap.Events),
 				byteSize(int64(len(snap.Classifier))),
+				byteSize(int64(len(snap.Results))),
 				strconv.Itoa(len(snap.States)),
 				strings.Join(keys, ","),
 			})
 		}
 	}
 	fmt.Printf("%d/%d partitions snapshotted\n", covered, len(m.Partitions))
-	fmt.Print(textplot.Table([]string{"partition", "events", "classifier", "states", "keys"}, rows))
+	fmt.Print(textplot.Table([]string{"partition", "events", "classifier", "results", "states", "keys"}, rows))
 	return nil
 }
 

@@ -8,10 +8,13 @@ import (
 
 // This file holds the persistence codecs of the analysis engine: the
 // Counts and SessionKey wire forms shared by every analyzer snapshot,
-// the CountsAnalyzer Snapshot/Restore implementation, and the
-// Classifier state codec that lets a scan resume classification midway
-// through a collector's timeline (the evstore snapshot sidecars store
-// one classifier state per partition for exactly that).
+// the CountsAnalyzer Snapshot/Restore implementation, the Classifier
+// state codec that lets a scan resume classification midway through a
+// collector's timeline, and the one-byte result code that persists a
+// classification itself. The evstore snapshot sidecars store both per
+// partition: the result codes answer for the partition's own events
+// without classifying them again, the classifier state lets a pass
+// that must classify what follows start from the partition's end.
 
 // AppendCounts appends the wire form of a Counts.
 func AppendCounts(dst []byte, c Counts) []byte {
@@ -42,6 +45,54 @@ func AppendSessionKey(dst []byte, k SessionKey) []byte {
 // ReadSessionKey reads an AppendSessionKey encoding.
 func ReadSessionKey(r *wire.Reader) SessionKey {
 	return SessionKey{Collector: r.String(), PeerAddr: r.Addr()}
+}
+
+// A result code is one event's classification in one byte: the Type in
+// the low three bits, First and MEDChanged as flags, and one reserved
+// value for a withdrawal (which has no classification). A label is a
+// pure function of the events before it on its own stream, so a code
+// recorded at a fixed position in a collector's timeline never changes.
+// Only the 15 values the classifier can produce are valid: a first
+// announcement compares against the empty state, so it is pc or pn and
+// never a MED change.
+const (
+	resultTypeMask   = 0x07
+	resultFirst      = 0x08
+	resultMEDChanged = 0x10
+	resultWithdrawal = 0x80
+)
+
+// EncodeResult returns the result code of one event: res for an
+// announcement, the withdrawal code (res ignored) otherwise.
+func EncodeResult(res Result, withdraw bool) byte {
+	if withdraw {
+		return resultWithdrawal
+	}
+	code := byte(res.Type)
+	if res.First {
+		code |= resultFirst
+	}
+	if res.MEDChanged {
+		code |= resultMEDChanged
+	}
+	return code
+}
+
+// DecodeResult is EncodeResult's inverse: the classification (zero for
+// a withdrawal, like RunBatch's), whether the code marks a withdrawal,
+// and whether the code is one EncodeResult can produce.
+func DecodeResult(code byte) (res Result, withdraw, ok bool) {
+	if code == resultWithdrawal {
+		return Result{}, true, true
+	}
+	res = Result{
+		Type:       Type(code & resultTypeMask),
+		First:      code&resultFirst != 0,
+		MEDChanged: code&resultMEDChanged != 0,
+	}
+	ok = code&^(resultTypeMask|resultFirst|resultMEDChanged) == 0 && res.Type < numTypes &&
+		(!res.First || (!res.MEDChanged && (res.Type == PC || res.Type == PN)))
+	return res, false, ok
 }
 
 // Snapshot appends the serialized counts.

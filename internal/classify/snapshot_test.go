@@ -105,3 +105,35 @@ func TestCountsSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged: %+v != %+v", restored.Counts, a.Counts)
 	}
 }
+
+// TestResultCodeRoundTrip pins the result-code codec: every
+// classification the classifier produces survives the byte, withdrawals
+// decode to the zero Result, and of the 256 byte values exactly the 15
+// EncodeResult can produce are accepted.
+func TestResultCodeRoundTrip(t *testing.T) {
+	cl := New()
+	for i, e := range snapshotEvents() {
+		res, ok := cl.Observe(e)
+		got, withdraw, valid := DecodeResult(EncodeResult(res, !ok))
+		if !valid || withdraw != e.Withdraw || got != res {
+			t.Errorf("event %d: %+v (withdraw=%t) decoded as %+v (withdraw=%t, valid=%t)", i, res, e.Withdraw, got, withdraw, valid)
+		}
+	}
+	accepted := 0
+	for c := 0; c < 256; c++ {
+		res, withdraw, ok := DecodeResult(byte(c))
+		if !ok {
+			continue
+		}
+		accepted++
+		if back := EncodeResult(res, withdraw); back != byte(c) {
+			t.Errorf("code %#x decodes to %+v (withdraw=%t), which encodes as %#x", c, res, withdraw, back)
+		}
+		if res.First && (res.MEDChanged || (res.Type != PC && res.Type != PN)) {
+			t.Errorf("code %#x accepted as a first announcement of type %v, MEDChanged=%t", c, res.Type, res.MEDChanged)
+		}
+	}
+	if accepted != 15 {
+		t.Errorf("%d byte values accepted, want 15", accepted)
+	}
+}

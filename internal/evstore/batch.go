@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"os"
 	"sync"
 	"unsafe"
 
@@ -590,19 +591,22 @@ func (s *selector) selection(b *classify.Batch) []int32 {
 	return sel
 }
 
-// batchRunner drives one classifier and an analyzer set over (batch,
-// selection) pairs: every selected event feeds classifier state, a
-// tally window gates which reach the analyzers (the warm-up
-// convention), BatchAnalyzers get the columns, and the rest get
-// materialized events — both in one pass.
+// batchRunner drives an analyzer set over (batch, selection) pairs,
+// with the classifications coming from one of two places. observe
+// classifies: every selected event feeds classifier state and a tally
+// window gates which reach the analyzers (the warm-up convention).
+// replay reads the classifications a sidecar recorded and touches no
+// classifier. Either way BatchAnalyzers get the columns and the rest
+// get materialized events, both in one pass.
 type batchRunner struct {
 	cl     *classify.Classifier
 	batchA []classify.BatchAnalyzer
 	rowA   []classify.Analyzer
-	// proj is what the analyzer mix needs decoded: the classifier's
-	// columns, each batch analyzer's projection, and everything if any
-	// row-fallback analyzer must be handed materialized events.
-	proj classify.Projection
+	// replayProj is what the analyzer mix needs decoded: each batch
+	// analyzer's projection, and everything if any row-fallback analyzer
+	// must be handed materialized events. proj adds the classifier's
+	// columns, for observe.
+	replayProj, proj classify.Projection
 
 	tallyFrom, tallyTo int64
 	tallyAll           bool
@@ -612,30 +616,29 @@ type batchRunner struct {
 }
 
 func newBatchRunner(cl *classify.Classifier, analyzers []classify.Analyzer, tally TimeRange) *batchRunner {
-	run := &batchRunner{cl: cl, proj: classify.ClassifierProjection}
+	run := &batchRunner{cl: cl}
 	for _, a := range analyzers {
 		if ba, ok := a.(classify.BatchAnalyzer); ok {
 			run.batchA = append(run.batchA, ba)
-			run.proj |= ba.Project()
+			run.replayProj |= ba.Project()
 		} else {
 			run.rowA = append(run.rowA, a)
 		}
 	}
 	if len(run.rowA) > 0 {
-		run.proj |= classify.ProjAll
+		run.replayProj = classify.ProjAll
 	}
+	run.proj = run.replayProj | classify.ClassifierProjection
 	run.tallyFrom, run.tallyTo = tally.nanos()
 	run.tallyAll = run.tallyFrom == math.MinInt64 && run.tallyTo == math.MaxInt64
 	return run
 }
 
 // observe classifies one batch's selected events and fans the tallied
-// ones out to the analyzers.
-func (run *batchRunner) observe(b *classify.Batch, sel []int32) {
-	if len(run.results) < b.N {
-		run.results = make([]classify.Result, b.N)
-	}
-	results := run.results
+// ones out to the analyzers. The returned classifications are indexed
+// by row, written at sel, and valid until the next batch.
+func (run *batchRunner) observe(b *classify.Batch, sel []int32) []classify.Result {
+	results := run.resultsFor(b)
 	run.cl.RunBatch(b, sel, results)
 	tsel := sel
 	if !run.tallyAll {
@@ -647,6 +650,37 @@ func (run *batchRunner) observe(b *classify.Batch, sel []int32) {
 		}
 		run.tallySel = tsel
 	}
+	run.fanOut(results, b, tsel)
+	return results
+}
+
+// replay fans one batch's selected events out to the analyzers with the
+// classifications a sidecar recorded for them: codes is the batch's
+// slice of the Results column, one code per row. The caller's selection
+// already applied the tally window — nothing here needs warm-up. A code
+// that disagrees with its row about being a withdrawal means column and
+// partition are not the pair the sidecar claims.
+func (run *batchRunner) replay(b *classify.Batch, sel []int32, codes []byte) error {
+	results := run.resultsFor(b)
+	for _, si := range sel {
+		res, withdraw, ok := classify.DecodeResult(codes[si])
+		if !ok || withdraw != b.Withdraw.Get(int(si)) {
+			return fmt.Errorf("result code %#x does not fit row %d (withdraw=%t)", codes[si], si, b.Withdraw.Get(int(si)))
+		}
+		results[si] = res
+	}
+	run.fanOut(results, b, sel)
+	return nil
+}
+
+func (run *batchRunner) resultsFor(b *classify.Batch) []classify.Result {
+	if len(run.results) < b.N {
+		run.results = make([]classify.Result, b.N)
+	}
+	return run.results
+}
+
+func (run *batchRunner) fanOut(results []classify.Result, b *classify.Batch, tsel []int32) {
 	for _, a := range run.batchA {
 		a.ObserveBatch(results, b, tsel)
 	}
@@ -695,17 +729,28 @@ func (br *blockReader) selection(cq *compiledQuery, b *classify.Batch) []int32 {
 	return br.slr.selection(b)
 }
 
+// batchFunc consumes one decoded block: its batch, the rows the query
+// selected, and first, the partition-order index of the block's row 0
+// (the sum of the footer counts of the blocks before it). It reports
+// whether the consumer wants to continue.
+type batchFunc func(b *classify.Batch, sel []int32, first int) bool
+
 // scanPartitionBatch streams one partition's matching (batch,
 // selection) pairs; more reports whether the consumer wants to
 // continue. Cancellation is honoured at block boundaries: a cancelled
 // ctx never interrupts the decode of a block already in flight. This IS
 // the scan kernel; the row path materializes from it.
-func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn func(b *classify.Batch, sel []int32) bool) (more bool, err error) {
+func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn batchFunc) (more bool, err error) {
 	p, f, err := readPartition(path)
 	if err != nil {
 		return false, err
 	}
 	defer f.Close()
+	return br.scanBlocks(ctx, p, f, cq, st, proj, fn)
+}
+
+// scanBlocks is scanPartitionBatch over an opened partition.
+func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File, cq *compiledQuery, st *ScanStats, proj classify.Projection, fn batchFunc) (more bool, err error) {
 	if cq.collectors != nil && !cq.collectors[p.collector] {
 		if st != nil {
 			st.PartitionsPruned++
@@ -747,7 +792,13 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 	handle := func(payload []byte, bm blockMeta, prefetched bool) (bool, error) {
 		b, err := br.scratch.decodeBatch(payload, proj)
 		if err != nil {
-			return false, fmt.Errorf("%s: %w", path, err)
+			return false, fmt.Errorf("%s: %w", p.path, err)
+		}
+		// Pruning, sidecar time bounds and replay offsets all trust the
+		// footer's counts; a block that decodes to another length makes
+		// every one of them wrong.
+		if b.N != bm.sum.count {
+			return false, fmt.Errorf("%s: block at offset %d decodes to %d events, footer says %d", p.path, bm.offset, b.N, bm.sum.count)
 		}
 		if st != nil {
 			st.countBlock(bm, prefetched)
@@ -759,7 +810,7 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 		if st != nil {
 			st.Events += len(sel)
 		}
-		return fn(b, sel), nil
+		return fn(b, sel, bm.first), nil
 	}
 
 	if len(blocks) > 1 {
@@ -772,7 +823,7 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 	}
 	payload, err := br.readBlockPayload(f, blocks[0])
 	if err != nil {
-		return false, fmt.Errorf("%s: %w", path, err)
+		return false, fmt.Errorf("%s: %w", p.path, err)
 	}
 	return handle(payload, blocks[0], false)
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/evstore"
@@ -155,7 +157,8 @@ func TestDecodeAheadPipeline(t *testing.T) {
 // TestRecodeRoundTrip is the migration pin: a deflate store with built
 // sidecars recodes to lz with bit-identical classification, a
 // smaller-or-similar footprint, sidecars reused without a single
-// rebuild (Built == 0), and a second recode is a no-op.
+// rebuild (Built == 0) with their result codes intact — a window replayed
+// from them answers as before — and a second recode is a no-op.
 func TestRecodeRoundTrip(t *testing.T) {
 	cfg := smallDayConfig()
 	const days = 2
@@ -169,6 +172,42 @@ func TestRecodeRoundTrip(t *testing.T) {
 	if bs.Built == 0 {
 		t.Fatal("no sidecars built")
 	}
+	// A window that cuts partitions, answered by replaying the sidecars'
+	// result codes — before the recode and, from the rewritten sidecars,
+	// after it.
+	cut := evstore.Query{Window: evstore.TimeRange{From: testDay.Add(3 * time.Hour), To: testDay.Add(27 * time.Hour)}}
+	replayed := func() (evstore.ServeStats, []any, map[string][]byte) {
+		t.Helper()
+		ix, ibs, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ibs.Built != 0 {
+			t.Fatalf("index open rebuilt %d sidecars", ibs.Built)
+		}
+		ss := checkSnapshotQuery(t, ix, cut)
+		if ss.Replayed == 0 || ss.Restores != 0 {
+			t.Fatalf("%d replays, %d restores; want the cut partitions replayed", ss.Replayed, ss.Restores)
+		}
+		got := snapNamed()
+		if _, err := ix.Query(context.Background(), cut, 1, got...); err != nil {
+			t.Fatal(err)
+		}
+		var answers []any
+		for _, na := range got {
+			answers = append(answers, na.Proto.Finish())
+		}
+		columns := make(map[string][]byte)
+		for _, p := range ix.Manifest().Partitions {
+			snap, err := evstore.ReadSnapshot(p.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			columns[p.Path] = snap.Results
+		}
+		return ss, answers, columns
+	}
+	ssBefore, answersBefore, columnsBefore := replayed()
 
 	rs, err := evstore.Recode(context.Background(), dir, evstore.CodecLZ)
 	if err != nil {
@@ -197,6 +236,18 @@ func TestRecodeRoundTrip(t *testing.T) {
 	}
 	if bs2.Built != 0 || bs2.Reused != bs.Partitions {
 		t.Fatalf("after recode: Built=%d Reused=%d, want 0/%d", bs2.Built, bs2.Reused, bs.Partitions)
+	}
+	// The Results column rode along byte for byte, and replaying it over
+	// the recoded partitions answers as before.
+	ssAfter, answersAfter, columnsAfter := replayed()
+	if ssAfter.Plan != ssBefore.Plan || ssAfter.Replayed != ssBefore.Replayed {
+		t.Errorf("after recode: plan %+v with %d replays, before %+v with %d", ssAfter.Plan, ssAfter.Replayed, ssBefore.Plan, ssBefore.Replayed)
+	}
+	if !reflect.DeepEqual(columnsAfter, columnsBefore) {
+		t.Error("recode changed a sidecar's result codes")
+	}
+	if !reflect.DeepEqual(answersAfter, answersBefore) {
+		t.Errorf("replayed answers changed across the recode:\n got %+v\nwant %+v", answersAfter, answersBefore)
 	}
 
 	// Stat reflects the new codec.
@@ -248,16 +299,18 @@ func TestLegacyV1Rejected(t *testing.T) {
 		}
 	}
 
-	overwriteMagic(evstore.SnapshotPath(parts[0]), "EVS1")
-	if _, err := evstore.ReadSnapshot(parts[0]); err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
-		t.Errorf("EVS1 sidecar read: %v, want bad snapshot magic", err)
-	}
-	bs, err = evstore.BuildSnapshots(context.Background(), dir, snapNamed())
-	if err != nil || bs.Built != 1 || bs.Reused != 0 {
-		t.Errorf("build over an EVS1 sidecar: %+v, %v; want it rebuilt", bs, err)
-	}
-	if _, err := evstore.ReadSnapshot(parts[0]); err != nil {
-		t.Errorf("rebuilt sidecar unreadable: %v", err)
+	for _, retired := range []string{"EVS1", "EVS2"} {
+		overwriteMagic(evstore.SnapshotPath(parts[0]), retired)
+		if _, err := evstore.ReadSnapshot(parts[0]); err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+			t.Errorf("%s sidecar read: %v, want bad snapshot magic", retired, err)
+		}
+		bs, err = evstore.BuildSnapshots(context.Background(), dir, snapNamed())
+		if err != nil || bs.Built != 1 || bs.Reused != 0 {
+			t.Errorf("build over an %s sidecar: %+v, %v; want it rebuilt", retired, bs, err)
+		}
+		if _, err := evstore.ReadSnapshot(parts[0]); err != nil {
+			t.Errorf("rebuilt sidecar unreadable: %v", err)
+		}
 	}
 
 	overwriteMagic(parts[0], "EVP1")

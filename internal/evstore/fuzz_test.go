@@ -2,12 +2,15 @@ package evstore
 
 import (
 	"bytes"
+	"context"
 	"net/netip"
+	"os"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/classify"
+	"repro/internal/stream"
 )
 
 // fuzzReader doles out fuzzer bytes; exhausted input yields zeros, so
@@ -220,6 +223,63 @@ func FuzzBlockDecode(f *testing.F) {
 		if err == nil {
 			// Whatever decoded must re-encode without panicking.
 			encodeBlock(events, nil)
+		}
+	})
+}
+
+// FuzzSnapshotDecode: arbitrary bytes must never panic the sidecar
+// decoder or make it over-allocate, and whatever it accepts holds
+// exactly one valid result code per event — the invariants replay
+// indexes the column by. Seeded with a real sidecar, as a build pass
+// writes it, so mutations explore near-valid inputs.
+func FuzzSnapshotDecode(f *testing.F) {
+	dir := f.TempDir()
+	w, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	events := fuzzEvents(bytes.Repeat([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8}, 30))
+	for i := range events {
+		events[i].Time = time.Date(2020, 3, 15, 0, 0, i, 0, time.UTC)
+		events[i].Collector = "rrc00"
+	}
+	if err := w.Ingest(stream.FromSlice(events)); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	named := []NamedAnalyzer{{Key: "counts", Proto: &classify.CountsAnalyzer{}}}
+	if bs, err := BuildSnapshots(context.Background(), dir, named); err != nil || bs.Built != 1 {
+		f.Fatalf("seed build: %+v, %v", bs, err)
+	}
+	m, err := LoadManifest(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(SnapshotPath(m.Partitions[0].Path))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if snap, err := parseSnapshot(seed); err != nil || snap.Events != len(events) {
+		f.Fatalf("seed sidecar: %+v, %v", snap, err)
+	}
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add([]byte(snapshotMagic))
+	f.Add(append([]byte(snapshotMagic), byte(CodecRaw), 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := parseSnapshot(data)
+		if err != nil {
+			return
+		}
+		if snap.Events < 0 || len(snap.Results) != snap.Events {
+			t.Fatalf("accepted %d result codes for %d events", len(snap.Results), snap.Events)
+		}
+		for i, code := range snap.Results {
+			if _, _, ok := classify.DecodeResult(code); !ok {
+				t.Fatalf("accepted unknown result code %#x at event %d", code, i)
+			}
 		}
 	})
 }

@@ -20,11 +20,22 @@ import (
 //     all requested analyzer states → merge the precomputed
 //     accumulators and note the sidecar as the classifier chain's
 //     position. No decode.
-//   - jump: every event precedes the window → only the classifier end
-//     state matters; note the sidecar that records it. No decode.
-//   - scan: the window cuts through the partition, or no trusted
-//     sidecar exists → decode and classify it, tallying in-window
-//     events.
+//   - jump: every event precedes the window → nothing to tally; note
+//     the sidecar, whose classifier end state a later classify may
+//     need. No decode.
+//   - scan: the window cuts through the partition, a sidecar lacks a
+//     requested state, or no trusted sidecar exists → decode it and
+//     tally its in-window events. Which of two ways is decided by what
+//     the run can observe, never by an option:
+//     replay, when the partition has a trusted sidecar: its Results
+//     column already holds every event's classification, fixed by the
+//     partition's place in the chain. Only the columns the analyzers
+//     read are decoded, only the blocks the window reaches, no
+//     classifier runs, and the chain is noted at the sidecar.
+//     classify, when it has none (a cold run, a partition sealed since
+//     the last refresh, a query with per-event filters, which trusts
+//     no sidecar): the classifier chain is settled and every event of
+//     the partition runs through it, in-window or not.
 //   - skip: the partition provably cannot influence the answer — it
 //     belongs to an excluded collector, or sits entirely at/after the
 //     window end in the shard's tail (later events feed no tallied
@@ -40,11 +51,12 @@ import (
 // sidecars.
 //
 // The classifier chain is lazy (classChain): Classifier.Restore
-// replaces the whole state, so of a run of jumps and merges only the
-// last one's recorded end state can ever be read, and only if a
-// partition is decoded after it. Walking a shard therefore costs at
-// most one restore per decoded partition; a reused sidecar costs a
-// pointer.
+// replaces the whole state, so of a run of jumps, merges and replays
+// only the last one's recorded end state can ever be read, and only if
+// a partition is classified after it. Walking a shard therefore costs
+// one restore per classified partition that follows a sidecar — at most
+// one per decoded partition with no trusted sidecar, none at all on a
+// fully snapshotted store — and a reused sidecar costs a pointer.
 //
 // Executing a plan in shard order with classifier chaining yields
 // results bit-identical to RunAll over a full sequential Scan with the
@@ -67,8 +79,8 @@ type PlanStats struct {
 	Shards     int
 	Partitions int
 	Merged     int // answered from sidecar states
-	Jumped     int // classifier restore only
-	Scanned    int // residual decode+classify
+	Jumped     int // before the window: chain position only
+	Scanned    int // residual decode: replayed or classified
 	Skipped    int // provably irrelevant
 }
 
@@ -76,21 +88,27 @@ type PlanStats struct {
 type ServeStats struct {
 	Workers int
 	Plan    PlanStats
-	// Scan aggregates the scanned partitions' pushdown accounting.
+	// Scan aggregates the scanned partitions' pushdown accounting. Its
+	// Events are those handed on: every event of a classified partition,
+	// only the in-window ones of a replayed partition.
 	Scan ScanStats
 	// Merges counts analyzer-state merges from sidecars.
 	Merges int
-	// Restores counts classifier end states decoded from sidecars: at
-	// most one per scanned partition, none for an all-merge answer.
+	// Restores counts classifier end states decoded from sidecars: one
+	// per classified partition that follows a jump, merge or replay, so
+	// none when every scanned partition has a trusted sidecar.
 	Restores int
+	// Replayed counts scanned partitions answered from their sidecar's
+	// result codes instead of a classifier.
+	Replayed int
 	Elapsed  time.Duration
 }
 
 // classChain is one shard's classifier chain, walked lazily. at notes
 // the most recent trusted sidecar whose end state the chain has reached
-// without decoding it; settle applies that state to the live
+// without classifying it; settle applies that state to the live
 // classifier, and is called only immediately before a partition is
-// decoded. After a decode the live classifier is authoritative until
+// classified. After that the live classifier is authoritative until
 // the next at.
 type classChain struct {
 	cl       *classify.Classifier
@@ -123,6 +141,10 @@ type shardPlan struct {
 	shard   Shard
 	actions []planAction
 	snaps   []*PartitionSnapshot // the trusted sidecar per partition, or nil
+	// replay is the shard's query narrowed to the tally window: what a
+	// replayed partition selects blocks and rows with, since events
+	// outside the window have no classifier to warm.
+	replay *compiledQuery
 }
 
 // SnapshotIndex is the in-memory sidecar inventory a serving process
@@ -156,9 +178,6 @@ func OpenSnapshotIndex(ctx context.Context, dir string, named []NamedAnalyzer) (
 
 // Dir returns the store directory the index serves.
 func (ix *SnapshotIndex) Dir() string { return ix.dir }
-
-// Named returns the registered analyzer set.
-func (ix *SnapshotIndex) Named() []NamedAnalyzer { return ix.named }
 
 // Coverage reports how many sealed partitions the index knows and how
 // many carry a usable sidecar.
@@ -229,6 +248,12 @@ func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*Parti
 		return nil, PlanStats{}, err
 	}
 	fromNano, toNano := tally.nanos()
+	var replay *compiledQuery
+	if snaps != nil {
+		rq := scan
+		rq.Window = tally
+		replay = compileQuery(rq)
+	}
 
 	var plans []shardPlan
 	var st PlanStats
@@ -241,6 +266,7 @@ func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*Parti
 			shard:   sh,
 			actions: make([]planAction, len(sh.entries)),
 			snaps:   make([]*PartitionSnapshot, len(sh.entries)),
+			replay:  replay,
 		}
 		if snaps != nil {
 			var walk trustWalk
@@ -316,8 +342,9 @@ type execution struct {
 	ParallelStats
 	Plan PlanStats
 	// SidecarMerges counts analyzer states merged from sidecars,
-	// Restores classifier end states decoded from them.
-	SidecarMerges, Restores int
+	// Restores classifier end states decoded from them, Replayed
+	// partitions answered from their result codes.
+	SidecarMerges, Restores, Replayed int
 }
 
 // execute is the store's one analysis executor: it plans the run (see
@@ -378,6 +405,7 @@ func execute(ctx context.Context, dir string, scan Query, tally TimeRange, snaps
 					ex.Merges += len(protos)
 					ex.SidecarMerges += shard.Merges
 					ex.Restores += shard.Restores
+					ex.Replayed += shard.Replayed
 				}
 				mu.Unlock()
 			}
@@ -397,13 +425,13 @@ func execute(ctx context.Context, dir string, scan Query, tally TimeRange, snaps
 }
 
 // run executes one shard's plan in partition order on a fresh
-// classifier, adding its scan, merge and restore counts to st. Jumps
-// and merges only move the lazy classifier chain; it is settled — one
-// Restore, of the last sidecar passed — immediately before each
-// decoded partition, so a shard costs at most one restore per scanned
-// partition and the common all-merge query never touches classifier
-// bytes at all, which is what makes warm windowed answers
-// microsecond-scale.
+// classifier, adding its scan, merge, replay and restore counts to st.
+// Jumps, merges and replays only move the lazy classifier chain; it is
+// settled — one Restore, of the last sidecar passed — immediately
+// before a partition that must be classified, so a shard costs at most
+// one restore per scanned partition with no trusted sidecar, and a
+// query over a fully snapshotted store never touches classifier bytes
+// at all.
 func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.Analyzer, keys []string, protos []classify.Analyzer, tally TimeRange, st *ServeStats) error {
 	chain := classChain{cl: classify.New(), restores: &st.Restores}
 	run := newBatchRunner(chain.cl, locals, tally)
@@ -434,10 +462,18 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.
 				st.Scan.PartitionsPruned++
 				continue
 			}
+			if snap := sp.snaps[i]; snap != nil {
+				if err := sp.replayPartition(ctx, entry.path, snap, br, run, &st.Scan); err != nil {
+					return fmt.Errorf("replaying %s: %w", SnapshotPath(entry.path), err)
+				}
+				st.Replayed++
+				chain.at(entry.path, snap)
+				continue
+			}
 			if err := chain.settle(); err != nil {
 				return err
 			}
-			_, err := scanPartitionBatch(ctx, entry.path, cq, br, &st.Scan, run.proj, func(b *classify.Batch, sel []int32) bool {
+			_, err := scanPartitionBatch(ctx, entry.path, cq, br, &st.Scan, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
 				run.observe(b, sel)
 				return true
 			})
@@ -449,17 +485,47 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.
 	return nil
 }
 
+// replayPartition answers one scanned partition from its trusted
+// sidecar: the in-window rows of the blocks the window reaches are
+// decoded with the analyzers' own projection and fanned out with the
+// classifications snap.Results recorded for them. The column is indexed
+// by partition-order event position, so it must hold exactly the events
+// the footer counts, or the pass fails rather than answer from codes
+// that belong to other events. With that, and scanBlocks holding every
+// decoded block to its footer count, a block's slice of the column is
+// always in range: first is the sum of the counts before it.
+func (sp shardPlan) replayPartition(ctx context.Context, path string, snap *PartitionSnapshot, br *blockReader, run *batchRunner, st *ScanStats) error {
+	p, f, err := readPartition(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if p.agg.count != len(snap.Results) {
+		return fmt.Errorf("%d result codes for the %d events of %s", len(snap.Results), p.agg.count, path)
+	}
+	var rerr error
+	_, err = br.scanBlocks(ctx, p, f, sp.replay, st, run.replayProj, func(b *classify.Batch, sel []int32, first int) bool {
+		rerr = run.replay(b, sel, snap.Results[first:first+b.N])
+		return rerr == nil
+	})
+	if err == nil {
+		err = rerr
+	}
+	return err
+}
+
 // Query answers a windowed analysis from the index: merged sidecar
-// states where q.Window covers whole partitions, a lazy classifier
-// chain over the prelude, and residual scans only where the window cuts
-// through — one execute run, merging into the passed analyzers. Each
-// analyzer is merged/restored under its NamedAnalyzer key; an analyzer
-// with an empty key (or one absent from a partition's sidecar) forces
-// that partition onto the scan path, which is always correct, just
-// slower.
+// states where q.Window covers whole partitions, nothing for the
+// prelude, and residual scans only where the window cuts through,
+// replayed from the sidecar's result codes — one execute run, merging
+// into the passed analyzers. Each analyzer is merged/restored under its
+// NamedAnalyzer key; an analyzer with an empty key (or one absent from a
+// partition's sidecar) forces every in-window partition onto the scan
+// path, which is always correct, just slower — a replay still, where
+// the sidecar is trusted.
 //
 // q.Window is the tally window: events outside it still feed classifier
-// state. Per-event filters (PeerAS, PrefixRange) change which events
+// state wherever a partition is classified. Per-event filters (PeerAS, PrefixRange) change which events
 // feed WHOLE sessions, which composes with scans but not with
 // precomputed partition states, so a filtered query trusts no sidecar
 // and scans every partition the tail rule does not skip.
@@ -479,5 +545,5 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 	scan.Window = TimeRange{}
 	ex, err := execute(ctx, ix.dir, scan, q.Window, snaps, workers, keys, protos)
 	return ServeStats{Workers: ex.Workers, Plan: ex.Plan, Scan: ex.Total,
-		Merges: ex.SidecarMerges, Restores: ex.Restores, Elapsed: ex.Elapsed}, err
+		Merges: ex.SidecarMerges, Restores: ex.Restores, Replayed: ex.Replayed, Elapsed: ex.Elapsed}, err
 }

@@ -36,7 +36,9 @@ type RecodeStats struct {
 // sees either the old file or the new one, both complete. Snapshot
 // sidecars that were valid before the recode are rewritten with the
 // partition's new size and chain fingerprint (and the target body
-// codec), so a following BuildSnapshots reuses them all — Built == 0.
+// codec), every other field — analyzer states, result codes, classifier
+// end state — carried over as read, so a following BuildSnapshots reuses
+// them all — Built == 0.
 func Recode(ctx context.Context, dir string, codec Codec) (RecodeStats, error) {
 	var rs RecodeStats
 	if !codec.valid() {
@@ -180,22 +182,8 @@ func (rc *recoder) recodePartition(ctx context.Context, p *partition, f *os.File
 		rs.Blocks++
 	}
 
-	footer := []byte(footerMagicV2)
-	footer = binary.AppendUvarint(footer, uint64(len(newBlocks)))
-	for _, b := range newBlocks {
-		footer = binary.AppendUvarint(footer, uint64(b.offset))
-		footer = binary.AppendUvarint(footer, uint64(b.ulen))
-		footer = binary.AppendUvarint(footer, uint64(b.clen))
-		footer = append(footer, byte(b.codec))
-		footer = b.sum.append(footer)
-	}
+	footer := appendFooter(nil, newBlocks)
 	if _, err := bw.Write(footer); err != nil {
-		return fail(err)
-	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint32(trailer[:4], uint32(len(footer)))
-	copy(trailer[4:], footerMagicV2)
-	if _, err := bw.Write(trailer[:]); err != nil {
 		return fail(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -209,5 +197,5 @@ func (rc *recoder) recodePartition(ctx context.Context, p *partition, f *os.File
 		os.Remove(tmpPath)
 		return 0, err
 	}
-	return off + int64(len(footer)) + 8, nil
+	return off + int64(len(footer)), nil
 }

@@ -297,12 +297,14 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 			break
 		}
 		if b.offset < 0 || b.clen < 0 || b.offset+int64(b.clen) > size ||
-			b.ulen < 0 || b.ulen > maxBlockEvents*64 {
+			b.ulen < 0 || b.ulen > maxBlockEvents*64 ||
+			b.sum.count < 0 || b.sum.count > maxBlockEvents {
 			return nil, fmt.Errorf("evstore: %s: block %d out of bounds", path, i)
 		}
 		if !b.codec.valid() {
 			return nil, fmt.Errorf("evstore: %s: block %d has unknown codec %d", path, i, b.codec)
 		}
+		b.first = p.agg.count
 		p.blocks = append(p.blocks, b)
 		p.agg.merge(b.sum)
 	}
@@ -505,7 +507,7 @@ func scanEntries(entries []storeEntry, cq *compiledQuery, br *blockReader, st *S
 // materialized from the batch kernel; their slice fields alias the
 // reader's scan-lifetime dictionary and stay valid after the scan.
 func scanPartition(path string, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
-	return scanPartitionBatch(context.Background(), path, cq, br, st, classify.ProjAll, func(b *classify.Batch, sel []int32) bool {
+	return scanPartitionBatch(context.Background(), path, cq, br, st, classify.ProjAll, func(b *classify.Batch, sel []int32, _ int) bool {
 		for _, si := range sel {
 			if !yield(b.Event(int(si))) {
 				return false

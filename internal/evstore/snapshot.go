@@ -21,16 +21,23 @@ import (
 // serialized state that analyzer reaches after observing the
 // partition's events — with classification carried over from the
 // collector's earlier partitions, exactly as a sequential scan would
-// classify them. A sidecar also records the CLASSIFIER state at the
-// end of the partition, so a later pass can resume classification
-// after the partition without re-decoding it.
+// classify them. A sidecar also records the CLASSIFICATION itself — one
+// result code per event, in partition order (classify.EncodeResult) —
+// and the CLASSIFIER state at the end of the partition. Both are fixed
+// by the partition's place in its collector's chain, which the Chain
+// fingerprint proves: a label depends only on the events before it on
+// its own stream.
 //
 // Together these make windowed queries incremental: partitions fully
 // inside the window contribute their precomputed states (a Merge per
-// analyzer), partitions before the window contribute only their
-// classifier end-state (restored once, from the last of them, and only
-// when a decode follows — see classChain), and only partitions the
-// window cuts through are decoded and classified — the residual scan.
+// analyzer), partitions before the window contribute nothing, and a
+// partition the window cuts through is decoded — only the columns the
+// analyzers read, only the blocks the window reaches — and its events
+// replayed against their recorded codes, never classified again. The
+// classifier end state is read only by a pass that must classify a
+// partition with no trusted sidecar of its own (a build, or a query
+// racing one): it is restored once, from the last sidecar before that
+// partition — see classChain.
 //
 // Sidecars are derived data: they live beside the partitions as
 // "<partition>.evps", are rebuilt whenever missing or stale (the
@@ -42,11 +49,12 @@ import (
 // glob never matches a sidecar.
 const SnapshotExtension = ".evps"
 
-// snapshotMagicV2 heads a sidecar: magic, a codec byte (sidecars ride
+// snapshotMagic heads a sidecar: magic, a codec byte (sidecars ride
 // the same per-block codec abstraction as partitions), the body length,
-// the compressed body. Any other magic — including the retired "EVS1" —
-// is a bad sidecar, which a build pass replaces.
-const snapshotMagicV2 = "EVS2"
+// the compressed body. Any other magic — including the retired "EVS1"
+// and "EVS2", which carry no Results column — is a bad sidecar, which a
+// build pass replaces.
+const snapshotMagic = "EVS3"
 
 // snapCompPool recycles sidecar compressors across WriteSnapshot calls
 // (BuildSnapshots writes one sidecar per fresh partition).
@@ -100,6 +108,10 @@ type PartitionSnapshot struct {
 	// state before it (the chain starts fresh at the collector's first
 	// partition).
 	Classifier []byte
+	// Results holds one classify.EncodeResult code per event, in
+	// partition order (block after block, row after row): what the chain
+	// classified each event as. len(Results) == Events.
+	Results []byte
 	// States maps analyzer keys to serialized accumulator state over
 	// exactly this partition's events.
 	States map[string][]byte
@@ -163,6 +175,7 @@ func writeSnapshotCodec(partPath string, snap *PartitionSnapshot, codec Codec) e
 	body = wire.AppendVarint(body, snap.TMin)
 	body = wire.AppendVarint(body, snap.TMax)
 	body = wire.AppendBytes(body, snap.Classifier)
+	body = wire.AppendBytes(body, snap.Results)
 	body = wire.AppendUvarint(body, uint64(len(snap.States)))
 	for key, state := range snap.States {
 		body = wire.AppendString(body, key)
@@ -175,8 +188,8 @@ func writeSnapshotCodec(partPath string, snap *PartitionSnapshot, codec Codec) e
 	if err != nil {
 		return err
 	}
-	out := make([]byte, 0, len(snapshotMagicV2)+1+binary.MaxVarintLen64+len(data))
-	out = append(out, snapshotMagicV2...)
+	out := make([]byte, 0, len(snapshotMagic)+1+binary.MaxVarintLen64+len(data))
+	out = append(out, snapshotMagic...)
 	out = append(out, byte(codec))
 	out = wire.AppendUvarint(out, uint64(len(body)))
 	out = append(out, data...)
@@ -199,10 +212,20 @@ func ReadSnapshot(partPath string) (*PartitionSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasPrefix(raw, []byte(snapshotMagicV2)) {
-		return nil, fmt.Errorf("evstore: %s: bad snapshot magic", SnapshotPath(partPath))
+	snap, err := parseSnapshot(raw)
+	if err != nil {
+		return nil, fmt.Errorf("evstore: %s: %w", SnapshotPath(partPath), err)
 	}
-	hr := wire.NewReader(raw[len(snapshotMagicV2):])
+	return snap, nil
+}
+
+// parseSnapshot decodes a sidecar file's bytes. Whatever it accepts
+// holds exactly one valid result code per event.
+func parseSnapshot(raw []byte) (*PartitionSnapshot, error) {
+	if !bytes.HasPrefix(raw, []byte(snapshotMagic)) {
+		return nil, errors.New("bad snapshot magic")
+	}
+	hr := wire.NewReader(raw[len(snapshotMagic):])
 	cb := hr.Bytes(1)
 	ulen := hr.Uvarint()
 	if err := hr.Err(); err != nil {
@@ -210,15 +233,17 @@ func ReadSnapshot(partPath string) (*PartitionSnapshot, error) {
 	}
 	codec := Codec(cb[0])
 	if !codec.valid() {
-		return nil, fmt.Errorf("evstore: %s: unknown snapshot codec %d", SnapshotPath(partPath), codec)
+		return nil, fmt.Errorf("unknown snapshot codec %d", codec)
 	}
-	if ulen > uint64(maxBlockEvents)*256 {
-		return nil, fmt.Errorf("evstore: %s: implausible snapshot size %d", SnapshotPath(partPath), ulen)
+	// No codec expands further than deflate's 1032:1, so a body length
+	// beyond that is a lie; refuse it before allocating for it.
+	if ulen > uint64(maxBlockEvents)*256 || ulen > uint64(hr.Remaining())*1032 {
+		return nil, fmt.Errorf("implausible snapshot size %d", ulen)
 	}
 	body := make([]byte, ulen)
 	var bd blockDecompressor
 	if err := bd.decompress(codec, body, hr.Bytes(hr.Remaining())); err != nil {
-		return nil, fmt.Errorf("evstore: %s: %w", SnapshotPath(partPath), err)
+		return nil, err
 	}
 
 	r := wire.NewReader(body)
@@ -230,6 +255,7 @@ func ReadSnapshot(partPath string) (*PartitionSnapshot, error) {
 	snap.TMin = r.Varint()
 	snap.TMax = r.Varint()
 	snap.Classifier = append([]byte{}, r.Bytes(r.Count(1))...)
+	snap.Results = append([]byte{}, r.Bytes(r.Count(1))...)
 	n := r.Count(2)
 	snap.States = make(map[string][]byte, n)
 	for i := 0; i < n; i++ {
@@ -241,7 +267,15 @@ func ReadSnapshot(partPath string) (*PartitionSnapshot, error) {
 		snap.States[key] = state
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("evstore: %s: %w", SnapshotPath(partPath), err)
+		return nil, err
+	}
+	if len(snap.Results) != snap.Events {
+		return nil, fmt.Errorf("%d result codes for %d events", len(snap.Results), snap.Events)
+	}
+	for i, code := range snap.Results {
+		if _, _, ok := classify.DecodeResult(code); !ok {
+			return nil, fmt.Errorf("unknown result code %#x at event %d", code, i)
+		}
 	}
 	return snap, nil
 }
@@ -279,13 +313,13 @@ type SnapshotBuildStats struct {
 // the given analyzer set: every sealed partition missing a sidecar (or
 // whose sidecar is stale or lacks one of the keys) is scanned ONCE —
 // with classifier state carried over from the collector's earlier
-// partitions — and its per-analyzer states and end-of-partition
-// classifier are written beside it. Partitions with up-to-date
-// sidecars are not decoded at all, and the classifier chain over them
-// is lazy: a reused sidecar's end state is restored only if it is the
-// last one before a partition that must be built, so a pass costs at
-// most one restore per built partition and a fully current store costs
-// none. A daemon watching a live store pays only for what ingest just
+// partitions — and its per-analyzer states, per-event result codes and
+// end-of-partition classifier are written beside it. Partitions with
+// up-to-date sidecars are not decoded at all, and the classifier chain
+// over them is lazy: a reused sidecar's end state is restored only if it
+// is the last one before a partition that must be built, so a pass costs
+// at most one restore per built partition and a fully current store
+// costs none. A daemon watching a live store pays only for what ingest just
 // sealed: the incremental half of incremental snapshots.
 func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (SnapshotBuildStats, error) {
 	return buildSnapshots(ctx, dir, named, nil, nil)
@@ -314,7 +348,7 @@ func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held
 	// (resolving their id-state) before the next partition is scanned.
 	defer br.release()
 	zero := compileQuery(Query{})
-	var enc []byte // state encoding scratch
+	var enc, codes []byte // state and result-code encoding scratch
 	for _, sh := range shards {
 		cc := classChain{cl: classify.New(), restores: &bs.Restores}
 		var walk trustWalk
@@ -349,10 +383,11 @@ func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held
 			run := newBatchRunner(cc.cl, locals, TimeRange{})
 			snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: walk.size, Chain: walk.chain}
 			first := true
-			_, err = scanPartitionBatch(ctx, entry.path, zero, &br, nil, run.proj, func(b *classify.Batch, sel []int32) bool {
-				run.observe(b, sel)
-				snap.Events += len(sel)
+			codes = codes[:0]
+			_, err = scanPartitionBatch(ctx, entry.path, zero, &br, nil, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
+				results := run.observe(b, sel)
 				for _, si := range sel {
+					codes = append(codes, classify.EncodeResult(results[si], b.Withdraw.Get(int(si))))
 					t := b.Times[si]
 					if first {
 						snap.Collector = b.Dict.Collectors[b.Collector[si]]
@@ -372,12 +407,14 @@ func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held
 			if err != nil {
 				return bs, err
 			}
+			snap.Events = len(codes)
 			bs.Events += snap.Events
 			// Encode into one reused buffer and keep exact-size copies: the
 			// caller may hold the snapshot for as long as it serves the
 			// store, and append-grown capacity would ride along.
 			enc = cc.cl.Snapshot(enc[:0])
 			snap.Classifier = bytes.Clone(enc)
+			snap.Results = bytes.Clone(codes)
 			snap.States = make(map[string][]byte, len(named))
 			for i, a := range locals {
 				enc = a.Snapshot(enc[:0])

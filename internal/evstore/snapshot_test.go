@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/bgp"
 	"repro/internal/classify"
 	"repro/internal/evstore"
 	"repro/internal/stream"
@@ -33,6 +34,10 @@ func snapNamed() []evstore.NamedAnalyzer {
 func TestSnapshotSidecarRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	part := filepath.Join(dir, "rrc00__20200315__0000.evp")
+	results := make([]byte, 42)
+	for i := range results {
+		results[i] = classify.EncodeResult(classify.Result{Type: classify.Types()[i%6], MEDChanged: i%4 == 0}, i%7 == 0)
+	}
 	want := &evstore.PartitionSnapshot{
 		Partition:  "rrc00__20200315__0000.evp",
 		Size:       12345,
@@ -41,6 +46,7 @@ func TestSnapshotSidecarRoundTrip(t *testing.T) {
 		TMin:       1584230400000000000,
 		TMax:       1584316799999999999,
 		Classifier: []byte{1, 2, 3, 4},
+		Results:    results,
 		States: map[string][]byte{
 			"counts": {9, 8, 7},
 			"table1": {},
@@ -62,14 +68,15 @@ func TestSnapshotSidecarRoundTrip(t *testing.T) {
 // first days, the way live ingest lays them out: each day's sessions
 // merged into one time-ordered feed and partitions sealed every
 // maxEvents events, so a collector's shard is a run of short,
-// time-disjoint partitions rather than one per day.
+// time-disjoint partitions rather than one per day — of a few small
+// blocks each, so a window edge inside a partition also prunes blocks.
 func appendLiveDays(t *testing.T, dir string, cfg workload.DayConfig, first, n, maxEvents int) {
 	t.Helper()
 	w, err := evstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BlockEvents = 64
+	w.BlockEvents = 16
 	w.Seal = evstore.SealPolicy{MaxEvents: maxEvents}
 	for d, day := range workload.MultiDayConfigs(cfg, first+n)[first:] {
 		_, sources := workload.DaySources(day)
@@ -111,7 +118,14 @@ func cutInstant(t *testing.T, snap *evstore.PartitionSnapshot) time.Time {
 // the same window — and the lazy chain's restore bound.
 func checkSnapshotQuery(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query) evstore.ServeStats {
 	t.Helper()
-	ref := snapNamed()
+	return checkSnapshotQueryFor(t, ix, q, snapNamed)
+}
+
+// checkSnapshotQueryFor is checkSnapshotQuery for the analyzer set
+// named returns (fresh prototypes per call).
+func checkSnapshotQueryFor(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query, named func() []evstore.NamedAnalyzer) evstore.ServeStats {
+	t.Helper()
+	ref := named()
 	refAnalyzers := make([]classify.Analyzer, len(ref))
 	for i, na := range ref {
 		refAnalyzers[i] = na.Proto
@@ -123,7 +137,7 @@ func checkSnapshotQuery(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query
 		t.Fatal(err)
 	}
 
-	got := snapNamed()
+	got := named()
 	ss, err := ix.Query(context.Background(), q, 2, got...)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +148,17 @@ func checkSnapshotQuery(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query
 			t.Errorf("analyzer %q diverged:\n got %+v\nwant %+v", got[i].Key, g, w)
 		}
 	}
-	if ss.Restores > ss.Plan.Scanned {
-		t.Errorf("%d classifier restores for %d scanned partitions (plan %+v)",
-			ss.Restores, ss.Plan.Scanned, ss.Plan)
+	// Only a partition that is classified can cost a restore; one with a
+	// trusted sidecar is replayed. With every partition snapshotted and no
+	// per-event filter, that is all of them.
+	if ss.Replayed > ss.Plan.Scanned || ss.Restores > ss.Plan.Scanned-ss.Replayed {
+		t.Errorf("%d restores and %d replays for %d scanned partitions (plan %+v)",
+			ss.Restores, ss.Replayed, ss.Plan.Scanned, ss.Plan)
+	}
+	filtered := len(q.PeerAS) > 0 || q.PrefixRange.IsValid()
+	if parts, snapped := ix.Coverage(); !filtered && snapped == parts && (ss.Restores != 0 || ss.Replayed != ss.Plan.Scanned) {
+		t.Errorf("fully snapshotted store: %d restores, %d of %d scanned partitions replayed; want 0 and all",
+			ss.Restores, ss.Replayed, ss.Plan.Scanned)
 	}
 	return ss
 }
@@ -147,9 +169,10 @@ func checkSnapshotQuery(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Query
 // unbounded, day-aligned, partition-cutting, collector-filtered, and
 // empty windows alike, on the one-partition-per-collector-day layout
 // batch ingest writes and on the many-short-partitions layout live
-// ingest writes — decoding at most one classifier state per scanned
-// partition; and a query with per-event filters must plan as that cold
-// scan itself, trusting no sidecar.
+// ingest writes — replaying every scanned partition that has a trusted
+// sidecar and decoding a classifier state only for one that has none;
+// and a query with per-event filters must plan as that cold scan itself,
+// trusting no sidecar.
 func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 	cfg := smallDayConfig()
 	cfg.Collectors = 3
@@ -235,8 +258,19 @@ func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 		if ss.Plan != want {
 			t.Errorf("plan %+v, want %+v", ss.Plan, want)
 		}
-		if ss.Restores != 2 {
-			t.Errorf("%d restores, want 2: the sidecar before each scan", ss.Restores)
+		if ss.Restores != 0 || ss.Replayed != 2 {
+			t.Errorf("%d restores, %d replays; want 0 and 2: both cut partitions have sidecars", ss.Restores, ss.Replayed)
+		}
+
+		// An analyzer no sidecar holds a state for (figure 4/5's, keyed "")
+		// turns every in-window merge into a scan — still a replay.
+		withUnkeyed := func() []evstore.NamedAnalyzer {
+			return append(snapNamed(), evstore.NamedAnalyzer{Proto: analysis.NewCounts()})
+		}
+		ss = checkSnapshotQueryFor(t, ix, cut, withUnkeyed)
+		want = evstore.PlanStats{Shards: 1, Partitions: n, Jumped: 2, Scanned: 4, Skipped: n - 6}
+		if ss.Plan != want || ss.Restores != 0 || ss.Replayed != 4 {
+			t.Errorf("unkeyed analyzer: plan %+v, %d restores, %d replays; want %+v, 0, 4", ss.Plan, ss.Restores, ss.Replayed, want)
 		}
 
 		// The same cut across every collector's shard, and windows whose
@@ -285,8 +319,9 @@ func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 
 		// A mid-shard partition with no sidecar (deleted on disk and
 		// unknown to the index, as one sealed after the last refresh's
-		// build pass is) scans between merges: the chain settles before
-		// it and is live, not restored, after it.
+		// build pass is) is classified between merges: the chain settles
+		// before it — the query's one restore — while the partitions the
+		// window cuts are replayed.
 		if err := os.Remove(evstore.SnapshotPath(paths[4])); err != nil {
 			t.Fatal(err)
 		}
@@ -297,22 +332,161 @@ func TestSnapshotQueryMatchesScanParallel(t *testing.T) {
 		if ss.Plan != want {
 			t.Errorf("plan with a sidecar missing %+v, want %+v", ss.Plan, want)
 		}
-		if ss.Restores != 3 {
-			t.Errorf("%d restores, want 3", ss.Restores)
+		if ss.Restores != 1 || ss.Replayed != 2 {
+			t.Errorf("%d restores, %d replays; want 1 and 2", ss.Restores, ss.Replayed)
 		}
 		checkSnapshotQuery(t, ix, evstore.Query{Window: wide.Window})
 
-		// The next refresh rebuilds exactly that sidecar, restoring only
-		// its predecessor's end state.
+		// Two sidecar-less partitions in a row: one restore before the
+		// first, and the live classifier carries into the second.
+		if err := os.Remove(evstore.SnapshotPath(paths[5])); err != nil {
+			t.Fatal(err)
+		}
+		evstore.DropSnapshot(ix, paths[5])
+		ss = checkSnapshotQuery(t, ix, wide)
+		want = evstore.PlanStats{Shards: 1, Partitions: n, Jumped: 2, Scanned: 4, Merged: 2, Skipped: n - 8}
+		if ss.Plan != want || ss.Restores != 1 || ss.Replayed != 2 {
+			t.Errorf("two sidecars missing: plan %+v, %d restores, %d replays; want %+v, 1, 2", ss.Plan, ss.Restores, ss.Replayed, want)
+		}
+
+		// The next refresh rebuilds exactly those sidecars, restoring only
+		// their predecessor's end state, and the query is all replay again.
 		bs, err := ix.Refresh(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bs.Built != 1 || bs.SidecarsRead != 0 || bs.Restores != 1 {
-			t.Errorf("healing refresh built %d, read %d sidecars, restored %d; want 1, 0, 1",
+		if bs.Built != 2 || bs.SidecarsRead != 0 || bs.Restores != 1 {
+			t.Errorf("healing refresh built %d, read %d sidecars, restored %d; want 2, 0, 1",
 				bs.Built, bs.SidecarsRead, bs.Restores)
 		}
-		checkSnapshotQuery(t, ix, wide)
+		if ss := checkSnapshotQuery(t, ix, wide); ss.Restores != 0 || ss.Replayed != 2 {
+			t.Errorf("after the healing refresh: %d restores, %d replays; want 0 and 2", ss.Restores, ss.Replayed)
+		}
+	})
+
+	// Partitions of several blocks: a replay decodes only the blocks the
+	// window reaches, and reads their codes at the right column offset
+	// past the ones it prunes.
+	t.Run("multi-block", func(t *testing.T) {
+		dir := liveShapedStore(t, cfg, 400)
+		ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := evstore.ScanShards(dir, evstore.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info evstore.PartitionInfo
+		for _, path := range shards[0].Partitions() {
+			if info, err = evstore.StatPartition(path); err != nil {
+				t.Fatal(err)
+			}
+			if len(info.Blocks) >= 4 {
+				break
+			}
+		}
+		if len(info.Blocks) < 4 {
+			t.Fatalf("no partition of %s has >= 4 blocks", shards[0].Collector)
+		}
+		// From the third block's first event to the last block's: the
+		// first two blocks hold nothing in the window.
+		q := evstore.Query{Collectors: []string{shards[0].Collector}, Window: evstore.TimeRange{
+			From: info.Blocks[2].TimeMin, To: info.Blocks[len(info.Blocks)-1].TimeMin}}
+		ss := checkSnapshotQuery(t, ix, q)
+		if ss.Plan.Scanned != 1 || ss.Replayed != 1 || ss.Scan.BlocksPruned < 2 ||
+			ss.Scan.BlocksDecoded+ss.Scan.BlocksPruned != len(info.Blocks) {
+			t.Errorf("plan %+v, %d replays, %d of %d blocks pruned and %d decoded; want 1 replayed scan pruning >= 2",
+				ss.Plan, ss.Replayed, ss.Scan.BlocksPruned, len(info.Blocks), ss.Scan.BlocksDecoded)
+		}
+		checkSnapshotQuery(t, ix, evstore.Query{Window: q.Window})
+	})
+
+	// A store whose ingest order disagrees with its timestamps: the
+	// 10:00 duplicate is the only event tallied, and its recorded code
+	// says nn — classified against the 12:00 announcement that precedes
+	// it in the partition, which the window never decodes for a verdict.
+	t.Run("out-of-order", func(t *testing.T) {
+		late := classify.Event{Time: testDay.Add(12 * time.Hour), Collector: "rrc00", PeerAS: 64500,
+			PeerAddr: netip.MustParseAddr("10.0.0.1"), Prefix: netip.MustParsePrefix("192.0.2.0/24"),
+			ASPath: bgp.NewASPath(64500, 64501)}
+		early := late
+		early.Time = testDay.Add(10 * time.Hour)
+		dir := ingest(t, stream.FromSlice([]classify.Event{late, early}))
+		ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := evstore.Query{Window: evstore.TimeRange{To: testDay.Add(11 * time.Hour)}}
+		ss := checkSnapshotQuery(t, ix, q)
+		want := evstore.PlanStats{Shards: 1, Partitions: 1, Scanned: 1}
+		if ss.Plan != want || ss.Replayed != 1 {
+			t.Errorf("plan %+v with %d replays, want %+v replayed", ss.Plan, ss.Replayed, want)
+		}
+		counts := analysis.NewCounts()
+		if _, err := ix.Query(context.Background(), q, 1, evstore.NamedAnalyzer{Key: "counts", Proto: counts}); err != nil {
+			t.Fatal(err)
+		}
+		if counts.Counts.Of(classify.NN) != 1 || counts.Counts.Announcements() != 1 {
+			t.Errorf("tallied %+v, want exactly one nn", counts.Counts)
+		}
+	})
+
+	// Two collectors whose names sanitize to one file-name prefix share a
+	// shard, and a sidecar's codes were recorded with both in the chain;
+	// a query for one of them replays only its own partitions.
+	t.Run("name-collision", func(t *testing.T) {
+		two := cfg
+		two.Collectors = 2
+		rename := map[string]string{"rrc00": "rrc/0", "rrc01": "rrc_0"}
+		dir := t.TempDir()
+		w, err := evstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.BlockEvents = 64
+		w.Seal = evstore.SealPolicy{MaxEvents: 40}
+		_, sources := workload.DaySources(two)
+		merged := stream.Merge(sources...)
+		err = w.Ingest(func(yield func(classify.Event) bool) {
+			for e := range merged {
+				e.Collector = rename[e.Collector]
+				if !yield(e) {
+					return
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := evstore.ScanShards(dir, evstore.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != 1 {
+			t.Fatalf("%d shards, want the two collectors in one", len(shards))
+		}
+		paths := shards[0].Partitions()
+		mid, err := evstore.ReadSnapshot(paths[len(paths)/2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"rrc/0", "rrc_0"} {
+			q := evstore.Query{Collectors: []string{name}, Window: evstore.TimeRange{
+				From: cutInstant(t, mid), To: testDay.Add(20 * time.Hour)}}
+			ss := checkSnapshotQuery(t, ix, q)
+			if ss.Plan.Skipped == 0 || ss.Plan.Merged == 0 || ss.Scan.Events == 0 {
+				t.Errorf("%s: plan %+v tallying %d scanned events; want the other collector's partitions skipped", name, ss.Plan, ss.Scan.Events)
+			}
+		}
+		checkSnapshotQuery(t, ix, evstore.Query{Window: evstore.TimeRange{From: cutInstant(t, mid)}})
 	})
 }
 
@@ -477,15 +651,14 @@ func TestSnapshotBackfillInvalidatesChain(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptClassifierProvenance pins what the lazy chain does
-// with a classifier blob that does not decode: one a scan (or a sidecar
-// build) consumes fails the pass naming the sidecar it came from, not
-// the partition about to be decoded; one that a later sidecar supersedes
-// is never decoded, so it neither fails nor changes the answer.
-func TestSnapshotCorruptClassifierProvenance(t *testing.T) {
+// snapshottedShard builds a one-collector live-shaped store with every
+// sidecar in place and returns it with its partition paths and their
+// first four sidecars as read back.
+func snapshottedShard(t *testing.T) (dir string, paths []string, snaps []*evstore.PartitionSnapshot) {
+	t.Helper()
 	cfg := smallDayConfig()
 	cfg.Collectors = 1
-	dir := liveShapedStore(t, cfg, 40)
+	dir = liveShapedStore(t, cfg, 40)
 	if _, err := evstore.BuildSnapshots(context.Background(), dir, snapNamed()); err != nil {
 		t.Fatal(err)
 	}
@@ -493,16 +666,41 @@ func TestSnapshotCorruptClassifierProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := shards[0].Partitions()
+	paths = shards[0].Partitions()
 	if len(paths) < 4 {
 		t.Fatalf("%d partitions, want >= 4", len(paths))
 	}
-	snaps := make([]*evstore.PartitionSnapshot, 4)
+	snaps = make([]*evstore.PartitionSnapshot, 4)
 	for i := range snaps {
 		if snaps[i], err = evstore.ReadSnapshot(paths[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return dir, paths, snaps
+}
+
+// wantErrNaming fails unless err names the file named (by base name)
+// and not the file notNamed.
+func wantErrNaming(t *testing.T, err error, named, notNamed string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("corrupt sidecar content was consumed without an error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, filepath.Base(named)) ||
+		(notNamed != "" && strings.Contains(msg, filepath.Base(notNamed))) {
+		t.Errorf("error %q: want it to name %s, not %s", msg, filepath.Base(named), filepath.Base(notNamed))
+	}
+}
+
+// TestSnapshotCorruptClassifierProvenance pins what the lazy chain does
+// with a classifier blob that does not decode: only a pass that must
+// classify a sidecar-less partition right after it consumes it, and that
+// pass (a query, or a sidecar build) fails naming the sidecar the blob
+// came from, not the partition about to be decoded; one followed by
+// jumps, merges and replays is never decoded, so it neither fails nor
+// changes the answer.
+func TestSnapshotCorruptClassifierProvenance(t *testing.T) {
+	dir, paths, snaps := snapshottedShard(t)
 	// rewrite replaces partition i's sidecar, classifier blob truncated
 	// mid-record when corrupt.
 	rewrite := func(i int, corrupt bool) {
@@ -515,46 +713,162 @@ func TestSnapshotCorruptClassifierProvenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The window cuts partition 2: partitions 0 and 1 are jumps, and only
-	// partition 1's end state is consumed.
+	// The window cuts partition 2: partitions 0 and 1 are jumps, and
+	// partition 2 is replayed from its own sidecar — no end state is read.
 	cut := evstore.Query{Window: evstore.TimeRange{From: cutInstant(t, snaps[2])}}
 
 	rewrite(0, true)
+	rewrite(1, true)
 	ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
 	if err != nil {
-		t.Fatalf("open over a corrupt blob no build consumes: %v", err)
+		t.Fatalf("open over corrupt blobs no build consumes: %v", err)
 	}
-	if ss := checkSnapshotQuery(t, ix, cut); ss.Plan.Jumped != 2 || ss.Plan.Scanned != 1 || ss.Restores != 1 {
-		t.Errorf("plan %+v with %d restores; want 2 jumps, 1 scan, 1 restore", ss.Plan, ss.Restores)
+	if ss := checkSnapshotQuery(t, ix, cut); ss.Plan.Jumped != 2 || ss.Plan.Scanned != 1 || ss.Restores != 0 {
+		t.Errorf("plan %+v with %d restores; want 2 jumps, 1 replayed scan, no restore", ss.Plan, ss.Restores)
 	}
 	checkSnapshotQuery(t, ix, evstore.Query{})
 
-	rewrite(0, false)
-	rewrite(1, true)
-	if ix, _, err = evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed()); err != nil {
-		t.Fatal(err)
-	}
-	wantErr := func(err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatal("corrupt classifier blob was consumed without an error")
-		}
-		if msg := err.Error(); !strings.Contains(msg, filepath.Base(evstore.SnapshotPath(paths[1]))) ||
-			strings.Contains(msg, filepath.Base(paths[2])) {
-			t.Errorf("error %q: want it to name partition 1's sidecar %s, not partition 2",
-				msg, filepath.Base(evstore.SnapshotPath(paths[1])))
-		}
-	}
-	_, err = ix.Query(context.Background(), cut, 2, snapNamed()...)
-	wantErr(err)
-	checkSnapshotQuery(t, ix, evstore.Query{}) // all-merge: never decoded
-
-	// A build pass that must decode partition 2 consumes the same blob.
+	// Partition 2 loses its sidecar: classifying it needs partition 1's
+	// end state — and only partition 1's.
 	if err := os.Remove(evstore.SnapshotPath(paths[2])); err != nil {
 		t.Fatal(err)
 	}
+	evstore.DropSnapshot(ix, paths[2])
+	_, err = ix.Query(context.Background(), cut, 2, snapNamed()...)
+	wantErrNaming(t, err, evstore.SnapshotPath(paths[1]), paths[2])
+
+	// A build pass that must decode partition 2 consumes the same blob.
 	_, err = evstore.BuildSnapshots(context.Background(), dir, snapNamed())
-	wantErr(err)
+	wantErrNaming(t, err, evstore.SnapshotPath(paths[1]), paths[2])
+
+	// (A new index: the one above holds the corrupt blob in memory and
+	// would not read the repaired file.)
+	rewrite(1, false)
+	if ix, _, err = evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed()); err != nil {
+		t.Fatalf("open over a corrupt blob (partition 0's) no build consumes: %v", err)
+	}
+	if ss := checkSnapshotQuery(t, ix, cut); ss.Restores != 0 {
+		t.Errorf("%d restores once partition 2 has a sidecar again", ss.Restores)
+	}
+}
+
+// TestSnapshotCorruptResults pins that a damaged Results column never
+// yields an answer: a column of the wrong length or holding an unknown
+// code is not a sidecar at all (ReadSnapshot names it, the next build
+// pass replaces it), and one that parses but does not belong to its
+// partition's events fails the replay that reads it, naming the sidecar.
+func TestSnapshotCorruptResults(t *testing.T) {
+	dir, paths, snaps := snapshottedShard(t)
+	cut := evstore.Query{Window: evstore.TimeRange{From: cutInstant(t, snaps[2])}}
+	sidecar := evstore.SnapshotPath(paths[2])
+	last := len(snaps[2].Results) - 1
+	doctored := func(edit func(snap *evstore.PartitionSnapshot)) {
+		t.Helper()
+		snap := *snaps[2]
+		snap.Results = append([]byte{}, snap.Results...)
+		edit(&snap)
+		if err := evstore.WriteSnapshot(paths[2], &snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for name, edit := range map[string]func(*evstore.PartitionSnapshot){
+		"bad code":     func(snap *evstore.PartitionSnapshot) { snap.Results[last] = 0x47 },
+		"short column": func(snap *evstore.PartitionSnapshot) { snap.Results = snap.Results[:last] },
+	} {
+		doctored(edit)
+		_, err := evstore.ReadSnapshot(paths[2])
+		wantErrNaming(t, err, sidecar, "")
+		ix, bs, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs.Built != 1 {
+			t.Errorf("%s: open rebuilt %d sidecars, want exactly the rejected one", name, bs.Built)
+		}
+		checkSnapshotQuery(t, ix, cut)
+	}
+
+	// Columns that parse. The last event is in the window, so the replay
+	// reads its code.
+	flipped := byte(0x80)
+	if snaps[2].Results[last] == flipped {
+		flipped = classify.EncodeResult(classify.Result{Type: classify.NN}, false)
+	}
+	for name, edit := range map[string]func(*evstore.PartitionSnapshot){
+		"flipped withdrawal bit": func(snap *evstore.PartitionSnapshot) { snap.Results[last] = flipped },
+		"one event short":        func(snap *evstore.PartitionSnapshot) { snap.Results, snap.Events = snap.Results[:last], last },
+	} {
+		doctored(edit)
+		ix, bs, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs.Built != 0 {
+			t.Fatalf("%s: the doctored sidecar was rebuilt, not trusted", name)
+		}
+		_, err = ix.Query(context.Background(), cut, 2, snapNamed()...)
+		wantErrNaming(t, err, sidecar, "")
+		checkSnapshotQuery(t, ix, evstore.Query{}) // all-merge: the column is never read
+
+		// Deleting the sidecar is the repair: the next pass rebuilds it.
+		if err := os.Remove(sidecar); err != nil {
+			t.Fatal(err)
+		}
+		if ix, bs, err = evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed()); err != nil || bs.Built != 1 {
+			t.Fatalf("%s: reopen built %d sidecars (err %v), want 1", name, bs.Built, err)
+		}
+		checkSnapshotQuery(t, ix, cut)
+	}
+}
+
+// TestDoctoredFooterCount pins that no path trusts a footer's event
+// counts over the blocks themselves: with two blocks' counts shifted so
+// the partition total still adds up, a cold scan fails naming the
+// partition, and a replay — whose column offsets are sums of those
+// counts — fails naming the sidecar instead of answering from codes that
+// belong to other events.
+func TestDoctoredFooterCount(t *testing.T) {
+	dir, paths, _ := snapshottedShard(t)
+	ix, _, err := evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var part string
+	for _, path := range paths {
+		if info, err := evstore.StatPartition(path); err != nil {
+			t.Fatal(err)
+		} else if len(info.Blocks) >= 2 {
+			part = path
+			break
+		}
+	}
+	if part == "" {
+		t.Fatal("no partition has two blocks")
+	}
+	snap, err := evstore.ReadSnapshot(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = evstore.SetFooterCounts(part, func(counts []int) {
+		counts[0]++
+		counts[1]--
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := evstore.Query{Window: evstore.TimeRange{From: time.Unix(0, snap.TMin), To: time.Unix(0, snap.TMax)}}
+	ss, err := ix.Query(context.Background(), q, 1, snapNamed()...)
+	wantErrNaming(t, err, evstore.SnapshotPath(part), "")
+	if ss.Plan.Scanned != 1 {
+		t.Errorf("plan %+v, want the doctored partition as the one scan", ss.Plan)
+	}
+	_, err = evstore.ScanAnalyze(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, analysis.NewCounts())
+	wantErrNaming(t, err, part, evstore.SnapshotPath(part))
+	var scanErr error
+	for range evstore.Scan(dir, evstore.Query{}, &scanErr) {
+	}
+	wantErrNaming(t, scanErr, part, evstore.SnapshotPath(part))
 }
 
 // TestSnapshotConcurrentRefresh runs concurrent Refresh and Query calls
@@ -619,8 +933,8 @@ func TestSnapshotConcurrentRefresh(t *testing.T) {
 						return
 					}
 				}
-				if ss.Restores > ss.Plan.Scanned {
-					t.Errorf("%d restores for %d scanned partitions", ss.Restores, ss.Plan.Scanned)
+				if ss.Restores > ss.Plan.Scanned-ss.Replayed {
+					t.Errorf("%d restores for %d scanned partitions, %d of them replayed", ss.Restores, ss.Plan.Scanned, ss.Replayed)
 				}
 				select {
 				case <-sealed:

@@ -334,6 +334,10 @@ type blockMeta struct {
 	ulen, clen int
 	codec      Codec // how the stored bytes are compressed
 	sum        blockSummary
+	// first is the partition-order index of the block's first event:
+	// the footer counts of the blocks before it, summed. Readers only
+	// (parsePartition sets it).
+	first int
 }
 
 type partWriter struct {
@@ -483,6 +487,23 @@ func (w *Writer) flushBlock(pw *partWriter) error {
 	return nil
 }
 
+// appendFooter appends a partition's footer index and trailer: what
+// follows the last block.
+func appendFooter(dst []byte, blocks []blockMeta) []byte {
+	start := len(dst)
+	dst = append(dst, footerMagicV2...)
+	dst = binary.AppendUvarint(dst, uint64(len(blocks)))
+	for _, b := range blocks {
+		dst = binary.AppendUvarint(dst, uint64(b.offset))
+		dst = binary.AppendUvarint(dst, uint64(b.ulen))
+		dst = binary.AppendUvarint(dst, uint64(b.clen))
+		dst = append(dst, byte(b.codec))
+		dst = b.sum.append(dst)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dst)-start))
+	return append(dst, footerMagicV2...)
+}
+
 // seal flushes the final block, writes the footer index, and links the
 // partition into place under an exclusively claimed name. rollback
 // records the sealed file in the Abort rollback set (batch semantics);
@@ -494,24 +515,8 @@ func (w *Writer) seal(key partKey, pw *partWriter, rollback bool) error {
 		os.Remove(pw.tmpPath)
 		return err
 	}
-	footer := []byte(footerMagicV2)
-	footer = binary.AppendUvarint(footer, uint64(len(pw.blocks)))
-	for _, b := range pw.blocks {
-		footer = binary.AppendUvarint(footer, uint64(b.offset))
-		footer = binary.AppendUvarint(footer, uint64(b.ulen))
-		footer = binary.AppendUvarint(footer, uint64(b.clen))
-		footer = append(footer, byte(b.codec))
-		footer = b.sum.append(footer)
-	}
+	footer := appendFooter(nil, pw.blocks)
 	if _, err := pw.bw.Write(footer); err != nil {
-		pw.f.Close()
-		os.Remove(pw.tmpPath)
-		return err
-	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint32(trailer[:4], uint32(len(footer)))
-	copy(trailer[4:], footerMagicV2)
-	if _, err := pw.bw.Write(trailer[:]); err != nil {
 		pw.f.Close()
 		os.Remove(pw.tmpPath)
 		return err
@@ -525,7 +530,7 @@ func (w *Writer) seal(key partKey, pw *partWriter, rollback bool) error {
 		os.Remove(pw.tmpPath)
 		return err
 	}
-	w.stats.Bytes += pw.off + int64(len(footer)) + 8
+	w.stats.Bytes += pw.off + int64(len(footer))
 	path, err := w.commit(pw)
 	if err != nil {
 		os.Remove(pw.tmpPath)
@@ -543,7 +548,7 @@ func (w *Writer) seal(key partKey, pw *partWriter, rollback bool) error {
 			Day:       dayStart(pw.day),
 			Path:      filepath.Base(path),
 			Events:    pw.events,
-			Bytes:     pw.off + int64(len(footer)) + 8,
+			Bytes:     pw.off + int64(len(footer)),
 			MinEvent:  pw.minEvent,
 			MaxEvent:  pw.maxEvent,
 			OpenFor:   w.now().Sub(pw.openedAt),
