@@ -31,7 +31,7 @@ import (
 // the columns it reads, and the scan engine unions those declarations
 // (plus the classifier's and the residual predicate's) into the set of
 // columns decodeBatch actually decodes — untouched columns are parsed
-// past at the wire level but never interned or stored.
+// past (and validated) at the wire level but never interned or stored.
 type Projection uint16
 
 const (
@@ -89,9 +89,13 @@ func (b Bitset) Get(i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 // and the flag bitsets are indexed by event position; id columns hold
 // indexes into Dict's tables. Only the columns selected by Cols are
 // populated — reading an unprojected column is a programming error
-// (its slice is stale scratch or nil). The column arrays are scratch
-// owned by the decoder and valid only until the next batch is decoded;
-// Dict values are stable for the whole scan.
+// (its slice is stale scratch or nil). A batch travels with the
+// selection vector of the rows its query keeps, and the value-dictionary
+// columns, Path and Comms, are defined at those selected rows only: the
+// decoder selects before it materializes, so an unselected row's entry
+// there is stale scratch too. The column arrays are scratch owned by the
+// decoder and valid only until the next batch is decoded; Dict values
+// are stable for the whole scan.
 type Batch struct {
 	N    int
 	Dict *Dict
@@ -112,7 +116,8 @@ type Batch struct {
 }
 
 // Event materializes event i — the bridge back to the row-at-a-time
-// world for analyzers without a batch implementation. Requires ProjAll.
+// world for analyzers without a batch implementation. Requires ProjAll
+// and a selected row.
 // The event's slice fields alias Dict values and must be treated as
 // immutable (the same contract as decoded store events).
 func (b *Batch) Event(i int) Event {
@@ -151,7 +156,8 @@ func (b *Batch) Event(i int) Event {
 //   - ObserveBatch observes the selected events of one batch: for each
 //     i in sel, results[i] is the classification (zero for
 //     withdrawals, like Observe) and the batch columns hold the event.
-//     results entries outside sel are stale garbage; sel is ascending.
+//     results entries outside sel are stale garbage, and so are the
+//     Path and Comms columns there; sel is ascending.
 //   - Ids are only comparable against b.Dict. Any id-keyed accumulator
 //     state must be resolved to values no later than the next
 //     Merge/Snapshot/Finish — and re-resolved if b.Dict changes

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 	"os"
 	"sync"
@@ -16,24 +17,27 @@ import (
 )
 
 // This file is the vectorized scan path: decodeBatch parses a block's
-// columnar payload straight into classify.Batch column arrays —
-// interning dictionary entries into a scan-global classify.Dict so the
-// same value decodes exactly once per scan, not once per block — a
-// selector evaluates the query's residual time/collector/peer/prefix
-// predicates over the columns into a selection vector of surviving row
-// indexes, and batchRunner drives the classifier plus a mix of
-// BatchAnalyzer and row-fallback analyzers over (batch, selection)
-// pairs. Events are only materialized for row-fallback analyzers; the
-// row Scan API itself now rides the same decoder and materializes from
-// the batch, which is what removed the per-block dictionary
-// allocations.
+// columnar payload straight into classify.Batch column arrays,
+// selection first — times and the columns the query's residual
+// time/collector/peer/prefix predicate reads come first in the payload,
+// a selector evaluates the predicate over them into a selection vector
+// of surviving row indexes, and the path and community-set dictionaries
+// behind them are validated in full but interned into the scan-global
+// classify.Dict only where a selected row references an entry, so the
+// same value decodes at most once per scan and a filtered scan pays for
+// the rows its filter selects. batchRunner drives the classifier plus a
+// mix of BatchAnalyzer and row-fallback analyzers over (batch,
+// selection) pairs. Events are only materialized for row-fallback
+// analyzers; the row Scan API itself rides the same decoder and
+// materializes from the batch.
 
 // decodeScratch owns the scan-lifetime decoding state one worker
 // reuses across every block it touches: the global dictionary and its
 // intern maps, the remap table from block-local to global ids, and the
 // batch column arrays. Values already interned cost a map hit per
-// block; steady-state decoding of blocks whose dictionary entries have
-// all been seen allocates nothing.
+// block that references them from a selected row; steady-state decoding
+// of blocks whose dictionary entries have all been seen allocates
+// nothing.
 type decodeScratch struct {
 	dict *classify.Dict
 
@@ -66,7 +70,11 @@ type decodeScratch struct {
 	asnArena  []uint32
 	commArena []bgp.Community
 
+	// remap maps a column's block-local ids to global ids; spans holds
+	// the start offset of each entry of the value dictionary being read,
+	// plus the end of the last.
 	remap []uint32
+	spans []int
 	batch classify.Batch
 }
 
@@ -113,7 +121,7 @@ func (ds *decodeScratch) internKey(key []byte) string {
 	return unsafe.String(&kc[0], len(kc))
 }
 
-// decodePath decodes an AppendPath encoding that skipPath has already
+// decodePath decodes an AppendPath encoding that walkEntries has already
 // validated, carving the segment and ASN slices from the scratch arenas.
 func (ds *decodeScratch) decodePath(key []byte) bgp.ASPath {
 	r := wire.NewReader(key)
@@ -136,8 +144,8 @@ func (ds *decodeScratch) decodePath(key []byte) bgp.ASPath {
 	return bgp.ASPath(segs)
 }
 
-// decodeComms decodes an AppendComms encoding that skipComms has already
-// validated, carving the set from the scratch arena.
+// decodeComms decodes an AppendComms encoding that walkEntries has
+// already validated, carving the set from the scratch arena.
 func (ds *decodeScratch) decodeComms(key []byte) bgp.Communities {
 	r := wire.NewReader(key)
 	n := r.Count(1)
@@ -166,6 +174,108 @@ func growI64(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return s[:n]
+}
+
+// uvarintAt reads one uvarint straight off b at pos (pos <= len(b)),
+// failing exactly where Reader.Uvarint does.
+func uvarintAt(b []byte, pos int) (v uint64, next int, ok bool) {
+	if pos < len(b) && b[pos] < 0x80 {
+		return uint64(b[pos]), pos + 1, true
+	}
+	v, n := binary.Uvarint(b[pos:])
+	return v, pos + n, n > 0
+}
+
+// walkPath is skipPath straight off the payload: the same bounds, no
+// sticky-error Reader between the varints. ok is false exactly where
+// skipPath fails; walkEntries then re-reads the entry through skipPath,
+// which owns the error.
+func walkPath(b []byte, pos int) (next int, ok bool) {
+	nseg, pos, ok := uvarintAt(b, pos)
+	if !ok || nseg > uint64(len(b)-pos)/2 {
+		return pos, false
+	}
+	for ; nseg > 0; nseg-- {
+		if _, pos, ok = uvarintAt(b, pos); !ok { // segment type
+			return pos, false
+		}
+		var nasn uint64
+		if nasn, pos, ok = uvarintAt(b, pos); !ok || nasn > uint64(len(b)-pos) {
+			return pos, false
+		}
+		for ; nasn > 0; nasn-- {
+			if pos+8 <= len(b) {
+				// An ASN's value is not needed, only that it fits a
+				// uint32: find the varint's last byte (high bit clear) a
+				// word at a time. Up to four bytes always fit, a fifth
+				// must stay under 2^32; anything longer is left to the
+				// Reader.
+				stop := ^binary.LittleEndian.Uint64(b[pos:]) & 0x8080808080808080
+				l := bits.TrailingZeros64(stop)>>3 + 1
+				if l > 5 || l == 5 && b[pos+4] > 0x0f {
+					return pos, false
+				}
+				pos += l
+				continue
+			}
+			var as uint64
+			if as, pos, ok = uvarintAt(b, pos); !ok || as > math.MaxUint32 {
+				return pos, false
+			}
+		}
+	}
+	return pos, true
+}
+
+// walkComms is skipComms straight off the payload, as walkPath is
+// skipPath.
+func walkComms(b []byte, pos int) (next int, ok bool) {
+	n, pos, ok := uvarintAt(b, pos)
+	if !ok || n > uint64(len(b)-pos) {
+		return pos, false
+	}
+	prev := int64(0)
+	for ; n > 0; n-- {
+		var d uint64
+		if d, pos, ok = uvarintAt(b, pos); !ok {
+			return pos, false
+		}
+		if prev += wire.Unzigzag(d); prev < 0 || prev > math.MaxUint32 {
+			return pos, false
+		}
+	}
+	return pos, true
+}
+
+// walkEntries validates the nd value-dictionary entries at r's position
+// (AS paths, or community sets) and leaves their byte spans in ds.spans:
+// entry i is payload[spans[i]:spans[i+1]]. Every entry is checked
+// whether or not a row will reference it. An entry the walk off the
+// payload rejects is re-read from its first byte by the Reader version,
+// so a corrupt block fails with the error the row-decoder oracle gives.
+func (ds *decodeScratch) walkEntries(r *wire.Reader, payload []byte, nd int, paths bool) {
+	spans := ds.spans[:0]
+	pos := r.Pos()
+	for i := 0; i < nd && r.Err() == nil; i++ {
+		spans = append(spans, pos)
+		var ok bool
+		if paths {
+			pos, ok = walkPath(payload, pos)
+		} else {
+			pos, ok = walkComms(payload, pos)
+		}
+		if !ok {
+			r.Bytes(spans[i] - r.Pos())
+			if paths {
+				skipPath(r)
+			} else {
+				skipComms(r)
+			}
+			pos = r.Pos()
+		}
+	}
+	r.Bytes(pos - r.Pos())
+	ds.spans = append(spans, pos)
 }
 
 // skipPath advances past an AppendPath encoding with the same
@@ -207,6 +317,28 @@ func skipComms(r *wire.Reader) {
 	}
 }
 
+// readTimes reads the time column, len(dst) zigzag deltas, straight off
+// the payload (the same fast path as readIDColumn — one varint per event
+// adds up).
+func readTimes(r *wire.Reader, payload []byte, dst []int64) {
+	if r.Err() != nil {
+		return
+	}
+	pos, start := r.Pos(), r.Pos()
+	t := int64(0)
+	for i := range dst {
+		v, sz := binary.Uvarint(payload[pos:])
+		if sz <= 0 {
+			r.Fail("wire: truncated varint")
+			return
+		}
+		pos += sz
+		t += wire.Unzigzag(v)
+		dst[i] = t
+	}
+	r.Bytes(pos - start)
+}
+
 // readIDColumn reads one column's n per-event dictionary indexes,
 // range-checking against the block-local dictionary size and remapping
 // into dst's global ids. A nil dst validates without storing (the
@@ -245,42 +377,117 @@ func readIDColumn(r *wire.Reader, payload []byte, n, dictLen int, remap []uint32
 	r.Bytes(pos - start)
 }
 
-// decodeBatch parses a columnar payload into the scratch's batch,
-// decoding only the projected columns (times, flags, and MED always).
-// It accepts and rejects exactly the payloads the row-decoder oracle
-// (decodeBlock, in the tests) does — unprojected columns are still
-// parsed and validated at the wire level, just never interned or
-// stored. The returned batch aliases the scratch and the payload; it is
-// valid only until the next decode.
-func (ds *decodeScratch) decodeBatch(payload []byte, proj classify.Projection) (*classify.Batch, error) {
+// unresolved marks a block-local dictionary entry no selected row has
+// referenced yet; no scan interns that many values (see release).
+const unresolved = math.MaxUint32
+
+// readSelectedIDs reads a value-dictionary column's n per-event local
+// ids in one pass: every row's id is range-checked against the nd
+// entries walkEntries just spanned, and the rows in sel (ascending) get
+// dst[row] = the entry's global id, the entry interned on its first such
+// reference. Rows outside sel leave dst alone; the runs of them between
+// selected rows are readIDColumn's validate-only loop. When sel is every
+// row there is nothing to skip: the entries are all resolved up front
+// and the column is readIDColumn's plain loop, so an unfiltered scan
+// pays nothing for the selection cursor.
+func (ds *decodeScratch) readSelectedIDs(r *wire.Reader, payload []byte, n, nd int, sel []int32, dst []uint32, paths bool) {
+	if r.Err() != nil {
+		return
+	}
+	remap := growU32(ds.remap, nd)
+	ds.remap = remap
+	spans := ds.spans
+	if len(sel) == n {
+		for id := range remap {
+			remap[id] = ds.intern(payload[spans[id]:spans[id+1]], paths)
+		}
+		readIDColumn(r, payload, n, nd, remap, dst)
+		return
+	}
+	for id := range remap {
+		remap[id] = unresolved
+	}
+	pos, row := r.Pos(), 0
+	for _, s := range sel {
+		if gap := int(s) - row; gap > 0 {
+			r.Bytes(pos - r.Pos())
+			if readIDColumn(r, payload, gap, nd, nil, nil); r.Err() != nil {
+				return
+			}
+			pos = r.Pos()
+		}
+		row = int(s) + 1
+		var id uint64
+		var ok bool
+		if id, pos, ok = uvarintAt(payload, pos); !ok {
+			r.Fail("wire: truncated varint")
+			return
+		}
+		if id >= uint64(nd) {
+			r.Fail("evstore: dictionary index %d out of range (dict size %d)", id, nd)
+			return
+		}
+		if remap[id] == unresolved {
+			remap[id] = ds.intern(payload[spans[id]:spans[id+1]], paths)
+		}
+		dst[s] = remap[id]
+	}
+	r.Bytes(pos - r.Pos())
+	readIDColumn(r, payload, n-row, nd, nil, nil)
+}
+
+// intern returns the global id of a value-dictionary entry — an AS path,
+// or a community set — by its encoded bytes (validated by walkEntries),
+// decoding it on first sight in the scan. The dict holds a community set
+// as stored (possibly non-canonical); consumers that compare sets
+// canonicalize, matching row-path semantics.
+func (ds *decodeScratch) intern(key []byte, path bool) uint32 {
+	if path {
+		gid, ok := ds.pathIDs[string(key)]
+		if !ok {
+			gid = uint32(len(ds.dict.Paths))
+			ds.dict.Paths = append(ds.dict.Paths, ds.decodePath(key))
+			ds.pathIDs[ds.internKey(key)] = gid
+		}
+		return gid
+	}
+	gid, ok := ds.commIDs[string(key)]
+	if !ok {
+		gid = uint32(len(ds.dict.CommSets))
+		ds.dict.CommSets = append(ds.dict.CommSets, ds.decodeComms(key))
+		ds.commIDs[ds.internKey(key)] = gid
+	}
+	return gid
+}
+
+// decodeBatch parses a columnar payload into the scratch's batch and
+// returns it with the rows slr selects. It decodes only the projected
+// columns (times, flags, and MED always; what slr's predicate reads is
+// added), and the path and community-set columns — which follow the
+// predicate's in the payload — only at the selected rows: Batch.Path
+// and Batch.Comms are defined there and nowhere else. It accepts and
+// rejects exactly the payloads the row-decoder oracle (decodeBlock, in
+// the tests) does — unprojected columns and unreferenced dictionary
+// entries are still parsed and validated at the wire level, just never
+// interned or stored. The returned batch aliases the scratch and the
+// payload, the selection is slr's scratch; both are valid only until
+// the next decode.
+func (ds *decodeScratch) decodeBatch(payload []byte, proj classify.Projection, slr *selector) (*classify.Batch, []int32, error) {
 	r := wire.NewReader(payload)
 	rawN := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if rawN > maxBlockEvents || rawN > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("evstore: implausible block event count %d", rawN)
+		return nil, nil, fmt.Errorf("evstore: implausible block event count %d", rawN)
 	}
 	n := int(rawN)
+	proj |= slr.cq.residualProjection()
 	b := &ds.batch
 	b.N, b.Dict, b.Cols = n, ds.dict, proj
 
-	// Times: zigzag deltas, decoded straight off the payload (the same
-	// fast path as readIDColumn — one varint per event adds up).
 	b.Times = growI64(b.Times, n)
-	t := int64(0)
-	pos := r.Pos()
-	for i := 0; i < n; i++ {
-		v, sz := binary.Uvarint(payload[pos:])
-		if sz <= 0 {
-			r.Fail("wire: truncated varint")
-			return nil, r.Err()
-		}
-		pos += sz
-		t += wire.Unzigzag(v)
-		b.Times[i] = t
-	}
-	r.Bytes(pos - r.Pos())
+	readTimes(r, payload, b.Times)
 
 	// Collectors: length-prefixed strings.
 	nd := r.Count(1)
@@ -387,76 +594,44 @@ func (ds *decodeScratch) decodeBatch(payload []byte, proj classify.Projection) (
 		readIDColumn(r, payload, n, nd, nil, nil)
 	}
 
-	// AS paths, interned by encoded bytes; a repeat entry never
-	// re-decodes. The sub-reader decode on a miss cannot fail: skipPath
-	// validated the exact same bytes.
-	nd = r.Count(1)
-	remap = remap[:0]
-	if proj&classify.ProjPath != 0 {
-		for i := 0; i < nd; i++ {
-			start := r.Pos()
-			skipPath(r)
-			if r.Err() != nil {
-				break
-			}
-			key := payload[start:r.Pos()]
-			gid, ok := ds.pathIDs[string(key)]
-			if !ok {
-				gid = uint32(len(ds.dict.Paths))
-				ds.dict.Paths = append(ds.dict.Paths, ds.decodePath(key))
-				ds.pathIDs[ds.internKey(key)] = gid
-			}
-			remap = append(remap, gid)
-		}
-		b.Path = growU32(b.Path, n)
-		readIDColumn(r, payload, n, nd, remap, b.Path)
-	} else {
-		for i := 0; i < nd; i++ {
-			skipPath(r)
-		}
-		readIDColumn(r, payload, n, nd, nil, nil)
-	}
-
-	// Community sets, interned by encoded bytes. The dict holds the
-	// decoded set as stored (possibly non-canonical); consumers that
-	// compare sets canonicalize, matching row-path semantics.
-	nd = r.Count(1)
-	remap = remap[:0]
-	if proj&classify.ProjComms != 0 {
-		for i := 0; i < nd; i++ {
-			start := r.Pos()
-			skipComms(r)
-			if r.Err() != nil {
-				break
-			}
-			key := payload[start:r.Pos()]
-			gid, ok := ds.commIDs[string(key)]
-			if !ok {
-				gid = uint32(len(ds.dict.CommSets))
-				ds.dict.CommSets = append(ds.dict.CommSets, ds.decodeComms(key))
-				ds.commIDs[ds.internKey(key)] = gid
-			}
-			remap = append(remap, gid)
-		}
-		b.Comms = growU32(b.Comms, n)
-		readIDColumn(r, payload, n, nd, remap, b.Comms)
-	} else {
-		for i := 0; i < nd; i++ {
-			skipComms(r)
-		}
-		readIDColumn(r, payload, n, nd, nil, nil)
-	}
-
 	// Keep the grown remap backing array for the next block — the
 	// local slice may have outgrown (and replaced) ds.remap above.
 	ds.remap = remap[:0]
+
+	// The predicate's columns are all in: select. A payload already
+	// known corrupt has no rows to select from; the sticky error is the
+	// one a full parse would end with.
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	sel := slr.selection(b)
+
+	// AS paths and community sets, interned by encoded bytes where a
+	// selected row references them; a repeat entry never re-decodes. The
+	// decode on a miss cannot fail: walkEntries validated the same bytes.
+	nd = r.Count(1)
+	ds.walkEntries(r, payload, nd, true)
+	if proj&classify.ProjPath != 0 {
+		b.Path = growU32(b.Path, n)
+		ds.readSelectedIDs(r, payload, n, nd, sel, b.Path, true)
+	} else {
+		readIDColumn(r, payload, n, nd, nil, nil)
+	}
+	nd = r.Count(1)
+	ds.walkEntries(r, payload, nd, false)
+	if proj&classify.ProjComms != 0 {
+		b.Comms = growU32(b.Comms, n)
+		ds.readSelectedIDs(r, payload, n, nd, sel, b.Comms, false)
+	} else {
+		readIDColumn(r, payload, n, nd, nil, nil)
+	}
 
 	// Flag bitsets (aliasing the payload) and MED values.
 	nb := (n + 7) / 8
 	b.Withdraw = classify.Bitset(r.Bytes(nb))
 	b.HasMED = classify.Bitset(r.Bytes(nb))
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b.MED = growU32(b.MED, n)
 	for i := 0; i < n; i++ {
@@ -470,9 +645,9 @@ func (ds *decodeScratch) decodeBatch(payload []byte, proj classify.Projection) (
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return b, nil
+	return b, sel, nil
 }
 
 // residualProjection returns the columns the query's per-event
@@ -720,15 +895,6 @@ func (br *blockReader) release() {
 	br.scratch = nil
 }
 
-// selection applies cq's residual over a decoded batch via the
-// reader's cached selector (rebuilt when the query changes).
-func (br *blockReader) selection(cq *compiledQuery, b *classify.Batch) []int32 {
-	if br.slr == nil || br.slr.cq != cq {
-		br.slr = newSelector(cq)
-	}
-	return br.slr.selection(b)
-}
-
 // batchFunc consumes one decoded block: its batch, the rows the query
 // selected, and first, the partition-order index of the block's row 0
 // (the sum of the footer counts of the blocks before it). It reports
@@ -766,8 +932,6 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 	if st != nil {
 		st.Blocks += len(p.blocks)
 	}
-	proj |= cq.residualProjection()
-
 	// The block summaries are already in memory: select the matching
 	// blocks up front, so the decode-ahead worker knows exactly what
 	// to fetch.
@@ -788,9 +952,14 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 	if br.scratch == nil {
 		br.scratch = scratchPool.Get().(*decodeScratch)
 	}
+	// The selector caches verdicts per dictionary id, so it lives as long
+	// as the query does on this reader.
+	if br.slr == nil || br.slr.cq != cq {
+		br.slr = newSelector(cq)
+	}
 
 	handle := func(payload []byte, bm blockMeta, prefetched bool) (bool, error) {
-		b, err := br.scratch.decodeBatch(payload, proj)
+		b, sel, err := br.scratch.decodeBatch(payload, proj, br.slr)
 		if err != nil {
 			return false, fmt.Errorf("%s: %w", p.path, err)
 		}
@@ -803,7 +972,6 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 		if st != nil {
 			st.countBlock(bm, prefetched)
 		}
-		sel := br.selection(cq, b)
 		if len(sel) == 0 {
 			return true, nil
 		}

@@ -46,40 +46,85 @@ func benchBlockEvents(n int) []classify.Event {
 	return events
 }
 
+// liveBlockEvents builds one live-sealed partition's block: one
+// collector's 15 peers over 100 prefixes, the AS path and the community
+// set functions of (peer, prefix), so nearly every announcement carries
+// its own dictionary entries and a per-peer or per-prefix filter
+// references a small share of them — the shape a filtered cold scan
+// decodes, which benchBlockEvents' three paths cannot show.
+func liveBlockEvents(n int) []classify.Event {
+	t0 := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
+	events := make([]classify.Event, n)
+	for i := range events {
+		peer, pfx := i%15, (i/15)%100
+		e := &events[i]
+		e.Time = t0.Add(time.Duration(i) * 20 * time.Millisecond)
+		e.Collector = "rrc00"
+		e.PeerAS = uint32(64500 + peer)
+		e.PeerAddr = netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + peer)})
+		e.Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(pfx), 0, 0}), 16)
+		if i%9 == 8 {
+			e.Withdraw = true
+			continue
+		}
+		e.ASPath = bgp.NewASPath(e.PeerAS, uint32(3000+pfx), uint32(200000+7*peer+pfx%5), 174, 12654)
+		e.Communities = bgp.Communities{bgp.NewCommunity(174, 21), bgp.NewCommunity(3356, uint16(pfx)),
+			bgp.NewCommunity(3356, 2056), bgp.NewCommunity(uint16(e.PeerAS), uint16(peer))}
+	}
+	return events
+}
+
 // BenchmarkDecodeBatch measures the vectorized block decode with a
 // warm scratch — the steady state of a scan, where every column buffer
 // and dictionary intern entry is reused and decoding allocates
-// nothing. BenchmarkDecodeBlock is the row-path decode of the same
-// payload for comparison.
+// nothing. full, classifier-cols and counts-only decode benchBlockEvents
+// with the identity selection; the sel-* cases decode a live-shaped
+// block under the identity, a one-peer-of-15 and a ~2%-of-rows prefix
+// selection, and interned-entries/op is how many path and community-set
+// dictionary entries each of those decodes resolves against the scan
+// dictionary (counted on a cold scratch, where each one is an insert).
+// BenchmarkDecodeBlock is the row-path decode of the same payload for
+// comparison.
 func BenchmarkDecodeBatch(b *testing.B) {
-	events := benchBlockEvents(4096)
-	payload, _ := encodeBlock(events, nil)
+	block := benchBlockEvents(4096)
+	live := liveBlockEvents(2048)
 	for _, tc := range []struct {
-		name string
-		proj classify.Projection
+		name   string
+		events []classify.Event
+		proj   classify.Projection
+		q      Query
 	}{
-		{"full", classify.ProjAll},
-		{"classifier-cols", classify.ClassifierProjection},
-		{"counts-only", 0},
+		{"full", block, classify.ProjAll, Query{}},
+		{"classifier-cols", block, classify.ClassifierProjection, Query{}},
+		{"classifier-cols/sel-all", live, classify.ClassifierProjection, Query{}},
+		{"classifier-cols/sel-1of15", live, classify.ClassifierProjection, Query{PeerAS: []uint32{64507}}},
+		{"classifier-cols/sel-2pct", live, classify.ClassifierProjection, Query{PrefixRange: netip.MustParsePrefix("10.36.0.0/15")}},
+		{"counts-only", block, 0, Query{}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			payload, _ := encodeBlock(tc.events, nil)
 			ds := newDecodeScratch()
-			if _, err := ds.decodeBatch(payload, tc.proj); err != nil {
+			slr := newSelector(compileQuery(tc.q))
+			_, sel, err := ds.decodeBatch(payload, tc.proj, slr)
+			if err != nil {
 				b.Fatal(err)
 			}
+			selected, interned := len(sel), len(ds.dict.Paths)+len(ds.dict.CommSets)
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				batch, err := ds.decodeBatch(payload, tc.proj)
+				batch, sel, err := ds.decodeBatch(payload, tc.proj, slr)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if batch.N != len(events) {
-					b.Fatalf("decoded %d of %d events", batch.N, len(events))
+				if batch.N != len(tc.events) || len(sel) != selected {
+					b.Fatalf("decoded %d of %d events, selected %d of %d", batch.N, len(tc.events), len(sel), selected)
 				}
 			}
-			b.ReportMetric(float64(len(events)), "events/op")
+			b.ReportMetric(float64(len(tc.events)), "events/op")
+			b.ReportMetric(float64(selected), "selected/op")
+			b.ReportMetric(float64(interned), "interned-entries/op")
 		})
 	}
 }
@@ -109,13 +154,9 @@ func BenchmarkRunBatch(b *testing.B) {
 	events := benchBlockEvents(4096)
 	payload, _ := encodeBlock(events, nil)
 	ds := newDecodeScratch()
-	batch, err := ds.decodeBatch(payload, classify.ClassifierProjection)
+	batch, sel, err := ds.decodeBatch(payload, classify.ClassifierProjection, newSelector(compileQuery(Query{})))
 	if err != nil {
 		b.Fatal(err)
-	}
-	sel := make([]int32, batch.N)
-	for i := range sel {
-		sel[i] = int32(i)
 	}
 	results := make([]classify.Result, batch.N)
 	cl := classify.New()

@@ -61,7 +61,9 @@
 // scan-lifetime classify.Dict so each distinct value is decoded once
 // per scan rather than once per block, and residual query predicates
 // are evaluated over the columns into a selection vector instead of
-// per-materialized-event. Analyzers implementing
+// per-materialized-event — before the AS-path and community-set
+// columns are read, so those are validated in full but interned and
+// stored only for the rows the query keeps. Analyzers implementing
 // classify.BatchAnalyzer consume (batch, selection) directly and
 // aggregate on dictionary ids; the rest see materialized events via
 // the row fallback, with identical results either way. Decode scratch

@@ -3,8 +3,11 @@ package evstore
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/netip"
 	"os"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -150,12 +153,93 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	})
 }
 
+// fuzzSelections derives from the fuzz input the dimension a scan adds
+// to a decode: a projection, and three residual queries over the events
+// the oracle decoded — the identity, a sparse one (the peer AS, the
+// prefix or the instant of one event, so at least that row survives)
+// and one no row passes (a peer AS the block does not hold).
+func fuzzSelections(data []byte, events []classify.Event) (classify.Projection, [3]Query) {
+	sum := 0
+	for _, c := range data {
+		sum += int(c)
+	}
+	qs := [3]Query{{}, {PeerAS: []uint32{uint32(sum)}}, {}}
+	present := make(map[uint32]bool, len(events))
+	for _, e := range events {
+		present[e.PeerAS] = true
+	}
+	absent := uint32(sum)
+	for present[absent] {
+		absent++
+	}
+	qs[2].PeerAS = []uint32{absent}
+	if len(events) > 0 {
+		switch e := events[sum%len(events)]; {
+		case sum%3 == 0 && e.Prefix.IsValid():
+			qs[1] = Query{PrefixRange: e.Prefix}
+		case sum%3 == 1 && e.Time.UnixNano() < math.MaxInt64:
+			qs[1] = Query{Window: TimeRange{From: e.Time, To: e.Time.Add(1)}}
+		default:
+			qs[1] = Query{PeerAS: []uint32{e.PeerAS}}
+		}
+	}
+	return classify.Projection(sum>>2) & classify.ProjAll, qs
+}
+
+// checkSelected holds one decode to the oracle's events: sel is exactly
+// the rows the row-path predicate passes, and every selected row carries
+// the oracle's event in each column the batch projects — through
+// Batch.Event when that is all of them.
+func checkSelected(t *testing.T, b *classify.Batch, sel []int32, cq *compiledQuery, rows []classify.Event) {
+	t.Helper()
+	if b.N != len(rows) {
+		t.Fatalf("batch has %d events, row decode %d", b.N, len(rows))
+	}
+	var want []int32
+	for i, e := range rows {
+		if cq.match(e) {
+			want = append(want, int32(i))
+		}
+	}
+	if !slices.Equal(sel, want) {
+		t.Fatalf("query %+v selected rows %v, the row predicate passes %v", cq.q, sel, want)
+	}
+	for _, si := range sel {
+		i, e, d := int(si), rows[si], b.Dict
+		if b.Cols == classify.ProjAll {
+			if got := b.Event(i); !fuzzEventsEqual(e, got) {
+				t.Fatalf("event %d:\n row   %+v\n batch %+v", i, e, got)
+			}
+			continue
+		}
+		ok := b.Times[i] == e.Time.UnixNano() && b.Withdraw.Get(i) == e.Withdraw &&
+			b.HasMED.Get(i) == e.HasMED && (!e.HasMED || b.MED[i] == e.MED)
+		ok = ok && (b.Cols&classify.ProjCollector == 0 || d.Collectors[b.Collector[i]] == e.Collector)
+		ok = ok && (b.Cols&classify.ProjPeerAS == 0 || d.PeerASNs[b.PeerAS[i]] == e.PeerAS)
+		ok = ok && (b.Cols&classify.ProjPeerAddr == 0 || d.PeerAddrs[b.PeerAddr[i]] == e.PeerAddr)
+		ok = ok && (b.Cols&classify.ProjPrefix == 0 || d.Prefixes[b.Prefix[i]] == e.Prefix)
+		ok = ok && (b.Cols&classify.ProjPath == 0 || d.Paths[b.Path[i]].Equal(e.ASPath))
+		ok = ok && (b.Cols&classify.ProjComms == 0 || d.CommSets[b.Comms[i]].Equal(e.Communities))
+		if !ok {
+			t.Fatalf("projection %b: event %d's columns diverge from %+v", b.Cols, i, e)
+		}
+	}
+}
+
+// offsetSuffix is where a wire.Reader error says how far it got; the
+// batch decoder reads whole columns off the payload and reports a
+// column's first byte, the row decoder the failing varint's.
+var offsetSuffix = regexp.MustCompile(` at offset \d+$`)
+
 // FuzzDecodeBatch: the vectorized decoder must agree with the row
-// decoder on every input — same accept/reject verdict, and on success
-// the batch's materialized events deep-equal the row decode. Corrupt
-// bytes must error through both paths, never panic. The scratch is
-// reused across decodes inside one fuzz case, so interning and buffer
-// reuse are exercised too.
+// decoder on every input, under every projection and selection — the
+// same accept/reject verdict with the same first error, and on success
+// exactly the predicate's rows selected, each materializing equal to
+// the row decode. Corrupt bytes must error through both paths, never
+// panic. One scratch serves every decode of a fuzz case, so interning
+// (an entry first unreferenced, then referenced by a later decode's
+// selection) and buffer reuse are exercised too; the last decode
+// repeats the first through the warm scratch.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -163,48 +247,38 @@ func FuzzDecodeBatch(f *testing.F) {
 	valid, _ := encodeBlock(fuzzEvents([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8}), nil)
 	f.Add(valid)
 	f.Add(bytes.Repeat([]byte{0xa5, 0x3c, 0x07}, 40))
+	// The widest ASN a path entry may hold is a five-byte varint ending
+	// 0x0f; next to it sit the overflow (0x1f: rejected) and a padded
+	// six-byte form of the same value (accepted, by the Reader the entry
+	// walk falls back to).
+	widest, _ := encodeBlock([]classify.Event{{Collector: "c", ASPath: bgp.NewASPath(math.MaxUint32)}}, nil)
+	asn := []byte{0xff, 0xff, 0xff, 0xff, 0x0f}
+	f.Add(widest)
+	f.Add(bytes.Replace(widest, asn, []byte{0xff, 0xff, 0xff, 0xff, 0x1f}, 1))
+	f.Add(bytes.Replace(widest, asn, []byte{0xff, 0xff, 0xff, 0xff, 0x8f, 0x00}, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rowEvents, rowErr := decodeBlock(data)
+		proj, qs := fuzzSelections(data, rowEvents)
 		ds := newDecodeScratch()
-		b, batchErr := ds.decodeBatch(data, classify.ProjAll)
-		if (rowErr == nil) != (batchErr == nil) {
-			t.Fatalf("decoder disagreement: decodeBlock err=%v, decodeBatch err=%v", rowErr, batchErr)
-		}
-		if rowErr != nil {
-			return
-		}
-		if b.N != len(rowEvents) {
-			t.Fatalf("batch has %d events, row decode %d", b.N, len(rowEvents))
-		}
-		for i := range rowEvents {
-			if got := b.Event(i); !fuzzEventsEqual(rowEvents[i], got) {
-				t.Fatalf("event %d:\n row   %+v\n batch %+v", i, rowEvents[i], got)
+		for _, tc := range []struct {
+			proj classify.Projection
+			q    Query
+		}{
+			{proj, qs[2]}, {proj, qs[1]}, {classify.ProjAll, qs[1]}, {classify.ProjAll, qs[0]},
+			{0, qs[0]}, {classify.ProjAll, qs[2]}, {classify.ProjAll, qs[0]},
+		} {
+			cq := compileQuery(tc.q)
+			b, sel, err := ds.decodeBatch(data, tc.proj, newSelector(cq))
+			if (rowErr == nil) != (err == nil) {
+				t.Fatalf("decoder disagreement (projection %b, query %+v): decodeBlock err=%v, decodeBatch err=%v", tc.proj, tc.q, rowErr, err)
 			}
-		}
-		// A projection that skips every dictionary column still decodes
-		// the always-on columns (times, withdraw, MED) identically and
-		// validates the rest without materializing it.
-		b0, err := ds.decodeBatch(data, 0)
-		if err != nil {
-			t.Fatalf("projection-0 decode of a valid block failed: %v", err)
-		}
-		for i := range rowEvents {
-			e := rowEvents[i]
-			if b0.Times[i] != e.Time.UnixNano() || b0.Withdraw.Get(i) != e.Withdraw ||
-				b0.HasMED.Get(i) != e.HasMED || (e.HasMED && b0.MED[i] != e.MED) {
-				t.Fatalf("projection-0 event %d scalar columns diverge from %+v", i, e)
+			if rowErr != nil {
+				if got, want := offsetSuffix.ReplaceAllString(err.Error(), ""), offsetSuffix.ReplaceAllString(rowErr.Error(), ""); got != want {
+					t.Fatalf("first error (projection %b, query %+v): decodeBatch %q, decodeBlock %q", tc.proj, tc.q, got, want)
+				}
+				continue
 			}
-		}
-		// Same payload through the now-warm scratch: ids may differ,
-		// values must not.
-		b2, err := ds.decodeBatch(data, classify.ProjAll)
-		if err != nil {
-			t.Fatalf("re-decode through warm scratch failed: %v", err)
-		}
-		for i := range rowEvents {
-			if got := b2.Event(i); !fuzzEventsEqual(rowEvents[i], got) {
-				t.Fatalf("warm-scratch event %d:\n row   %+v\n batch %+v", i, rowEvents[i], got)
-			}
+			checkSelected(t, b, sel, cq, rowEvents)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package evstore
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,15 +41,22 @@ import (
 //     belongs to an excluded collector, or sits entirely at/after the
 //     window end in the shard's tail (later events feed no tallied
 //     classification). This suffix rule is the only way a run stops
-//     early: it is decided per partition in shard order, never by
-//     event timestamp, so an out-of-order store is still classified
-//     exactly as a full sequential pass classifies it.
+//     early. Walking the shard backwards from its last partition, each
+//     one must offer a hard lower bound on its event times that is
+//     at/after the window end: its trusted sidecar's earliest event,
+//     else the day in its file name, else — one footer read — the
+//     earliest event its footer records. The walk stops at the first
+//     partition none of them clears, so the rule is decided per
+//     partition in shard order, never by event timestamp, and an
+//     out-of-order store is still classified exactly as a full
+//     sequential pass classifies it.
 //
 // A cold run (ScanParallel, ScanAnalyze, a SnapshotIndex.Query with
 // per-event filters) is the plan in which no sidecar is trusted: every
-// partition scans or is skipped. A sequential run is the same plan on
-// one worker. A warm run (SnapshotIndex.Query) trusts the index's
-// sidecars.
+// partition scans or is skipped, the skips by file-name day where the
+// window ends on a day boundary and by footer where it ends inside a
+// day. A sequential run is the same plan on one worker. A warm run
+// (SnapshotIndex.Query) trusts the index's sidecars.
 //
 // The classifier chain is lazy (classChain): Classifier.Restore
 // replaces the whole state, so of a run of jumps, merges and replays
@@ -240,8 +248,9 @@ func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error
 // outright, the ScanParallel convention); tally gates which classified
 // events reach the analyzers and is what the decisions above are taken
 // against. snaps holds the sidecars the caller may trust (nil for a cold
-// run: nothing is stat'ed and every non-skipped partition scans); keys
-// are the analyzer states a merge needs.
+// run: no sidecar is stat'ed, only the tail rule's footers are read, and
+// every non-skipped partition scans); keys are the analyzer states a
+// merge needs.
 func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, keys []string) ([]shardPlan, PlanStats, error) {
 	shards, err := ScanShards(dir, scan)
 	if err != nil {
@@ -296,6 +305,13 @@ func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*Parti
 				// hard lower bound on every event time in the partition.
 				afterStart = i
 				continue
+			} else if toNano != math.MaxInt64 && footerTMin(e.path) >= toNano {
+				// Nor does the day settle it, but the footer's earliest
+				// event time — the bound matchSummary prunes by — does. One
+				// footer read per partition skipped this way, plus the one
+				// that ends the walk; each skip saves a decode.
+				afterStart = i
+				continue
 			}
 			break
 		}
@@ -333,6 +349,21 @@ func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*Parti
 	}
 	st.Shards = len(plans)
 	return plans, st, nil
+}
+
+// footerTMin returns the earliest event time partPath's footer records,
+// or math.MinInt64 — no lower bound at all — when the partition is
+// empty or cannot be read: the scan that then plans it reports why.
+func footerTMin(partPath string) int64 {
+	p, f, err := readPartition(partPath)
+	if err != nil {
+		return math.MinInt64
+	}
+	f.Close()
+	if p.agg.count == 0 {
+		return math.MinInt64
+	}
+	return p.agg.tmin
 }
 
 // execution is what one plan-and-run reports: the pool's view
@@ -525,10 +556,17 @@ func (sp shardPlan) replayPartition(ctx context.Context, path string, snap *Part
 // the sidecar is trusted.
 //
 // q.Window is the tally window: events outside it still feed classifier
-// state wherever a partition is classified. Per-event filters (PeerAS, PrefixRange) change which events
-// feed WHOLE sessions, which composes with scans but not with
-// precomputed partition states, so a filtered query trusts no sidecar
-// and scans every partition the tail rule does not skip.
+// state wherever a partition is classified. Per-event filters (PeerAS,
+// PrefixRange) change which events feed WHOLE sessions, which composes
+// with scans but not with precomputed partition states, so a filtered
+// query trusts no sidecar and scans every partition the tail rule does
+// not skip. Nor may it replay a sidecar's Results column and filter
+// afterwards: the classifier keys a stream by (collector, peer address,
+// prefix), without the peer AS, so a recorded classification equals
+// filter-then-classify only while an address never changes its AS —
+// which nothing checks. What a filtered query saves, it saves inside the
+// scan: pruning by footer, and a decode that materializes selected rows
+// only (decodeBatch).
 //
 // Results are bit-identical to ScanParallel(ctx, dir, q minus its
 // Window, q.Window, ...) — a cold scan of the same collector timelines

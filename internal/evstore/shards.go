@@ -134,8 +134,9 @@ func ScanParallel(ctx context.Context, dir string, q Query, tally TimeRange, wor
 
 // ScanAnalyze is ScanParallel on one worker — the sequential pass —
 // returning the summed scan stats. With a tally window the stats cover
-// the partitions the plan scanned: a shard's tail partitions whose
-// file-name day starts at or after tally.To are skipped, not counted.
+// the partitions the plan scanned: a shard's tail partitions that hold
+// nothing before tally.To, by file-name day or by footer, are skipped,
+// not counted.
 func ScanAnalyze(ctx context.Context, dir string, q Query, tally TimeRange, analyzers ...classify.Analyzer) (ScanStats, error) {
 	ps, err := ScanParallel(ctx, dir, q, tally, 1, analyzers...)
 	return ps.Total, err

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,10 +81,14 @@ type QuerySpec struct {
 	Path      string
 }
 
-// CacheKey canonicalizes the spec into the result-cache key. Free-form
-// string fields (collector names, AS-path text) are %q-quoted so a
-// value containing the key's own delimiters can never collide with a
-// differently-shaped spec.
+// CacheKey canonicalizes the spec into the result-cache key: every
+// spelling of one filter — a peer-AS list in any order or with repeats,
+// a prefix range with host bits set (10.0.5.7/20 selects what
+// 10.0.0.0/20 does) — is one key, so one cache entry, one singleflight
+// and one cold scan, whichever way the spec came in (URL, CSQ1, or in
+// process). Free-form string fields (collector names, AS-path text) are
+// %q-quoted so a value containing the key's own delimiters can never
+// collide with a differently-shaped spec.
 func (q QuerySpec) CacheKey() string {
 	var b strings.Builder
 	b.WriteString(q.Kind)
@@ -100,12 +105,12 @@ func (q QuerySpec) CacheKey() string {
 		}
 	}
 	if len(q.PeerAS) > 0 {
-		as := append([]uint32(nil), q.PeerAS...)
-		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		fmt.Fprintf(&b, "|p=%v", as)
+		as := slices.Clone(q.PeerAS)
+		slices.Sort(as)
+		fmt.Fprintf(&b, "|p=%v", slices.Compact(as))
 	}
 	if q.PrefixRange.IsValid() {
-		fmt.Fprintf(&b, "|r=%s", q.PrefixRange)
+		fmt.Fprintf(&b, "|r=%s", q.PrefixRange.Masked())
 	}
 	if q.FromYear != 0 || q.ToYear != 0 {
 		fmt.Fprintf(&b, "|y=%d-%d", q.FromYear, q.ToYear)

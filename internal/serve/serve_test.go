@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -420,6 +421,71 @@ func TestServeHTTP(t *testing.T) {
 	stats := getJSON("/v1/stats", 200)
 	if stats["partitions"].(float64) == 0 {
 		t.Error("stats report zero partitions")
+	}
+}
+
+// TestServeCanonicalFilters pins one key per filter: however a
+// per-event filter is spelled — host bits set in the prefix range, the
+// peer-AS list reordered or repeated — it is one CacheKey, so the second
+// spelling is answered from the first one's cache entry instead of a
+// second cold scan, over HTTP and through the CSQ1 codec alike.
+func TestServeCanonicalFilters(t *testing.T) {
+	_, sources := workload.DaySources(smallCfg())
+	dir := buildStore(t, stream.Concat(sources...))
+	s, _, err := serve.New(context.Background(), serve.Config{Dir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(query string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/table2?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("GET %s: status %d, %v", query, resp.StatusCode, err)
+		}
+		return m
+	}
+	infos, err := evstore.Stat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := infos[0].PeerAS[0], infos[len(infos)-1].PeerAS[len(infos[len(infos)-1].PeerAS)-1]
+	if a == b {
+		t.Fatalf("store offers one peer AS (%d); need two", a)
+	}
+	for _, spellings := range [][]string{
+		{"prefixrange=10.0.5.7/20", "prefixrange=10.0.0.0/20", "prefixrange=10.0.15.255/20"},
+		{fmt.Sprintf("peeras=%d,%d", a, b), fmt.Sprintf("peeras=%d,%d", b, a), fmt.Sprintf("peeras=%d,%d,%d,%d", b, a, a, b)},
+	} {
+		first := get(spellings[0])
+		if first["source"] != "scan" || first["data"].(map[string]any)["announcements"].(float64) == 0 {
+			t.Fatalf("%s: source %v, data %v; want a non-empty cold scan", spellings[0], first["source"], first["data"])
+		}
+		for _, other := range spellings[1:] {
+			if ans := get(other); ans["source"] != "cache" || !reflect.DeepEqual(ans["data"], first["data"]) {
+				t.Errorf("%s after %s: source %v, want the same answer from cache", other, spellings[0], ans["source"])
+			}
+		}
+	}
+
+	// A spec that arrives over CSQ1 keeps its spelling and its key.
+	spelled := serve.QuerySpec{Kind: serve.KindTable2, PeerAS: []uint32{b, a, b}, PrefixRange: netip.MustParsePrefix("10.0.5.7/20")}
+	canonical := serve.QuerySpec{Kind: serve.KindTable2, PeerAS: []uint32{a, b}, PrefixRange: netip.MustParsePrefix("10.0.0.0/20")}
+	decoded, err := serve.DecodeQuerySpec(serve.AppendQuerySpec(nil, spelled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.CacheKey() != canonical.CacheKey() || spelled.CacheKey() != canonical.CacheKey() {
+		t.Errorf("cache keys differ: decoded %q, spelled %q, canonical %q", decoded.CacheKey(), spelled.CacheKey(), canonical.CacheKey())
+	}
+	if other := (serve.QuerySpec{Kind: serve.KindTable2, PeerAS: []uint32{a}, PrefixRange: netip.MustParsePrefix("10.0.0.0/21")}); other.CacheKey() == canonical.CacheKey() {
+		t.Errorf("distinct filters share the key %q", other.CacheKey())
 	}
 }
 
