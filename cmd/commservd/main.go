@@ -17,8 +17,9 @@
 // drains in-flight requests (up to -drain) before exiting 0.
 //
 // Cluster mode splits the same daemon into two tiers. A shard serves
-// the binary state protocol over one store directory (see
-// `evstore shard` for splitting a store by collector):
+// the binary state protocol over one store directory, repeated specs
+// from the same cache that fronts /v1 answers (see `evstore shard` for
+// splitting a store by collector):
 //
 //	commservd -shard -store DIR/shard-000 -addr :8801
 //

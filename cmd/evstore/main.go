@@ -15,8 +15,7 @@
 //
 // recode rewrites an existing store's partitions block-by-block into
 // the target codec (never in place — temp file + atomic rename), the
-// migration path from deflate stores to the fast in-repo
-// lz codec. Block summaries, footers, and event payloads are preserved
+// migration path between the raw and lz codecs. Block summaries, footers, and event payloads are preserved
 // bit-for-bit and valid snapshot sidecars are refreshed alongside, so
 // recoding never forces a snapshot rebuild.
 //
@@ -130,7 +129,7 @@ func runShard(args []string) error {
 func runRecode(args []string) error {
 	fs := flag.NewFlagSet("recode", flag.ExitOnError)
 	store := fs.String("store", "", "store directory")
-	codec := fs.String("codec", evstore.DefaultCodec.String(), "target block codec (raw, deflate, lz)")
+	codec := fs.String("codec", evstore.DefaultCodec.String(), "target block codec (raw, lz)")
 	fs.Parse(args)
 	if *store == "" {
 		return fmt.Errorf("-store is required")
@@ -231,7 +230,7 @@ func runIngest(args []string) error {
 	year := fs.Int("year", 2020, "year for the synthetic dataset")
 	days := fs.Int("days", 1, "number of consecutive synthetic days")
 	block := fs.Int("block", evstore.DefaultBlockEvents, "events per block")
-	codec := fs.String("codec", evstore.DefaultCodec.String(), "block codec (raw, deflate, lz)")
+	codec := fs.String("codec", evstore.DefaultCodec.String(), "block codec (raw, lz)")
 	fs.Parse(args)
 	if *store == "" {
 		return fmt.Errorf("-store is required")

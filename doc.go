@@ -15,8 +15,7 @@
 // (cmd/bgpcollect) seals live feeds into the store; internal/serve
 // (cmd/commservd, single node or coordinator + shards) keeps the
 // sidecars warm and answers windowed HTTP queries behind a cache;
-// internal/obs, internal/loadgen (cmd/commload) and bench/ (see
-// BENCHMARK.json) make the daemons observable and their performance
-// comparable commit to commit. README.md has the layout; bench_test.go
+// internal/obs and bench/ (see BENCHMARK.json) make the daemons
+// observable and their performance comparable commit to commit. README.md has the layout; bench_test.go
 // regenerates each table and figure.
 package repro

@@ -2,6 +2,7 @@ package evstore_test
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -43,7 +44,7 @@ func TestCrossCodecScanEquivalence(t *testing.T) {
 	want := stream.Classify(workload.MultiDaySource(cfg, days), nil)
 
 	var base *evstore.ScanStats
-	for _, codec := range []evstore.Codec{evstore.CodecRaw, evstore.CodecDeflate, evstore.CodecLZ} {
+	for _, codec := range []evstore.Codec{evstore.CodecRaw, evstore.CodecLZ} {
 		t.Run(codec.String(), func(t *testing.T) {
 			dir := ingestCodec(t, workload.MultiDaySource(cfg, days), codec)
 			var scanErr error
@@ -154,15 +155,15 @@ func TestDecodeAheadPipeline(t *testing.T) {
 	}
 }
 
-// TestRecodeRoundTrip is the migration pin: a deflate store with built
-// sidecars recodes to lz with bit-identical classification, a
-// smaller-or-similar footprint, sidecars reused without a single
+// TestRecodeRoundTrip is the migration pin: an lz store with built
+// sidecars recodes to raw with bit-identical classification, sane
+// byte accounting, sidecars reused without a single
 // rebuild (Built == 0) with their result codes intact — a window replayed
 // from them answers as before — and a second recode is a no-op.
 func TestRecodeRoundTrip(t *testing.T) {
 	cfg := smallDayConfig()
 	const days = 2
-	dir := ingestCodec(t, workload.MultiDaySource(cfg, days), evstore.CodecDeflate)
+	dir := ingestCodec(t, workload.MultiDaySource(cfg, days), evstore.CodecLZ)
 
 	before := stream.Classify(evstore.Scan(dir, evstore.Query{}, nil), nil)
 	bs, err := evstore.BuildSnapshots(context.Background(), dir, snapNamed())
@@ -209,12 +210,12 @@ func TestRecodeRoundTrip(t *testing.T) {
 	}
 	ssBefore, answersBefore, columnsBefore := replayed()
 
-	rs, err := evstore.Recode(context.Background(), dir, evstore.CodecLZ)
+	rs, err := evstore.Recode(context.Background(), dir, evstore.CodecRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Recoded != rs.Partitions || rs.Skipped != 0 {
-		t.Fatalf("expected every deflate partition recoded: %+v", rs)
+		t.Fatalf("expected every lz partition recoded: %+v", rs)
 	}
 	if rs.Sidecars != rs.Partitions {
 		t.Fatalf("recoded %d sidecars for %d partitions", rs.Sidecars, rs.Partitions)
@@ -256,14 +257,13 @@ func TestRecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, info := range infos {
-		if info.Codec != "lz" && info.Codec != "mixed" {
-			t.Fatalf("%s: codec %q after recode to lz", info.Path, info.Codec)
+		if info.Codec != "raw" {
+			t.Fatalf("%s: codec %q after recode to raw", info.Path, info.Codec)
 		}
 	}
 
-	// Recoding again is a no-op: everything already lz (or raw
-	// fallback).
-	rs2, err := evstore.Recode(context.Background(), dir, evstore.CodecLZ)
+	// Recoding again is a no-op: everything already raw.
+	rs2, err := evstore.Recode(context.Background(), dir, evstore.CodecRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRecodeRoundTrip(t *testing.T) {
 // whose magic is the retired "EVS1" is an unreadable sidecar, which the
 // next build pass replaces.
 func TestLegacyV1Rejected(t *testing.T) {
-	dir := ingestCodec(t, stream.FromSlice(liveEvents(testDay, "rrc00", 0, 64)), evstore.CodecDeflate)
+	dir := ingestCodec(t, stream.FromSlice(liveEvents(testDay, "rrc00", 0, 64)), evstore.CodecLZ)
 	parts, err := filepath.Glob(filepath.Join(dir, "*"+evstore.Extension))
 	if err != nil || len(parts) != 1 {
 		t.Fatalf("partitions %v (%v), want one", parts, err)
@@ -329,14 +329,14 @@ func TestLegacyV1Rejected(t *testing.T) {
 	}
 }
 
-// TestRecodeThereAndBack recodes lz → deflate → lz and pins
+// TestRecodeThereAndBack recodes lz → raw → lz and pins
 // classification plus event-level fidelity throughout.
 func TestRecodeThereAndBack(t *testing.T) {
 	cfg := smallDayConfig()
 	dir := ingestCodec(t, workload.MultiDaySource(cfg, 1), evstore.CodecLZ)
 	want := stream.Collect(evstore.Scan(dir, evstore.Query{}, nil))
 
-	for _, codec := range []evstore.Codec{evstore.CodecDeflate, evstore.CodecRaw, evstore.CodecLZ} {
+	for _, codec := range []evstore.Codec{evstore.CodecRaw, evstore.CodecLZ} {
 		if _, err := evstore.Recode(context.Background(), dir, codec); err != nil {
 			t.Fatalf("recode to %v: %v", codec, err)
 		}
@@ -356,22 +356,79 @@ func TestRecodeThereAndBack(t *testing.T) {
 	}
 }
 
-// TestWriterCodecValidation pins that an invalid codec fails the
-// ingest instead of writing unreadable blocks.
+// TestWriterCodecValidation pins that an invalid codec — unassigned or
+// the retired id 1 — fails the ingest instead of writing unreadable
+// blocks.
 func TestWriterCodecValidation(t *testing.T) {
-	dir := t.TempDir()
-	w, err := evstore.Open(dir)
+	for _, codec := range []evstore.Codec{1, 42} {
+		w, err := evstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Codec = codec
+		w.BlockEvents = 16 // flush during Ingest, not only at Close
+		err = w.Ingest(workload.MultiDaySource(smallDayConfig(), 1))
+		if err == nil {
+			err = w.Close()
+		}
+		if err == nil {
+			t.Fatalf("ingest with codec %d succeeded", codec)
+		}
+		w.Abort()
+	}
+}
+
+// TestRetiredDeflateRefused pins the retirement of codec id 1: the id
+// is reserved, not reused, so a partition whose footer says a block is
+// deflate-coded is refused by name on every read path — never decoded
+// as something else — and the name no longer parses.
+func TestRetiredDeflateRefused(t *testing.T) {
+	const named = "codec deflate (id 1) is retired"
+	if _, err := evstore.ParseCodec("deflate"); err == nil || !strings.Contains(err.Error(), named) {
+		t.Errorf("ParseCodec(deflate): %v, want the named refusal", err)
+	}
+
+	dir := ingestCodec(t, stream.FromSlice(liveEvents(testDay, "rrc00", 0, 64)), evstore.CodecLZ)
+	parts, err := filepath.Glob(filepath.Join(dir, "*"+evstore.Extension))
+	if err != nil || len(parts) != 1 {
+		t.Fatalf("partitions %v (%v), want one", parts, err)
+	}
+	// Footer: magic, block count, then per block offset, ulen, clen (all
+	// uvarints) and the codec byte; the trailer's first four bytes give
+	// the footer's length.
+	raw, err := os.ReadFile(parts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Codec = evstore.Codec(42)
-	w.BlockEvents = 16 // flush during Ingest, not only at Close
-	err = w.Ingest(workload.MultiDaySource(smallDayConfig(), 1))
-	if err == nil {
-		err = w.Close()
+	flen := int(binary.LittleEndian.Uint32(raw[len(raw)-8:]))
+	at := len(raw) - 8 - flen + 4
+	for range 4 {
+		_, n := binary.Uvarint(raw[at:])
+		at += n
 	}
-	if err == nil {
-		t.Fatal("ingest with invalid codec succeeded")
+	if evstore.Codec(raw[at]) != evstore.CodecLZ {
+		t.Fatalf("byte %d is %d, not the first block's lz codec id", at, raw[at])
 	}
-	w.Abort()
+	raw[at] = 1
+	if err := os.WriteFile(parts[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	refused := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), named) {
+			t.Errorf("%s: %v, want the named refusal", path, err)
+		}
+	}
+	var scanErr error
+	if n := stream.Count(evstore.Scan(dir, evstore.Query{}, &scanErr)); n != 0 {
+		t.Errorf("row scan yielded %d events from a deflate-marked block", n)
+	}
+	refused("Scan", scanErr)
+	_, err = evstore.ScanParallel(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, 1, analysis.NewCounts())
+	refused("ScanParallel", err)
+	_, _, err = evstore.OpenSnapshotIndex(context.Background(), dir, snapNamed())
+	refused("OpenSnapshotIndex", err)
+	_, err = evstore.Recode(context.Background(), dir, evstore.CodecRaw)
+	refused("Recode", err)
 }

@@ -10,9 +10,9 @@
 // Writer.BlockEvents events in columnar layout — zigzag-delta-encoded
 // timestamps and per-block dictionaries for collectors, peer ASNs,
 // peer addresses, prefixes, AS paths, and community sets — each
-// compressed with a per-block codec: raw, deflate, or the in-repo
-// internal/lz fast byte-LZ (the default; Writer.Codec selects, with a
-// raw fallback when compression would grow a block). The codec id rides
+// compressed with a per-block codec: raw or the in-repo internal/lz
+// fast byte-LZ (the default; Writer.Codec selects, with a raw fallback
+// when compression would grow a block). The codec id rides
 // in every block frame and footer entry and readers dispatch per block,
 // so a store mixes codecs freely; Recode migrates one in place
 // (atomically, via temp+rename). The footer records, per block, its
@@ -83,9 +83,10 @@ import (
 )
 
 // Format constants. The partition format is v2: a per-block codec id
-// (raw, deflate, lz) is carried in both the block frame and the footer
-// entry. Files with any other magic — including the retired all-deflate
-// v1 ("EVP1"/"EVF1") — are rejected as "bad partition magic".
+// (raw, lz; id 1 is the retired deflate and is refused by name) is
+// carried in both the block frame and the footer entry. Files with any
+// other magic — including the retired all-deflate v1 ("EVP1"/"EVF1") —
+// are rejected as "bad partition magic".
 const (
 	partitionMagicV2 = "EVP2" // file header
 	footerMagicV2    = "EVF2" // footer and trailer

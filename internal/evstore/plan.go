@@ -92,6 +92,17 @@ type PlanStats struct {
 	Skipped    int // provably irrelevant
 }
 
+// Add accumulates another run's decisions, every field summed — runs
+// over disjoint shards (a coordinator's fan-out) add up to one plan.
+func (p *PlanStats) Add(o PlanStats) {
+	p.Shards += o.Shards
+	p.Partitions += o.Partitions
+	p.Merged += o.Merged
+	p.Jumped += o.Jumped
+	p.Scanned += o.Scanned
+	p.Skipped += o.Skipped
+}
+
 // ServeStats describes one SnapshotIndex.Query execution.
 type ServeStats struct {
 	Workers int

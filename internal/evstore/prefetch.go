@@ -15,12 +15,11 @@ import (
 const decodeAheadDepth = 2
 
 // prefetcher owns the decode-ahead state of one blockReader: the
-// worker-side decompressor and staging buffer (disjoint from the
-// reader's synchronous ones, so the two paths never share mutable
-// state), the payload buffers rotated through the pipeline, and a
-// scratch list for the matching blocks of the current partition.
+// worker-side staging buffer (disjoint from the reader's synchronous
+// one, so the two paths never share mutable state), the payload
+// buffers rotated through the pipeline, and a scratch list for the
+// matching blocks of the current partition.
 type prefetcher struct {
-	dec    blockDecompressor
 	cbuf   []byte
 	bufs   [][]byte    // idle payload buffers, retained across partitions
 	blocks []blockMeta // scratch for the matching-block list
@@ -56,7 +55,7 @@ func (pf *prefetcher) fetch(f *os.File, bm blockMeta, buf []byte) ([]byte, error
 	if _, err := f.ReadAt(cbuf, bm.offset); err != nil {
 		return buf, err
 	}
-	return buf, pf.dec.decompress(bm.codec, buf, cbuf)
+	return buf, decompress(bm.codec, buf, cbuf)
 }
 
 // run pipelines one partition's matching blocks: a worker goroutine

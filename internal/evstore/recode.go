@@ -23,7 +23,7 @@ type RecodeStats struct {
 }
 
 // Recode rewrites the store's partitions block-by-block into the
-// target codec — how an existing store migrates (e.g. deflate → lz)
+// target codec — how an existing store migrates (e.g. lz → raw)
 // without re-ingesting. Per block it decompresses with the block's
 // recorded codec and recompresses with the target (blocks already in
 // the target codec, or stored raw by the fallback, are copied
@@ -41,8 +41,8 @@ type RecodeStats struct {
 // them all — Built == 0.
 func Recode(ctx context.Context, dir string, codec Codec) (RecodeStats, error) {
 	var rs RecodeStats
-	if !codec.valid() {
-		return rs, fmt.Errorf("evstore: invalid recode codec %d", codec)
+	if err := codec.check(); err != nil {
+		return rs, err
 	}
 	// Walk shards in BuildSnapshots order so the sidecar chain
 	// fingerprints can be recomputed as sizes change.
@@ -112,7 +112,6 @@ func Recode(ctx context.Context, dir string, codec Codec) (RecodeStats, error) {
 // pass.
 type recoder struct {
 	bc         blockCompressor
-	bd         blockDecompressor
 	cbuf, ubuf []byte
 }
 
@@ -157,7 +156,7 @@ func (rc *recoder) recodePartition(ctx context.Context, p *partition, f *os.File
 				rc.ubuf = make([]byte, bm.ulen)
 			}
 			payload := rc.ubuf[:bm.ulen]
-			if err := rc.bd.decompress(bm.codec, payload, stored); err != nil {
+			if err := decompress(bm.codec, payload, stored); err != nil {
 				return fail(err)
 			}
 			data, outCodec, err = rc.bc.compress(codec, payload)

@@ -73,7 +73,7 @@ func (s *ScanStats) countBlock(bm blockMeta, prefetched bool) {
 	if prefetched {
 		s.BlocksPrefetched++
 	}
-	if bm.codec.valid() {
+	if bm.codec < NumCodecs {
 		pc := &s.PerCodec[bm.codec]
 		pc.Blocks++
 		pc.BytesRead += int64(bm.clen)
@@ -301,8 +301,8 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 			b.sum.count < 0 || b.sum.count > maxBlockEvents {
 			return nil, fmt.Errorf("evstore: %s: block %d out of bounds", path, i)
 		}
-		if !b.codec.valid() {
-			return nil, fmt.Errorf("evstore: %s: block %d has unknown codec %d", path, i, b.codec)
+		if err := b.codec.check(); err != nil {
+			return nil, fmt.Errorf("%w (%s, block %d)", err, path, i)
 		}
 		b.first = p.agg.count
 		p.blocks = append(p.blocks, b)
@@ -315,15 +315,14 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 }
 
 // blockReader reads, decompresses, and decodes blocks, reusing its
-// buffers, the per-codec decompressor state, the batch decode scratch
-// (global dictionary + column arrays), and the residual selector
-// across calls — one per scan worker, so steady-state block decoding
-// allocates nothing. Partitions with more than one matching block
-// stream through its decode-ahead prefetcher instead of the
-// synchronous path (see prefetch.go).
+// buffers, the batch decode scratch (global dictionary + column
+// arrays), and the residual selector across calls — one per scan
+// worker, so steady-state block decoding allocates nothing.
+// Partitions with more than one matching block stream through its
+// decode-ahead prefetcher instead of the synchronous path (see
+// prefetch.go).
 type blockReader struct {
 	cbuf, ubuf []byte
-	dec        blockDecompressor
 	scratch    *decodeScratch
 	slr        *selector
 	pf         prefetcher
@@ -355,7 +354,7 @@ func (br *blockReader) readBlockPayload(f *os.File, b blockMeta) ([]byte, error)
 	if _, err := f.ReadAt(cbuf, b.offset); err != nil {
 		return nil, err
 	}
-	if err := br.dec.decompress(b.codec, ubuf, cbuf); err != nil {
+	if err := decompress(b.codec, ubuf, cbuf); err != nil {
 		return nil, err
 	}
 	return ubuf, nil

@@ -32,7 +32,6 @@ type ringPoint struct {
 // ShardMap assigns collectors to one of N shards by consistent
 // hashing. The zero value is not usable; construct with NewShardMap.
 type ShardMap struct {
-	n    int
 	ring []ringPoint
 }
 
@@ -42,7 +41,7 @@ func NewShardMap(n int) *ShardMap {
 	if n < 1 {
 		n = 1
 	}
-	m := &ShardMap{n: n, ring: make([]ringPoint, 0, n*ringVirtualNodes)}
+	m := &ShardMap{ring: make([]ringPoint, 0, n*ringVirtualNodes)}
 	for s := 0; s < n; s++ {
 		for v := 0; v < ringVirtualNodes; v++ {
 			m.ring = append(m.ring, ringPoint{
@@ -60,9 +59,6 @@ func NewShardMap(n int) *ShardMap {
 	})
 	return m
 }
-
-// N returns the shard count the map was built for.
-func (m *ShardMap) N() int { return m.n }
 
 // Shard returns the shard index owning a collector. The argument is
 // the sanitized collector name as it appears in partition file names

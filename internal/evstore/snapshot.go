@@ -232,17 +232,17 @@ func parseSnapshot(raw []byte) (*PartitionSnapshot, error) {
 		return nil, err
 	}
 	codec := Codec(cb[0])
-	if !codec.valid() {
-		return nil, fmt.Errorf("unknown snapshot codec %d", codec)
+	if err := codec.check(); err != nil {
+		return nil, err
 	}
-	// No codec expands further than deflate's 1032:1, so a body length
-	// beyond that is a lie; refuse it before allocating for it.
+	// No codec ever assigned expands further than 1032:1 (the retired
+	// deflate's bound; lz stays under 255:1), so a body length beyond
+	// that is a lie; refuse it before allocating for it.
 	if ulen > uint64(maxBlockEvents)*256 || ulen > uint64(hr.Remaining())*1032 {
 		return nil, fmt.Errorf("implausible snapshot size %d", ulen)
 	}
 	body := make([]byte, ulen)
-	var bd blockDecompressor
-	if err := bd.decompress(codec, body, hr.Bytes(hr.Remaining())); err != nil {
+	if err := decompress(codec, body, hr.Bytes(hr.Remaining())); err != nil {
 		return nil, err
 	}
 

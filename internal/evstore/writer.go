@@ -461,8 +461,8 @@ func (w *Writer) flushBlock(pw *partWriter) error {
 	w.payload, sum = encodeBlock(pw.pending, w.payload)
 	pw.pending = pw.pending[:0]
 
-	if !w.Codec.valid() {
-		return fmt.Errorf("evstore: invalid writer codec %d", w.Codec)
+	if err := w.Codec.check(); err != nil {
+		return err
 	}
 	data, codec, err := w.comp.compress(w.Codec, w.payload)
 	if err != nil {

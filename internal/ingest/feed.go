@@ -120,10 +120,6 @@ func ReplayArchive(name, collector, path string, speed float64) *ReplayFeed {
 // Name implements Feed.
 func (f *ReplayFeed) Name() string { return f.name }
 
-// Emitted returns how many events the plane has accepted from this
-// feed across all attempts.
-func (f *ReplayFeed) Emitted() int { return f.emitted }
-
 // Run implements Feed.
 func (f *ReplayFeed) Run(ctx context.Context, emit func(classify.Event) error) error {
 	src, check, err := f.open()
@@ -185,10 +181,6 @@ func NewSimFeed(s simnet.Scenario, speed float64) *SimFeed {
 // Name implements Feed.
 func (f *SimFeed) Name() string { return f.name }
 
-// Emitted returns how many events the plane has accepted from this
-// feed across all attempts.
-func (f *SimFeed) Emitted() int { return f.emitted }
-
 // Run implements Feed.
 func (f *SimFeed) Run(ctx context.Context, emit func(classify.Event) error) error {
 	skip := f.emitted
@@ -242,9 +234,6 @@ func NewSessionFeed(name, collector string, sess *session.Session, peerAddr neti
 
 // Name implements Feed.
 func (f *SessionFeed) Name() string { return f.name }
-
-// Session returns the underlying session (status probes).
-func (f *SessionFeed) Session() *session.Session { return f.sess }
 
 // Run implements Feed: it services the session's read loop until the
 // peer closes (clean: nil), the session errors, or ctx is cancelled.

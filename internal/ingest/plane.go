@@ -36,9 +36,9 @@ type Config struct {
 	// BlockEvents overrides the writers' events-per-block (0: evstore
 	// default).
 	BlockEvents int
-	// Codec names the writers' block codec ("raw", "deflate", "lz").
-	// Empty keeps evstore's default (lz); live planes on CPU-starved
-	// hosts can pick raw, archival ones deflate.
+	// Codec names the writers' block codec ("raw", "lz"). Empty keeps
+	// evstore's default (lz); live planes on CPU-starved hosts can pick
+	// raw.
 	Codec string
 	// Now stamps session-feed events and drives the writers' age-based
 	// seals (nil: time.Now; tests inject deterministic clocks).

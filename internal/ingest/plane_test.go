@@ -4,17 +4,25 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/classify"
 	"repro/internal/evstore"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/session"
 	"repro/internal/stream"
@@ -476,6 +484,174 @@ func TestPlaneServeFreshness(t *testing.T) {
 	if live, batch := answerData(t, srv), answerData(t, batchSrv); string(live) != string(batch) {
 		t.Fatalf("live answer %s != batch answer %s", live, batch)
 	}
+}
+
+// TestPlaneServeSmoke is the CI load smoke and the observability race
+// test in one: a fully instrumented in-process daemon (metrics +
+// admission) serves a mixed /v1 load while a live feed seals new
+// partitions into its store, a watcher refreshes the cache, and a
+// scraper lints /metrics continuously. Under -race this covers the
+// instrument hot paths, the OnScrape samplers, the OnSeal hook, and the
+// cache-invalidation path all contending at once. Every request must
+// succeed and every scrape must lint.
+func TestPlaneServeSmoke(t *testing.T) {
+	duration := 1500 * time.Millisecond
+	if testing.Short() {
+		duration = 600 * time.Millisecond
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	cfg := smallDay()
+	dir := t.TempDir()
+	_, sources := workload.DaySources(cfg)
+	batchIngest(t, dir, sources...)
+
+	// One registry carries both planes' families, as a real colocated
+	// deployment would expose them.
+	reg := obs.NewRegistry()
+	srv, _, err := serve.New(ctx, serve.Config{Dir: dir, Workers: 2, Metrics: serve.NewMetrics(reg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Watch(ctx, 50*time.Millisecond, nil)
+	ts := httptest.NewServer(serve.Admission(serve.AdmissionConfig{MaxInflight: 256}, srv.Handler()))
+	defer ts.Close()
+
+	// Live ingest into the served store, stamped with the wall clock:
+	// short seal age so the watcher sees generation bumps (and drops the
+	// cache) mid-run. The collector is not one the queries window over.
+	p, err := NewPlane(ctx, Config{
+		Dir:     dir,
+		Seal:    evstore.SealPolicy{MaxAge: 200 * time.Millisecond},
+		Metrics: NewMetrics(reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Attach(funcFeed{"churn", func(ctx context.Context, emit func(classify.Event) error) error {
+		tick := time.NewTicker(2500 * time.Microsecond) // 400 events/s
+		defer tick.Stop()
+		for seq := 0; ; seq++ {
+			select {
+			case <-ctx.Done():
+				return nil
+			case <-tick.C:
+			}
+			e := classify.Event{
+				Time:      time.Now(),
+				Collector: "churn00",
+				PeerAS:    uint32(65000 + seq%4),
+				PeerAddr:  netip.AddrFrom4([4]byte{10, 9, byte(seq % 4), 1}),
+				Prefix:    netip.PrefixFrom(netip.AddrFrom4([4]byte{192, 0, byte(seq), 0}), 24),
+			}
+			if e.Withdraw = seq%10 == 9; !e.Withdraw {
+				e.ASPath = bgp.NewASPath(e.PeerAS, 3356, uint32(1000+seq%50))
+				e.Communities = bgp.Communities{bgp.NewCommunity(3356, uint16(seq%100))}
+			}
+			if err := emit(e); err != nil {
+				return err
+			}
+		}
+	}}, FeedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Continuous scraping while serving: every exposition must lint.
+	scrapeDone := make(chan struct{})
+	scrapes := 0
+	go func() {
+		defer close(scrapeDone)
+		for ctx.Err() == nil {
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			scrapes++
+			if err := obs.Lint(body); err != nil {
+				t.Errorf("scrape %d lint: %v", scrapes, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+
+	// The mix: mostly one hot full-day table2 (cached between seals), a
+	// steady minority of fresh sub-day windows, some §7 and table1.
+	iso := func(at time.Time) string { return url.QueryEscape(at.Format(time.RFC3339)) }
+	window := func(from, to time.Time) string { return "from=" + iso(from) + "&to=" + iso(to) }
+	fullDay := window(cfg.Day, cfg.Day.Add(24*time.Hour))
+	pick := func(r *rand.Rand) string {
+		switch n := r.Intn(80); {
+		case n < 40:
+			return "/v1/table2?" + fullDay
+		case n < 65:
+			from := cfg.Day.Add(time.Duration(r.Intn(6)) * time.Hour)
+			return "/v1/table2?" + window(from, from.Add(time.Duration(2+r.Intn(17))*time.Hour))
+		case n < 75:
+			return "/v1/infer/peers?" + fullDay
+		default:
+			return "/v1/table1?" + fullDay
+		}
+	}
+	var requests, cached atomic.Int64
+	var clients sync.WaitGroup
+	stop := time.Now().Add(duration)
+	for c := range 4 {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			r := rand.New(rand.NewSource(int64(c + 1)))
+			for time.Now().Before(stop) {
+				path := pick(r)
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				requests.Add(1)
+				if resp.StatusCode != http.StatusOK { // a 429 would be Admission shedding
+					t.Errorf("GET %s: status %d", path, resp.StatusCode)
+				}
+				if resp.Header.Get("X-Comm-Tier") == "cached" {
+					cached.Add(1)
+				}
+			}
+		}()
+	}
+	clients.Wait()
+	cancel()
+	<-scrapeDone
+
+	if requests.Load() == 0 {
+		t.Fatal("load run issued no requests")
+	}
+	if cached.Load() == 0 {
+		t.Errorf("no cached answers in %d requests — tier header or cache broken", requests.Load())
+	}
+	if scrapes == 0 {
+		t.Error("no successful scrapes during the run")
+	}
+	st, err := p.Drain(10 * time.Second)
+	if err != nil {
+		t.Fatalf("churn drain: %v", err)
+	}
+	if st.Events == 0 {
+		t.Error("churn feed delivered no events")
+	}
+	sealed := 0
+	for _, c := range st.Collectors {
+		sealed += c.Writer.Sealed
+	}
+	if sealed == 0 {
+		t.Error("churn sealed no partitions")
+	}
+	t.Logf("%d requests (%d cached), %d scrapes, %d events in %d sealed partitions, %d refreshes",
+		requests.Load(), cached.Load(), scrapes, st.Events, sealed, srv.Stats(context.Background()).Refreshes)
 }
 
 // waitFor polls cond until true or the deadline.

@@ -313,9 +313,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 func (h *Histogram) sampleInto(b *strings.Builder, name, labelPart string) {
 	// Bucket counts are cumulative in the exposition. Reads race
 	// concurrent Observes benignly: each bucket is read once, so a

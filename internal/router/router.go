@@ -128,9 +128,6 @@ func (n *Network) AddRouter(name string, as uint32, id netip.Addr, b Behavior) *
 	return r
 }
 
-// Router returns a registered router by name, or nil.
-func (n *Network) Router(name string) *Router { return n.routers[name] }
-
 // SetSink installs the message sink (nil turns observation off). The
 // sink sees every message from the next delivery on; already-recorded
 // state in a previous sink is untouched.

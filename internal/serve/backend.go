@@ -50,8 +50,8 @@ type RefreshStats struct {
 	// hash for a coordinator). 0 means unknown.
 	Generation uint64
 	// Changed reports whether answers may differ from before the
-	// refresh — the signal that answer caches above this backend must
-	// be dropped.
+	// refresh — the signal that the Server above this backend must
+	// drop its cache.
 	Changed bool
 }
 

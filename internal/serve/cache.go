@@ -7,12 +7,15 @@ import (
 	"sync"
 )
 
-// resultCache is a small LRU over answered queries. Values are
-// immutable once cached (answers are never mutated after compute), so
-// a hit hands back the shared pointer. The whole cache is invalidated
-// when the store grows — a windowed answer may gain events when a
-// partition seals into its window, so per-entry invalidation would
-// need window/partition intersection tracking for little gain.
+// resultCache is a small LRU, the Server's only cache. It holds two
+// entry kinds under disjoint keys: shaped *Answer values (key = the
+// spec's CacheKey) and *StateEnvelope values (key = "state|" + it).
+// Values are immutable once cached (neither is mutated after compute),
+// so a hit hands back the shared pointer. The whole cache is
+// invalidated when the store grows (Server.invalidate, the only caller
+// of clear) — a windowed answer may gain events when a partition seals
+// into its window, so per-entry invalidation would need
+// window/partition intersection tracking.
 type resultCache struct {
 	mu    sync.Mutex
 	max   int
@@ -149,7 +152,7 @@ func (g *flightGroup) do(key string, fn func() (any, error)) (val any, shared bo
 }
 
 // flightCompute runs fn under the group with the leader-cancellation
-// rule shared by both tiers: a shared computation ran under the
+// rule: a shared computation ran under the
 // LEADER's request context, so if the leader's client vanished
 // mid-scan, its cancellation is not the follower's — recompute under
 // the caller's own context instead of surfacing someone else's abort.

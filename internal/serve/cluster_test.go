@@ -470,6 +470,39 @@ func TestClusterDegraded(t *testing.T) {
 	}
 }
 
+// TestClusterDegradedState is TestClusterDegraded's never-a-cached-
+// partial rule for the envelope entry kind: with a data-owning shard
+// down, the coordinator's Server.State returns the partial envelope,
+// stores nothing, and asks the shards again on the repeat.
+func TestClusterDegradedState(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Collectors = 4
+	_, sources := workload.DaySources(cfg)
+	shardDirs, assigned := splitRandom(t, buildStore(t, stream.Concat(sources...)), 4, 7)
+	shards, coord, _ := startCluster(t, shardDirs)
+	victim := -1
+	for _, s := range assigned {
+		victim = s
+		break
+	}
+	shards[victim].stop()
+
+	ctx := context.Background()
+	spec := serve.QuerySpec{Kind: serve.KindTable2}
+	for attempt := range 2 {
+		env, err := coord.State(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !env.Partial() {
+			t.Fatalf("attempt %d: envelope with shard %d down is not partial: %+v", attempt, victim, env.Shards)
+		}
+		if c := coord.Stats(ctx).Cache; c.Entries != 0 || c.Hits != 0 || c.Misses != uint64(attempt+1) {
+			t.Fatalf("attempt %d: a partial envelope touched the cache: %+v", attempt, c)
+		}
+	}
+}
+
 // BenchmarkScatterGather measures the coordinator tax: the same
 // questions answered by a single-node server over the whole store and
 // by a coordinator fanning out to a 4-shard in-process cluster over

@@ -23,8 +23,8 @@ import (
 // Shard loss degrades, it does not fail: as long as at least one shard
 // answers, the coordinator returns the merged state of the shards it
 // reached, with per-shard provenance naming exactly who is missing.
-// Partial envelopes are never cached by the Server above, so a
-// recovered shard is back in the next answer.
+// Partial envelopes are never cached by the Server above (as answers
+// or as state), so a recovered shard is back in the next answer.
 type Coordinator struct {
 	backends []Backend
 
@@ -43,9 +43,6 @@ func NewCoordinator(backends ...Backend) *Coordinator {
 
 // Name identifies the engine in provenance and stats.
 func (c *Coordinator) Name() string { return "coordinator" }
-
-// Backends returns the shard backends, in fan-out order.
-func (c *Coordinator) Backends() []Backend { return c.backends }
 
 func (c *Coordinator) setGen(name string, gen uint64) {
 	c.mu.Lock()
@@ -115,12 +112,7 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 			prov.Source = r.env.Source
 			prov.Elapsed = r.env.Elapsed
 			c.setGen(prov.Backend, r.env.Generation)
-			out.Plan.Shards += r.env.Plan.Shards
-			out.Plan.Partitions += r.env.Plan.Partitions
-			out.Plan.Merged += r.env.Plan.Merged
-			out.Plan.Jumped += r.env.Plan.Jumped
-			out.Plan.Scanned += r.env.Plan.Scanned
-			out.Plan.Skipped += r.env.Plan.Skipped
+			out.Plan.Add(r.env.Plan)
 			out.Scan.Add(r.env.Scan)
 			// Shard-side merges plus this tier's restore+merge per key.
 			out.Merges += r.env.Merges + len(named)

@@ -141,7 +141,8 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	env, err := s.engine.State(r.Context(), spec)
+	s.queries.Add(1)
+	env, err := s.State(r.Context(), spec)
 	if err != nil {
 		if errors.Is(err, ErrEmptyStore) {
 			w.WriteHeader(http.StatusNoContent)

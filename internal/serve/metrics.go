@@ -119,7 +119,7 @@ func newMetrics(reg *obs.Registry) *Metrics {
 // bind wires the sampled side to one server. Called by New.
 func (m *Metrics) bind(s *Server) {
 	m.reg.CounterFunc("comm_serve_queries_total",
-		"Queries answered (all tiers).",
+		"Queries answered (all tiers; /v1/state requests included).",
 		func() uint64 { return s.queries.Load() })
 	m.reg.CounterFunc("comm_serve_deduped_total",
 		"Queries that piggybacked on another caller's in-flight compute.",
@@ -128,16 +128,16 @@ func (m *Metrics) bind(s *Server) {
 		"Store refreshes that changed answers (cache drops).",
 		func() uint64 { return s.refreshes.Load() })
 	m.reg.CounterFunc("comm_serve_cache_hits_total",
-		"Answer cache hits.",
+		"Cache hits (answers and, in shard mode, state envelopes).",
 		func() uint64 { return s.cache.stats().Hits })
 	m.reg.CounterFunc("comm_serve_cache_misses_total",
-		"Answer cache misses.",
+		"Cache misses.",
 		func() uint64 { return s.cache.stats().Misses })
 	m.reg.CounterFunc("comm_serve_cache_evictions_total",
-		"Answer cache LRU evictions.",
+		"Cache LRU evictions.",
 		func() uint64 { return s.cache.stats().Evictions })
 	m.reg.GaugeFunc("comm_serve_cache_entries",
-		"Answers currently cached.",
+		"Entries currently cached.",
 		func() float64 { return float64(s.cache.stats().Entries) })
 	m.reg.GaugeFunc("comm_serve_uptime_seconds",
 		"Seconds since the server started.",

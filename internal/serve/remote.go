@@ -14,9 +14,10 @@ import (
 
 // RemoteBackend speaks the shard protocol to a commservd -shard
 // daemon: POST /v1/state with a binary QuerySpec, binary StateEnvelope
-// back; GET /healthz for liveness and generation drift. It holds no
-// cache of its own — the shard caches envelopes, the coordinator's
-// Server caches shaped answers.
+// back; GET /healthz for liveness and generation drift. Like every
+// backend it holds no cache: the shard daemon's Server caches the
+// envelopes it serves, the coordinator's Server caches what it shapes
+// from them.
 type RemoteBackend struct {
 	base   string
 	client *http.Client

@@ -12,9 +12,14 @@
 // (consistent hashing, the ScanShards invariant), so the merge is
 // bit-identical to a single-node answer over the union store. The
 // Server frontend is engine-agnostic: it shapes state into the JSON
-// Answer envelope, keeps the generation-guarded LRU answer cache and
-// singleflight group, and serves the same /v1 HTTP API whichever
-// engine sits below. Single-node (LocalBackend) remains the default.
+// Answer envelope and serves the same /v1 HTTP API whichever engine
+// sits below. Single-node (LocalBackend) remains the default.
+//
+// Caching lives in the Server and nowhere else: one generation-guarded
+// LRU and one singleflight group hold both entry kinds — shaped
+// Answers (Server.Answer) and state envelopes (Server.State, which is
+// all a shard daemon serves) — and one method, Server.invalidate,
+// drops them when the store moves. Backends hold no cache.
 //
 // Query semantics are the live-collector convention: classification
 // state is warm from each collector's full stored timeline, and the
@@ -209,9 +214,9 @@ type Server struct {
 	logger  *slog.Logger
 
 	// lastGen is the last engine generation observed in an envelope; a
-	// drift detected mid-answer (a shard refreshed underneath a
-	// coordinator) clears the answer cache, so stale merged answers
-	// cannot outlive the observation that the store moved.
+	// drift detected mid-compute (a shard refreshed underneath a
+	// coordinator) invalidates the cache, so stale entries cannot
+	// outlive the observation that the store moved.
 	lastGen atomic.Uint64
 
 	started   time.Time
@@ -254,24 +259,27 @@ func New(ctx context.Context, cfg Config) (*Server, RefreshStats, error) {
 	return s, rs, nil
 }
 
-// Backend returns the serving engine.
-func (s *Server) Backend() Backend { return s.engine }
+// invalidate is the one place cached entries are dropped: it records
+// the generation the store moved to (0: unknown), clears the cache —
+// which also bumps the put guard, so a compute that started before the
+// move is returned to its caller but never stored — and counts the
+// refresh. Refresh, Watch and observeGeneration all end here.
+func (s *Server) invalidate(gen uint64) {
+	if gen != 0 {
+		s.lastGen.Store(gen)
+	}
+	s.cache.clear()
+	s.refreshes.Add(1)
+}
 
 // Refresh re-checks the engine's store(s) for newly sealed partitions
-// and drops the answer cache when answers may have changed.
+// and drops the cache when answers may have changed.
 func (s *Server) Refresh(ctx context.Context) (RefreshStats, error) {
 	rs, err := s.engine.Refresh(ctx)
-	if err != nil {
-		return rs, err
+	if err == nil && rs.Changed {
+		s.invalidate(rs.Generation)
 	}
-	if rs.Changed {
-		s.cache.clear()
-		if rs.Generation != 0 {
-			s.lastGen.Store(rs.Generation)
-		}
-	}
-	s.refreshes.Add(1)
-	return rs, nil
+	return rs, err
 }
 
 // Watch follows the engine's store(s) and refreshes whenever live
@@ -281,11 +289,7 @@ func (s *Server) Refresh(ctx context.Context) (RefreshStats, error) {
 func (s *Server) Watch(ctx context.Context, interval time.Duration, onRefresh func(RefreshStats, error)) error {
 	return s.engine.Watch(ctx, interval, func(rs RefreshStats, err error) {
 		if err == nil && rs.Changed {
-			s.cache.clear()
-			if rs.Generation != 0 {
-				s.lastGen.Store(rs.Generation)
-			}
-			s.refreshes.Add(1)
+			s.invalidate(rs.Generation)
 		}
 		if onRefresh != nil {
 			onRefresh(rs, err)
@@ -309,40 +313,76 @@ func (s *Server) Answer(ctx context.Context, spec QuerySpec) (*Answer, error) {
 
 func (s *Server) answer(ctx context.Context, spec QuerySpec) (*Answer, error) {
 	s.queries.Add(1)
-	key := spec.CacheKey()
-	if v, ok := s.cache.get(key); ok {
-		hit := *(v.(*Answer))
-		hit.Source = "cache"
-		return &hit, nil
-	}
-	computeCached := func(ctx context.Context) (any, error) {
-		// The clear-generation is read before computing: if the store
-		// is refreshed mid-compute, the (possibly stale) answer is
-		// returned to this caller but never cached.
-		gen := s.cache.generation()
+	v, hit, err := s.cached(ctx, spec.CacheKey(), func(ctx context.Context) (any, uint64, bool, error) {
 		ans, err := s.compute(ctx, spec)
 		if err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
-		s.observeGeneration(ans)
 		if s.metrics != nil {
 			// Leader-only: followers and cache hits share this compute's
 			// scan work, so the counters track work actually done.
 			s.metrics.observeCompute(ans)
 		}
-		if !ans.Partial {
-			s.cache.put(key, ans, gen)
-		}
-		return ans, nil
-	}
-	v, shared, err := flightCompute(ctx, s.flight, key, computeCached)
-	if shared {
-		s.deduped.Add(1)
-	}
+		return ans, ans.generation, ans.Partial, nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	if hit {
+		ans := *(v.(*Answer))
+		ans.Source = "cache"
+		return &ans, nil
+	}
 	return v.(*Answer), nil
+}
+
+// State serves one spec's merged analyzer state — the envelope
+// counterpart of Answer, through the same cache (under "state|" + the
+// spec's key) and singleflight group. It is the whole of shard mode
+// (/v1/state) and what figure2 asks per year. The envelope is shared
+// with the cache: callers must not mutate it.
+func (s *Server) State(ctx context.Context, spec QuerySpec) (*StateEnvelope, error) {
+	v, _, err := s.cached(ctx, "state|"+spec.CacheKey(), func(ctx context.Context) (any, uint64, bool, error) {
+		env, err := s.engine.State(ctx, spec)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		return env, env.Generation, env.Partial(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*StateEnvelope), nil
+}
+
+// cached is the read-through path both entry kinds share: an LRU hit,
+// else compute under the singleflight group (a follower counts as
+// deduped). compute reports the engine generation its value was
+// computed at and whether it is partial; a partial value is returned
+// but never stored.
+func (s *Server) cached(ctx context.Context, key string, compute func(context.Context) (val any, gen uint64, partial bool, err error)) (val any, hit bool, err error) {
+	if v, ok := s.cache.get(key); ok {
+		return v, true, nil
+	}
+	val, shared, err := flightCompute(ctx, s.flight, key, func(ctx context.Context) (any, error) {
+		// The clear-generation is read before computing: if the store
+		// is refreshed mid-compute, the (possibly stale) value is
+		// returned to this caller but never cached.
+		guard := s.cache.generation()
+		v, gen, partial, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		s.observeGeneration(gen)
+		if !partial {
+			s.cache.put(key, v, guard)
+		}
+		return v, nil
+	})
+	if shared {
+		s.deduped.Add(1)
+	}
+	return val, false, err
 }
 
 // Ready reports whether the daemon should accept query traffic, and if
@@ -375,21 +415,19 @@ func (s *Server) Ready(ctx context.Context) (bool, string) {
 	return true, ""
 }
 
-// observeGeneration notes the engine generation an answer was computed
+// observeGeneration notes the engine generation a value was computed
 // at. A change relative to the last observation means the store moved
 // without a Refresh/Watch having run here first (a shard refreshed
-// between coordinator watch ticks), so previously cached answers may
-// be stale: drop them all. The answer itself was computed at the NEW
-// generation and is cached normally by the caller (put runs after
-// clear bumps the guard only if this goroutine read the generation
-// after the clear — the existing put-guard semantics).
-func (s *Server) observeGeneration(ans *Answer) {
-	if ans.generation == 0 {
+// between coordinator watch ticks), so previously cached entries may
+// be stale: drop them all. The value itself was computed at the NEW
+// generation, but its put guard predates the clear, so it is returned
+// and not stored; the next request for it computes and stores.
+func (s *Server) observeGeneration(gen uint64) {
+	if gen == 0 {
 		return
 	}
-	prev := s.lastGen.Swap(ans.generation)
-	if prev != 0 && prev != ans.generation {
-		s.cache.clear()
+	if prev := s.lastGen.Swap(gen); prev != 0 && prev != gen {
+		s.invalidate(gen)
 	}
 }
 
@@ -479,7 +517,7 @@ func (s *Server) figure2(ctx context.Context, spec QuerySpec) (*Answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		env, err := s.engine.State(ctx, sub)
+		env, err := s.State(ctx, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -487,12 +525,11 @@ func (s *Server) figure2(ctx context.Context, spec QuerySpec) (*Answer, error) {
 			return nil, err
 		}
 		a := named[0].Proto.(*classify.CountsAnalyzer)
-		total.Plan.Shards = max(total.Plan.Shards, env.Plan.Shards)
-		total.Plan.Partitions += env.Plan.Partitions
-		total.Plan.Merged += env.Plan.Merged
-		total.Plan.Jumped += env.Plan.Jumped
-		total.Plan.Scanned += env.Plan.Scanned
-		total.Plan.Skipped += env.Plan.Skipped
+		// Each year re-plans the same shards: partitions add up, shards
+		// do not.
+		shards := max(total.Plan.Shards, env.Plan.Shards)
+		total.Plan.Add(env.Plan)
+		total.Plan.Shards = shards
 		total.Scan.Add(env.Scan)
 		total.Merges += env.Merges
 		total.Partial = total.Partial || env.Partial()

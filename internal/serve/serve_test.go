@@ -1,9 +1,11 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/collector"
 	"repro/internal/evstore"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 	"repro/internal/simnet"
@@ -317,19 +320,7 @@ func TestServeCacheAndSingleflight(t *testing.T) {
 	}
 
 	// Live append → refresh → cache dropped, answers reflect new data.
-	day2 := cfg
-	day2.Day = cfg.Day.Add(24 * time.Hour)
-	_, sources2 := workload.DaySources(day2)
-	w, err := evstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Ingest(stream.Concat(sources2...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendDay(t, dir, cfg, 1)
 	if _, err := s.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -343,6 +334,358 @@ func TestServeCacheAndSingleflight(t *testing.T) {
 	}
 	if grown.Data.(serve.CountsData).Announcements <= first.Data.(serve.CountsData).Announcements {
 		t.Fatal("post-refresh answer does not include the appended day")
+	}
+}
+
+// appendDay seals the day n days after cfg's into an existing store.
+func appendDay(t testing.TB, dir string, cfg workload.DayConfig, n int) {
+	t.Helper()
+	cfg.Day = cfg.Day.Add(time.Duration(n) * 24 * time.Hour)
+	_, sources := workload.DaySources(cfg)
+	appendEvents(t, dir, stream.Concat(sources...), nil, 0)
+}
+
+// gatedBackend wraps an engine and counts its State calls; while a gate
+// is armed each call announces itself and then blocks until released,
+// so a test can hold a compute open and act while it is in flight.
+type gatedBackend struct {
+	serve.Backend
+	calls atomic.Int64
+	gate  atomic.Pointer[stateGate]
+}
+
+type stateGate struct{ entered, release chan struct{} }
+
+// arm makes the following State calls block; the returned gate's
+// entered channel receives once per blocked call.
+func (g *gatedBackend) arm() *stateGate {
+	// entered is sized above any test's concurrent calls, so announcing
+	// never blocks a call the test is not yet receiving for.
+	sg := &stateGate{entered: make(chan struct{}, 64), release: make(chan struct{})}
+	g.gate.Store(sg)
+	return sg
+}
+
+// open releases every blocked call and disarms the gate.
+func (g *gatedBackend) open(sg *stateGate) {
+	g.gate.Store(nil)
+	close(sg.release)
+}
+
+func (g *gatedBackend) State(ctx context.Context, spec serve.QuerySpec) (*serve.StateEnvelope, error) {
+	g.calls.Add(1)
+	if sg := g.gate.Load(); sg != nil {
+		sg.entered <- struct{}{}
+		<-sg.release
+	}
+	return g.Backend.State(ctx, spec)
+}
+
+// gatedServer serves dir through a gatedBackend over a LocalBackend.
+func gatedServer(t testing.TB, dir string, metrics *serve.Metrics) (*serve.Server, *gatedBackend) {
+	t.Helper()
+	lb, _, err := serve.NewLocalBackend(context.Background(), serve.Config{Dir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := &gatedBackend{Backend: lb}
+	s, _, err := serve.New(context.Background(), serve.Config{Backend: gb, Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, gb
+}
+
+// postState POSTs a CSQ1 spec to a daemon's /v1/state and returns the
+// raw CSE2 envelope.
+func postState(t testing.TB, base string, spec serve.QuerySpec) []byte {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/state", "application/octet-stream", bytes.NewReader(serve.AppendQuerySpec(nil, spec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/state: status %d, %v: %s", resp.StatusCode, err, raw)
+	}
+	return raw
+}
+
+// envelopeCounts decodes a CSE2 table2 envelope into its counts.
+func envelopeCounts(t testing.TB, raw []byte) classify.Counts {
+	t.Helper()
+	env, err := serve.DecodeStateEnvelope(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := analysis.NewCounts()
+	if len(env.States) != 1 {
+		t.Fatalf("envelope carries %d states, want 1", len(env.States))
+	}
+	if err := a.Restore(env.States[0]); err != nil {
+		t.Fatal(err)
+	}
+	return a.Counts
+}
+
+// TestShardStateCache pins the shard surface onto the Server's one
+// cache: a repeated /v1/state spec is answered from it with the very
+// bytes of the first answer, concurrent identical specs cost one engine
+// compute, and /v1/stats and /metrics — blank for a shard while the
+// envelope cache sat uninstrumented inside LocalBackend — say so.
+func TestShardStateCache(t *testing.T) {
+	_, sources := workload.DaySources(smallCfg())
+	dir := buildStore(t, stream.Concat(sources...))
+	s, gb := gatedServer(t, dir, serve.NewMetrics(obs.NewRegistry()))
+	ts := httptest.NewServer(s.StateHandler())
+	defer ts.Close()
+	ctx := context.Background()
+
+	spec := serve.QuerySpec{Kind: serve.KindTable2,
+		Window: evstore.TimeRange{From: testDay.Add(2 * time.Hour), To: testDay.Add(20 * time.Hour)}}
+	if st := s.Stats(ctx); st.Queries != 0 || st.Cache.Hits != 0 {
+		t.Fatalf("fresh shard stats %+v", st)
+	}
+	first := postState(t, ts.URL, spec)
+	second := postState(t, ts.URL, spec)
+	if !bytes.Equal(first, second) {
+		t.Error("repeated /v1/state spec returned different envelope bytes")
+	}
+	if st := s.Stats(ctx); st.Queries != 2 || st.Cache.Hits != 1 || st.Cache.Misses != 1 || gb.calls.Load() != 1 {
+		t.Errorf("after a repeat: queries %d, cache %+v, engine computes %d; want 2 queries, 1 hit, 1 miss, 1 compute",
+			st.Queries, st.Cache, gb.calls.Load())
+	}
+	refC := analysis.NewCounts()
+	coldRef(t, dir, spec, refC)
+	if got := envelopeCounts(t, second); got != refC.Counts {
+		t.Errorf("cached envelope diverged from the cold scan:\n got %+v\nwant %+v", got, refC.Counts)
+	}
+
+	// The same numbers over the shard's own HTTP surface.
+	stats := getAnswer(t, ts.URL, "/v1/stats")
+	if c := stats["cache"].(map[string]any); c["Hits"].(float64) != 1 || stats["queries"].(float64) != 2 {
+		t.Errorf("/v1/stats on the shard surface: queries %v, cache %v", stats["queries"], c)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range []string{"comm_serve_cache_hits_total 1", "comm_serve_queries_total 2"} {
+		if !bytes.Contains(exposition, []byte(line+"\n")) {
+			t.Errorf("/metrics on the shard surface lacks %q", line)
+		}
+	}
+
+	// N concurrent POSTs of one uncached spec: the leader is held inside
+	// the engine until every follower has looked the key up (each lookup
+	// is a cache miss) and joined its flight.
+	const n = 8
+	spec2 := spec
+	spec2.Window.To = testDay.Add(21 * time.Hour)
+	before := s.Stats(ctx)
+	sg := gb.arm()
+	bodies := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i] = postState(t, ts.URL, spec2)
+		}()
+	}
+	<-sg.entered
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats(ctx).Cache.Misses < before.Cache.Misses+n {
+		if time.Now().After(deadline) {
+			t.Fatal("followers never reached the cache")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // from the miss to the flight group is a few instructions
+	gb.open(sg)
+	wg.Wait()
+	after := s.Stats(ctx)
+	if after.Deduped-before.Deduped != n-1 || gb.calls.Load() != 2 {
+		t.Errorf("%d concurrent specs: deduped %d, engine computes %d; want %d followers of one compute",
+			n, after.Deduped-before.Deduped, gb.calls.Load()-1, n-1)
+	}
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("concurrent envelope %d diverged", i)
+		}
+	}
+}
+
+// TestServeFigure2SharesYearStates pins figure2's per-year sub-specs
+// onto the same cache: two overlapping series share the overlapping
+// year's state, and every row equals a cold scan of its year.
+func TestServeFigure2SharesYearStates(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Day = time.Date(2019, 3, 15, 0, 0, 0, 0, time.UTC)
+	_, sources := workload.DaySources(cfg)
+	dir := buildStore(t, stream.Concat(sources...))
+	appendDay(t, dir, cfg, 366) // 2020-03-15
+	s, _, err := serve.New(context.Background(), serve.Config{Dir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	checkRows := func(ans *serve.Answer, fromYear int) {
+		t.Helper()
+		rows := ans.Data.([]serve.Figure2Row)
+		if len(rows) != 2 {
+			t.Fatalf("figure2 returned %d rows, want 2", len(rows))
+		}
+		for i, row := range rows {
+			y := fromYear + i
+			ref := analysis.NewCounts()
+			coldRef(t, dir, serve.QuerySpec{Window: evstore.TimeRange{
+				From: time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC),
+				To:   time.Date(y+1, 1, 1, 0, 0, 0, 0, time.UTC)}}, ref)
+			if row.Year != y || row.Total != ref.Counts.Announcements() || row.Counts.Withdrawals != ref.Counts.Withdrawals ||
+				!reflect.DeepEqual(row.Counts.ByType, countsByType(ref.Counts)) {
+				t.Errorf("figure2 row %d diverged from the cold scan of %d:\n got %+v\nwant %+v", i, y, row, ref.Counts)
+			}
+		}
+		if fromYear <= 2020 && rows[2020-fromYear].Total == 0 {
+			t.Error("figure2 2020 row is empty")
+		}
+	}
+	first, err := s.Answer(ctx, serve.QuerySpec{Kind: serve.KindFigure2, FromYear: 2019, ToYear: 2020})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRows(first, 2019)
+	before := s.Stats(ctx).Cache
+	second, err := s.Answer(ctx, serve.QuerySpec{Kind: serve.KindFigure2, FromYear: 2020, ToYear: 2021})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRows(second, 2020)
+	// The series itself and 2021 miss; 2020's state is the first run's.
+	if after := s.Stats(ctx).Cache; after.Hits != before.Hits+1 || after.Misses != before.Misses+2 {
+		t.Errorf("overlapping figure2: cache %+v → %+v, want one hit (2020) and two misses", before, after)
+	}
+}
+
+// TestServeInvalidation pins the one invalidation site: a seal +
+// Refresh drops cached answers and cached state envelopes alike and
+// counts one refresh, a Refresh that finds nothing new touches neither
+// the cache nor the counter, and a compute that straddles a refresh is
+// returned to its caller but never stored.
+func TestServeInvalidation(t *testing.T) {
+	cfg := smallCfg()
+	_, sources := workload.DaySources(cfg)
+	dir := buildStore(t, stream.Concat(sources...))
+	s, gb := gatedServer(t, dir, nil)
+	ts := httptest.NewServer(s.StateHandler())
+	defer ts.Close()
+	ctx := context.Background()
+	spec := serve.QuerySpec{Kind: serve.KindTable2}
+	cold := func() classify.Counts {
+		t.Helper()
+		ref := analysis.NewCounts()
+		coldRef(t, dir, spec, ref)
+		return ref.Counts
+	}
+	answerCounts := func(wantSource string) int {
+		t.Helper()
+		ans, err := s.Answer(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (ans.Source == "cache") != (wantSource == "cache") {
+			t.Fatalf("answer source %q, want %s", ans.Source, wantSource)
+		}
+		return ans.Data.(serve.CountsData).Announcements
+	}
+
+	answerCounts("computed")
+	answerCounts("cache")
+	stale := postState(t, ts.URL, spec)
+	if st := s.Stats(ctx); st.Cache.Entries != 2 || st.Refreshes != 0 {
+		t.Fatalf("one answer + one envelope cached: %+v, refreshes %d", st.Cache, st.Refreshes)
+	}
+
+	// A refresh that finds nothing new is not a refresh.
+	if rs, err := s.Refresh(ctx); err != nil || rs.Changed {
+		t.Fatalf("idle refresh: %+v, %v", rs, err)
+	}
+	if st := s.Stats(ctx); st.Cache.Entries != 2 || st.Refreshes != 0 {
+		t.Errorf("idle refresh moved the cache (%+v) or the counter (%d)", st.Cache, st.Refreshes)
+	}
+
+	// Seal + refresh: both entry kinds go, the counter moves once, and
+	// what is recomputed equals the cold reference over the grown store.
+	appendDay(t, dir, cfg, 1)
+	if rs, err := s.Refresh(ctx); err != nil || !rs.Changed {
+		t.Fatalf("refresh after a seal: %+v, %v", rs, err)
+	}
+	if st := s.Stats(ctx); st.Cache.Entries != 0 || st.Refreshes != 1 {
+		t.Errorf("after seal + refresh: cache %+v, refreshes %d; want empty and 1", st.Cache, st.Refreshes)
+	}
+	computes := gb.calls.Load()
+	want := cold()
+	if got := answerCounts("computed"); got != want.Announcements() {
+		t.Errorf("recomputed answer: %d announcements, cold scan %d", got, want.Announcements())
+	}
+	fresh := postState(t, ts.URL, spec)
+	if bytes.Equal(fresh, stale) {
+		t.Error("/v1/state served the pre-seal envelope after the refresh")
+	}
+	if got := envelopeCounts(t, fresh); got != want {
+		t.Errorf("recomputed envelope diverged from the cold scan:\n got %+v\nwant %+v", got, want)
+	}
+	if gb.calls.Load() != computes+2 {
+		t.Errorf("%d engine computes after the refresh, want 2", gb.calls.Load()-computes)
+	}
+
+	// The put guard: hold an Answer compute and a State compute inside
+	// the engine, seal and refresh underneath them, let them finish.
+	spec.Window.To = testDay.Add(72 * time.Hour) // a key not cached yet
+	sg := gb.arm()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if _, err := s.Answer(ctx, spec); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if _, err := s.State(ctx, spec); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-sg.entered
+	<-sg.entered
+	appendDay(t, dir, cfg, 2)
+	if _, err := s.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	gb.open(sg)
+	wg.Wait()
+	if st := s.Stats(ctx); st.Cache.Entries != 0 || st.Refreshes != 2 {
+		t.Errorf("computes that straddled a refresh left cache %+v, refreshes %d; want nothing stored", st.Cache, st.Refreshes)
+	}
+	computes = gb.calls.Load()
+	want = cold()
+	if got := answerCounts("computed"); got != want.Announcements() {
+		t.Errorf("answer after the straddle: %d announcements, cold scan %d", got, want.Announcements())
+	}
+	env, err := s.State(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := envelopeCounts(t, serve.AppendStateEnvelope(nil, env)); got != want {
+		t.Errorf("state after the straddle diverged from the cold scan:\n got %+v\nwant %+v", got, want)
+	}
+	if gb.calls.Load() != computes+2 {
+		t.Errorf("%d engine computes after the straddle, want 2 (nothing was stored)", gb.calls.Load()-computes)
 	}
 }
 
