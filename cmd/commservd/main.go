@@ -180,7 +180,6 @@ func runDaemon(opts daemonOpts) error {
 	}()
 	logger.Info("listening", "addr", opts.addr, "mode", mode, "phase", "warming")
 
-	start := time.Now()
 	s, rs, err := serve.New(ctx, cfg)
 	if err != nil {
 		srv.Close()
@@ -192,7 +191,8 @@ func runDaemon(opts daemonOpts) error {
 	} else {
 		logger.Info("snapshot index built", "partitions", rs.Partitions,
 			"built", rs.Built, "reused", rs.Reused, "events", rs.Events,
-			"elapsed", time.Since(start).Round(time.Millisecond))
+			"sidecars_read", rs.SidecarsRead, "restores", rs.Restores,
+			"workers", rs.Workers, "elapsed", rs.Elapsed.Round(time.Millisecond))
 	}
 
 	if opts.watch > 0 {

@@ -15,9 +15,13 @@
 //
 // recode rewrites an existing store's partitions block-by-block into
 // the target codec (never in place — temp file + atomic rename), the
-// migration path between the raw and lz codecs. Block summaries, footers, and event payloads are preserved
-// bit-for-bit and valid snapshot sidecars are refreshed alongside, so
-// recoding never forces a snapshot rebuild.
+// migration path between the raw and lz codecs in either direction: a
+// block lz would not shrink stays raw, and a partition with no block to
+// change is left alone, so a repeated recode is a no-op. Block
+// summaries, footers, and event payloads are preserved bit-for-bit and
+// valid snapshot sidecars are refreshed alongside, so recoding never
+// forces a snapshot rebuild. recode and snap run one shard (collector)
+// per worker on GOMAXPROCS workers and report how many.
 //
 // shard splits (or rebalances) a store into N shard stores under
 // OUTDIR/shard-000 … shard-NNN by consistent hashing over collector
@@ -143,8 +147,8 @@ func runRecode(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recoded %d/%d partitions to %s (%d blocks, %d skipped as current) in %v\n",
-		rs.Recoded, rs.Partitions, c, rs.Blocks, rs.Skipped, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("recoded %d/%d partitions to %s (%d blocks, %d skipped as current) on %d workers in %v\n",
+		rs.Recoded, rs.Partitions, c, rs.Blocks, rs.Skipped, rs.Workers, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("%s -> %s on disk (%.2fx), %d sidecars refreshed\n",
 		byteSize(rs.BytesIn), byteSize(rs.BytesOut), float64(rs.BytesOut)/float64(max64(rs.BytesIn, 1)), rs.Sidecars)
 	return nil
@@ -173,13 +177,12 @@ func runSnap(args []string) error {
 	if *stat {
 		return snapStat(*store)
 	}
-	start := time.Now()
 	bs, err := evstore.BuildSnapshots(context.Background(), *store, serve.DefaultRegistry())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("snapshots: %d partitions, %d built, %d reused (%d events decoded) in %v\n",
-		bs.Partitions, bs.Built, bs.Reused, bs.Events, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("snapshots: %d partitions, %d built, %d reused (%d events decoded, %d sidecars read, %d restores) on %d workers in %v\n",
+		bs.Partitions, bs.Built, bs.Reused, bs.Events, bs.SidecarsRead, bs.Restores, bs.Workers, bs.Elapsed.Round(time.Millisecond))
 	return nil
 }
 

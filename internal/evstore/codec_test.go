@@ -3,6 +3,7 @@ package evstore_test
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -330,15 +331,34 @@ func TestLegacyV1Rejected(t *testing.T) {
 }
 
 // TestRecodeThereAndBack recodes lz → raw → lz and pins
-// classification plus event-level fidelity throughout.
+// classification plus event-level fidelity throughout, and that raw →
+// lz really compresses: the store ends lz again, every partition at its
+// original size, and a further lz pass rewrites nothing.
 func TestRecodeThereAndBack(t *testing.T) {
 	cfg := smallDayConfig()
 	dir := ingestCodec(t, workload.MultiDaySource(cfg, 1), evstore.CodecLZ)
 	want := stream.Collect(evstore.Scan(dir, evstore.Query{}, nil))
+	layout := func() map[string]string {
+		t.Helper()
+		infos, err := evstore.Stat(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[string]string, len(infos))
+		for _, info := range infos {
+			m[filepath.Base(info.Path)] = fmt.Sprintf("%s %d", info.Codec, info.SizeBytes)
+		}
+		return m
+	}
+	original := layout()
 
 	for _, codec := range []evstore.Codec{evstore.CodecRaw, evstore.CodecLZ} {
-		if _, err := evstore.Recode(context.Background(), dir, codec); err != nil {
+		rs, err := evstore.Recode(context.Background(), dir, codec)
+		if err != nil {
 			t.Fatalf("recode to %v: %v", codec, err)
+		}
+		if rs.Recoded == 0 || rs.Workers < 1 {
+			t.Fatalf("recode to %v rewrote nothing: %+v", codec, rs)
 		}
 		var scanErr error
 		got := stream.Collect(evstore.Scan(dir, evstore.Query{}, &scanErr))
@@ -353,6 +373,16 @@ func TestRecodeThereAndBack(t *testing.T) {
 				t.Fatalf("after recode to %v: event %d diverged", codec, i)
 			}
 		}
+	}
+	if got := layout(); !reflect.DeepEqual(got, original) {
+		t.Errorf("lz → raw → lz layout (codec, bytes) per partition:\n got %v\nwant %v", got, original)
+	}
+	rs, err := evstore.Recode(context.Background(), dir, evstore.CodecLZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Recoded != 0 || rs.Skipped != rs.Partitions || rs.BytesOut != rs.BytesIn {
+		t.Errorf("second lz pass not a no-op: %+v", rs)
 	}
 }
 

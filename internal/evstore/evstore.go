@@ -52,7 +52,9 @@
 // over those shards — ScanParallel, ScanAnalyze, SnapshotIndex.Query —
 // is one run of the planner and executor in plan.go, merging
 // classify.Analyzer accumulators into results bit-identical to the
-// sequential scan; its header comment is the description of how.
+// sequential scan; its header comment is the description of how. The
+// executor's worker pool also runs the two other per-shard passes, the
+// sidecar build (BuildSnapshots) and Recode.
 //
 // Analysis-bearing scans (those runs and snapshot builds) execute
 // batch-at-a-time rather than event-at-a-time:

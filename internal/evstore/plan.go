@@ -71,6 +71,15 @@ import (
 // same tally window — pinned by TestBatchPathMatchesRowPath for cold
 // runs and TestSnapshotQueryMatchesScanParallel across window
 // positions, partition layouts, and snapshot coverage for warm ones.
+//
+// One worker pool (forEachShard) runs every per-shard pass over a store,
+// and it has three callers: execute, the sidecar build pass
+// (buildSnapshots, behind BuildSnapshots, OpenSnapshotIndex and
+// SnapshotIndex.Refresh) and Recode. Each drains the shards on GOMAXPROCS
+// workers (execute: on as many as its caller asks for). That is sound for
+// the reason the shards exist: a session never spans two collectors, so
+// a shard's classifier chain — and the sidecar chain fingerprinted from
+// it — depends on no other shard.
 
 // planAction is the per-partition decision.
 type planAction uint8
@@ -219,10 +228,13 @@ func (ix *SnapshotIndex) Manifest() Manifest {
 // memory and still matches (path, size, chain) costs one stat and a
 // pointer — it is neither re-read nor decompressed nor restored — a
 // sidecar this pass builds is kept rather than read back, and only
-// partitions the index has never seen touch their sidecar files. Safe
-// to call concurrently with Query (queries in flight keep using the
-// previous view until the swap) and with itself (refreshes run one at a
-// time).
+// partitions the index has never seen touch their sidecar files. The
+// build pass drains the shards on every core (see BuildSnapshots), so a
+// backfilled day — which invalidates every later sidecar of each
+// collector it touches — is rebuilt on every core while queries are
+// served. Safe to call concurrently with Query (queries in flight keep
+// using the previous view until the swap; no sidecar the index holds is
+// ever mutated) and with itself (refreshes run one at a time).
 func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error) {
 	ix.refreshMu.Lock()
 	defer ix.refreshMu.Unlock()
@@ -389,81 +401,99 @@ type execution struct {
 	SidecarMerges, Restores, Replayed int
 }
 
+// forEachShard is the store's one worker pool: it calls do once for
+// every shard index in [0, n) on min(workers, n) goroutines (workers <=
+// 0 means GOMAXPROCS) and returns the pool size and the first error. Each
+// worker owns one blockReader — block buffers and batch decode scratch
+// are reused across every shard it drains, and recycled when it exits,
+// so do must leave nothing pointing into them. After the first error no
+// shard starts: the workers drain the rest of the queue without calling
+// do, and the shards already running finish or fail on their own (on
+// ctx's cancellation, at their next block boundary).
+func forEachShard(n, workers int, do func(br *blockReader, shard int) error) (int, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	var mu sync.Mutex // guards firstErr
+	var firstErr error
+	var failed atomic.Bool
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var br blockReader
+			defer br.release()
+			for shard := range jobs {
+				if failed.Load() {
+					continue // an earlier shard failed; drain the queue
+				}
+				if err := do(&br, shard); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	for i := range n {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	return workers, firstErr
+}
+
 // execute is the store's one analysis executor: it plans the run (see
-// planShards) and drains the shard plans on a worker pool. Each worker
-// owns one blockReader — decompressor, block buffers and batch decode
-// scratch are reused across every shard it drains — and runs a fresh
-// classifier plus Fresh analyzer copies per shard; a finished shard
-// merges its accumulators into protos under the merge lock. workers <=
-// 0 uses GOMAXPROCS; 1 is a sequential run. The first error (ctx's,
-// when cancelled: workers stop at the next block boundary) is returned
-// and protos then hold partial state the caller must discard.
+// planShards) and drains the shard plans on the worker pool
+// (forEachShard), a fresh classifier plus Fresh analyzer copies per
+// shard; a finished shard merges its accumulators into protos under the
+// merge lock. workers <= 0 uses GOMAXPROCS; 1 is a sequential run. The
+// first error (ctx's, when cancelled: workers stop at the next block
+// boundary) is returned and protos then hold partial state the caller
+// must discard.
 func execute(ctx context.Context, dir string, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, workers int, keys []string, protos []classify.Analyzer) (execution, error) {
 	plans, pst, err := planShards(dir, scan, tally, snaps, keys)
 	if err != nil {
 		return execution{}, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(plans)))
 	ex := execution{Plan: pst}
-	ex.Workers, ex.Shards = workers, make([]ShardStats, len(plans))
+	ex.Shards = make([]ShardStats, len(plans))
 	start := time.Now()
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes merges, stats and firstErr
-	var firstErr error
-	var failed atomic.Bool
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var br blockReader
-			// Safe to recycle at worker exit: every shard's locals were
-			// resolved into protos under the merge lock.
-			defer br.release()
-			for idx := range jobs {
-				if failed.Load() {
-					continue // an earlier shard failed; drain the queue
-				}
-				sp := plans[idx]
-				locals := classify.FreshAll(protos)
-				var shard ServeStats
-				shardStart := time.Now()
-				err := sp.run(ctx, &br, locals, keys, protos, tally, &shard)
-				ex.Shards[idx] = ShardStats{Collector: sp.shard.Collector, Scan: shard.Scan, Elapsed: time.Since(shardStart)}
-				mu.Lock()
-				if err != nil {
-					failed.Store(true)
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					mergeStart := time.Now()
-					classify.MergeAll(protos, locals)
-					ex.MergeElapsed += time.Since(mergeStart)
-					ex.Merges += len(protos)
-					ex.SidecarMerges += shard.Merges
-					ex.Restores += shard.Restores
-					ex.Replayed += shard.Replayed
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := range plans {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
+	var mu sync.Mutex // serializes merges and their counts
+	ex.Workers, err = forEachShard(len(plans), workers, func(br *blockReader, idx int) error {
+		sp := plans[idx]
+		locals := classify.FreshAll(protos)
+		var shard ServeStats
+		shardStart := time.Now()
+		err := sp.run(ctx, br, locals, keys, protos, tally, &shard)
+		ex.Shards[idx] = ShardStats{Collector: sp.shard.Collector, Scan: shard.Scan, Elapsed: time.Since(shardStart)}
+		if err != nil {
+			return err
+		}
+		// The locals resolve into protos here, so the worker's
+		// blockReader may recycle its scratch once it exits.
+		mu.Lock()
+		defer mu.Unlock()
+		mergeStart := time.Now()
+		classify.MergeAll(protos, locals)
+		ex.MergeElapsed += time.Since(mergeStart)
+		ex.Merges += len(protos)
+		ex.SidecarMerges += shard.Merges
+		ex.Restores += shard.Restores
+		ex.Replayed += shard.Replayed
+		return nil
+	})
 	for _, ss := range ex.Shards {
 		ex.Total.Add(ss.Scan)
 	}
 	ex.Elapsed = time.Since(start)
-	return ex, firstErr
+	return ex, err
 }
 
 // run executes one shard's plan in partition order on a fresh

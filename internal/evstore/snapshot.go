@@ -56,9 +56,10 @@ const SnapshotExtension = ".evps"
 // build pass replaces.
 const snapshotMagic = "EVS3"
 
-// snapCompPool recycles sidecar compressors across WriteSnapshot calls
-// (BuildSnapshots writes one sidecar per fresh partition).
-var snapCompPool = sync.Pool{New: func() any { return new(blockCompressor) }}
+// compPool recycles block compressors across WriteSnapshot calls
+// (BuildSnapshots writes one sidecar per fresh partition) and Recode's
+// shards.
+var compPool = sync.Pool{New: func() any { return new(blockCompressor) }}
 
 // NamedAnalyzer pairs an analyzer prototype with the stable key its
 // state is stored under in snapshot sidecars. The key must capture the
@@ -182,8 +183,8 @@ func writeSnapshotCodec(partPath string, snap *PartitionSnapshot, codec Codec) e
 		body = wire.AppendBytes(body, state)
 	}
 
-	bc := snapCompPool.Get().(*blockCompressor)
-	defer snapCompPool.Put(bc)
+	bc := compPool.Get().(*blockCompressor)
+	defer compPool.Put(bc)
 	data, codec, err := bc.compress(codec, body)
 	if err != nil {
 		return err
@@ -306,7 +307,21 @@ type SnapshotBuildStats struct {
 	// Restores counts classifier end states decoded from reused
 	// sidecars: at most one per built partition.
 	Restores int
-	Elapsed  time.Duration
+	// Workers is the size of the pool the pass ran on; Elapsed its wall
+	// time.
+	Workers int
+	Elapsed time.Duration
+}
+
+// add sums another shard's counts into s (Workers and Elapsed are the
+// pass's own).
+func (s *SnapshotBuildStats) add(o SnapshotBuildStats) {
+	s.Partitions += o.Partitions
+	s.Built += o.Built
+	s.Reused += o.Reused
+	s.Events += o.Events
+	s.SidecarsRead += o.SidecarsRead
+	s.Restores += o.Restores
 }
 
 // BuildSnapshots brings the store's snapshot sidecars up to date for
@@ -321,6 +336,15 @@ type SnapshotBuildStats struct {
 // at most one restore per built partition and a fully current store
 // costs none. A daemon watching a live store pays only for what ingest just
 // sealed: the incremental half of incremental snapshots.
+//
+// A collector's sidecar chain depends on no other collector's, so the
+// pass drains the store's shards on the executor's worker pool, one
+// shard per worker at a time on GOMAXPROCS workers (SnapshotBuildStats
+// reports how many): a cold open, or a rebuild after a backfilled day,
+// runs on every core. The first error stops new shards from starting;
+// shards already running finish or fail on their own, so their sidecars
+// may be written. A sidecar is written to a temp file and renamed into
+// place, so a cancelled pass leaves every sidecar whole or absent.
 func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (SnapshotBuildStats, error) {
 	return buildSnapshots(ctx, dir, named, nil, nil)
 }
@@ -329,13 +353,12 @@ func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (Sna
 // SnapshotIndex.Refresh. held (may be nil) maps partition paths to
 // sidecars the caller already has in memory: one that still matches its
 // partition's size and chain and covers the keys is reused as is,
-// without touching the sidecar file. current (may be nil) receives
-// every partition's up-to-date sidecar, reused or just built.
+// without touching the sidecar file, and none is ever modified. current
+// (may be nil) receives every partition's up-to-date sidecar, reused or
+// just built.
 func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held, current map[string]*PartitionSnapshot) (SnapshotBuildStats, error) {
 	start := time.Now()
 	var bs SnapshotBuildStats
-	keys, protos := splitNamed(named)
-
 	shards, err := ScanShards(dir, Query{})
 	if err != nil {
 		if errors.Is(err, ErrNoPartitions) {
@@ -343,103 +366,134 @@ func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held
 		}
 		return bs, err
 	}
-	var br blockReader
-	// Safe to recycle at return: each partition's locals are snapshotted
-	// (resolving their id-state) before the next partition is scanned.
-	defer br.release()
-	zero := compileQuery(Query{})
-	var enc, codes []byte // state and result-code encoding scratch
-	for _, sh := range shards {
-		cc := classChain{cl: classify.New(), restores: &bs.Restores}
-		var walk trustWalk
-		for _, entry := range sh.entries {
-			if err := ctx.Err(); err != nil {
-				return bs, err
-			}
-			bs.Partitions++
-			if err := walk.next(entry.path); err != nil {
-				return bs, err
-			}
-			old := held[entry.path]
-			if !walk.trusts(old, keys) {
-				// Missing or corrupt reads as nil → rebuild.
-				if old, err = ReadSnapshot(entry.path); err == nil {
-					bs.SidecarsRead++
+	pass := snapshotPass{held: held, zero: compileQuery(Query{})}
+	pass.keys, pass.protos = splitNamed(named)
+	var mu sync.Mutex // merges the shards' counts into bs, their sidecars into current
+	bs.Workers, err = forEachShard(len(shards), 0, func(br *blockReader, i int) error {
+		sh := shards[i]
+		var st SnapshotBuildStats
+		snaps := make([]*PartitionSnapshot, len(sh.entries))
+		err := pass.buildShard(ctx, sh, br, &st, snaps)
+		mu.Lock()
+		defer mu.Unlock()
+		bs.add(st)
+		if current != nil {
+			for j, snap := range snaps {
+				if snap != nil {
+					current[sh.entries[j].path] = snap
 				}
-			}
-			if walk.trusts(old, keys) {
-				cc.at(entry.path, old)
-				bs.Reused++
-				if current != nil {
-					current[entry.path] = old
-				}
-				continue
-			}
-
-			if err := cc.settle(); err != nil {
-				return bs, err
-			}
-			locals := classify.FreshAll(protos)
-			run := newBatchRunner(cc.cl, locals, TimeRange{})
-			snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: walk.size, Chain: walk.chain}
-			first := true
-			codes = codes[:0]
-			_, err = scanPartitionBatch(ctx, entry.path, zero, &br, nil, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
-				results := run.observe(b, sel)
-				for _, si := range sel {
-					codes = append(codes, classify.EncodeResult(results[si], b.Withdraw.Get(int(si))))
-					t := b.Times[si]
-					if first {
-						snap.Collector = b.Dict.Collectors[b.Collector[si]]
-						snap.TMin, snap.TMax = t, t
-						first = false
-						continue
-					}
-					if t < snap.TMin {
-						snap.TMin = t
-					}
-					if t > snap.TMax {
-						snap.TMax = t
-					}
-				}
-				return true
-			})
-			if err != nil {
-				return bs, err
-			}
-			snap.Events = len(codes)
-			bs.Events += snap.Events
-			// Encode into one reused buffer and keep exact-size copies: the
-			// caller may hold the snapshot for as long as it serves the
-			// store, and append-grown capacity would ride along.
-			enc = cc.cl.Snapshot(enc[:0])
-			snap.Classifier = bytes.Clone(enc)
-			snap.Results = bytes.Clone(codes)
-			snap.States = make(map[string][]byte, len(named))
-			for i, a := range locals {
-				enc = a.Snapshot(enc[:0])
-				snap.States[keys[i]] = bytes.Clone(enc)
-			}
-			if walk.trusts(old, nil) {
-				// Carry forward states for keys other registries built:
-				// the partition AND its predecessor chain are unchanged,
-				// so they are still valid. (A stale chain invalidates
-				// them — classification depended on the old chain.)
-				for key, state := range old.States {
-					if _, ours := snap.States[key]; !ours {
-						snap.States[key] = state
-					}
-				}
-			}
-			if err := WriteSnapshot(entry.path, snap); err != nil {
-				return bs, err
-			}
-			bs.Built++
-			if current != nil {
-				current[entry.path] = snap
 			}
 		}
-	}
+		return err
+	})
 	bs.Elapsed = time.Since(start)
-	return bs, nil
+	return bs, err
+}
+
+// snapshotPass is what every shard of one build pass reads and none
+// writes: the analyzer keys and prototypes, the caller's held sidecars,
+// and the compiled zero query.
+type snapshotPass struct {
+	keys   []string
+	protos []classify.Analyzer
+	held   map[string]*PartitionSnapshot
+	zero   *compiledQuery
+}
+
+// buildShard brings one shard's sidecars up to date in partition order,
+// on its own classifier chain, trust walk and encode scratch, counting
+// into st and recording each partition's up-to-date sidecar in snaps
+// (index-aligned with sh.entries; nil from the partition that failed
+// on). Every partition's locals are snapshotted — their id-state
+// resolved — before the next one is scanned, so br may be reused or
+// recycled as soon as it returns.
+func (ps *snapshotPass) buildShard(ctx context.Context, sh Shard, br *blockReader, st *SnapshotBuildStats, snaps []*PartitionSnapshot) error {
+	cc := classChain{cl: classify.New(), restores: &st.Restores}
+	var walk trustWalk
+	var enc, codes []byte // state and result-code encoding scratch
+	for i, entry := range sh.entries {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st.Partitions++
+		if err := walk.next(entry.path); err != nil {
+			return err
+		}
+		old := ps.held[entry.path]
+		if !walk.trusts(old, ps.keys) {
+			// Missing or corrupt reads as nil → rebuild.
+			var err error
+			if old, err = ReadSnapshot(entry.path); err == nil {
+				st.SidecarsRead++
+			}
+		}
+		if walk.trusts(old, ps.keys) {
+			cc.at(entry.path, old)
+			st.Reused++
+			snaps[i] = old
+			continue
+		}
+
+		if err := cc.settle(); err != nil {
+			return err
+		}
+		locals := classify.FreshAll(ps.protos)
+		run := newBatchRunner(cc.cl, locals, TimeRange{})
+		snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: walk.size, Chain: walk.chain}
+		first := true
+		codes = codes[:0]
+		_, err := scanPartitionBatch(ctx, entry.path, ps.zero, br, nil, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
+			results := run.observe(b, sel)
+			for _, si := range sel {
+				codes = append(codes, classify.EncodeResult(results[si], b.Withdraw.Get(int(si))))
+				t := b.Times[si]
+				if first {
+					snap.Collector = b.Dict.Collectors[b.Collector[si]]
+					snap.TMin, snap.TMax = t, t
+					first = false
+					continue
+				}
+				if t < snap.TMin {
+					snap.TMin = t
+				}
+				if t > snap.TMax {
+					snap.TMax = t
+				}
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		snap.Events = len(codes)
+		st.Events += snap.Events
+		// Encode into one reused buffer and keep exact-size copies: the
+		// caller may hold the snapshot for as long as it serves the
+		// store, and append-grown capacity would ride along.
+		enc = cc.cl.Snapshot(enc[:0])
+		snap.Classifier = bytes.Clone(enc)
+		snap.Results = bytes.Clone(codes)
+		snap.States = make(map[string][]byte, len(ps.keys))
+		for j, a := range locals {
+			enc = a.Snapshot(enc[:0])
+			snap.States[ps.keys[j]] = bytes.Clone(enc)
+		}
+		if walk.trusts(old, nil) {
+			// Carry forward states for keys other registries built:
+			// the partition AND its predecessor chain are unchanged,
+			// so they are still valid. (A stale chain invalidates
+			// them — classification depended on the old chain.)
+			for key, state := range old.States {
+				if _, ours := snap.States[key]; !ours {
+					snap.States[key] = state
+				}
+			}
+		}
+		if err := WriteSnapshot(entry.path, snap); err != nil {
+			return err
+		}
+		st.Built++
+		snaps[i] = snap
+	}
+	return nil
 }
