@@ -2,19 +2,20 @@ package evstore
 
 import "os"
 
-// DropSnapshot makes ix forget the sidecar it holds for partPath — the
-// state a partition sealed after a refresh's build pass is in until the
-// next refresh — so tests can plan a scan where no sidecar exists.
+// DropSnapshot makes ix forget the sidecar it holds for partPath, so
+// tests can plan a scan where no sidecar is trusted (a partition whose
+// sidecar is missing or stale at the index's last refresh).
 func DropSnapshot(ix *SnapshotIndex, partPath string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	snaps := make(map[string]*PartitionSnapshot, len(ix.snaps))
-	for path, snap := range ix.snaps {
+	v := *ix.view
+	v.snaps = make(map[string]*PartitionSnapshot, len(ix.view.snaps))
+	for path, snap := range ix.view.snaps {
 		if path != partPath {
-			snaps[path] = snap
+			v.snaps[path] = snap
 		}
 	}
-	ix.snaps = snaps
+	ix.view = &v
 }
 
 // SetFooterCounts rewrites partPath's footer in place with edit applied

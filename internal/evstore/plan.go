@@ -2,6 +2,7 @@ package evstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -57,6 +58,18 @@ import (
 // window ends on a day boundary and by footer where it ends inside a
 // day. A sequential run is the same plan on one worker. A warm run
 // (SnapshotIndex.Query) trusts the index's sidecars.
+//
+// The planner lists nothing: it plans over the shards it is handed.
+// ScanParallel and ScanAnalyze list the store directory for their run;
+// a SnapshotIndex lists it once per Refresh and every query — warm, or
+// filtered and so cold — plans from the shards of the view that Refresh
+// swapped in, so a partition sealed since is planned from the next
+// Refresh on. What is per partition stays per query: the trust walk
+// stats every partition of a planned shard and recomputes its chain, so
+// a partition replaced since the Refresh loses its sidecar's trust (and
+// so does every later one of its shard), and one removed since fails
+// the run by name when it is opened; the tail rule reads footers; a
+// replay checks the footer's event count against the sidecar's Results.
 //
 // The classifier chain is lazy (classChain): Classifier.Restore
 // replaces the whole state, so of a run of jumps, merges and replays
@@ -130,6 +143,9 @@ type ServeStats struct {
 	// result codes instead of a classifier.
 	Replayed int
 	Elapsed  time.Duration
+	// Generation is the Fingerprint of the manifest the query planned
+	// from — the index's view at the query's start, not at its end.
+	Generation uint64
 }
 
 // classChain is one shard's classifier chain, walked lazily. at notes
@@ -175,11 +191,13 @@ type shardPlan struct {
 	replay *compiledQuery
 }
 
-// SnapshotIndex is the in-memory sidecar inventory a serving process
-// keeps warm: which partitions exist, and for each, its parsed
-// snapshot (when valid). Refresh brings it up to date after new
-// partitions seal; Query plans and executes a windowed analysis
-// against it. All methods are safe for concurrent use.
+// SnapshotIndex is the in-memory picture of a store a serving process
+// keeps warm: the partition listing — as a Manifest and as per-collector
+// shards of parsed names, in shard order — and each partition's parsed
+// sidecar, when valid. Refresh lists the store directory once and swaps
+// all three in together as one immutable view; Query plans from the
+// view it finds, so a warm query lists nothing. All methods are safe
+// for concurrent use.
 type SnapshotIndex struct {
 	dir   string
 	named []NamedAnalyzer
@@ -188,15 +206,25 @@ type SnapshotIndex struct {
 	// sidecar temp files and could publish an older view over a newer.
 	refreshMu sync.Mutex
 
-	mu       sync.RWMutex
+	mu   sync.RWMutex
+	view *indexView
+}
+
+// indexView is one Refresh's picture of the store, derived from one
+// directory listing and never modified after the swap: a query that
+// took it plans from it to the end while later refreshes swap in
+// others.
+type indexView struct {
 	manifest Manifest
+	gen      uint64  // manifest.Fingerprint()
+	shards   []Shard // the listing grouped per collector, in shard order
 	snaps    map[string]*PartitionSnapshot
 }
 
 // OpenSnapshotIndex builds any missing sidecars for the named
 // analyzers and loads the index.
 func OpenSnapshotIndex(ctx context.Context, dir string, named []NamedAnalyzer) (*SnapshotIndex, SnapshotBuildStats, error) {
-	ix := &SnapshotIndex{dir: dir, named: named, snaps: make(map[string]*PartitionSnapshot)}
+	ix := &SnapshotIndex{dir: dir, named: named}
 	bs, err := ix.Refresh(ctx)
 	if err != nil {
 		return nil, bs, err
@@ -207,24 +235,34 @@ func OpenSnapshotIndex(ctx context.Context, dir string, named []NamedAnalyzer) (
 // Dir returns the store directory the index serves.
 func (ix *SnapshotIndex) Dir() string { return ix.dir }
 
+// current returns the view the last Refresh swapped in (nil before the
+// first one completes).
+func (ix *SnapshotIndex) current() *indexView {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.view
+}
+
 // Coverage reports how many sealed partitions the index knows and how
 // many carry a usable sidecar.
 func (ix *SnapshotIndex) Coverage() (partitions, snapshotted int) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.manifest.Partitions), len(ix.snaps)
+	v := ix.current()
+	return len(v.manifest.Partitions), len(v.snaps)
 }
 
 // Manifest returns the partition inventory the index currently
 // reflects — the baseline to Watch from.
-func (ix *SnapshotIndex) Manifest() Manifest {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.manifest
-}
+func (ix *SnapshotIndex) Manifest() Manifest { return ix.current().manifest }
 
-// Refresh brings the index up to date after new partitions seal, as a
-// delta against what it already holds: a partition whose sidecar is in
+// Generation returns the Fingerprint of the index's current manifest:
+// the store version a query planned now answers for.
+func (ix *SnapshotIndex) Generation() uint64 { return ix.current().gen }
+
+// Refresh brings the index up to date after new partitions seal. It
+// lists the store directory once, and from that one listing derives the
+// manifest, the shards queries plan from, and the sidecars they may
+// trust, swapped in together as the next view. The sidecars are a delta
+// against what the index already holds: a partition whose sidecar is in
 // memory and still matches (path, size, chain) costs one stat and a
 // pointer — it is neither re-read nor decompressed nor restored — a
 // sidecar this pass builds is kept rather than read back, and only
@@ -232,53 +270,64 @@ func (ix *SnapshotIndex) Manifest() Manifest {
 // build pass drains the shards on every core (see BuildSnapshots), so a
 // backfilled day — which invalidates every later sidecar of each
 // collector it touches — is rebuilt on every core while queries are
-// served. Safe to call concurrently with Query (queries in flight keep
-// using the previous view until the swap; no sidecar the index holds is
-// ever mutated) and with itself (refreshes run one at a time).
+// served.
+//
+// A query answers for the view it planned from: the store as of the
+// last Refresh, whose manifest fingerprint ServeStats.Generation
+// reports. A partition sealed after that Refresh is not planned until
+// the next one lists it (commservd -watch refreshes on every seal it
+// polls), so a warm answer and the generation it is stamped with always
+// describe the same partitions. Safe to call concurrently with Query
+// (queries in flight keep using the previous view until the swap; no
+// sidecar the index holds is ever mutated) and with itself (refreshes
+// run one at a time).
 func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error) {
 	ix.refreshMu.Lock()
 	defer ix.refreshMu.Unlock()
-	ix.mu.RLock()
-	held := ix.snaps
-	ix.mu.RUnlock()
-	current := make(map[string]*PartitionSnapshot, len(held))
-	bs, err := buildSnapshots(ctx, ix.dir, ix.named, held, current)
-	if err != nil {
-		return bs, err
+	shards, err := ScanShards(ix.dir, Query{})
+	if err != nil && !errors.Is(err, ErrNoPartitions) {
+		return SnapshotBuildStats{}, err
 	}
-	m, err := LoadManifest(ix.dir)
-	if err != nil {
-		return bs, err
+	var held map[string]*PartitionSnapshot
+	if prev := ix.current(); prev != nil {
+		held = prev.snaps
 	}
-	snaps := make(map[string]*PartitionSnapshot, len(m.Partitions))
-	for _, p := range m.Partitions {
-		// A partition sealed or replaced since the build pass listed the
-		// store has no matching entry: queries scan it until the next
-		// refresh.
-		if snap := current[p.Path]; snap != nil && snap.Size == p.Size {
-			snaps[p.Path] = snap
+	v := &indexView{shards: shards, snaps: make(map[string]*PartitionSnapshot, len(held))}
+	var bs SnapshotBuildStats
+	if len(shards) > 0 { // an empty store has nothing to snapshot yet
+		if bs, err = buildSnapshots(ctx, shards, ix.named, held, v.snaps); err != nil {
+			return bs, err
 		}
 	}
+	// A pass that succeeds leaves every listed partition a sidecar built
+	// or trusted at the size its trust walk stat'ed, so the manifest
+	// reads its sizes off them: the view's three parts describe one
+	// listing and one stat of each partition.
+	v.manifest = Manifest{Dir: ix.dir, Partitions: make([]PartitionRef, 0, len(v.snaps))}
+	for _, sh := range shards {
+		for _, e := range sh.entries {
+			v.manifest.Partitions = append(v.manifest.Partitions, PartitionRef{Path: e.path, Size: v.snaps[e.path].Size})
+		}
+	}
+	v.gen = v.manifest.Fingerprint()
 	ix.mu.Lock()
-	ix.manifest = m
-	ix.snaps = snaps
+	ix.view = v
 	ix.mu.Unlock()
 	return bs, nil
 }
 
-// planShards computes the per-shard actions of one run. scan selects
-// the events that exist for the run at all (its Window removes events
-// outright, the ScanParallel convention); tally gates which classified
-// events reach the analyzers and is what the decisions above are taken
-// against. snaps holds the sidecars the caller may trust (nil for a cold
-// run: no sidecar is stat'ed, only the tail rule's footers are read, and
-// every non-skipped partition scans); keys are the analyzer states a
-// merge needs.
-func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, keys []string) ([]shardPlan, PlanStats, error) {
-	shards, err := ScanShards(dir, scan)
-	if err != nil {
-		return nil, PlanStats{}, err
-	}
+// planShards computes the per-shard actions of one run over shards (a
+// cold run's listing, or an index view's; shards are not modified, each
+// plan's copy of its shard carries the run's compiled scan query). scan
+// selects the events that exist for the run at all (its Window removes
+// events outright, the ScanParallel convention); tally gates which
+// classified events reach the analyzers and is what the decisions above
+// are taken against. snaps holds the sidecars the caller may trust (nil
+// for a cold run: no sidecar is stat'ed, only the tail rule's footers
+// are read, and every non-skipped partition scans); keys are the
+// analyzer states a merge needs.
+func planShards(shards []Shard, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, keys []string) ([]shardPlan, PlanStats) {
+	cq := compileQuery(scan)
 	fromNano, toNano := tally.nanos()
 	var replay *compiledQuery
 	if snaps != nil {
@@ -290,7 +339,7 @@ func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*Parti
 	var plans []shardPlan
 	var st PlanStats
 	for _, sh := range shards {
-		cq := sh.cq
+		sh.cq = cq
 		if cq.sanitized != nil && sh.Collector != "" && !cq.sanitized[sh.Collector] {
 			continue // whole shard excluded by collector
 		}
@@ -371,7 +420,7 @@ func planShards(dir string, scan Query, tally TimeRange, snaps map[string]*Parti
 		plans = append(plans, sp)
 	}
 	st.Shards = len(plans)
-	return plans, st, nil
+	return plans, st
 }
 
 // footerTMin returns the earliest event time partPath's footer records,
@@ -449,23 +498,21 @@ func forEachShard(n, workers int, do func(br *blockReader, shard int) error) (in
 	return workers, firstErr
 }
 
-// execute is the store's one analysis executor: it plans the run (see
-// planShards) and drains the shard plans on the worker pool
+// execute is the store's one analysis executor: it plans the run over
+// shards (see planShards) and drains the shard plans on the worker pool
 // (forEachShard), a fresh classifier plus Fresh analyzer copies per
 // shard; a finished shard merges its accumulators into protos under the
 // merge lock. workers <= 0 uses GOMAXPROCS; 1 is a sequential run. The
 // first error (ctx's, when cancelled: workers stop at the next block
 // boundary) is returned and protos then hold partial state the caller
 // must discard.
-func execute(ctx context.Context, dir string, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, workers int, keys []string, protos []classify.Analyzer) (execution, error) {
-	plans, pst, err := planShards(dir, scan, tally, snaps, keys)
-	if err != nil {
-		return execution{}, err
-	}
+func execute(ctx context.Context, shards []Shard, scan Query, tally TimeRange, snaps map[string]*PartitionSnapshot, workers int, keys []string, protos []classify.Analyzer) (execution, error) {
+	plans, pst := planShards(shards, scan, tally, snaps, keys)
 	ex := execution{Plan: pst}
 	ex.Shards = make([]ShardStats, len(plans))
 	start := time.Now()
 	var mu sync.Mutex // serializes merges and their counts
+	var err error
 	ex.Workers, err = forEachShard(len(plans), workers, func(br *blockReader, idx int) error {
 		sp := plans[idx]
 		locals := classify.FreshAll(protos)
@@ -590,11 +637,18 @@ func (sp shardPlan) replayPartition(ctx context.Context, path string, snap *Part
 // states where q.Window covers whole partitions, nothing for the
 // prelude, and residual scans only where the window cuts through,
 // replayed from the sidecar's result codes — one execute run, merging
-// into the passed analyzers. Each analyzer is merged/restored under its
-// NamedAnalyzer key; an analyzer with an empty key (or one absent from a
-// partition's sidecar) forces every in-window partition onto the scan
-// path, which is always correct, just slower — a replay still, where
-// the sidecar is trusted.
+// into the passed analyzers. It plans from the index's current view and
+// lists no directory: the answer reflects the store as of the last
+// Refresh, whose manifest fingerprint ServeStats.Generation reports, and
+// a partition sealed after that Refresh is not planned until the next
+// one. Every per-partition check still runs per query (see plan.go), so
+// a partition replaced since is scanned rather than trusted, and one
+// removed since fails the query by name rather than shrink the total.
+//
+// Each analyzer is merged/restored under its NamedAnalyzer key; an
+// analyzer with an empty key (or one absent from a partition's sidecar)
+// forces every in-window partition onto the scan path, which is always
+// correct, just slower — a replay still, where the sidecar is trusted.
 //
 // q.Window is the tally window: events outside it still feed classifier
 // state wherever a partition is classified. Per-event filters (PeerAS,
@@ -610,19 +664,21 @@ func (sp shardPlan) replayPartition(ctx context.Context, path string, snap *Part
 // only (decodeBatch).
 //
 // Results are bit-identical to ScanParallel(ctx, dir, q minus its
-// Window, q.Window, ...) — a cold scan of the same collector timelines
-// tallying the same window.
+// Window, q.Window, ...) over the view's partitions — a cold scan of the
+// same collector timelines tallying the same window.
 func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named ...NamedAnalyzer) (ServeStats, error) {
+	v := ix.current()
+	if len(v.shards) == 0 {
+		return ServeStats{Generation: v.gen}, noPartitionsError(ix.dir)
+	}
 	keys, protos := splitNamed(named)
 	var snaps map[string]*PartitionSnapshot
 	if len(q.PeerAS) == 0 && !q.PrefixRange.IsValid() {
-		ix.mu.RLock()
-		snaps = ix.snaps
-		ix.mu.RUnlock()
+		snaps = v.snaps
 	}
 	scan := q
 	scan.Window = TimeRange{}
-	ex, err := execute(ctx, ix.dir, scan, q.Window, snaps, workers, keys, protos)
-	return ServeStats{Workers: ex.Workers, Plan: ex.Plan, Scan: ex.Total,
-		Merges: ex.SidecarMerges, Restores: ex.Restores, Replayed: ex.Replayed, Elapsed: ex.Elapsed}, err
+	ex, err := execute(ctx, v.shards, scan, q.Window, snaps, workers, keys, protos)
+	return ServeStats{Workers: ex.Workers, Plan: ex.Plan, Scan: ex.Total, Merges: ex.SidecarMerges,
+		Restores: ex.Restores, Replayed: ex.Replayed, Elapsed: ex.Elapsed, Generation: v.gen}, err
 }

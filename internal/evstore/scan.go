@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/classify"
@@ -376,16 +379,30 @@ type storeEntry struct {
 
 // listPartitions enumerates a store's partition files sorted by
 // (collector, day, seq) — the order that keeps each collector's
-// timeline contiguous and per-session event order intact.
+// timeline contiguous and per-session event order intact. It reads the
+// directory once and keeps the names ending in Extension, which is
+// exactly what the "*.evp" glob matched — sidecars ("x.evp.evps"), their
+// temp files ("x.evp.evps.tmp") and the writer's and Recode's temp
+// partitions ("*.evp-tmp") end otherwise — without the pattern matcher.
+// A missing directory (or a path that is not one) lists as empty, as the
+// glob did; any other read error is returned, where the glob swallowed
+// it into an empty store.
 func listPartitions(dir string) ([]storeEntry, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+Extension))
-	if err != nil {
+	read := dir
+	if read == "" {
+		read = "." // the glob's reading of an empty directory name
+	}
+	names, err := readDirNames(read)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, syscall.ENOTDIR) {
 		return nil, err
 	}
-	entries := make([]storeEntry, 0, len(paths))
-	for _, p := range paths {
-		e := storeEntry{path: p}
-		if collector, day, seq, ok := parsePartitionName(filepath.Base(p)); ok {
+	entries := make([]storeEntry, 0, len(names))
+	for _, name := range names {
+		if !strings.HasSuffix(name, Extension) {
+			continue
+		}
+		e := storeEntry{path: filepath.Join(dir, name)}
+		if collector, day, seq, ok := parsePartitionName(name); ok {
 			e.collector, e.dayUnix, e.seq, e.parsed = collector, day.Unix(), seq, true
 		}
 		entries = append(entries, e)
@@ -404,6 +421,16 @@ func listPartitions(dir string) ([]storeEntry, error) {
 		return a.path < b.path
 	})
 	return entries, nil
+}
+
+// readDirNames returns the names in dir, unsorted.
+func readDirNames(dir string) ([]string, error) {
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return f.Readdirnames(-1)
 }
 
 // ErrNoPartitions is the sentinel wrapped by the shared empty-store
@@ -621,8 +648,8 @@ func Stat(dir string) ([]PartitionInfo, error) {
 
 // IsStoreDir reports whether dir contains at least one partition file.
 func IsStoreDir(dir string) bool {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+Extension))
-	return err == nil && len(paths) > 0
+	entries, err := listPartitions(dir)
+	return err == nil && len(entries) > 0
 }
 
 // PartitionSource streams one partition file's events matching q, for

@@ -57,7 +57,9 @@ func (s Shard) Events(errp *error, st *ScanStats) stream.EventSource {
 // ScanShards splits the store into per-collector shards for q.
 // Concatenating the shards' sources in order reproduces Scan(dir, q)
 // exactly; scanning them concurrently is safe because shards share no
-// partition files and the compiled query is read-only.
+// partition files and the compiled query is read-only. It is the one
+// listing a cold run, a BuildSnapshots pass and a SnapshotIndex.Refresh
+// make; the planner takes the shards as given (see planShards).
 func ScanShards(dir string, q Query) ([]Shard, error) {
 	entries, err := listPartitions(dir)
 	if err != nil {
@@ -128,7 +130,11 @@ type ParallelStats struct {
 // first error (ctx's) is returned and the analyzers hold partial
 // state the caller must discard.
 func ScanParallel(ctx context.Context, dir string, q Query, tally TimeRange, workers int, analyzers ...classify.Analyzer) (ParallelStats, error) {
-	ex, err := execute(ctx, dir, q, tally, nil, workers, nil, analyzers)
+	shards, err := ScanShards(dir, q)
+	if err != nil {
+		return ParallelStats{}, err
+	}
+	ex, err := execute(ctx, shards, q, tally, nil, workers, nil, analyzers)
 	return ex.ParallelStats, err
 }
 

@@ -346,26 +346,28 @@ func (s *SnapshotBuildStats) add(o SnapshotBuildStats) {
 // may be written. A sidecar is written to a temp file and renamed into
 // place, so a cancelled pass leaves every sidecar whole or absent.
 func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (SnapshotBuildStats, error) {
-	return buildSnapshots(ctx, dir, named, nil, nil)
+	shards, err := ScanShards(dir, Query{})
+	if err != nil {
+		if errors.Is(err, ErrNoPartitions) {
+			return SnapshotBuildStats{}, nil // empty store: nothing to snapshot yet
+		}
+		return SnapshotBuildStats{}, err
+	}
+	return buildSnapshots(ctx, shards, named, nil, nil)
 }
 
 // buildSnapshots is the build pass behind BuildSnapshots and
-// SnapshotIndex.Refresh. held (may be nil) maps partition paths to
+// SnapshotIndex.Refresh, over the shards of a listing the caller made
+// (it lists nothing itself). held (may be nil) maps partition paths to
 // sidecars the caller already has in memory: one that still matches its
 // partition's size and chain and covers the keys is reused as is,
 // without touching the sidecar file, and none is ever modified. current
 // (may be nil) receives every partition's up-to-date sidecar, reused or
 // just built.
-func buildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer, held, current map[string]*PartitionSnapshot) (SnapshotBuildStats, error) {
+func buildSnapshots(ctx context.Context, shards []Shard, named []NamedAnalyzer, held, current map[string]*PartitionSnapshot) (SnapshotBuildStats, error) {
 	start := time.Now()
 	var bs SnapshotBuildStats
-	shards, err := ScanShards(dir, Query{})
-	if err != nil {
-		if errors.Is(err, ErrNoPartitions) {
-			return bs, nil // empty store: nothing to snapshot yet
-		}
-		return bs, err
-	}
+	var err error
 	pass := snapshotPass{held: held, zero: compileQuery(Query{})}
 	pass.keys, pass.protos = splitNamed(named)
 	var mu sync.Mutex // merges the shards' counts into bs, their sidecars into current

@@ -1034,3 +1034,173 @@ func TestManifestDiffAndWatch(t *testing.T) {
 		t.Fatalf("watcher exited with %v, want context.Canceled", err)
 	}
 }
+
+// finishedAnswers returns each analyzer's Finish, in order.
+func finishedAnswers(named []evstore.NamedAnalyzer) []any {
+	out := make([]any, len(named))
+	for i, na := range named {
+		out[i] = na.Proto.Finish()
+	}
+	return out
+}
+
+// coldAnswers is the reference for a query over dir: a cold ScanParallel
+// of the full collector timelines tallying q's window.
+func coldAnswers(t *testing.T, dir string, q evstore.Query) []any {
+	t.Helper()
+	ref := snapNamed()
+	protos := make([]classify.Analyzer, len(ref))
+	for i, na := range ref {
+		protos[i] = na.Proto
+	}
+	cold := q
+	cold.Window = evstore.TimeRange{}
+	if _, err := evstore.ScanParallel(context.Background(), dir, cold, q.Window, 2, protos...); err != nil {
+		t.Fatal(err)
+	}
+	return finishedAnswers(ref)
+}
+
+// TestSnapshotQueryPlansFromView pins what a warm query plans from: the
+// index's view as of its last Refresh — one listing, held — while every
+// per-partition check still runs per query. A partition sealed since
+// that Refresh and a stray *.evp file are not planned (same partition
+// count, no error, the answer of a cold scan over the view's own
+// partitions) until the next Refresh lists them; a partition removed
+// since fails the query by name rather than shrink its total; one
+// rewritten to another size has its sidecar — and every later one of
+// its shard — untrusted by the per-query trust walk, and the answer is
+// still the cold scan's.
+func TestSnapshotQueryPlansFromView(t *testing.T) {
+	ctx := context.Background()
+	cfg := smallDayConfig()
+	dir := liveShapedStore(t, cfg, 60)
+	ix, _, err := evstore.OpenSnapshotIndex(ctx, dir, snapNamed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []evstore.Query{
+		{},
+		{Window: evstore.TimeRange{From: testDay.Add(3 * time.Hour), To: testDay.Add(30 * time.Hour)}},
+	}
+	query := func(q evstore.Query) ([]any, evstore.ServeStats, error) {
+		got := snapNamed()
+		ss, err := ix.Query(ctx, q, 2, got...)
+		return finishedAnswers(got), ss, err
+	}
+
+	// The view's partitions, hard-linked into a directory of their own.
+	viewDir := t.TempDir()
+	view := ix.Manifest().Partitions
+	for _, p := range view {
+		if err := os.Link(p.Path, filepath.Join(viewDir, filepath.Base(p.Path))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := ix.Generation()
+	before := make([]evstore.ServeStats, len(queries))
+	for i, q := range queries {
+		if _, before[i], err = query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Seal a third day and drop a foreign, undecodable partition name.
+	appendLiveDays(t, dir, cfg, 2, 1, 60)
+	junk := filepath.Join(dir, "zz"+evstore.Extension)
+	if err := os.WriteFile(junk, []byte("not a partition"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		got, ss, err := query(q)
+		if err != nil {
+			t.Fatalf("query %d after a seal and a stray file, before Refresh: %v", i, err)
+		}
+		if ss.Plan.Partitions != before[i].Plan.Partitions || ss.Generation != gen {
+			t.Errorf("query %d planned %d partitions at generation %d; the view holds %d at %d",
+				i, ss.Plan.Partitions, ss.Generation, before[i].Plan.Partitions, gen)
+		}
+		if want := coldAnswers(t, viewDir, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d is not the view's cold answer:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+	// The stray file goes (a Refresh would fail building its sidecar, a
+	// cold scan decoding it); the sealed day stays, and must matter.
+	if err := os.Remove(junk); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(coldAnswers(t, viewDir, queries[0]), coldAnswers(t, dir, queries[0])) {
+		t.Fatal("the sealed day does not change the unbounded answer; the test cannot tell views apart")
+	}
+
+	// The next Refresh lists the day: answers are the cold scan of the
+	// directory.
+	if _, err := ix.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Generation() == gen {
+		t.Fatal("Refresh after a seal kept the generation")
+	}
+	for _, q := range queries {
+		checkSnapshotQuery(t, ix, q)
+	}
+
+	// A partition removed since the Refresh fails the query by name.
+	view = ix.Manifest().Partitions
+	gone := view[1].Path
+	if err := os.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := query(queries[0]); err == nil || !strings.Contains(err.Error(), gone) {
+		t.Errorf("query over a removed partition: %v; want an error naming %s", err, gone)
+	}
+	if err := os.Link(filepath.Join(viewDir, filepath.Base(gone)), gone); err != nil {
+		t.Fatal(err)
+	}
+
+	// A partition rewritten to another size since the Refresh: the same
+	// events in smaller blocks.
+	rewritten := view[2].Path
+	var serr error
+	var events []classify.Event
+	for e := range evstore.PartitionSource(rewritten, evstore.Query{}, &serr) {
+		events = append(events, e)
+	}
+	if serr != nil || len(events) == 0 {
+		t.Fatalf("%d events read back (%v)", len(events), serr)
+	}
+	tmp := t.TempDir()
+	w, err := evstore.Open(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BlockEvents = 4
+	if err := w.Ingest(stream.FromSlice(events)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := filepath.Glob(filepath.Join(tmp, "*"+evstore.Extension))
+	if err != nil || len(out) != 1 {
+		t.Fatalf("rewrite produced %v (%v), want one partition", out, err)
+	}
+	if err := os.Rename(out[0], rewritten); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(rewritten); err != nil || fi.Size() == view[2].Size {
+		t.Fatalf("rewritten partition: %v, size unchanged at %d", err, view[2].Size)
+	}
+	for i, q := range queries {
+		got, ss, err := query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss.Plan.Scanned == 0 || ss.Replayed == ss.Plan.Scanned {
+			t.Errorf("query %d trusted the rewritten partition's sidecar: plan %+v, %d replayed", i, ss.Plan, ss.Replayed)
+		}
+		if want := coldAnswers(t, dir, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d over a rewritten partition diverged from the cold scan:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}

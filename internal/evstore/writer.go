@@ -142,18 +142,17 @@ func Open(dir string) (*Writer, error) {
 		nextSeq:     make(map[partKey]int),
 		maxDay:      make(map[string]int64),
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+Extension))
+	entries, err := listPartitions(dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range paths {
-		collector, day, seq, ok := parsePartitionName(filepath.Base(p))
-		if !ok {
+	for _, e := range entries {
+		if !e.parsed {
 			continue
 		}
-		key := partKey{sanitizeCollector(collector), day.Unix()}
-		if seq >= w.nextSeq[key] {
-			w.nextSeq[key] = seq + 1
+		key := partKey{sanitizeCollector(e.collector), e.dayUnix}
+		if e.seq >= w.nextSeq[key] {
+			w.nextSeq[key] = e.seq + 1
 		}
 	}
 	return w, nil

@@ -173,7 +173,9 @@ func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, spec QueryS
 	if s.logger != nil && s.logger.Enabled(r.Context(), slog.LevelDebug) {
 		s.logger.Debug("query", "endpoint", spec.Kind, "tier", tier,
 			"elapsed", time.Since(start), "partial", ans.Partial,
-			"spec", spec.CacheKey())
+			"merged", ans.Plan.Merged, "jumped", ans.Plan.Jumped,
+			"scanned", ans.Plan.Scanned, "skipped", ans.Plan.Skipped,
+			"generation", ans.generation, "spec", spec.CacheKey())
 	}
 	writeJSON(w, http.StatusOK, ans)
 }

@@ -17,6 +17,9 @@ import (
 type LocalBackend struct {
 	cfg Config
 	ix  *evstore.SnapshotIndex
+	// analyzers builds a spec's fresh analyzer set: stateAnalyzers,
+	// which tests wrap to hold a query open mid-plan.
+	analyzers func(QuerySpec) ([]evstore.NamedAnalyzer, error)
 }
 
 // NewLocalBackend opens the store's snapshot index (building any
@@ -30,7 +33,7 @@ func NewLocalBackend(ctx context.Context, cfg Config) (*LocalBackend, RefreshSta
 	if err != nil {
 		return nil, rs, err
 	}
-	lb := &LocalBackend{cfg: cfg, ix: ix}
+	lb := &LocalBackend{cfg: cfg, ix: ix, analyzers: stateAnalyzers}
 	rs.Generation = lb.generation()
 	return lb, rs, nil
 }
@@ -49,17 +52,16 @@ func (lb *LocalBackend) Registry() []string {
 	return keys
 }
 
-func (lb *LocalBackend) generation() uint64 {
-	return lb.ix.Manifest().Fingerprint()
-}
+func (lb *LocalBackend) generation() uint64 { return lb.ix.Generation() }
 
 // State answers one spec as serialized analyzer state: it runs the
 // spec through the index's planner into fresh analyzers and snapshots
-// them into an envelope. A spec with per-event filters plans as a cold
+// them into an envelope stamped with the generation of the index view
+// the plan was made from. A spec with per-event filters plans as a cold
 // scan (no sidecar trusted), so it reports Source "scan" like any
 // answer that merged and jumped nothing.
 func (lb *LocalBackend) State(ctx context.Context, spec QuerySpec) (*StateEnvelope, error) {
-	named, err := stateAnalyzers(spec)
+	named, err := lb.analyzers(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +80,10 @@ func (lb *LocalBackend) State(ctx context.Context, spec QuerySpec) (*StateEnvelo
 	} else {
 		env.Source = "scan"
 	}
-	env.Generation = lb.generation()
+	// The generation of the view the query planned from, not the
+	// index's now: a Refresh that completed mid-query must not stamp
+	// its fingerprint on an answer computed without it.
+	env.Generation = ss.Generation
 	env.Keys = make([]string, len(named))
 	env.States = make([][]byte, len(named))
 	for i, na := range named {

@@ -373,7 +373,12 @@ func (s *Server) cached(ctx context.Context, key string, compute func(context.Co
 		if err != nil {
 			return nil, err
 		}
-		s.observeGeneration(gen)
+		// A compute that straddled a clear may carry the generation the
+		// clear moved away from (a local answer is stamped with the view
+		// it planned from): that is no drift, only the past.
+		if s.cache.generation() == guard {
+			s.observeGeneration(gen)
+		}
 		if !partial {
 			s.cache.put(key, v, guard)
 		}

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1042,4 +1044,159 @@ func BenchmarkServeWarmVsCold(b *testing.B) {
 			}
 		}
 	})
+}
+
+// gatedAnalyzer wraps an analyzer; its Fresh copies share one gate, and
+// the first Merge into any of them announces itself on entered and then
+// blocks until release closes — a query held open mid-plan, after the
+// planner took its view.
+type gatedAnalyzer struct {
+	classify.Analyzer
+	once             *sync.Once
+	entered, release chan struct{}
+}
+
+func (g gatedAnalyzer) Fresh() classify.Analyzer {
+	return gatedAnalyzer{Analyzer: g.Analyzer.Fresh(), once: g.once, entered: g.entered, release: g.release}
+}
+
+func (g gatedAnalyzer) Merge(o classify.Analyzer) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	if og, ok := o.(gatedAnalyzer); ok {
+		o = og.Analyzer
+	}
+	g.Analyzer.Merge(o)
+}
+
+// TestLocalStateStampsPlannedGeneration pins an envelope's generation to
+// the index view its query planned from: a query held mid-merge while a
+// partition seals and a Refresh completes answers for the store it
+// planned over, and says so with the pre-refresh fingerprint — in the
+// envelope and in its provenance — never the refreshed one. The Server
+// above takes that past generation for what it is: the refresh already
+// cleared the cache once, and the straddling answer clears it again
+// neither when it lands nor when the next compute reports the present.
+func TestLocalStateStampsPlannedGeneration(t *testing.T) {
+	cfg := smallCfg()
+	_, sources := workload.DaySources(cfg)
+	dir := buildStore(t, stream.Concat(sources...))
+	ctx := context.Background()
+	lb, rs0, err := serve.NewLocalBackend(ctx, serve.Config{Dir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := serve.New(ctx, serve.Config{Backend: lb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rs0.Generation
+	spec := serve.QuerySpec{Kind: serve.KindTable2}
+	want := analysis.NewCounts()
+	coldRef(t, dir, spec, want)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	serve.SetAnalyzers(lb, func(spec serve.QuerySpec) ([]evstore.NamedAnalyzer, error) {
+		named, err := serve.StateAnalyzers(spec)
+		if err != nil {
+			return nil, err
+		}
+		named[0].Proto = gatedAnalyzer{Analyzer: named[0].Proto, once: new(sync.Once), entered: entered, release: release}
+		return named, nil
+	})
+	type result struct {
+		env *serve.StateEnvelope
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		env, err := s.State(ctx, spec)
+		done <- result{env, err}
+	}()
+	<-entered
+	appendDay(t, dir, cfg, 1)
+	rs, err := s.Refresh(ctx)
+	if err != nil || !rs.Changed || rs.Generation == before {
+		t.Fatalf("refresh after a seal: %+v, %v (generation before %d)", rs, err, before)
+	}
+	close(release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.env.Generation != before || r.env.Shards[0].Generation != before {
+		t.Errorf("straddling answer stamped %d (provenance %d), want the planned view's %d; refreshed to %d",
+			r.env.Generation, r.env.Shards[0].Generation, before, rs.Generation)
+	}
+	if got := envelopeCounts(t, serve.AppendStateEnvelope(nil, r.env)); got != want.Counts {
+		t.Errorf("straddling answer is not the pre-seal store's:\n got %+v\nwant %+v", got, want.Counts)
+	}
+
+	// The next query, ungated, plans from the refreshed view, says so,
+	// and is cached: one clear in all, the refresh's.
+	serve.SetAnalyzers(lb, serve.StateAnalyzers)
+	env, err := s.State(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Generation != rs.Generation {
+		t.Errorf("post-refresh answer stamped %d, want %d", env.Generation, rs.Generation)
+	}
+	grown := analysis.NewCounts()
+	coldRef(t, dir, spec, grown)
+	if got := envelopeCounts(t, serve.AppendStateEnvelope(nil, env)); got != grown.Counts {
+		t.Errorf("post-refresh answer diverged from the cold scan:\n got %+v\nwant %+v", got, grown.Counts)
+	}
+	if st := s.Stats(ctx); st.Refreshes != 1 || st.Cache.Entries != 1 {
+		t.Errorf("after a straddled refresh: %d cache clears, %d entries; want 1 and 1", st.Refreshes, st.Cache.Entries)
+	}
+}
+
+// TestServeQueryLog pins the debug query record to the plan and the
+// store version an answer came from: the planner's split and the
+// generation, on the computed answer and on its cache hit alike.
+func TestServeQueryLog(t *testing.T) {
+	_, sources := workload.DaySources(smallCfg())
+	dir := buildStore(t, stream.Concat(sources...))
+	var logs bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	s, rs, err := serve.New(context.Background(), serve.Config{Dir: dir, Workers: 2, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for range 2 {
+		resp, err := http.Get(ts.URL + "/v1/table2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	var records []map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(logs.Bytes()), []byte("\n")) {
+		var rec map[string]any
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.UseNumber() // a generation does not fit a float64
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["msg"] == "query" {
+			records = append(records, rec)
+		}
+	}
+	if len(records) != 2 {
+		t.Fatalf("%d query records, want 2:\n%s", len(records), logs.String())
+	}
+	for i, rec := range records {
+		if m := rec["merged"]; m == nil || m == json.Number("0") || rec["jumped"] == nil || rec["scanned"] == nil || rec["skipped"] == nil {
+			t.Errorf("record %d lacks the plan split: %v", i, rec)
+		}
+		if gen := rec["generation"]; gen != json.Number(strconv.FormatUint(rs.Generation, 10)) {
+			t.Errorf("record %d says generation %v, want %d", i, gen, rs.Generation)
+		}
+	}
 }
