@@ -742,8 +742,8 @@ func lzCorpus(b *testing.B) []byte {
 
 // BenchmarkLZRoundTrip measures the in-repo LZ codec on real store
 // block bytes: one compress + one decompress per iteration, with the
-// achieved ratio reported. This is the per-block cost the decode-ahead
-// scan pipeline overlaps with classification.
+// achieved ratio reported. A cold scan pays the decompress half of it
+// once per lz block it decodes.
 func BenchmarkLZRoundTrip(b *testing.B) {
 	src := lzCorpus(b)
 	var enc lz.Encoder

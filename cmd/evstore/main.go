@@ -516,9 +516,9 @@ func runAnalyze(store string, q evstore.Query, workers int) error {
 }
 
 func printScanStats(st evstore.ScanStats) {
-	fmt.Printf("pushdown: %d/%d partitions pruned, %d/%d blocks pruned, %s read -> %s decompressed (%d blocks decode-ahead)\n",
+	fmt.Printf("pushdown: %d/%d partitions pruned, %d/%d blocks pruned, %s read -> %s decompressed\n",
 		st.PartitionsPruned, st.Partitions, st.BlocksPruned, st.Blocks,
-		byteSize(st.BytesRead), byteSize(st.BytesDecompressed), st.BlocksPrefetched)
+		byteSize(st.BytesRead), byteSize(st.BytesDecompressed))
 	for c, pc := range st.PerCodec {
 		if pc.Blocks == 0 {
 			continue

@@ -78,7 +78,8 @@ type MPUnreach struct {
 
 // RawAttr preserves an attribute this codec does not interpret. Transitive
 // unknown attributes must be propagated (RFC 4271 §5); keeping them raw lets
-// the router layer do so faithfully.
+// the router layer do so faithfully. Flags never carries the
+// extended-length bit: the encoder derives that from the value's length.
 type RawAttr struct {
 	Flags uint8
 	Type  uint8
@@ -110,7 +111,8 @@ type PathAttrs struct {
 	MPReach   *MPReach
 	MPUnreach *MPUnreach
 
-	// Unknown holds unrecognized attributes in arrival order.
+	// Unknown holds unrecognized attributes, decoded in ascending type
+	// order, the order Marshal writes them in.
 	Unknown []RawAttr
 }
 
@@ -219,8 +221,9 @@ type MarshalOptions struct {
 func (a *PathAttrs) appendPathAttrs(dst []byte, opt MarshalOptions) ([]byte, error) {
 	// Origin, AS_PATH and NEXT_HOP are mandatory only when NLRI is present;
 	// the caller decides by only invoking this when attrs exist. We always
-	// emit origin+path when a path is set.
-	if a.ASPath != nil || a.NextHop.IsValid() || a.MPReach != nil {
+	// emit origin+path when a path is set, and when the origin is not the
+	// zero value, so a decoded ORIGIN survives a re-encode.
+	if a.ASPath != nil || a.NextHop.IsValid() || a.MPReach != nil || a.Origin != OriginIGP {
 		dst = appendAttr(dst, flagTransitive, AttrOrigin, []byte{byte(a.Origin)})
 		pathVal, err := appendASPath(nil, a.ASPath, opt.FourByteAS)
 		if err != nil {
@@ -397,7 +400,9 @@ func decodePathAttrs(b []byte, opt MarshalOptions) (PathAttrs, error) {
 			for i := range cs {
 				cs[i] = Community(binary.BigEndian.Uint32(val[i*4:]))
 			}
-			a.Communities = cs
+			// Sets decode canonical, as Marshal writes them: order and
+			// repeats carry no meaning, and an empty attribute is none.
+			a.Communities = cs.Canonical()
 		case AttrLargeCommunities:
 			if alen%12 != 0 {
 				return a, fmt.Errorf("bgp: LARGE_COMMUNITIES length %d not a multiple of 12", alen)
@@ -410,7 +415,7 @@ func decodePathAttrs(b []byte, opt MarshalOptions) (PathAttrs, error) {
 					Local2: binary.BigEndian.Uint32(val[i*12+8:]),
 				}
 			}
-			a.LargeCommunities = ls
+			a.LargeCommunities = ls.Canonical()
 		case AttrMPReachNLRI:
 			mp, err := decodeMPReach(val)
 			if err != nil {
@@ -424,8 +429,13 @@ func decodePathAttrs(b []byte, opt MarshalOptions) (PathAttrs, error) {
 			}
 			a.MPUnreach = mp
 		default:
-			a.Unknown = append(a.Unknown, RawAttr{Flags: flags, Type: typ, Value: append([]byte(nil), val...)})
+			a.Unknown = append(a.Unknown, RawAttr{Flags: flags &^ flagExtLen, Type: typ, Value: append([]byte(nil), val...)})
 		}
+	}
+	// Types are unique (duplicates were refused above), so this is the
+	// order appendPathAttrs writes.
+	if len(a.Unknown) > 1 {
+		sort.Slice(a.Unknown, func(i, j int) bool { return a.Unknown[i].Type < a.Unknown[j].Type })
 	}
 	return a, nil
 }

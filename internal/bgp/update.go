@@ -63,7 +63,7 @@ func (u *Update) appendBody(dst []byte, opt MarshalOptions) ([]byte, error) {
 func (u *Update) hasAttrs() bool {
 	a := &u.Attrs
 	return len(u.NLRI) > 0 || a.MPReach != nil || a.MPUnreach != nil ||
-		a.ASPath != nil || a.NextHop.IsValid() || a.HasMED || a.HasLocalPref ||
+		a.ASPath != nil || a.NextHop.IsValid() || a.Origin != OriginIGP || a.HasMED || a.HasLocalPref ||
 		len(a.Communities) > 0 || len(a.LargeCommunities) > 0 ||
 		a.AtomicAggregate || a.Aggregator != nil || len(a.Unknown) > 0
 }

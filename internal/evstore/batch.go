@@ -915,7 +915,11 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 	return br.scanBlocks(ctx, p, f, cq, st, proj, fn)
 }
 
-// scanBlocks is scanPartitionBatch over an opened partition.
+// scanBlocks is scanPartitionBatch over an opened partition. It walks
+// the blocks in order on the calling goroutine: prune by summary, check
+// ctx, read, decode, check the footer count, hand the selected rows to
+// fn. Nothing is read ahead, so a cancelled scan stops at the end of
+// the block in flight.
 func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File, cq *compiledQuery, st *ScanStats, proj classify.Projection, fn batchFunc) (more bool, err error) {
 	if cq.collectors != nil && !cq.collectors[p.collector] {
 		if st != nil {
@@ -932,23 +936,6 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 	if st != nil {
 		st.Blocks += len(p.blocks)
 	}
-	// The block summaries are already in memory: select the matching
-	// blocks up front, so the decode-ahead worker knows exactly what
-	// to fetch.
-	blocks := br.pf.blocks[:0]
-	for _, bm := range p.blocks {
-		if !cq.matchSummary(bm.sum, true) {
-			if st != nil {
-				st.BlocksPruned++
-			}
-			continue
-		}
-		blocks = append(blocks, bm)
-	}
-	br.pf.blocks = blocks
-	if len(blocks) == 0 {
-		return true, nil
-	}
 	if br.scratch == nil {
 		br.scratch = scratchPool.Get().(*decodeScratch)
 	}
@@ -957,8 +944,20 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 	if br.slr == nil || br.slr.cq != cq {
 		br.slr = newSelector(cq)
 	}
-
-	handle := func(payload []byte, bm blockMeta, prefetched bool) (bool, error) {
+	for _, bm := range p.blocks {
+		if !cq.matchSummary(bm.sum, true) {
+			if st != nil {
+				st.BlocksPruned++
+			}
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		payload, err := br.readBlockPayload(f, bm)
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", p.path, err)
+		}
 		b, sel, err := br.scratch.decodeBatch(payload, proj, br.slr)
 		if err != nil {
 			return false, fmt.Errorf("%s: %w", p.path, err)
@@ -970,28 +969,17 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 			return false, fmt.Errorf("%s: block at offset %d decodes to %d events, footer says %d", p.path, bm.offset, b.N, bm.sum.count)
 		}
 		if st != nil {
-			st.countBlock(bm, prefetched)
+			st.countBlock(bm)
 		}
 		if len(sel) == 0 {
-			return true, nil
+			continue
 		}
 		if st != nil {
 			st.Events += len(sel)
 		}
-		return fn(b, sel, bm.first), nil
+		if !fn(b, sel, bm.first) {
+			return false, nil
+		}
 	}
-
-	if len(blocks) > 1 {
-		// Decode-ahead: read+decompress the next blocks on a worker
-		// while this one is decoded and classified.
-		return br.pf.run(ctx, f, blocks, handle)
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	payload, err := br.readBlockPayload(f, blocks[0])
-	if err != nil {
-		return false, fmt.Errorf("%s: %w", p.path, err)
-	}
-	return handle(payload, blocks[0], false)
+	return true, nil
 }

@@ -110,23 +110,42 @@ func TestCodecStatsAttribution(t *testing.T) {
 	}
 }
 
-// TestDecodeAheadPipeline pins that multi-block partitions stream
-// through the prefetcher (BlocksPrefetched counts them) and that the
-// parallel scan's summed stats — including the new counters — equal
-// the sequential scan's exactly.
-func TestDecodeAheadPipeline(t *testing.T) {
+// TestMultiBlockScan pins the block loop over partitions of many
+// blocks: the store really is multi-block, the classified counts equal
+// direct generation, every block of a complete scan — unfiltered or
+// windowed inside a partition — is either pruned or decoded, and the
+// parallel scan's summed stats equal the sequential scan's exactly.
+func TestMultiBlockScan(t *testing.T) {
 	cfg := smallDayConfig()
 	dir := t.TempDir()
 	w, err := evstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BlockEvents = 64 // many blocks per partition: the pipelined path
+	w.BlockEvents = 64 // many blocks per partition
 	if err := w.Ingest(workload.MultiDaySource(cfg, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	infos, err := evstore.Stat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every partition but a day's tail too short to fill two blocks
+	// must take the loop more than once.
+	multi := 0
+	for _, info := range infos {
+		switch {
+		case len(info.Blocks) > 1:
+			multi++
+		case info.Events > w.BlockEvents:
+			t.Errorf("%s: %d events in %d block(s)", info.Path, info.Events, len(info.Blocks))
+		}
+	}
+	if multi == 0 {
+		t.Fatalf("no multi-block partition among %d", len(infos))
 	}
 
 	var scanErr error
@@ -135,16 +154,29 @@ func TestDecodeAheadPipeline(t *testing.T) {
 	if scanErr != nil {
 		t.Fatal(scanErr)
 	}
-	if seq.BlocksPrefetched == 0 {
-		t.Fatalf("no blocks prefetched over %d decoded", seq.BlocksDecoded)
-	}
-	if seq.BlocksPrefetched > seq.BlocksDecoded {
-		t.Fatalf("prefetched %d > decoded %d", seq.BlocksPrefetched, seq.BlocksDecoded)
+	if seq.BlocksPruned+seq.BlocksDecoded != seq.Blocks {
+		t.Errorf("complete scan: %d pruned + %d decoded != %d blocks", seq.BlocksPruned, seq.BlocksDecoded, seq.Blocks)
 	}
 
 	direct := stream.Classify(workload.MultiDaySource(cfg, 2), nil)
 	if counts != direct {
-		t.Errorf("pipelined counts diverge:\n got %+v\nwant %+v", counts, direct)
+		t.Errorf("multi-block counts diverge:\n got %+v\nwant %+v", counts, direct)
+	}
+
+	// A window inside a day prunes blocks of the same partition on both
+	// sides of it; pruned and decoded still add up, and the rows
+	// yielded are exactly the window's.
+	q := evstore.Query{Window: evstore.TimeRange{From: testDay.Add(3 * time.Hour), To: testDay.Add(9 * time.Hour)}}
+	var win evstore.ScanStats
+	got := stream.Count(evstore.ScanWithStats(dir, q, &scanErr, &win))
+	if scanErr != nil {
+		t.Fatal(scanErr)
+	}
+	if win.BlocksPruned == 0 || win.BlocksPruned+win.BlocksDecoded != win.Blocks {
+		t.Errorf("windowed scan: %d pruned + %d decoded, %d blocks", win.BlocksPruned, win.BlocksDecoded, win.Blocks)
+	}
+	if want := stream.Count(stream.Filter(workload.MultiDaySource(cfg, 2), q.Match)); got != want || win.Events != want {
+		t.Errorf("windowed scan yielded %d events (stats %d), want %d", got, win.Events, want)
 	}
 
 	ps, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, 4)

@@ -35,12 +35,12 @@
 // their footer summary without decoding any block, then block by
 // block; only blocks whose summary matches are read and decoded, and
 // a final exact Query.Match filter handles summary false positives.
-// Within a partition, matching blocks stream through a bounded
-// decode-ahead pipeline: a per-partition worker reads and decompresses
-// block N+1..N+K while block N is being column-decoded and classified,
-// so decompression overlaps analysis instead of serializing with it
-// (ScanStats.BlocksPrefetched counts the overlapped blocks, and
-// ScanStats.PerCodec splits bytes read vs decompressed by codec).
+// Within a partition, blocks are taken one at a time, in order, on the
+// goroutine scanning it: pruned by summary, or read, decompressed,
+// decoded and checked against the footer's count before the next one
+// is touched (ScanStats.PerCodec splits bytes read vs decompressed by
+// codec). The only concurrency in a scan is the executor's worker
+// pool, one shard per worker.
 // The result is a stream.EventSource ordered by (collector, day, seq,
 // ingest order), which preserves per-session event order — exactly
 // what classification and every *Stream analysis require — so a scan

@@ -222,9 +222,11 @@ func (a *cancelAfter) Fresh() classify.Analyzer   { return a }
 func (a *cancelAfter) Snapshot(dst []byte) []byte { return dst }
 func (a *cancelAfter) Restore([]byte) error       { return nil }
 
-// TestScanCancellation pins the satellite contract: cancelling the
-// context stops a scan at the next block boundary and surfaces the
-// context's error; a pre-cancelled ScanParallel returns it outright.
+// TestScanCancellation pins the cancellation contract: cancelling the
+// context stops a scan at the end of the block in flight and surfaces
+// the context's error; a pre-cancelled ScanParallel returns it
+// outright. With 64-event blocks and the cancel at the 100th event,
+// the scan classifies exactly the first two blocks.
 func TestScanCancellation(t *testing.T) {
 	dir := t.TempDir()
 	day := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
@@ -247,8 +249,8 @@ func TestScanCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scan reported %v, want context.Canceled", err)
 	}
-	if seen.n >= 2048 {
-		t.Fatal("scan ran to completion despite cancellation")
+	if seen.n != 128 {
+		t.Fatalf("cancelled scan classified %d events, want 128 (the end of the block holding the cancel)", seen.n)
 	}
 
 	cancelled, cancel2 := context.WithCancel(context.Background())

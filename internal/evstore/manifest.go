@@ -41,7 +41,7 @@ func LoadManifest(dir string) (Manifest, error) {
 	for _, e := range entries {
 		fi, err := os.Stat(e.path)
 		if err != nil {
-			// Sealed then removed between glob and stat (store rebuild);
+			// Sealed then removed between listing and stat (store rebuild);
 			// skip — the next poll sees the steady state.
 			continue
 		}

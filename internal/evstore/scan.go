@@ -23,7 +23,9 @@ import (
 // ScanStats counts what a scan read versus what pushdown skipped.
 // Every field is a deterministic function of the store and query —
 // never of timing — so per-shard stats summed over a parallel run
-// equal the sequential scan's exactly.
+// equal the sequential scan's exactly. Every block of a scanned
+// partition is either pruned or decoded, so a complete scan has
+// Blocks == BlocksPruned + BlocksDecoded.
 type ScanStats struct {
 	Partitions        int // partition files considered
 	PartitionsPruned  int // skipped by name or footer summary, no block decoded
@@ -32,11 +34,6 @@ type ScanStats struct {
 	BlocksDecoded     int
 	BytesRead         int64 // stored (compressed) payload bytes read from disk
 	BytesDecompressed int64 // uncompressed payload bytes decompressed and decoded
-	// BlocksPrefetched counts blocks whose read+decompress ran on the
-	// decode-ahead worker, overlapped with the previous block's decode
-	// and classification; BlocksDecoded - BlocksPrefetched took the
-	// synchronous path (single-matching-block partitions).
-	BlocksPrefetched int
 	// PerCodec splits the decoded-block I/O by block codec.
 	PerCodec [NumCodecs]CodecScanStats
 	Events   int // events yielded after the residual filter
@@ -59,7 +56,6 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.BlocksDecoded += o.BlocksDecoded
 	s.BytesRead += o.BytesRead
 	s.BytesDecompressed += o.BytesDecompressed
-	s.BlocksPrefetched += o.BlocksPrefetched
 	for c := range s.PerCodec {
 		s.PerCodec[c].Blocks += o.PerCodec[c].Blocks
 		s.PerCodec[c].BytesRead += o.PerCodec[c].BytesRead
@@ -69,13 +65,10 @@ func (s *ScanStats) Add(o ScanStats) {
 }
 
 // countBlock records one decoded block.
-func (s *ScanStats) countBlock(bm blockMeta, prefetched bool) {
+func (s *ScanStats) countBlock(bm blockMeta) {
 	s.BlocksDecoded++
 	s.BytesRead += int64(bm.clen)
 	s.BytesDecompressed += int64(bm.ulen)
-	if prefetched {
-		s.BlocksPrefetched++
-	}
 	if bm.codec < NumCodecs {
 		pc := &s.PerCodec[bm.codec]
 		pc.Blocks++
@@ -320,21 +313,17 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 // blockReader reads, decompresses, and decodes blocks, reusing its
 // buffers, the batch decode scratch (global dictionary + column
 // arrays), and the residual selector across calls — one per scan
-// worker, so steady-state block decoding allocates nothing.
-// Partitions with more than one matching block stream through its
-// decode-ahead prefetcher instead of the synchronous path (see
-// prefetch.go).
+// worker, so steady-state block decoding allocates nothing. A reader
+// belongs to one goroutine, and every block a scan touches is read and
+// decoded on it.
 type blockReader struct {
 	cbuf, ubuf []byte
 	scratch    *decodeScratch
 	slr        *selector
-	pf         prefetcher
 }
 
 // readBlockPayload reads and decompresses one block's payload into the
-// reused buffer; the slice is valid until the next call. This is the
-// synchronous path; the prefetcher runs the same read+decompress on
-// its worker.
+// reused buffer; the slice is valid until the next call.
 func (br *blockReader) readBlockPayload(f *os.File, b blockMeta) ([]byte, error) {
 	if cap(br.ubuf) < b.ulen {
 		br.ubuf = make([]byte, b.ulen)

@@ -17,12 +17,13 @@ import (
 
 const (
 	specMagic = "CSQ1" // Comm Serve Query v1
-	// v2 extends ScanStats with the codec-era counters (bytes read,
-	// prefetched blocks, per-codec split). Coordinator and shards are
-	// deployed together, so the envelope has no cross-version decode
-	// path: a mixed fleet fails loudly on the magic instead of
-	// misparsing.
-	envelopeMagic = "CSE2" // Comm Serve Envelope v2
+	// v2 extended ScanStats with the codec-era counters (bytes read,
+	// per-codec split); v3 drops v2's count of blocks read ahead of
+	// their decode, since a scan now reads each block only as it
+	// decodes it. Coordinator and shards are deployed together, so the
+	// envelope has no cross-version decode path: a mixed fleet fails
+	// loudly on the magic instead of misparsing.
+	envelopeMagic = "CSE3" // Comm Serve Envelope v3
 
 	// maxSpecBytes bounds a /v1/state request body; specs are tiny, so
 	// anything near this is garbage.
@@ -151,7 +152,6 @@ func appendScanStats(dst []byte, s evstore.ScanStats) []byte {
 	dst = wire.AppendUvarint(dst, uint64(s.BlocksDecoded))
 	dst = wire.AppendVarint(dst, s.BytesRead)
 	dst = wire.AppendVarint(dst, s.BytesDecompressed)
-	dst = wire.AppendUvarint(dst, uint64(s.BlocksPrefetched))
 	// Length-prefixed per-codec split, so growing NumCodecs is a codec
 	// change the reader detects rather than a silent misparse.
 	dst = wire.AppendUvarint(dst, uint64(len(s.PerCodec)))
@@ -173,7 +173,6 @@ func readScanStats(r *wire.Reader) evstore.ScanStats {
 	s.BlocksDecoded = int(r.Uvarint())
 	s.BytesRead = r.Varint()
 	s.BytesDecompressed = r.Varint()
-	s.BlocksPrefetched = int(r.Uvarint())
 	if n := r.Count(1); r.Err() == nil && n != len(s.PerCodec) {
 		r.Fail("serve: scan stats carry %d codec slots, want %d", n, len(s.PerCodec))
 	} else {
@@ -217,8 +216,8 @@ func AppendStateEnvelope(dst []byte, env *StateEnvelope) []byte {
 // same strictness as DecodeQuerySpec.
 func DecodeStateEnvelope(b []byte) (*StateEnvelope, error) {
 	r := wire.NewReader(b)
-	if string(r.Bytes(len(envelopeMagic))) != envelopeMagic {
-		return nil, fmt.Errorf("serve: bad state-envelope magic")
+	if magic := string(r.Bytes(len(envelopeMagic))); magic != envelopeMagic {
+		return nil, fmt.Errorf("serve: bad state-envelope magic %q, want %q", magic, envelopeMagic)
 	}
 	env := &StateEnvelope{}
 	env.Backend = r.String()

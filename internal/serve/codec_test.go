@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,9 +52,8 @@ func codecEnvelopes() []*serve.StateEnvelope {
 			Elapsed:    1234567 * time.Nanosecond,
 			Plan:       evstore.PlanStats{Shards: 4, Partitions: 12, Merged: 3, Jumped: 2, Scanned: 7, Skipped: 5},
 			Scan: evstore.ScanStats{
-				Partitions: 7, Blocks: 40, BlocksDecoded: 38,
+				Partitions: 7, Blocks: 40, BlocksPruned: 2, BlocksDecoded: 38,
 				BytesRead: 300000, BytesDecompressed: 1 << 20,
-				BlocksPrefetched: 35,
 				PerCodec: [evstore.NumCodecs]evstore.CodecScanStats{
 					evstore.CodecLZ:  {Blocks: 30, BytesRead: 250000, BytesDecompressed: 900000},
 					evstore.CodecRaw: {Blocks: 8, BytesRead: 50000, BytesDecompressed: 50000},
@@ -113,6 +113,25 @@ func TestStateEnvelopeRoundTrip(t *testing.T) {
 				t.Fatalf("envelope %d: state %d differs", i, j)
 			}
 		}
+	}
+}
+
+// TestStateEnvelopeRefusesOldMagic: a body framed as the previous
+// envelope version (CSE2, which carried one more scan counter) is
+// refused on its magic, and the error names the magic it found, so a
+// coordinator talking to a shard from another release says why.
+func TestStateEnvelopeRefusesOldMagic(t *testing.T) {
+	enc := serve.AppendStateEnvelope(nil, codecEnvelopes()[1])
+	if string(enc[:4]) != "CSE3" {
+		t.Fatalf("envelope magic %q, want CSE3", enc[:4])
+	}
+	old := append([]byte("CSE2"), enc[4:]...)
+	_, err := serve.DecodeStateEnvelope(old)
+	if err == nil {
+		t.Fatal("CSE2 envelope decoded cleanly")
+	}
+	if !strings.Contains(err.Error(), `"CSE2"`) {
+		t.Fatalf("error %q does not name the CSE2 magic", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // The serve codecs face the network: a shard decodes every /v1/state
 // body a client POSTs (CSQ1) and a coordinator every envelope a shard
-// answers (CSE2). Fuzzing them pins two things. The decoder never
+// answers (CSE3). Fuzzing them pins two things. The decoder never
 // panics. What it accepts re-encodes to bytes that decode to an equal
 // value, so nothing a decode lets through is lost or altered on the way
 // back out.
@@ -34,7 +34,7 @@ func FuzzDecodeQuerySpec(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStateEnvelope fuzzes the CSE2 response decoder.
+// FuzzDecodeStateEnvelope fuzzes the CSE3 response decoder.
 func FuzzDecodeStateEnvelope(f *testing.F) {
 	for _, env := range codecEnvelopes() {
 		f.Add(serve.AppendStateEnvelope(nil, env))

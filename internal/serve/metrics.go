@@ -42,7 +42,7 @@ type Metrics struct {
 
 	// Residual/cold scan work, accumulated from the existing
 	// evstore.ScanStats each leader compute returns.
-	scanBlocks *obs.CounterVec // outcome: pruned|decoded|prefetched
+	scanBlocks *obs.CounterVec // outcome: pruned|decoded
 	scanBytes  *obs.CounterVec // codec × direction: read|decompressed
 	scanEvents *obs.Counter
 
@@ -93,7 +93,7 @@ func newMetrics(reg *obs.Registry) *Metrics {
 		partials: reg.Counter("comm_serve_partial_answers_total",
 			"Answers served with one or more shards missing."),
 		scanBlocks: reg.CounterVec("comm_serve_scan_blocks_total",
-			"Residual/cold scan blocks by outcome (pruned, decoded, prefetched).", "outcome"),
+			"Residual/cold scan blocks by outcome (pruned, decoded).", "outcome"),
 		scanBytes: reg.CounterVec("comm_serve_scan_bytes_total",
 			"Residual/cold scan payload bytes by block codec and direction (read=stored, decompressed=after codec).",
 			"codec", "direction"),
@@ -189,7 +189,6 @@ func (m *Metrics) observeCompute(ans *Answer) {
 	sc := &ans.Scan
 	m.scanBlocks.With("pruned").Add(uint64(sc.BlocksPruned))
 	m.scanBlocks.With("decoded").Add(uint64(sc.BlocksDecoded))
-	m.scanBlocks.With("prefetched").Add(uint64(sc.BlocksPrefetched))
 	m.scanEvents.Add(uint64(sc.Events))
 	for c := evstore.Codec(0); c < evstore.NumCodecs; c++ {
 		pc := sc.PerCodec[c]

@@ -3,9 +3,11 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +103,82 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 	if stats["ready"] != true {
 		t.Errorf("/v1/stats ready = %v, want true", stats["ready"])
+	}
+}
+
+// TestScanBlocksMetric pins comm_serve_scan_blocks_total to the scan
+// stats an answer reports: a cold-scan answer moves the pruned and
+// decoded series by exactly its scan.Blocks (every block of a scanned
+// partition is one or the other), and no other outcome is exported.
+func TestScanBlocksMetric(t *testing.T) {
+	_, sources := workload.DaySources(smallCfg())
+	dir := buildStore(t, stream.Concat(sources...))
+	reg := obs.NewRegistry()
+	s, _, err := serve.New(context.Background(), serve.Config{
+		Dir: dir, Workers: 2, Metrics: serve.NewMetrics(reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	blocks := func() (pruned, decoded uint64) {
+		t.Helper()
+		_, body := get("/metrics")
+		for _, line := range strings.Split(string(body), "\n") {
+			name, val, ok := strings.Cut(line, " ")
+			if !ok || !strings.HasPrefix(name, "comm_serve_scan_blocks_total{") {
+				continue
+			}
+			n, err := strconv.ParseUint(val, 10, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			switch name {
+			case `comm_serve_scan_blocks_total{outcome="pruned"}`:
+				pruned = n
+			case `comm_serve_scan_blocks_total{outcome="decoded"}`:
+				decoded = n
+			default:
+				t.Errorf("unexpected scan-blocks series %s", name)
+			}
+		}
+		return pruned, decoded
+	}
+
+	pruned0, decoded0 := blocks()
+	resp, body := get(fmt.Sprintf("/v1/table2?peeras=%d", firstPeerAS(t, dir)[0]))
+	if tier := resp.Header.Get("X-Comm-Tier"); tier != "cold-scan" {
+		t.Fatalf("peeras table2 tier %q, want cold-scan", tier)
+	}
+	var ans serve.Answer
+	if err := json.Unmarshal(body, &ans); err != nil {
+		t.Fatal(err)
+	}
+	if ans.Scan.Blocks == 0 {
+		t.Fatal("cold scan reports no blocks")
+	}
+	pruned1, decoded1 := blocks()
+	if got := (pruned1 - pruned0) + (decoded1 - decoded0); got != uint64(ans.Scan.Blocks) {
+		t.Errorf("pruned+decoded moved by %d (%d+%d), answer scanned %d blocks",
+			got, pruned1-pruned0, decoded1-decoded0, ans.Scan.Blocks)
+	}
+	if pruned1-pruned0 != uint64(ans.Scan.BlocksPruned) || decoded1-decoded0 != uint64(ans.Scan.BlocksDecoded) {
+		t.Errorf("metric moved pruned %d decoded %d, answer says %d and %d",
+			pruned1-pruned0, decoded1-decoded0, ans.Scan.BlocksPruned, ans.Scan.BlocksDecoded)
 	}
 }
 

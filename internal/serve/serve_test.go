@@ -399,7 +399,7 @@ func gatedServer(t testing.TB, dir string, metrics *serve.Metrics) (*serve.Serve
 }
 
 // postState POSTs a CSQ1 spec to a daemon's /v1/state and returns the
-// raw CSE2 envelope.
+// raw CSE3 envelope.
 func postState(t testing.TB, base string, spec serve.QuerySpec) []byte {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/state", "application/octet-stream", bytes.NewReader(serve.AppendQuerySpec(nil, spec)))
@@ -414,7 +414,7 @@ func postState(t testing.TB, base string, spec serve.QuerySpec) []byte {
 	return raw
 }
 
-// envelopeCounts decodes a CSE2 table2 envelope into its counts.
+// envelopeCounts decodes a CSE3 table2 envelope into its counts.
 func envelopeCounts(t testing.TB, raw []byte) classify.Counts {
 	t.Helper()
 	env, err := serve.DecodeStateEnvelope(raw)
