@@ -1065,8 +1065,8 @@ func BenchmarkSweepSequential(b *testing.B) { benchmarkSweep(b, false) }
 func BenchmarkSweepParallel(b *testing.B)   { benchmarkSweep(b, true) }
 
 // BenchmarkSweepStoreRoundTrip measures the simulate → ingest → scan →
-// classify loop for one Internet churn scenario — the path simsweep
-// -store exercises per matrix cell.
+// classify loop for one Internet churn scenario — the path `commstudy
+// sweep -store` exercises per matrix cell.
 func BenchmarkSweepStoreRoundTrip(b *testing.B) {
 	s := simnet.Scenario{Topology: simnet.TopoInternet, Policy: simnet.PolicyMixed,
 		Vendor: router.CiscoIOS, Workload: simnet.WorkChurn, Hours: 12, Start: benchDay}

@@ -12,7 +12,7 @@
 //
 // builds any missing snapshot sidecars, serves the /v1 API, and
 // follows the store manifest: when live ingest (evstore ingest,
-// commclean -store, simsweep -store) seals new partitions, the daemon
+// commstudy sweep -store, bgpcollect) seals new partitions, the daemon
 // snapshots exactly those and invalidates its cache. SIGTERM/SIGINT
 // drains in-flight requests (up to -drain) before exiting 0.
 //
@@ -31,7 +31,7 @@
 //
 //	commservd -coordinator -shards http://h1:8801,http://h2:8801 -addr :8714
 //
-// Client mode renders daemon answers in the commclean table style:
+// Client mode renders daemon answers in the `evstore query` table style:
 //
 //	commservd -client http://host:8714 -q table2 [-from T] [-to T]
 //	          [-collectors a,b]

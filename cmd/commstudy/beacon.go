@@ -1,12 +1,3 @@
-// Command beaconstudy reproduces the paper's beacon analyses (§6) on a
-// synthetic d_beacon day: per-session type mixes (Figure 3), community
-// exploration and duplicate bursts on single paths (Figures 4/5), and the
-// revealed-community attribution (Figure 6), including the longitudinal
-// ratio series.
-//
-// Usage:
-//
-//	beaconstudy [-year 2020] [-sessions N] [-longitudinal]
 package main
 
 import (
@@ -24,17 +15,20 @@ import (
 
 var typeRunes = []rune{'P', 'p', 'C', 'n', 'X', 'x'} // pc pn nc nn xc xn
 
-func main() {
-	year := flag.Int("year", 2020, "measurement year")
-	sessions := flag.Int("sessions", 0, "override peers per collector")
-	longitudinal := flag.Bool("longitudinal", false, "print the Figure 6 yearly ratio series")
-	flag.Parse()
+// runBeacon reproduces the §6 beacon analyses on a synthetic d_beacon
+// day.
+func runBeacon(args []string) error {
+	fs := flag.NewFlagSet("beacon", flag.ExitOnError)
+	year := fs.Int("year", 2020, "measurement year")
+	sessions := fs.Int("sessions", 0, "override peers per collector")
+	longitudinal := fs.Bool("longitudinal", false, "print the Figure 6 yearly ratio series")
+	fs.Parse(args)
 
 	cfg := workload.HistoricalBeaconConfig(*year)
 	if *sessions > 0 {
 		cfg.PeersPerCollector = *sessions
 	}
-	// This tool scans the same day several times (Table 2, Figures 3-6),
+	// The study scans the same day several times (Table 2, Figures 3-6),
 	// so generate once — session-ordered, skipping the global sort a full
 	// Dataset would pay — and replay the materialized slice per analysis.
 	peers, sources := workload.BeaconSources(cfg)
@@ -45,12 +39,7 @@ func main() {
 		*year, counts.Announcements(), counts.Withdrawals, len(peers))
 
 	fmt.Println("Announcement types (paper d_beacon: pc 44.6 pn 29.9 nc 13.8 nn 11.2):")
-	var rows [][]string
-	for _, ty := range classify.Types() {
-		rows = append(rows, []string{ty.String(), strconv.Itoa(counts.Of(ty)),
-			fmt.Sprintf("%.1f%%", 100*counts.Share(ty))})
-	}
-	fmt.Print(textplot.Table([]string{"type", "count", "share"}, rows))
+	printTypeShares(counts)
 
 	// Figure 3: per-session mix for the first beacon at rrc00.
 	prefix := beacon.RIPEBeacons()[0].Prefix
@@ -103,6 +92,7 @@ func main() {
 				r.Year, r.Summary.Total, 100*r.Summary.WithdrawalRatio)
 		}
 	}
+	return nil
 }
 
 // printPathSeries locates a session of the wanted kind and prints the

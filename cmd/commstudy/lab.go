@@ -1,16 +1,8 @@
-// Command labexp runs the paper's controlled laboratory experiments
-// (§3, Exp1–Exp4) on the simulated Figure 1 topology across all modelled
-// router implementations and prints the observed message matrix.
-//
-// Usage:
-//
-//	labexp [-exp N] [-vendor name] [-v]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/labexp"
@@ -18,32 +10,30 @@ import (
 	"repro/internal/textplot"
 )
 
-func main() {
-	expFlag := flag.Int("exp", 0, "run a single experiment (1-4); 0 runs all")
-	vendorFlag := flag.String("vendor", "", "run a single vendor profile (e.g. junos-12.1)")
-	verbose := flag.Bool("v", false, "print per-message transcripts")
-	flag.Parse()
+// runLab runs the §3 laboratory experiments on the simulated Figure 1
+// topology across the modelled router implementations and prints the
+// observed message matrix.
+func runLab(args []string) error {
+	fs := flag.NewFlagSet("lab", flag.ExitOnError)
+	expFlag := fs.Int("exp", 0, "run a single experiment (1-4); 0 runs all")
+	vendorFlag := fs.String("vendor", "", "run a single vendor profile (e.g. junos-12.1)")
+	verbose := fs.Bool("v", false, "print per-message transcripts")
+	fs.Parse(args)
 
 	experiments := []labexp.Experiment{labexp.Exp1, labexp.Exp2, labexp.Exp3, labexp.Exp4}
 	if *expFlag != 0 {
 		if *expFlag < 1 || *expFlag > 4 {
-			fmt.Fprintln(os.Stderr, "labexp: -exp must be 1-4")
-			os.Exit(2)
+			return fmt.Errorf("-exp must be 1-4")
 		}
 		experiments = []labexp.Experiment{labexp.Experiment(*expFlag)}
 	}
 	vendors := router.AllBehaviors()
 	if *vendorFlag != "" {
-		vendors = nil
-		for _, b := range router.AllBehaviors() {
-			if b.Name == *vendorFlag {
-				vendors = []router.Behavior{b}
-			}
+		b, err := vendorByName(*vendorFlag)
+		if err != nil {
+			return err
 		}
-		if vendors == nil {
-			fmt.Fprintf(os.Stderr, "labexp: unknown vendor %q\n", *vendorFlag)
-			os.Exit(2)
-		}
+		vendors = []router.Behavior{b}
 	}
 
 	var rows [][]string
@@ -51,8 +41,7 @@ func main() {
 		for _, b := range vendors {
 			res, err := labexp.Run(e, b)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "labexp: %v\n", err)
-				os.Exit(1)
+				return err
 			}
 			rows = append(rows, []string{
 				e.String(), b.Name,
@@ -76,4 +65,5 @@ func main() {
 	fmt.Println("\nExpected: Junos suppresses the Exp1 and Exp3 duplicates; all")
 	fmt.Println("vendors propagate the Exp2 community-only (nc) update; ingress")
 	fmt.Println("cleaning (Exp4) silences the collector link for every vendor.")
+	return nil
 }

@@ -1,16 +1,3 @@
-// Command simsweep runs a matrix of protocol-level simulator scenarios —
-// topology shape × community-hygiene policy × vendor profile × timers ×
-// workload — in parallel, one single-threaded engine per scenario, and
-// prints a per-scenario Table-2-style grid of what each context's
-// collector would report. Every capture is a set of per-(collector, peer)
-// event sources, so scenarios can be ingested into the columnar store as
-// their own collector-days (-store) or cross-checked against the
-// materialized-trace, store-scan, and sharded-parallel-scan paths
-// (-check).
-//
-// Usage:
-//
-//	simsweep [-hours 24] [-parallel N] [-seq] [-store DIR] [-check]
 package main
 
 import (
@@ -27,21 +14,75 @@ import (
 	"repro/internal/evstore"
 	"repro/internal/router"
 	"repro/internal/simnet"
+	"repro/internal/simstudy"
 	"repro/internal/stream"
 	"repro/internal/textplot"
 )
 
-func main() {
-	hours := flag.Int("hours", 24, "simulated duration per scenario")
-	parallel := flag.Int("parallel", 0, "concurrent scenarios (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "also run the matrix sequentially and report the speedup")
-	storeDir := flag.String("store", "", "ingest every scenario as its own collector-day into this store")
-	check := flag.Bool("check", false, "verify streaming, materialized, store round-trip, and sharded-parallel paths classify identically")
-	flag.Parse()
+// simDay is the simulated day of simbeacon and sweep.
+var simDay = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
-	day := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
-	matrix := simnet.DefaultMatrix(day, *hours)
+// runSimBeacon runs the §6 beacon methodology on the protocol-level
+// simulator.
+func runSimBeacon(args []string) error {
+	fs := flag.NewFlagSet("simbeacon", flag.ExitOnError)
+	vendor := fs.String("vendor", router.CiscoIOS.Name, "router behaviour profile")
+	beacons := fs.Int("beacons", 1, "number of beacon prefixes")
+	stubs := fs.Int("stubs", 8, "stub ASes in the topology")
+	noGeo := fs.Bool("no-geo", false, "disable geo tagging (ablation)")
+	storeDir := fs.String("store", "", "ingest the simulated day into this columnar store directory")
+	fs.Parse(args)
 
+	behavior, err := vendorByName(*vendor)
+	if err != nil {
+		return err
+	}
+	cfg := simstudy.DefaultConfig(behavior, simDay)
+	cfg.BeaconPrefixes = *beacons
+	cfg.Topology.Stubs = *stubs
+	cfg.Topology.GeoTagging = !*noGeo
+
+	res, err := simstudy.Run(cfg)
+	if err != nil {
+		return err
+	}
+
+	fmt.Printf("simulated beacon day (%s, %d beacon prefix(es), geo tagging %v):\n",
+		behavior.Name, *beacons, !*noGeo)
+	fmt.Printf("  collector messages: %d (announcements %d, withdrawals %d)\n\n",
+		res.CollectorMessages, res.Counts.Announcements(), res.Counts.Withdrawals)
+
+	fmt.Println("announcement types at the collector:")
+	printTypeShares(res.Counts)
+
+	if *storeDir != "" {
+		fmt.Println()
+		if err := ingestAll(*storeDir, res.Source()); err != nil {
+			return err
+		}
+	}
+
+	fmt.Println("\nrevealed community attributes (protocol-level Figure 6):")
+	fmt.Printf("  total %d — withdrawal-only %d (%.0f%%), announcement-only %d (%.0f%%), ambiguous %d\n",
+		res.Revealed.Total,
+		res.Revealed.WithdrawalOnly, 100*res.Revealed.WithdrawalRatio,
+		res.Revealed.AnnouncementOnly, 100*res.Revealed.AnnouncementRatio,
+		res.Revealed.Ambiguous)
+	return nil
+}
+
+// runSweep runs the simulator scenario matrix in parallel and prints a
+// per-scenario Table-2-style grid.
+func runSweep(args []string) error {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	hours := fs.Int("hours", 24, "simulated duration per scenario")
+	parallel := fs.Int("parallel", 0, "concurrent scenarios (0 = GOMAXPROCS)")
+	seq := fs.Bool("seq", false, "also run the matrix sequentially and report the speedup")
+	storeDir := fs.String("store", "", "ingest every scenario as its own collector-day into this store")
+	check := fs.Bool("check", false, "verify streaming, materialized, store round-trip, and sharded-parallel paths classify identically")
+	fs.Parse(args)
+
+	matrix := simnet.DefaultMatrix(simDay, *hours)
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -52,14 +93,16 @@ func main() {
 
 	var rows [][]string
 	var engineTime time.Duration
-	failed := false
+	var captures []stream.EventSource
+	failed := 0
 	for _, r := range results {
 		if r.Err != nil {
-			failed = true
+			failed++
 			rows = append(rows, []string{r.Scenario.Name, "ERROR", r.Err.Error(), "", "", "", "", "", "", ""})
 			continue
 		}
 		engineTime += r.Elapsed
+		captures = append(captures, r.Capture.Source())
 		row := []string{r.Scenario.Name, strconv.Itoa(r.Messages)}
 		for _, ty := range classify.Types() {
 			row = append(row, strconv.Itoa(r.Counts.Of(ty)))
@@ -83,35 +126,21 @@ func main() {
 	}
 
 	if *storeDir != "" {
-		var total evstore.WriterStats
-		for _, r := range results {
-			if r.Err != nil {
-				continue
-			}
-			stats, err := evstore.Ingest(*storeDir, r.Capture.Source())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simsweep: ingest %s: %v\n", r.Scenario.Name, err)
-				os.Exit(1)
-			}
-			total.Events += stats.Events
-			total.Blocks += stats.Blocks
-			total.Partitions += stats.Partitions
-			total.Bytes += stats.Bytes
+		if err := ingestAll(*storeDir, captures...); err != nil {
+			return err
 		}
-		fmt.Printf("ingested into %s: %d events, %d blocks, %d partitions, %d bytes\n",
-			*storeDir, total.Events, total.Blocks, total.Partitions, total.Bytes)
 	}
 
 	if *check {
 		if err := verifyPaths(matrix, results); err != nil {
-			fmt.Fprintf(os.Stderr, "simsweep: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println("check: streaming, materialized, store round-trip, and sharded-parallel paths classify identically")
 	}
-	if failed {
-		os.Exit(1)
+	if failed > 0 {
+		return fmt.Errorf("%d of %d scenarios failed", failed, len(results))
 	}
+	return nil
 }
 
 // verifyPaths confirms all four analysis paths agree for every
@@ -123,7 +152,7 @@ func main() {
 // a sharded-parallel scan (evstore.ScanParallel) of the same store,
 // which must be bit-identical to the sequential scan.
 func verifyPaths(matrix []simnet.Scenario, results []*simnet.Result) error {
-	dir, err := os.MkdirTemp("", "simsweep-check-*")
+	dir, err := os.MkdirTemp("", "commstudy-sweep-check-*")
 	if err != nil {
 		return err
 	}

@@ -1,17 +1,39 @@
 // Command evstore manages the columnar event store: ingest normalized
 // update streams once, then answer windowed/filtered analyses off
 // predicate-pushdown scans without re-parsing MRT archives or
-// regenerating synthetic days.
+// regenerating synthetic days. It also writes and reads the archives a
+// store is ingested from.
 //
 // Usage:
 //
-//	evstore ingest -store DIR [-in MRTDIR | -year 2020 -days N] [-block N] [-codec lz]
-//	evstore stat   -store DIR [-blocks] [-sample N]
+//	evstore gen    -out DIR [-kind day|beacon] [-year 2020] [-scale 1.0] [-seed N]
+//	evstore ingest -store DIR [-in MRTDIR [-routeservers AS1,AS2] | -year 2020 -days N]
+//	               [-block N] [-codec lz]
 //	evstore query  -store DIR [-from T] [-to T] [-collectors a,b]
-//	               [-peeras 1,2] [-prefix P] [-count-only]
-//	               [-analyze] [-workers N]
+//	               [-peeras 1,2] [-prefix P]
+//	evstore dump   [-stats] PATH...
+//	evstore stat   -store DIR [-blocks]
+//	evstore snap   -store DIR [-stat]
 //	evstore recode -store DIR [-codec lz]
 //	evstore shard  -store DIR -n N -out OUTDIR
+//
+// gen writes per-collector MRT update archives of a synthetic day (or
+// beacon day) for ingest -in. ingest consumes MRT archives (through the
+// §4 normalizer) or lazily generated synthetic days in constant memory;
+// for synthetic days it prints the counting window as query flags.
+//
+// query prints the Table 1 overview, the Table 2 type shares, and the §7
+// peer-behaviour inference of the selected events from one
+// shard-parallel pass (one shard per collector, GOMAXPROCS workers),
+// then the per-shard pushdown. Times are RFC 3339
+// ("2020-03-15T00:00:00Z"). -from/-to select which events are counted,
+// not which are classified: every announcement is compared with the
+// previous one of its (session, prefix) even when that one lies before
+// -from, so a query answers exactly what commservd's /v1 answers.
+//
+// dump prints MRT archives, partitions and whole stores as bgpdump-like
+// lines, or with -stats as record counts and partition/block tables.
+// stat prints a store's partition (and with -blocks, block) layout.
 //
 // recode rewrites an existing store's partitions block-by-block into
 // the target codec (never in place — temp file + atomic rename), the
@@ -30,31 +52,21 @@
 // merging shard answers is bit-identical to a single node over the
 // union store. Partitions are hard-linked when OUTDIR is on the same
 // filesystem; snapshot sidecars ride along and stay valid.
-//
-// ingest consumes MRT archives (through the §4 normalizer) or lazily
-// generated synthetic days in constant memory. stat prints the
-// partition/block layout. query scans with pushdown and prints the
-// Table 1 overview plus Table 2 type shares of the selected events;
-// times are RFC 3339 ("2020-03-15T00:00:00Z"). With -analyze the
-// analyses additionally include the §7 peer-behaviour inference and
-// run shard-parallel (one shard per collector, -workers pool, default
-// GOMAXPROCS), reporting per-shard pushdown and merge stats; results
-// are bit-identical to the sequential scan.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/netip"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/classify"
 	"repro/internal/evstore"
 	"repro/internal/pipeline"
@@ -65,35 +77,19 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	cmds := map[string]func([]string) error{
+		"gen": runGen, "ingest": runIngest, "dump": runDump, "stat": runStat,
+		"snap": runSnap, "recode": runRecode, "shard": runShard,
+		"query": func(args []string) error { return runQuery(args, os.Stdout) },
 	}
-	var err error
-	switch os.Args[1] {
-	case "ingest":
-		err = runIngest(os.Args[2:])
-	case "stat":
-		err = runStat(os.Args[2:])
-	case "query":
-		err = runQuery(os.Args[2:])
-	case "snap":
-		err = runSnap(os.Args[2:])
-	case "recode":
-		err = runRecode(os.Args[2:])
-	case "shard":
-		err = runShard(os.Args[2:])
-	default:
-		usage()
+	if len(os.Args) < 2 || cmds[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: evstore {gen|ingest|query|dump|stat|snap|recode|shard} [flags]")
+		os.Exit(2)
 	}
-	if err != nil {
+	if err := cmds[os.Args[1]](os.Args[2:]); err != nil {
 		fmt.Fprintf(os.Stderr, "evstore %s: %v\n", os.Args[1], err)
 		os.Exit(1)
 	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: evstore {ingest|stat|query|snap|recode|shard} -store DIR [flags]")
-	os.Exit(2)
 }
 
 // runShard splits a store into N shard stores for a commservd
@@ -150,15 +146,8 @@ func runRecode(args []string) error {
 	fmt.Printf("recoded %d/%d partitions to %s (%d blocks, %d skipped as current) on %d workers in %v\n",
 		rs.Recoded, rs.Partitions, c, rs.Blocks, rs.Skipped, rs.Workers, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("%s -> %s on disk (%.2fx), %d sidecars refreshed\n",
-		byteSize(rs.BytesIn), byteSize(rs.BytesOut), float64(rs.BytesOut)/float64(max64(rs.BytesIn, 1)), rs.Sidecars)
+		byteSize(rs.BytesIn), byteSize(rs.BytesOut), float64(rs.BytesOut)/float64(max(rs.BytesIn, 1)), rs.Sidecars)
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runSnap builds or inspects the snapshot sidecars the serving daemon
@@ -206,18 +195,13 @@ func snapStat(store string) error {
 			rows = append(rows, []string{filepath.Base(p.Path), "-", "-", "-", "-", "stale"})
 		default:
 			covered++
-			keys := make([]string, 0, len(snap.States))
-			for k := range snap.States {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
 			rows = append(rows, []string{
 				filepath.Base(p.Path),
 				strconv.Itoa(snap.Events),
 				byteSize(int64(len(snap.Classifier))),
 				byteSize(int64(len(snap.Results))),
 				strconv.Itoa(len(snap.States)),
-				strings.Join(keys, ","),
+				strings.Join(slices.Sorted(maps.Keys(snap.States)), ","),
 			})
 		}
 	}
@@ -230,6 +214,7 @@ func runIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	store := fs.String("store", "", "store directory (created if missing)")
 	in := fs.String("in", "", "directory of *.mrt archives; empty generates synthetic days")
+	rsList := fs.String("routeservers", "", "comma-separated route-server peer ASNs (for -in)")
 	year := fs.Int("year", 2020, "year for the synthetic dataset")
 	days := fs.Int("days", 1, "number of consecutive synthetic days")
 	block := fs.Int("block", evstore.DefaultBlockEvents, "events per block")
@@ -243,24 +228,32 @@ func runIngest(args []string) error {
 		return err
 	}
 
+	var src stream.EventSource
+	var norm *pipeline.Normalizer
+	srcCheck := func() error { return nil }
+	cfg := workload.HistoricalDayConfig(*year)
+	if *in == "" {
+		src = workload.MultiDaySource(cfg, *days)
+	} else {
+		asns, err := parseASNs(*rsList)
+		if err != nil {
+			return fmt.Errorf("-routeservers: %w", err)
+		}
+		routeServers := map[uint32]bool{}
+		for _, as := range asns {
+			routeServers[as] = true
+		}
+		if src, norm, srcCheck, err = pipeline.ArchiveSource(*in, routeServers); err != nil {
+			return err
+		}
+	}
+
 	w, err := evstore.Open(*store)
 	if err != nil {
 		return err
 	}
 	w.BlockEvents = *block
 	w.Codec = c
-
-	var src stream.EventSource
-	srcCheck := func() error { return nil }
-	if *in == "" {
-		src = workload.MultiDaySource(workload.HistoricalDayConfig(*year), *days)
-	} else {
-		var err error
-		src, _, srcCheck, err = pipeline.ArchiveSource(*in, nil)
-		if err != nil {
-			return err
-		}
-	}
 	// Tee a progress counter onto the stream: ingest is one pass, so
 	// this is the only place the event count can be observed live.
 	n := 0
@@ -273,15 +266,14 @@ func runIngest(args []string) error {
 	})
 	// Abort on any failure: sealing a partial ingest would leave a
 	// valid-looking but incomplete store for later runs to trust.
-	if err := w.Ingest(src); err != nil {
-		w.Abort()
-		return err
+	err = w.Ingest(src)
+	if err == nil {
+		err = srcCheck()
 	}
-	if err := srcCheck(); err != nil {
-		w.Abort()
-		return err
+	if err == nil {
+		err = w.Close()
 	}
-	if err := w.Close(); err != nil {
+	if err != nil {
 		w.Abort()
 		return err
 	}
@@ -289,6 +281,14 @@ func runIngest(args []string) error {
 	fmt.Printf("ingested %d events into %d partitions (%d blocks, %s on disk) in %v\n",
 		st.Events, st.Partitions, st.Blocks, byteSize(st.Bytes), time.Since(start).Round(time.Millisecond))
 	fmt.Printf("peak open partitions: %d\n", st.PeakActive)
+	if norm != nil {
+		fmt.Printf("normalizer: %+v\n", norm.Stats)
+	} else {
+		// Synthetic days carry a warm-up before the first day: the
+		// paper's numbers count only the days themselves.
+		from, to := cfg.MultiDayWindow(*days)
+		fmt.Printf("counting window: -from %s -to %s\n", from.Format(time.RFC3339), to.Format(time.RFC3339))
+	}
 	return nil
 }
 
@@ -296,7 +296,6 @@ func runStat(args []string) error {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	store := fs.String("store", "", "store directory")
 	blocks := fs.Bool("blocks", false, "also list per-block stats")
-	sample := fs.Int("sample", 0, "print the first N events of the store")
 	fs.Parse(args)
 	if *store == "" {
 		return fmt.Errorf("-store is required")
@@ -306,24 +305,12 @@ func runStat(args []string) error {
 		return err
 	}
 	printStoreStat(os.Stdout, infos, *blocks)
-	if *sample > 0 {
-		fmt.Printf("\nfirst %d events:\n", *sample)
-		var scanErr error
-		// Take stops the scan after N events: only the first block(s)
-		// of the first partition are ever decoded.
-		for e := range stream.Take(evstore.Scan(*store, evstore.Query{}, &scanErr), *sample) {
-			fmt.Println(evstore.FormatEvent(e))
-		}
-		if scanErr != nil {
-			return scanErr
-		}
-	}
 	return nil
 }
 
-// printStoreStat renders partition (and optionally block) tables; it is
-// shared with cmd/mrtdump via copy of formatting conventions only.
-func printStoreStat(w *os.File, infos []evstore.PartitionInfo, blocks bool) {
+// printStoreStat renders partition (and optionally block) tables for
+// stat and dump -stats.
+func printStoreStat(w io.Writer, infos []evstore.PartitionInfo, blocks bool) {
 	var rows [][]string
 	events, bytes, nblocks := 0, int64(0), 0
 	stored, raw := int64(0), int64(0)
@@ -378,191 +365,6 @@ func printStoreStat(w *os.File, infos []evstore.PartitionInfo, blocks bool) {
 				[]string{"block", "events", "compressed", "raw", "peers", "filter", "first", "last"}, brows))
 		}
 	}
-}
-
-func runQuery(args []string) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	store := fs.String("store", "", "store directory")
-	from := fs.String("from", "", "window start (RFC 3339, inclusive)")
-	to := fs.String("to", "", "window end (RFC 3339, exclusive)")
-	collectors := fs.String("collectors", "", "comma-separated collector names")
-	peerAS := fs.String("peeras", "", "comma-separated peer ASNs")
-	prefix := fs.String("prefix", "", "address block (events whose prefix lies within it)")
-	countOnly := fs.Bool("count-only", false, "print only the matching event count and scan stats")
-	analyze := fs.Bool("analyze", false, "run the analyses shard-parallel (adds the §7 peer inference and per-shard stats)")
-	workers := fs.Int("workers", 0, "worker pool size for -analyze (0 = GOMAXPROCS)")
-	fs.Parse(args)
-	if *store == "" {
-		return fmt.Errorf("-store is required")
-	}
-	q, err := buildQuery(*from, *to, *collectors, *peerAS, *prefix)
-	if err != nil {
-		return err
-	}
-	if *analyze {
-		return runAnalyze(*store, q, *workers)
-	}
-
-	var scanErr error
-	var st evstore.ScanStats
-	src := evstore.ScanWithStats(*store, q, &scanErr, &st)
-	start := time.Now()
-	if *countOnly {
-		n := stream.Count(src)
-		if scanErr != nil {
-			return scanErr
-		}
-		fmt.Printf("%d events in %v\n", n, time.Since(start).Round(time.Millisecond))
-		printScanStats(st)
-		return nil
-	}
-	t1, counts := analysis.Report(src, nil)
-	if scanErr != nil {
-		return scanErr
-	}
-	elapsed := time.Since(start).Round(time.Millisecond)
-
-	fmt.Println("Table 1 — selection overview:")
-	fmt.Print(textplot.Table([]string{"metric", "value"}, [][]string{
-		{"IPv4 prefixes", strconv.Itoa(t1.PrefixesV4)},
-		{"IPv6 prefixes", strconv.Itoa(t1.PrefixesV6)},
-		{"ASes", strconv.Itoa(t1.ASes)},
-		{"Sessions", strconv.Itoa(t1.Sessions)},
-		{"Peers", strconv.Itoa(t1.Peers)},
-		{"Announcements", strconv.Itoa(t1.Announcements)},
-		{"Withdrawals", strconv.Itoa(t1.Withdrawals)},
-	}))
-	fmt.Println("\nTable 2 — announcement types:")
-	var rows [][]string
-	for _, ty := range classify.Types() {
-		rows = append(rows, []string{
-			ty.String(),
-			strconv.Itoa(counts.Of(ty)),
-			fmt.Sprintf("%.1f%%", 100*counts.Share(ty)),
-		})
-	}
-	fmt.Print(textplot.Table([]string{"type", "count", "share"}, rows))
-	fmt.Printf("\nscan took %v\n", elapsed)
-	printScanStats(st)
-	return nil
-}
-
-// runAnalyze answers the query with the analyzer engine: Table 1,
-// Table 2, and the §7 peer-behaviour inference accumulate in ONE
-// shard-parallel pass (evstore.ScanParallel), and the per-shard
-// pushdown/merge stats show where the scan spent its effort.
-func runAnalyze(store string, q evstore.Query, workers int) error {
-	t1a := analysis.NewTable1()
-	counter := analysis.NewCounts()
-	peers := analysis.NewPeerBehavior()
-	ps, err := evstore.ScanParallel(context.Background(), store, q, evstore.TimeRange{}, workers, t1a, counter, peers)
-	if err != nil {
-		return err
-	}
-	t1, counts := t1a.Table1(), counter.Counts
-
-	fmt.Println("Table 1 — selection overview:")
-	fmt.Print(textplot.Table([]string{"metric", "value"}, [][]string{
-		{"IPv4 prefixes", strconv.Itoa(t1.PrefixesV4)},
-		{"IPv6 prefixes", strconv.Itoa(t1.PrefixesV6)},
-		{"ASes", strconv.Itoa(t1.ASes)},
-		{"Sessions", strconv.Itoa(t1.Sessions)},
-		{"Peers", strconv.Itoa(t1.Peers)},
-		{"Announcements", strconv.Itoa(t1.Announcements)},
-		{"Withdrawals", strconv.Itoa(t1.Withdrawals)},
-	}))
-	fmt.Println("\nTable 2 — announcement types:")
-	var rows [][]string
-	for _, ty := range classify.Types() {
-		rows = append(rows, []string{
-			ty.String(),
-			strconv.Itoa(counts.Of(ty)),
-			fmt.Sprintf("%.1f%%", 100*counts.Share(ty)),
-		})
-	}
-	fmt.Print(textplot.Table([]string{"type", "count", "share"}, rows))
-
-	byBehavior := map[analysis.PeerBehavior]int{}
-	for _, inf := range peers.Inferences() {
-		byBehavior[inf.Behavior]++
-	}
-	fmt.Printf("\npeer behavior (§7): %d propagate, %d clean-egress, %d quiet\n",
-		byBehavior[analysis.BehaviorPropagates], byBehavior[analysis.BehaviorCleansEgress],
-		byBehavior[analysis.BehaviorQuiet])
-
-	fmt.Printf("\nshard-parallel scan: %d shards on %d workers in %v (%d analyzer merges, %v merging)\n",
-		len(ps.Shards), ps.Workers, ps.Elapsed.Round(time.Millisecond),
-		ps.Merges, ps.MergeElapsed.Round(time.Microsecond))
-	var srows [][]string
-	for _, ss := range ps.Shards {
-		name := ss.Collector
-		if name == "" {
-			name = "(unnamed)"
-		}
-		srows = append(srows, []string{
-			name,
-			fmt.Sprintf("%d/%d", ss.Scan.PartitionsPruned, ss.Scan.Partitions),
-			fmt.Sprintf("%d/%d", ss.Scan.BlocksPruned, ss.Scan.Blocks),
-			strconv.Itoa(ss.Scan.BlocksDecoded),
-			byteSize(ss.Scan.BytesDecompressed),
-			strconv.Itoa(ss.Scan.Events),
-			ss.Elapsed.Round(time.Microsecond).String(),
-		})
-	}
-	fmt.Print(textplot.Table(
-		[]string{"shard", "parts pruned", "blocks pruned", "decoded", "inflated", "events", "time"}, srows))
-	printScanStats(ps.Total)
-	return nil
-}
-
-func printScanStats(st evstore.ScanStats) {
-	fmt.Printf("pushdown: %d/%d partitions pruned, %d/%d blocks pruned, %s read -> %s decompressed\n",
-		st.PartitionsPruned, st.Partitions, st.BlocksPruned, st.Blocks,
-		byteSize(st.BytesRead), byteSize(st.BytesDecompressed))
-	for c, pc := range st.PerCodec {
-		if pc.Blocks == 0 {
-			continue
-		}
-		fmt.Printf("  %-7s %d blocks, %s read, %s decompressed\n",
-			evstore.Codec(c), pc.Blocks, byteSize(pc.BytesRead), byteSize(pc.BytesDecompressed))
-	}
-}
-
-func buildQuery(from, to, collectors, peerAS, prefix string) (evstore.Query, error) {
-	var q evstore.Query
-	var err error
-	if from != "" {
-		if q.Window.From, err = time.Parse(time.RFC3339, from); err != nil {
-			return q, fmt.Errorf("-from: %w", err)
-		}
-	}
-	if to != "" {
-		if q.Window.To, err = time.Parse(time.RFC3339, to); err != nil {
-			return q, fmt.Errorf("-to: %w", err)
-		}
-	}
-	if collectors != "" {
-		q.Collectors = strings.Split(collectors, ",")
-	}
-	if peerAS != "" {
-		for _, tok := range strings.Split(peerAS, ",") {
-			as, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 32)
-			if err != nil {
-				return q, fmt.Errorf("-peeras %q: %w", tok, err)
-			}
-			q.PeerAS = append(q.PeerAS, uint32(as))
-		}
-	}
-	if prefix != "" {
-		if q.PrefixRange, err = parsePrefix(prefix); err != nil {
-			return q, fmt.Errorf("-prefix: %w", err)
-		}
-	}
-	return q, nil
-}
-
-func parsePrefix(s string) (netip.Prefix, error) {
-	return netip.ParsePrefix(s)
 }
 
 func byteSize(n int64) string {

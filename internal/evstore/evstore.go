@@ -200,7 +200,7 @@ func dayStart(t time.Time) time.Time {
 
 // FormatEvent renders a store event in the mrt.Format line convention
 // with the collector appended (a store interleaves collectors) — the
-// shared dump format of cmd/mrtdump and cmd/evstore.
+// line `evstore dump` prints for a store event.
 func FormatEvent(e classify.Event) string {
 	ts := e.Time.UTC().Format("2006-01-02 15:04:05.000000")
 	if e.Withdraw {

@@ -363,7 +363,7 @@ func TestWriterConstantMemory(t *testing.T) {
 
 // TestIngestRollsBackOnError: a failed ingest must leave the store
 // exactly as it was — a sealed partial store would be silently trusted
-// by later runs (commclean -store reuses any store with partitions).
+// by later runs (`evstore query` and commservd read any partition).
 func TestIngestRollsBackOnError(t *testing.T) {
 	cfg := smallDayConfig()
 	_, sources := workload.DaySources(cfg)
@@ -450,7 +450,7 @@ func TestWriterSealsPerCollector(t *testing.T) {
 }
 
 // TestStatAndPartitionSource exercises the inspection APIs used by
-// cmd/evstore and cmd/mrtdump.
+// `evstore stat` and `evstore dump`.
 func TestStatAndPartitionSource(t *testing.T) {
 	cfg := smallDayConfig()
 	_, sources := workload.DaySources(cfg)
@@ -522,7 +522,7 @@ func TestScanErrors(t *testing.T) {
 }
 
 // TestEarlyExitStopsScan: breaking out of a scan must not read further
-// blocks (the Take use case in evstore stat -sample).
+// blocks (a consumer that takes the first N events and stops).
 func TestEarlyExitStopsScan(t *testing.T) {
 	cfg := smallDayConfig()
 	_, sources := workload.DaySources(cfg)

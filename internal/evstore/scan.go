@@ -642,7 +642,7 @@ func IsStoreDir(dir string) bool {
 }
 
 // PartitionSource streams one partition file's events matching q, for
-// inspectors that take explicit file arguments (cmd/mrtdump).
+// inspectors that take explicit file arguments (`evstore dump`).
 func PartitionSource(path string, q Query, errp *error) stream.EventSource {
 	return func(yield func(classify.Event) bool) {
 		cq := compileQuery(q)

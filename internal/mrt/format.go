@@ -8,7 +8,7 @@ import (
 )
 
 // Format renders one record in a bgpdump-like single-line-per-event style,
-// for inspection tooling (cmd/mrtdump).
+// for inspection tooling (`evstore dump`).
 func Format(h Header, rec Record) string {
 	ts := h.Time().UTC().Format("2006-01-02 15:04:05.000000")
 	switch rec := rec.(type) {

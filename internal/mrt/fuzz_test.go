@@ -11,8 +11,8 @@ import (
 	"repro/internal/bgp"
 )
 
-// Reader.Next parses whatever archive it is handed: -replay, evstore
-// ingest -in and commclean -in all read MRT files from outside the
+// Reader.Next parses whatever archive it is handed: bgpcollect -replay,
+// evstore ingest -in and evstore dump all read MRT files from outside the
 // repo. FuzzReader pins two things over a stream of records. Next never
 // panics, and neither does decoding a BGP4MP record's message. A record
 // it accepts and the Writer can re-encode reads back as an equal header

@@ -99,7 +99,7 @@ func ArchiveSource(dir string, routeServers map[uint32]bool) (src stream.EventSo
 // DirSources returns one lazily opened FileSource per "*.mrt" archive in
 // dir (sorted by file name, collector names derived from the file names).
 // Merging or concatenating them feeds analyses straight from the archives
-// written by cmd/mrtgen without loading whole files. All sources share
+// written by `evstore gen` without loading whole files. All sources share
 // *errp: the first archive error wins and halts the remaining sources,
 // and the whole set is single-use per normalizer.
 func DirSources(norm *Normalizer, dir string, errp *error) ([]string, []stream.EventSource, error) {
