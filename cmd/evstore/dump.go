@@ -53,7 +53,7 @@ func dump(path string, stats bool) error {
 		if err != nil {
 			return err
 		}
-		printStoreStat(os.Stdout, infos, true)
+		printStoreStat(os.Stdout, infos)
 		return nil
 	}
 	var scanErr error

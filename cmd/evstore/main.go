@@ -12,7 +12,6 @@
 //	evstore query  -store DIR [-from T] [-to T] [-collectors a,b]
 //	               [-peeras 1,2] [-prefix P]
 //	evstore dump   [-stats] PATH...
-//	evstore stat   -store DIR [-blocks]
 //	evstore snap   -store DIR [-stat]
 //	evstore recode -store DIR [-codec lz]
 //	evstore shard  -store DIR -n N -out OUTDIR
@@ -33,7 +32,6 @@
 //
 // dump prints MRT archives, partitions and whole stores as bgpdump-like
 // lines, or with -stats as record counts and partition/block tables.
-// stat prints a store's partition (and with -blocks, block) layout.
 //
 // recode rewrites an existing store's partitions block-by-block into
 // the target codec (never in place — temp file + atomic rename), the
@@ -78,12 +76,12 @@ import (
 
 func main() {
 	cmds := map[string]func([]string) error{
-		"gen": runGen, "ingest": runIngest, "dump": runDump, "stat": runStat,
+		"gen": runGen, "ingest": runIngest, "dump": runDump,
 		"snap": runSnap, "recode": runRecode, "shard": runShard,
 		"query": func(args []string) error { return runQuery(args, os.Stdout) },
 	}
 	if len(os.Args) < 2 || cmds[os.Args[1]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: evstore {gen|ingest|query|dump|stat|snap|recode|shard} [flags]")
+		fmt.Fprintln(os.Stderr, "usage: evstore {gen|ingest|query|dump|snap|recode|shard} [flags]")
 		os.Exit(2)
 	}
 	if err := cmds[os.Args[1]](os.Args[2:]); err != nil {
@@ -292,25 +290,8 @@ func runIngest(args []string) error {
 	return nil
 }
 
-func runStat(args []string) error {
-	fs := flag.NewFlagSet("stat", flag.ExitOnError)
-	store := fs.String("store", "", "store directory")
-	blocks := fs.Bool("blocks", false, "also list per-block stats")
-	fs.Parse(args)
-	if *store == "" {
-		return fmt.Errorf("-store is required")
-	}
-	infos, err := evstore.Stat(*store)
-	if err != nil {
-		return err
-	}
-	printStoreStat(os.Stdout, infos, *blocks)
-	return nil
-}
-
-// printStoreStat renders partition (and optionally block) tables for
-// stat and dump -stats.
-func printStoreStat(w io.Writer, infos []evstore.PartitionInfo, blocks bool) {
+// printStoreStat renders the partition and block tables of dump -stats.
+func printStoreStat(w io.Writer, infos []evstore.PartitionInfo) {
 	var rows [][]string
 	events, bytes, nblocks := 0, int64(0), 0
 	stored, raw := int64(0), int64(0)
@@ -345,25 +326,23 @@ func printStoreStat(w io.Writer, infos []evstore.PartitionInfo, blocks bool) {
 	}
 	fmt.Fprint(w, textplot.Table(
 		[]string{"collector", "day", "seq", "blocks", "events", "peers", "size", "codec", "ratio", "first", "last"}, rows))
-	if blocks {
-		for _, info := range infos {
-			fmt.Fprintf(w, "\n%s:\n", info.Path)
-			var brows [][]string
-			for i, b := range info.Blocks {
-				brows = append(brows, []string{
-					strconv.Itoa(i),
-					strconv.Itoa(b.Events),
-					byteSize(int64(b.Compressed)),
-					byteSize(int64(b.Uncompressed)),
-					strconv.Itoa(len(b.PeerAS)),
-					byteSize(int64(b.FilterBytes)),
-					b.TimeMin.Format("15:04:05"),
-					b.TimeMax.Format("15:04:05"),
-				})
-			}
-			fmt.Fprint(w, textplot.Table(
-				[]string{"block", "events", "compressed", "raw", "peers", "filter", "first", "last"}, brows))
+	for _, info := range infos {
+		fmt.Fprintf(w, "\n%s:\n", info.Path)
+		var brows [][]string
+		for i, b := range info.Blocks {
+			brows = append(brows, []string{
+				strconv.Itoa(i),
+				strconv.Itoa(b.Events),
+				byteSize(int64(b.Compressed)),
+				byteSize(int64(b.Uncompressed)),
+				strconv.Itoa(len(b.PeerAS)),
+				byteSize(int64(b.FilterBytes)),
+				b.TimeMin.Format("15:04:05"),
+				b.TimeMax.Format("15:04:05"),
+			})
 		}
+		fmt.Fprint(w, textplot.Table(
+			[]string{"block", "events", "compressed", "raw", "peers", "filter", "first", "last"}, brows))
 	}
 }
 

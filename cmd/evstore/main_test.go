@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,5 +49,28 @@ func TestQueryCountsWindowClassifiesAll(t *testing.T) {
 	}
 	if !strings.Contains(got.String(), "shard-parallel scan: 2 shards") {
 		t.Errorf("query report lacks the shard table:\n%s", got.String())
+	}
+}
+
+// TestParseASNs keeps -peeras and -routeservers strict: an empty list
+// is no filter, but an empty token is an error, not a dropped one.
+func TestParseASNs(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []uint32
+		ok   bool
+	}{
+		{"", nil, true},
+		{"1", []uint32{1}, true},
+		{"1, 2", []uint32{1, 2}, true},
+		{",", nil, false},
+		{"1,,2", nil, false},
+		{"20001,", nil, false},
+		{"x", nil, false},
+	} {
+		got, err := parseASNs(tc.in)
+		if (err == nil) != tc.ok || !slices.Equal(got, tc.want) {
+			t.Errorf("parseASNs(%q) = %v, %v; want %v, ok %v", tc.in, got, err, tc.want, tc.ok)
+		}
 	}
 }

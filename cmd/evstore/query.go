@@ -161,8 +161,11 @@ func buildQuery(from, to, collectors, peerAS, prefix string) (evstore.Query, err
 // parseASNs parses a comma-separated ASN list (-peeras, -routeservers);
 // the empty list is nil.
 func parseASNs(list string) ([]uint32, error) {
+	if list == "" {
+		return nil, nil
+	}
 	var out []uint32
-	for _, tok := range strings.FieldsFunc(list, func(r rune) bool { return r == ',' }) {
+	for _, tok := range strings.Split(list, ",") {
 		as, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("bad ASN %q: %w", tok, err)

@@ -450,7 +450,7 @@ func TestWriterSealsPerCollector(t *testing.T) {
 }
 
 // TestStatAndPartitionSource exercises the inspection APIs used by
-// `evstore stat` and `evstore dump`.
+// `evstore dump` and `evstore dump -stats`.
 func TestStatAndPartitionSource(t *testing.T) {
 	cfg := smallDayConfig()
 	_, sources := workload.DaySources(cfg)
