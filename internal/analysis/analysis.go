@@ -112,7 +112,7 @@ func (a *table1Accum) observe(e classify.Event) {
 	}
 	a.pathKey = appendPathKey(a.pathKey[:0], e.ASPath)
 	if _, ok := a.paths[string(a.pathKey)]; !ok {
-		a.paths[a.internPathKey()] = struct{}{}
+		a.paths[a.intern(a.pathKey)] = struct{}{}
 		// A path-set miss is the only time this path's ASNs can be new:
 		// a known path already contributed its ASes.
 		for _, seg := range e.ASPath {
@@ -123,14 +123,13 @@ func (a *table1Accum) observe(e classify.Event) {
 	}
 }
 
-// internPathKey copies the rendered pathKey scratch into the key
-// arena and returns a string view over the copy, for insertion into
-// the paths set. The arena chunk is abandoned (never rewound) when
-// exhausted, so issued views stay stable; snapshots copy the bytes
-// out, so mixed arena and heap keys coexist freely after a Restore
-// or Merge.
-func (a *table1Accum) internPathKey() string {
-	n := len(a.pathKey)
+// intern copies a rendered path key into the key arena and returns a
+// string view over the copy, for insertion into the paths set. The
+// arena chunk is abandoned (never rewound) when exhausted, so issued
+// views stay stable; snapshots copy the bytes out, so mixed arena and
+// heap keys coexist freely after a Merge.
+func (a *table1Accum) intern(key []byte) string {
+	n := len(key)
 	if n == 0 {
 		return ""
 	}
@@ -138,7 +137,7 @@ func (a *table1Accum) internPathKey() string {
 		a.keyArena = make([]byte, 0, max(1<<15, n))
 	}
 	l := len(a.keyArena)
-	a.keyArena = append(a.keyArena, a.pathKey...)
+	a.keyArena = append(a.keyArena, key...)
 	return unsafe.String(&a.keyArena[l], n)
 }
 

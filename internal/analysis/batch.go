@@ -27,8 +27,8 @@ import (
 //
 // Caches are keyed on the *classify.Dict identity and reset — after
 // resolving against the old dictionary — when a batch arrives with a
-// different one, and dropped unresolved on Restore (which replaces
-// the accumulator the pending marks were destined for).
+// different one. Restore and Merge only add values to the accumulator
+// the marks are destined for, so both leave the caches valid.
 
 var (
 	_ classify.BatchAnalyzer = (*Table1Analyzer)(nil)
@@ -115,7 +115,7 @@ func (bt *table1Batch) resolve(acc *table1Accum) {
 		path := d.Paths[g]
 		acc.pathKey = appendPathKey(acc.pathKey[:0], path)
 		if _, ok := acc.paths[string(acc.pathKey)]; !ok {
-			acc.paths[acc.internPathKey()] = struct{}{}
+			acc.paths[acc.intern(acc.pathKey)] = struct{}{}
 			for _, seg := range path {
 				for _, as := range seg.ASNs {
 					acc.ases[as] = struct{}{}

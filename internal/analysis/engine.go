@@ -36,8 +36,9 @@ func NewCounts() *classify.CountsAnalyzer { return &classify.CountsAnalyzer{} }
 
 // Table1Analyzer accumulates the d_mar20 overview (paper Table 1).
 type Table1Analyzer struct {
-	acc *table1Accum
-	bt  table1Batch // batch-path gid caches (batch.go)
+	acc     *table1Accum
+	bt      table1Batch   // batch-path gid caches (batch.go)
+	decoded table1Decoded // Restore's scratch (snapshot.go)
 }
 
 // NewTable1 returns an empty Table 1 analyzer.
@@ -48,7 +49,8 @@ func (a *Table1Analyzer) Observe(_ classify.Result, e classify.Event) { a.acc.ob
 
 // Merge unions the distinct-value sets and sums the counters. Both
 // sides resolve their pending batch-path gids first so the value maps
-// are complete.
+// are complete; each union keeps the larger of the two sets, so a
+// merge into an empty analyzer takes other's sets over.
 func (a *Table1Analyzer) Merge(other Analyzer) {
 	a.resolvePending()
 	other.(*Table1Analyzer).resolvePending()
@@ -56,13 +58,13 @@ func (a *Table1Analyzer) Merge(other Analyzer) {
 	a.acc.t1.Announcements += o.t1.Announcements
 	a.acc.t1.Withdrawals += o.t1.Withdrawals
 	a.acc.t1.WithCommunities += o.t1.WithCommunities
-	unionInto(a.acc.v4, o.v4)
-	unionInto(a.acc.v6, o.v6)
-	unionInto(a.acc.ases, o.ases)
-	unionInto(a.acc.sessions, o.sessions)
-	unionInto(a.acc.peers, o.peers)
-	unionInto(a.acc.comms, o.comms)
-	unionInto(a.acc.paths, o.paths)
+	a.acc.v4 = unionInto(a.acc.v4, o.v4)
+	a.acc.v6 = unionInto(a.acc.v6, o.v6)
+	a.acc.ases = unionInto(a.acc.ases, o.ases)
+	a.acc.sessions = unionInto(a.acc.sessions, o.sessions)
+	a.acc.peers = unionInto(a.acc.peers, o.peers)
+	a.acc.comms = unionInto(a.acc.comms, o.comms)
+	a.acc.paths = unionInto(a.acc.paths, o.paths)
 }
 
 // Finish returns the Table1.
@@ -77,10 +79,16 @@ func (a *Table1Analyzer) Table1() Table1 {
 	return a.acc.finish()
 }
 
-func unionInto[K comparable](dst, src map[K]struct{}) {
+// unionInto returns the union of two sets, built in the larger one:
+// the caller owns both and must not use the other again.
+func unionInto[K comparable](dst, src map[K]struct{}) map[K]struct{} {
+	if len(dst) < len(src) {
+		dst, src = src, dst
+	}
 	for k := range src {
 		dst[k] = struct{}{}
 	}
+	return dst
 }
 
 // ---------------------------------------------------------------------------
@@ -124,9 +132,15 @@ func (a *SessionMixAnalyzer) Observe(res classify.Result, e classify.Event) {
 	m.Counts.Add(res)
 }
 
-// Merge sums the per-session counts keywise.
+// Merge sums the per-session counts keywise; an empty analyzer takes
+// other's mixes over.
 func (a *SessionMixAnalyzer) Merge(other Analyzer) {
-	for key, om := range other.(*SessionMixAnalyzer).mixes {
+	o := other.(*SessionMixAnalyzer)
+	if len(a.mixes) == 0 {
+		a.mixes = o.mixes
+		return
+	}
+	for key, om := range o.mixes {
 		m := a.mixes[key]
 		if m == nil {
 			a.mixes[key] = om
@@ -143,7 +157,8 @@ func (a *SessionMixAnalyzer) Finish() any { return a.Mixes() }
 func (a *SessionMixAnalyzer) Fresh() Analyzer { return NewSessionMix(a.collector, a.prefix) }
 
 // Mixes returns each session's mix sorted by descending announcement
-// count, ties by peer address.
+// count, ties by peer address, then collector (a restored snapshot is
+// not checked to hold the analyzer's collector only).
 func (a *SessionMixAnalyzer) Mixes() []SessionMix {
 	out := make([]SessionMix, 0, len(a.mixes))
 	for _, m := range a.mixes {
@@ -153,7 +168,10 @@ func (a *SessionMixAnalyzer) Mixes() []SessionMix {
 		if out[i].Total() != out[j].Total() {
 			return out[i].Total() > out[j].Total()
 		}
-		return out[i].Session.PeerAddr.Compare(out[j].Session.PeerAddr) < 0
+		if c := out[i].Session.PeerAddr.Compare(out[j].Session.PeerAddr); c != 0 {
+			return c < 0
+		}
+		return out[i].Session.Collector < out[j].Session.Collector
 	})
 	return out
 }
@@ -290,9 +308,15 @@ func (a *PeerBehaviorAnalyzer) Observe(res classify.Result, e classify.Event) {
 	acc.counts.Add(res)
 }
 
-// Merge sums the evidence keywise.
+// Merge sums the evidence keywise; an empty analyzer takes other's
+// evidence over.
 func (a *PeerBehaviorAnalyzer) Merge(other Analyzer) {
-	for key, oacc := range other.(*PeerBehaviorAnalyzer).accs {
+	o := other.(*PeerBehaviorAnalyzer)
+	if len(a.accs) == 0 {
+		a.accs = o.accs
+		return
+	}
+	for key, oacc := range o.accs {
 		acc := a.accs[key]
 		if acc == nil {
 			a.accs[key] = oacc
@@ -382,15 +406,21 @@ func (a *IngressAnalyzer) Observe(_ classify.Result, e classify.Event) {
 	}
 }
 
-// Merge unions the per-pair community sets.
+// Merge unions the per-pair community sets; an empty analyzer takes
+// other's sets over.
 func (a *IngressAnalyzer) Merge(other Analyzer) {
-	for key, oset := range other.(*IngressAnalyzer).locs {
+	o := other.(*IngressAnalyzer)
+	if len(a.locs) == 0 {
+		a.locs = o.locs
+		return
+	}
+	for key, oset := range o.locs {
 		set := a.locs[key]
 		if set == nil {
 			a.locs[key] = oset
 			continue
 		}
-		unionInto(set, oset)
+		a.locs[key] = unionInto(set, oset)
 	}
 }
 
@@ -478,7 +508,7 @@ func (a *GeoBreakdownAnalyzer) Observe(_ classify.Result, e classify.Event) {
 func (a *GeoBreakdownAnalyzer) Merge(other Analyzer) {
 	o := other.(*GeoBreakdownAnalyzer)
 	for i := range a.sets {
-		unionInto(a.sets[i], o.sets[i])
+		a.sets[i] = unionInto(a.sets[i], o.sets[i])
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // of whole sources is a session-respecting split — plus one hand-made
 // single-event source (its own session) and the analyzer prototypes
 // parameterized from the materialized data.
-func mergeLawFixture(t *testing.T) (sources []stream.EventSource, protos []Analyzer) {
+func mergeLawFixture(t testing.TB) (sources []stream.EventSource, protos []Analyzer) {
 	t.Helper()
 	cfg := workload.DefaultBeaconConfig(time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC))
 	cfg.Collectors = 3

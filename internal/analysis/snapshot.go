@@ -2,8 +2,12 @@ package analysis
 
 import (
 	"fmt"
+	"math"
+	"net/netip"
+	"slices"
 	"time"
 
+	"repro/internal/beacon"
 	"repro/internal/bgp"
 	"repro/internal/classify"
 	"repro/internal/wire"
@@ -16,8 +20,11 @@ import (
 // meaningful restored into a same-configured analyzer — the snapshot
 // index keys sidecar entries by a name that includes the configuration
 // for exactly that reason. All codecs satisfy the Analyzer contract:
-// Restore(Snapshot(s)) reproduces s's results bit-identically, and
-// restored snapshots merge like live accumulators.
+// Restore(Snapshot(s)) into a Fresh analyzer reproduces s's results
+// bit-identically, and Restore into any other analyzer folds the
+// snapshot in as Merge would. Every Restore decodes the whole snapshot
+// before it touches the receiver, so a snapshot that fails to decode,
+// or carries a value no accumulator holds, changes nothing.
 
 func snapErr(what string, r *wire.Reader) error {
 	if err := r.Err(); err != nil {
@@ -69,41 +76,85 @@ func (a *Table1Analyzer) Snapshot(dst []byte) []byte {
 	return dst
 }
 
-// Restore replaces the accumulated overview with a snapshot's.
-func (a *Table1Analyzer) Restore(src []byte) error {
+// table1Decoded is one Table 1 snapshot decoded but not yet folded in:
+// Restore's scratch, reused from one Restore to the next. Paths are
+// views into the snapshot bytes, cleared once folded.
+type table1Decoded struct {
+	counts      [3]int // announcements, withdrawals, with communities
+	v4, v6      []netip.Prefix
+	ases, peers []uint32
+	sessions    []classify.SessionKey
+	comms       []bgp.Community
+	paths       [][]byte
+}
+
+func (d *table1Decoded) decode(src []byte) error {
 	r := wire.NewReader(src)
-	acc := newTable1Accum()
-	acc.t1.Announcements = r.Int()
-	acc.t1.Withdrawals = r.Int()
-	acc.t1.WithCommunities = r.Int()
-	for i, n := 0, r.Count(1); i < n; i++ {
-		acc.v4[r.Prefix()] = struct{}{}
+	for i := range d.counts {
+		if d.counts[i] = r.Int(); d.counts[i] < 0 {
+			r.Fail("negative count %d", d.counts[i])
+		}
 	}
-	for i, n := 0, r.Count(1); i < n; i++ {
-		acc.v6[r.Prefix()] = struct{}{}
+	d.v4 = readEach(r, d.v4[:0], (*wire.Reader).Prefix)
+	d.v6 = readEach(r, d.v6[:0], (*wire.Reader).Prefix)
+	d.ases = readEach(r, d.ases[:0], (*wire.Reader).Uint32)
+	d.sessions = readEach(r, d.sessions[:0], classify.ReadSessionKey)
+	d.peers = readEach(r, d.peers[:0], (*wire.Reader).Uint32)
+	d.comms = readEach(r, d.comms[:0], func(r *wire.Reader) bgp.Community { return bgp.Community(r.Uint32()) })
+	d.paths = readEach(r, d.paths[:0], func(r *wire.Reader) []byte { return r.Bytes(r.Count(1)) })
+	return snapErr("table1", r)
+}
+
+// readEach reads a count, then that many elements with read, appending
+// them to dst.
+func readEach[T any](r *wire.Reader, dst []T, read func(*wire.Reader) T) []T {
+	n := r.Count(1)
+	dst = slices.Grow(dst, n)
+	for range n {
+		dst = append(dst, read(r))
 	}
-	for i, n := 0, r.Count(1); i < n; i++ {
-		acc.ases[r.Uint32()] = struct{}{}
+	return dst
+}
+
+// insertEach adds keys to a set, presizing it when it is empty.
+func insertEach[K comparable](set map[K]struct{}, keys []K) map[K]struct{} {
+	if len(set) == 0 && len(keys) > 0 {
+		set = make(map[K]struct{}, len(keys))
 	}
-	for i, n := 0, r.Count(1); i < n; i++ {
-		acc.sessions[classify.ReadSessionKey(r)] = struct{}{}
+	for _, k := range keys {
+		set[k] = struct{}{}
 	}
-	for i, n := 0, r.Count(1); i < n; i++ {
-		acc.peers[r.Uint32()] = struct{}{}
-	}
-	for i, n := 0, r.Count(1); i < n; i++ {
-		acc.comms[bgp.Community(r.Uint32())] = struct{}{}
-	}
-	for i, n := 0, r.Count(1); i < n; i++ {
-		acc.paths[r.String()] = struct{}{}
-	}
-	if err := snapErr("table1", r); err != nil {
+	return set
+}
+
+// Restore folds a snapshot's overview into the accumulated one: the
+// snapshot is decoded into scratch first, then its values go straight
+// into the sets, a path copied into the key arena only when the paths
+// set does not hold it yet.
+func (a *Table1Analyzer) Restore(src []byte) error {
+	d := &a.decoded
+	if err := d.decode(src); err != nil {
 		return err
 	}
-	a.acc = acc
-	// The batch-path gid caches recorded inserts made into the old
-	// accumulator; they are meaningless against the restored one.
-	a.bt = table1Batch{}
+	acc := a.acc
+	acc.t1.Announcements += d.counts[0]
+	acc.t1.Withdrawals += d.counts[1]
+	acc.t1.WithCommunities += d.counts[2]
+	acc.v4 = insertEach(acc.v4, d.v4)
+	acc.v6 = insertEach(acc.v6, d.v6)
+	acc.ases = insertEach(acc.ases, d.ases)
+	acc.sessions = insertEach(acc.sessions, d.sessions)
+	acc.peers = insertEach(acc.peers, d.peers)
+	acc.comms = insertEach(acc.comms, d.comms)
+	if len(acc.paths) == 0 && len(d.paths) > 0 {
+		acc.paths = make(map[string]struct{}, len(d.paths))
+	}
+	for _, p := range d.paths {
+		if _, ok := acc.paths[string(p)]; !ok {
+			acc.paths[acc.intern(p)] = struct{}{}
+		}
+	}
+	clear(d.paths)
 	return nil
 }
 
@@ -123,7 +174,7 @@ func (a *SessionMixAnalyzer) Snapshot(dst []byte) []byte {
 	return dst
 }
 
-// Restore replaces the per-session mixes with a snapshot's.
+// Restore folds a snapshot's per-session mixes in.
 func (a *SessionMixAnalyzer) Restore(src []byte) error {
 	r := wire.NewReader(src)
 	n := r.Count(2)
@@ -140,9 +191,7 @@ func (a *SessionMixAnalyzer) Restore(src []byte) error {
 	if err := snapErr("session mix", r); err != nil {
 		return err
 	}
-	a.mixes = mixes
-	// The batch-path cache may hold a mix pointer into the replaced map.
-	a.bb = sessMixBatch{}
+	a.Merge(&SessionMixAnalyzer{mixes: mixes})
 	return nil
 }
 
@@ -164,17 +213,20 @@ func (a *CumulativeAnalyzer) Snapshot(dst []byte) []byte {
 	return dst
 }
 
-// Restore replaces the series with a snapshot's.
+// Restore appends a snapshot's series to the accumulated one.
 func (a *CumulativeAnalyzer) Restore(src []byte) error {
 	r := wire.NewReader(src)
 	var series CumSeries
 	if n := r.Count(2); n > 0 {
 		series.Points = make([]CumPoint, 0, n)
 		for i := 0; i < n; i++ {
-			series.Points = append(series.Points, CumPoint{
-				Time: r.Time(),
-				Type: classify.Type(r.Uvarint()),
-			})
+			p := CumPoint{Time: r.Time()}
+			if t := r.Uvarint(); t > uint64(classify.XN) {
+				r.Fail("announcement type %d", t)
+			} else {
+				p.Type = classify.Type(t)
+			}
+			series.Points = append(series.Points, p)
 		}
 	}
 	if n := r.Count(1); n > 0 {
@@ -186,7 +238,7 @@ func (a *CumulativeAnalyzer) Restore(src []byte) error {
 	if err := snapErr("cumulative", r); err != nil {
 		return err
 	}
-	a.series = series
+	a.Merge(&CumulativeAnalyzer{series: series})
 	return nil
 }
 
@@ -199,9 +251,14 @@ func (a *RevealedAnalyzer) Snapshot(dst []byte) []byte {
 	return a.tracker.Snapshot(dst)
 }
 
-// Restore replaces the tracker state with a snapshot's.
+// Restore ORs a snapshot's phase masks into the tracker.
 func (a *RevealedAnalyzer) Restore(src []byte) error {
-	return a.tracker.Restore(src)
+	t := beacon.NewRevealedTracker(a.sched)
+	if err := t.Restore(src); err != nil {
+		return err
+	}
+	a.tracker.Merge(t)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +278,7 @@ func (a *PeerBehaviorAnalyzer) Snapshot(dst []byte) []byte {
 	return dst
 }
 
-// Restore replaces the per-session evidence with a snapshot's.
+// Restore folds a snapshot's per-session evidence in.
 func (a *PeerBehaviorAnalyzer) Restore(src []byte) error {
 	r := wire.NewReader(src)
 	n := r.Count(2)
@@ -229,6 +286,9 @@ func (a *PeerBehaviorAnalyzer) Restore(src []byte) error {
 	for i := 0; i < n; i++ {
 		key := classify.ReadSessionKey(r)
 		acc := &peerAcc{peerAS: r.Uint32(), total: r.Int(), withComm: r.Int()}
+		if acc.total < 0 || acc.withComm < 0 {
+			r.Fail("negative count")
+		}
 		acc.counts = classify.ReadCounts(r)
 		if r.Err() != nil {
 			break
@@ -238,7 +298,7 @@ func (a *PeerBehaviorAnalyzer) Restore(src []byte) error {
 	if err := snapErr("peer behavior", r); err != nil {
 		return err
 	}
-	a.accs = accs
+	a.Merge(&PeerBehaviorAnalyzer{accs: accs})
 	return nil
 }
 
@@ -260,13 +320,18 @@ func (a *IngressAnalyzer) Snapshot(dst []byte) []byte {
 	return dst
 }
 
-// Restore replaces the location sets with a snapshot's.
+// Restore folds a snapshot's location sets in.
 func (a *IngressAnalyzer) Restore(src []byte) error {
 	r := wire.NewReader(src)
 	n := r.Count(2)
 	locs := make(map[ingressKey]map[bgp.Community]struct{}, n)
 	for i := 0; i < n; i++ {
-		key := ingressKey{peerAS: r.Uint32(), tagger: uint16(r.Uvarint())}
+		key := ingressKey{peerAS: r.Uint32()}
+		if tagger := r.Uvarint(); tagger > math.MaxUint16 {
+			r.Fail("tagger AS %d", tagger)
+		} else {
+			key.tagger = uint16(tagger)
+		}
 		m := r.Count(1)
 		set := make(map[bgp.Community]struct{}, m)
 		for j := 0; j < m; j++ {
@@ -280,7 +345,7 @@ func (a *IngressAnalyzer) Restore(src []byte) error {
 	if err := snapErr("ingress", r); err != nil {
 		return err
 	}
-	a.locs = locs
+	a.Merge(&IngressAnalyzer{locs: locs})
 	return nil
 }
 
@@ -300,7 +365,7 @@ func (a *GeoBreakdownAnalyzer) Snapshot(dst []byte) []byte {
 	return dst
 }
 
-// Restore replaces the category sets with a snapshot's.
+// Restore unions a snapshot's category sets in.
 func (a *GeoBreakdownAnalyzer) Restore(src []byte) error {
 	r := wire.NewReader(src)
 	var sets [4]map[uint32]struct{}
@@ -314,6 +379,6 @@ func (a *GeoBreakdownAnalyzer) Restore(src []byte) error {
 	if err := snapErr("geo breakdown", r); err != nil {
 		return err
 	}
-	a.sets = sets
+	a.Merge(&GeoBreakdownAnalyzer{sets: sets})
 	return nil
 }

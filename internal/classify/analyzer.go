@@ -18,7 +18,8 @@ import "iter"
 //   - Merge(other) absorbs an accumulator of the same concrete type;
 //     implementations type-assert and may panic on a mismatch (it is a
 //     programming error, never a data condition). After the merge,
-//     other must not be used again.
+//     other must not be used again: a merge into an empty accumulator
+//     may take over other's storage instead of copying it.
 //   - Merge must be commutative and associative for any split of the
 //     event stream at (session, prefix)-stream-respecting boundaries:
 //     running Fresh analyzers over the shards and merging yields a
@@ -27,16 +28,22 @@ import "iter"
 //     itself (a fresh classifier re-Firsts the stream), so no analyzer
 //     can repair that; the engines only ever shard per collector.
 //   - Finish computes the result; it may sort internal state, so call
-//     it once, after all Observe/Merge calls.
+//     it once, after all Observe, Merge and Restore calls.
 //   - Snapshot appends a serialized encoding of the accumulator state
-//     to dst; Restore replaces the state from a snapshot taken by the
-//     same concrete type with the same configuration (analyzers with
+//     to dst; Restore folds a snapshot taken by the same concrete type
+//     with the same configuration into the receiver (analyzers with
 //     constructor parameters encode only state, not configuration).
+//     On a Fresh receiver, Restore reproduces the snapshotted state:
 //     Restore(Snapshot(s)) followed by Finish yields results identical
-//     to Finish on s, and restoring shard snapshots then merging equals
-//     the merge of the live accumulators — together these make
-//     accumulator state persistable (the evstore snapshot sidecars)
-//     and mergeable across process boundaries.
+//     to Finish on s. On any other receiver, Restore equals Merge of a
+//     Fresh instance restored from the same bytes, so one accumulator
+//     restores any number of shard or partition snapshots in any order
+//     with no temporary per snapshot. A Restore that errors leaves the
+//     receiver unchanged. Together these make accumulator state
+//     persistable (the evstore snapshot sidecars) and mergeable across
+//     process boundaries. (Classifier.Restore is not part of this
+//     contract: a classifier's state does not merge, and its Restore
+//     still replaces it.)
 type Analyzer interface {
 	Observe(res Result, e Event)
 	Merge(other Analyzer)

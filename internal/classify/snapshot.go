@@ -25,7 +25,8 @@ func AppendCounts(dst []byte, c Counts) []byte {
 	return wire.AppendVarint(dst, int64(c.MEDOnlyNN))
 }
 
-// ReadCounts reads an AppendCounts encoding.
+// ReadCounts reads an AppendCounts encoding. A negative count is no
+// tally any stream produces, so it fails the reader.
 func ReadCounts(r *wire.Reader) Counts {
 	var c Counts
 	for i := range c.ByType {
@@ -33,6 +34,13 @@ func ReadCounts(r *wire.Reader) Counts {
 	}
 	c.Withdrawals = r.Int()
 	c.MEDOnlyNN = r.Int()
+	least := min(c.Withdrawals, c.MEDOnlyNN)
+	for _, v := range c.ByType {
+		least = min(least, v)
+	}
+	if least < 0 {
+		r.Fail("negative count %d", least)
+	}
 	return c
 }
 
@@ -100,14 +108,14 @@ func (a *CountsAnalyzer) Snapshot(dst []byte) []byte {
 	return AppendCounts(dst, a.Counts)
 }
 
-// Restore replaces the counts from a snapshot.
+// Restore adds a snapshot's counts to the accumulated ones.
 func (a *CountsAnalyzer) Restore(src []byte) error {
 	r := wire.NewReader(src)
 	c := ReadCounts(r)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("classify: counts snapshot: %w", err)
 	}
-	a.Counts = c
+	a.Counts.Merge(c)
 	return nil
 }
 

@@ -19,8 +19,9 @@ import (
 // answered:
 //
 //   - merge: the window covers every event and a trusted sidecar holds
-//     all requested analyzer states → merge the precomputed
-//     accumulators and note the sidecar as the classifier chain's
+//     all requested analyzer states → Restore each precomputed state
+//     straight into the shard's accumulator (Restore folds, see
+//     classify.Analyzer) and note the sidecar as the classifier chain's
 //     position. No decode.
 //   - jump: every event precedes the window → nothing to tally; note
 //     the sidecar, whose classifier end state a later classify may
@@ -133,7 +134,8 @@ type ServeStats struct {
 	// Events are those handed on: every event of a classified partition,
 	// only the in-window ones of a replayed partition.
 	Scan ScanStats
-	// Merges counts analyzer-state merges from sidecars.
+	// Merges counts analyzer states restored from sidecars into the
+	// shard accumulators: one per merged partition and analyzer.
 	Merges int
 	// Restores counts classifier end states decoded from sidecars: one
 	// per classified partition that follows a jump, merge or replay, so
@@ -444,7 +446,7 @@ func footerTMin(partPath string) int64 {
 type execution struct {
 	ParallelStats
 	Plan PlanStats
-	// SidecarMerges counts analyzer states merged from sidecars,
+	// SidecarMerges counts analyzer states restored from sidecars,
 	// Restores classifier end states decoded from them, Replayed
 	// partitions answered from their result codes.
 	SidecarMerges, Restores, Replayed int
@@ -518,7 +520,7 @@ func execute(ctx context.Context, shards []Shard, scan Query, tally TimeRange, s
 		locals := classify.FreshAll(protos)
 		var shard ServeStats
 		shardStart := time.Now()
-		err := sp.run(ctx, br, locals, keys, protos, tally, &shard)
+		err := sp.run(ctx, br, locals, keys, tally, &shard)
 		ex.Shards[idx] = ShardStats{Collector: sp.shard.Collector, Scan: shard.Scan, Elapsed: time.Since(shardStart)}
 		if err != nil {
 			return err
@@ -551,7 +553,7 @@ func execute(ctx context.Context, shards []Shard, scan Query, tally TimeRange, s
 // one restore per scanned partition with no trusted sidecar, and a
 // query over a fully snapshotted store never touches classifier bytes
 // at all.
-func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.Analyzer, keys []string, protos []classify.Analyzer, tally TimeRange, st *ServeStats) error {
+func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.Analyzer, keys []string, tally TimeRange, st *ServeStats) error {
 	chain := classChain{cl: classify.New(), restores: &st.Restores}
 	run := newBatchRunner(chain.cl, locals, tally)
 	cq := sp.shard.cq
@@ -567,11 +569,9 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.
 		case actionMerge:
 			snap := sp.snaps[i]
 			for j, key := range keys {
-				tmp := protos[j].Fresh()
-				if err := tmp.Restore(snap.States[key]); err != nil {
+				if err := locals[j].Restore(snap.States[key]); err != nil {
 					return fmt.Errorf("%s[%s]: %w", SnapshotPath(entry.path), key, err)
 				}
-				locals[j].Merge(tmp)
 				st.Merges++
 			}
 			chain.at(entry.path, snap)

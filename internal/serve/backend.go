@@ -19,11 +19,12 @@ import (
 // aggregation protocol: because every analyzer's Merge is commutative
 // and associative across session-respecting splits, a Coordinator can
 // fan one spec out to N shard backends (each holding a disjoint set of
-// collector timelines), restore the returned states, and merge — and
-// the result is bit-identical to one LocalBackend over the union
-// store. The Server frontend is engine-agnostic: it shapes whatever
-// backend it is given, so single-node and scatter-gather modes share
-// every line of the answer/caching/HTTP path.
+// collector timelines) and fold every returned state into one set of
+// accumulators with Restore — and the result is bit-identical to one
+// LocalBackend over the union store. The Server frontend is
+// engine-agnostic: it shapes whatever backend it is given, so
+// single-node and scatter-gather modes share every line of the
+// answer/caching/HTTP path.
 
 // ErrEmptyStore reports a backend whose store holds no partitions yet.
 // A serving daemon may start before its first ingest seals anything,
@@ -176,11 +177,16 @@ func stateAnalyzers(spec QuerySpec) ([]evstore.NamedAnalyzer, error) {
 	}
 }
 
-// restoreStates loads an envelope's snapshot bytes into the named
-// analyzer set for the same spec, validating that the backend answered
-// exactly the expected keys in order (a mismatch means registry or
-// version skew between tiers — corrupting state silently is the one
-// failure mode Merge cannot detect).
+// restoreStates folds an envelope's snapshot bytes into the named
+// analyzer set for the same spec (Restore folds, see classify.Analyzer):
+// into Fresh prototypes it reproduces the backend's state, and a
+// coordinator calls it once per answering shard on one set of
+// accumulators. It first validates that the backend answered exactly
+// the expected keys in order (a mismatch means registry or version skew
+// between tiers — corrupting state silently is the one failure mode
+// Merge cannot detect). A state that fails to decode leaves its own
+// analyzer unchanged but not those before it, so on error the caller
+// must discard the set.
 func restoreStates(named []evstore.NamedAnalyzer, env *StateEnvelope) error {
 	if len(env.Keys) != len(named) || len(env.States) != len(named) {
 		return fmt.Errorf("serve: backend %s answered %d states, want %d", env.Backend, len(env.States), len(named))
@@ -189,25 +195,11 @@ func restoreStates(named []evstore.NamedAnalyzer, env *StateEnvelope) error {
 		if env.Keys[i] != na.Key {
 			return fmt.Errorf("serve: backend %s answered key %q at %d, want %q", env.Backend, env.Keys[i], i, na.Key)
 		}
+	}
+	for i, na := range named {
 		if err := na.Proto.Restore(env.States[i]); err != nil {
 			return fmt.Errorf("serve: restore %q from %s: %w", na.Key, env.Backend, err)
 		}
-	}
-	return nil
-}
-
-// mergeEnvelope restores env's states into FRESH copies of the named
-// prototypes and merges them in — the coordinator's accumulate step.
-func mergeEnvelope(named []evstore.NamedAnalyzer, env *StateEnvelope) error {
-	fresh := make([]evstore.NamedAnalyzer, len(named))
-	for i, na := range named {
-		fresh[i] = evstore.NamedAnalyzer{Key: na.Key, Proto: na.Proto.Fresh()}
-	}
-	if err := restoreStates(fresh, env); err != nil {
-		return err
-	}
-	for i, na := range named {
-		na.Proto.Merge(fresh[i].Proto)
 	}
 	return nil
 }

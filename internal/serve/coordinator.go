@@ -104,7 +104,7 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 		prov := ShardProvenance{Backend: c.backends[i].Name()}
 		switch {
 		case r.err == nil:
-			if err := mergeEnvelope(named, r.env); err != nil {
+			if err := restoreStates(named, r.env); err != nil {
 				return nil, err
 			}
 			answered++
@@ -114,7 +114,7 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 			c.setGen(prov.Backend, r.env.Generation)
 			out.Plan.Add(r.env.Plan)
 			out.Scan.Add(r.env.Scan)
-			// Shard-side merges plus this tier's restore+merge per key.
+			// Shard-side merges plus this tier's restore per key.
 			out.Merges += r.env.Merges + len(named)
 			if r.env.Source == "scan" {
 				out.Source = "scan"
