@@ -72,7 +72,7 @@ func run() int {
 	sealEvents := flag.Int("seal-events", 0, "seal partitions at this many events (0: off)")
 	sealBytes := flag.Int64("seal-bytes", 0, "seal partitions at this many compressed bytes (0: off)")
 	queueDepth := flag.Int("queue", 4096, "per-collector queue depth (the backpressure boundary)")
-	codec := flag.String("codec", "", "block codec for published partitions: raw or lz (empty: store default)")
+	codec := flag.String("codec", "", "chunk codec for published partitions: raw or lz (empty: store default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "hard shutdown bound: feeds still running after this abandon the flush and exit non-zero (0: wait forever)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "status line interval (0: quiet)")
 	duration := flag.Duration("duration", 0, "run this long, then drain and exit (0: until signal)")
@@ -143,7 +143,7 @@ func run() int {
 		if err != nil {
 			return fail(fmt.Errorf("metrics listener: %w", err))
 		}
-		msrv := &http.Server{Handler: mux}
+		msrv := obs.NewServer(mux)
 		defer msrv.Close()
 		go msrv.Serve(mln)
 		logger.Info("ops listener up", "addr", mln.Addr().String())

@@ -165,7 +165,7 @@ func runDaemon(opts daemonOpts) error {
 	// snapshot pass runs — which can take minutes on a cold store — so
 	// /readyz is meaningful from the process's first instant.
 	gate := serve.NewGate()
-	srv := &http.Server{Addr: opts.addr, Handler: gate}
+	srv := obs.NewServer(gate)
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		return err

@@ -31,17 +31,19 @@
 // -from, so a query answers exactly what commservd's /v1 answers.
 //
 // dump prints MRT archives, partitions and whole stores as bgpdump-like
-// lines, or with -stats as record counts and partition/block tables.
+// lines, or with -stats as record counts, partition/block tables and
+// the per-column byte budget.
 //
-// recode rewrites an existing store's partitions block-by-block into
+// recode rewrites an existing store's partitions chunk by chunk into
 // the target codec (never in place — temp file + atomic rename), the
 // migration path between the raw and lz codecs in either direction: a
-// block lz would not shrink stays raw, and a partition with no block to
-// change is left alone, so a repeated recode is a no-op. Block
-// summaries, footers, and event payloads are preserved bit-for-bit and
-// valid snapshot sidecars are refreshed alongside, so recoding never
-// forces a snapshot rebuild. recode and snap run one shard (collector)
-// per worker on GOMAXPROCS workers and report how many.
+// chunk lz would shrink by less than 1/16 stays raw, and a partition
+// with no chunk to change is left alone, so a repeated recode is a
+// no-op. Block summaries, raw chunks and their CRCs are preserved
+// bit-for-bit and valid snapshot sidecars are refreshed alongside, so
+// recoding never forces a snapshot rebuild. recode and snap run one
+// shard (collector) per worker on GOMAXPROCS workers and report how
+// many.
 //
 // shard splits (or rebalances) a store into N shard stores under
 // OUTDIR/shard-000 … shard-NNN by consistent hashing over collector
@@ -123,11 +125,11 @@ func runShard(args []string) error {
 }
 
 // runRecode migrates a store's partitions (and their snapshot
-// sidecars) to the target block codec.
+// sidecars) to the target chunk codec.
 func runRecode(args []string) error {
 	fs := flag.NewFlagSet("recode", flag.ExitOnError)
 	store := fs.String("store", "", "store directory")
-	codec := fs.String("codec", evstore.DefaultCodec.String(), "target block codec (raw, lz)")
+	codec := fs.String("codec", evstore.DefaultCodec.String(), "target chunk codec (raw, lz)")
 	fs.Parse(args)
 	if *store == "" {
 		return fmt.Errorf("-store is required")
@@ -216,7 +218,7 @@ func runIngest(args []string) error {
 	year := fs.Int("year", 2020, "year for the synthetic dataset")
 	days := fs.Int("days", 1, "number of consecutive synthetic days")
 	block := fs.Int("block", evstore.DefaultBlockEvents, "events per block")
-	codec := fs.String("codec", evstore.DefaultCodec.String(), "block codec (raw, lz)")
+	codec := fs.String("codec", evstore.DefaultCodec.String(), "chunk codec (raw, lz)")
 	fs.Parse(args)
 	if *store == "" {
 		return fmt.Errorf("-store is required")

@@ -122,11 +122,13 @@ func printParallelStats(w io.Writer, ps evstore.ParallelStats) {
 	fmt.Fprintf(w, "pushdown: %d/%d partitions pruned, %d/%d blocks pruned, %s read -> %s decompressed\n",
 		st.PartitionsPruned, st.Partitions, st.BlocksPruned, st.Blocks,
 		byteSize(st.BytesRead), byteSize(st.BytesDecompressed))
+	// Blocks are attributed to their footer codec, bytes to the codec of
+	// each chunk a decode opened.
 	for c, pc := range st.PerCodec {
-		if pc.Blocks == 0 {
+		if pc.Blocks == 0 && pc.BytesRead == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "  %-7s %d blocks, %s read, %s decompressed\n",
+		fmt.Fprintf(w, "  %-7s %d blocks; chunks opened: %s stored, %s raw\n",
 			evstore.Codec(c), pc.Blocks, byteSize(pc.BytesRead), byteSize(pc.BytesDecompressed))
 	}
 }

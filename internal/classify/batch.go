@@ -30,8 +30,9 @@ import (
 // Projection is a bitmask of event columns. Each BatchAnalyzer declares
 // the columns it reads, and the scan engine unions those declarations
 // (plus the classifier's and the residual predicate's) into the set of
-// columns decodeBatch actually decodes — untouched columns are parsed
-// past (and validated) at the wire level but never interned or stored.
+// columns decodeBatch actually decodes — every column is a chunk of its
+// own, and an untouched column's chunk is neither decompressed nor
+// read.
 type Projection uint16
 
 const (
@@ -90,10 +91,10 @@ func (b Bitset) Get(i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 // indexes into Dict's tables. Only the columns selected by Cols are
 // populated — reading an unprojected column is a programming error
 // (its slice is stale scratch or nil). A batch travels with the
-// selection vector of the rows its query keeps, and the value-dictionary
-// columns, Path and Comms, are defined at those selected rows only: the
-// decoder selects before it materializes, so an unselected row's entry
-// there is stale scratch too. The column arrays are scratch owned by the
+// selection vector of the rows its query keeps, and every column but
+// Times is defined at those selected rows only: the decoder selects
+// before it decodes the columns the predicate does not read, so an
+// unselected row's entry there is stale scratch too. The column arrays are scratch owned by the
 // decoder and valid only until the next batch is decoded; Dict values
 // are stable for the whole scan.
 type Batch struct {

@@ -17,27 +17,28 @@ import (
 )
 
 // This file is the vectorized scan path: decodeBatch parses a block's
-// columnar payload straight into classify.Batch column arrays,
-// selection first — times and the columns the query's residual
-// time/collector/peer/prefix predicate reads come first in the payload,
-// a selector evaluates the predicate over them into a selection vector
-// of surviving row indexes, and the path and community-set dictionaries
-// behind them are validated in full but interned into the scan-global
-// classify.Dict only where a selected row references an entry, so the
-// same value decodes at most once per scan and a filtered scan pays for
-// the rows its filter selects. batchRunner drives the classifier plus a
-// mix of BatchAnalyzer and row-fallback analyzers over (batch,
-// selection) pairs. Events are only materialized for row-fallback
-// analyzers; the row Scan API itself rides the same decoder and
-// materializes from the batch.
+// column chunks straight into classify.Batch column arrays, selection
+// first — it opens the times chunk and the chunks the query's residual
+// time/collector/peer/prefix predicate reads, a selector evaluates the
+// predicate over them into a selection vector of surviving row indexes,
+// and only then are the other projected chunks opened, and decoded only
+// at the selected rows: an id chunk is skipped between them, and a path
+// or community-set dictionary is reached through its offset table and
+// interned into the scan-global classify.Dict only where a selected row
+// references an entry. So the same value decodes at most once per scan,
+// and a filtered scan pays for the chunks and rows its filter selects.
+// batchRunner drives the classifier plus a mix of BatchAnalyzer and
+// row-fallback analyzers over (batch, selection) pairs. Events are only
+// materialized for row-fallback analyzers; the row Scan API itself
+// rides the same decoder and materializes from the batch.
 
 // decodeScratch owns the scan-lifetime decoding state one worker
 // reuses across every block it touches: the global dictionary and its
-// intern maps, the remap table from block-local to global ids, and the
-// batch column arrays. Values already interned cost a map hit per
-// block that references them from a selected row; steady-state decoding
-// of blocks whose dictionary entries have all been seen allocates
-// nothing.
+// intern maps, the remap table from block-local to global ids, the
+// buffer chunks decompress into, and the batch column arrays. Values
+// already interned cost a map hit per block that references them from a
+// selected row; steady-state decoding of blocks whose dictionary entries
+// have all been seen allocates nothing.
 type decodeScratch struct {
 	dict *classify.Dict
 
@@ -52,7 +53,7 @@ type decodeScratch struct {
 	// the same value would intern separately), so ids may only
 	// short-circuit equality — exactly how RunBatch uses them.
 	// Map keys are views (unsafe.String) over copies carved from
-	// keyArena: the payload buffer the lookup key points into is reused
+	// keyArena: the chunk buffer the lookup key points into is reused
 	// per block, so an inserted key must be copied — but into the arena,
 	// not a fresh string allocation per entry.
 	pathIDs  map[string]uint32
@@ -70,12 +71,26 @@ type decodeScratch struct {
 	asnArena  []uint32
 	commArena []bgp.Community
 
-	// remap maps a column's block-local ids to global ids; spans holds
-	// the start offset of each entry of the value dictionary being read,
-	// plus the end of the last.
+	// ubuf holds the block's decompressed chunks, each at its rawOff;
+	// io tallies what the last decode opened, col is the column it
+	// opened last.
+	ubuf []byte
+	io   chunkIO
+	col  column
+
+	// remap maps a column's block-local ids to global ids; runs holds
+	// the start of each offset-table run of the value dictionary being
+	// read, plus the end of the last.
 	remap []uint32
-	spans []int
+	runs  []int
 	batch classify.Batch
+}
+
+// chunkIO tallies the chunks one block decode opened: the head's
+// bytes, and per chunk codec the stored and raw bytes.
+type chunkIO struct {
+	head        int
+	stored, raw [NumCodecs]int
 }
 
 func newDecodeScratch() *decodeScratch {
@@ -121,7 +136,7 @@ func (ds *decodeScratch) internKey(key []byte) string {
 	return unsafe.String(&kc[0], len(kc))
 }
 
-// decodePath decodes an AppendPath encoding that walkEntries has already
+// decodePath decodes an AppendPath encoding that walkEntry has already
 // validated, carving the segment and ASN slices from the scratch arenas.
 func (ds *decodeScratch) decodePath(key []byte) bgp.ASPath {
 	r := wire.NewReader(key)
@@ -144,7 +159,7 @@ func (ds *decodeScratch) decodePath(key []byte) bgp.ASPath {
 	return bgp.ASPath(segs)
 }
 
-// decodeComms decodes an AppendComms encoding that walkEntries has
+// decodeComms decodes an AppendComms encoding that walkEntry has
 // already validated, carving the set from the scratch arena.
 func (ds *decodeScratch) decodeComms(key []byte) bgp.Communities {
 	r := wire.NewReader(key)
@@ -186,10 +201,11 @@ func uvarintAt(b []byte, pos int) (v uint64, next int, ok bool) {
 	return v, pos + n, n > 0
 }
 
-// walkPath is skipPath straight off the payload: the same bounds, no
-// sticky-error Reader between the varints. ok is false exactly where
-// skipPath fails; walkEntries then re-reads the entry through skipPath,
-// which owns the error.
+// walkPath validates an AppendPath encoding straight off the chunk, as
+// Reader.Path does but building nothing and with no sticky-error Reader
+// between the varints. ok is false wherever Reader.Path fails (and on a
+// padded varint it accepts); walkEntry then re-reads the entry through
+// the Reader, which owns the verdict.
 func walkPath(b []byte, pos int) (next int, ok bool) {
 	nseg, pos, ok := uvarintAt(b, pos)
 	if !ok || nseg > uint64(len(b)-pos)/2 {
@@ -227,8 +243,7 @@ func walkPath(b []byte, pos int) (next int, ok bool) {
 	return pos, true
 }
 
-// walkComms is skipComms straight off the payload, as walkPath is
-// skipPath.
+// walkComms is walkPath for an AppendComms encoding and Reader.Comms.
 func walkComms(b []byte, pos int) (next int, ok bool) {
 	n, pos, ok := uvarintAt(b, pos)
 	if !ok || n > uint64(len(b)-pos) {
@@ -247,197 +262,341 @@ func walkComms(b []byte, pos int) (next int, ok bool) {
 	return pos, true
 }
 
-// walkEntries validates the nd value-dictionary entries at r's position
-// (AS paths, or community sets) and leaves their byte spans in ds.spans:
-// entry i is payload[spans[i]:spans[i+1]]. Every entry is checked
-// whether or not a row will reference it. An entry the walk off the
-// payload rejects is re-read from its first byte by the Reader version,
-// so a corrupt block fails with the error the row-decoder oracle gives.
-func (ds *decodeScratch) walkEntries(r *wire.Reader, payload []byte, nd int, paths bool) {
-	spans := ds.spans[:0]
+// walkEntry spans the value-dictionary entry at b[pos:] — an AS path,
+// or a community set — and returns where it ends. The walk straight off
+// the bytes comes first; an entry it rejects is re-read from its first
+// byte by the Reader version, which either accepts it (a padded varint
+// the walk refuses) or owns the error, so a corrupt entry fails with the
+// error the row-decoder oracle gives.
+func walkEntry(b []byte, pos int, paths bool) (int, error) {
+	var next int
+	var ok bool
+	if paths {
+		next, ok = walkPath(b, pos)
+	} else {
+		next, ok = walkComms(b, pos)
+	}
+	if ok {
+		return next, nil
+	}
+	r := wire.NewReader(b)
+	r.Bytes(pos)
+	if paths {
+		r.Path()
+	} else {
+		r.Comms()
+	}
+	return r.Pos(), r.Err()
+}
+
+// readRuns reads a value-dictionary chunk's entry count and offset table
+// (see entryStride) into ds.runs — the start of each run of entries,
+// then the end of the last — and checks that the runs tile the rest of
+// the chunk exactly. No entry is walked.
+func (ds *decodeScratch) readRuns(chunk []byte) (int, error) {
+	r := wire.NewReader(chunk)
+	nd := r.Count(1)
+	runs := ds.runs[:0]
+	for g := 0; g < (nd+entryStride-1)/entryStride && r.Err() == nil; g++ {
+		runs = append(runs, int(min(r.Uvarint(), uint64(len(chunk)+1))))
+	}
+	ds.runs = runs
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
 	pos := r.Pos()
-	for i := 0; i < nd && r.Err() == nil; i++ {
-		spans = append(spans, pos)
-		var ok bool
-		if paths {
-			pos, ok = walkPath(payload, pos)
-		} else {
-			pos, ok = walkComms(payload, pos)
-		}
-		if !ok {
-			r.Bytes(spans[i] - r.Pos())
-			if paths {
-				skipPath(r)
-			} else {
-				skipComms(r)
-			}
-			pos = r.Pos()
+	for g, l := range runs {
+		runs[g] = pos
+		if pos += l; pos > len(chunk) {
+			return 0, fmt.Errorf("evstore: offset table entry %d runs past the chunk", g)
 		}
 	}
-	r.Bytes(pos - r.Pos())
-	ds.spans = append(spans, pos)
+	if pos != len(chunk) {
+		return 0, fmt.Errorf("evstore: offset table ends at byte %d of a %d-byte chunk", pos, len(chunk))
+	}
+	ds.runs = append(runs, pos)
+	return nd, nil
 }
 
-// skipPath advances past an AppendPath encoding with the same
-// validation as Reader.Path, without building the path.
-func skipPath(r *wire.Reader) {
-	nseg := r.Count(2)
-	if nseg == 0 || r.Err() != nil {
-		return
-	}
-	for i := 0; i < nseg; i++ {
-		r.Uvarint() // segment type
-		nasn := r.Count(1)
-		if r.Err() != nil {
-			return
+// internAll walks every entry of the value dictionary readRuns just
+// read, each within its run, checks that every run ends where the offset
+// table says, and interns the entries: remap[i] is entry i's global id.
+func (ds *decodeScratch) internAll(chunk []byte, nd int, paths bool, remap []uint32) error {
+	pos := ds.runs[0]
+	for i := 0; i < nd; i++ {
+		run := i / entryStride
+		end := ds.runs[run+1]
+		next, err := walkEntry(chunk[:end], pos, paths)
+		if err != nil {
+			return err
 		}
-		for j := 0; j < nasn; j++ {
-			r.Uint32()
-			if r.Err() != nil {
-				return
-			}
+		remap[i] = ds.intern(chunk[pos:next], paths)
+		pos = next
+		if (i%entryStride == entryStride-1 || i == nd-1) && pos != end {
+			return fmt.Errorf("evstore: entry run %d ends at byte %d, the offset table says %d", run, pos, end)
 		}
 	}
+	return nil
 }
 
-// skipComms advances past an AppendComms encoding with the same
-// validation as Reader.Comms.
-func skipComms(r *wire.Reader) {
-	n := r.Count(1)
-	if n == 0 || r.Err() != nil {
-		return
-	}
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		prev += r.Varint()
-		if prev < 0 || prev > math.MaxUint32 {
-			r.Fail("wire: community overflow")
-			return
+// resolve returns the global id of entry k of the value dictionary
+// readRuns just read, walking to it from the start of its run: the
+// entries before it in the run are validated on the way, no other.
+func (ds *decodeScratch) resolve(chunk []byte, k int, paths bool) (uint32, error) {
+	run := k / entryStride
+	b, pos := chunk[:ds.runs[run+1]], ds.runs[run]
+	for i := run * entryStride; ; i++ {
+		next, err := walkEntry(b, pos, paths)
+		if err != nil {
+			return 0, err
 		}
+		if i == k {
+			return ds.intern(b[pos:next], paths), nil
+		}
+		pos = next
 	}
 }
 
-// readTimes reads the time column, len(dst) zigzag deltas, straight off
-// the payload (the same fast path as readIDColumn — one varint per event
-// adds up).
-func readTimes(r *wire.Reader, payload []byte, dst []int64) {
-	if r.Err() != nil {
-		return
-	}
-	pos, start := r.Pos(), r.Pos()
-	t := int64(0)
+// readTimes reads the times chunk, len(dst) zigzag deltas, straight off
+// the bytes: a delta of up to eight bytes — nanosecond deltas take four
+// or five — is gathered out of one little-endian word, without a loop
+// over its bytes.
+func readTimes(chunk []byte, dst []int64) error {
+	pos, t := 0, int64(0)
 	for i := range dst {
-		v, sz := binary.Uvarint(payload[pos:])
+		var v uint64
+		if pos+8 <= len(chunk) {
+			w := binary.LittleEndian.Uint64(chunk[pos:])
+			if ends := ^w & 0x8080808080808080; ends != 0 {
+				l := bits.TrailingZeros64(ends)>>3 + 1
+				w &= ^uint64(0) >> (64 - 8*l)
+				v = w&0x7f | w>>1&(0x7f<<7) | w>>2&(0x7f<<14) | w>>3&(0x7f<<21) |
+					w>>4&(0x7f<<28) | w>>5&(0x7f<<35) | w>>6&(0x7f<<42) | w>>7&(0x7f<<49)
+				pos += l
+				t += wire.Unzigzag(v)
+				dst[i] = t
+				continue
+			}
+		}
+		v, sz := binary.Uvarint(chunk[pos:])
 		if sz <= 0 {
-			r.Fail("wire: truncated varint")
-			return
+			return fmt.Errorf("wire: truncated varint at offset %d", pos)
 		}
 		pos += sz
 		t += wire.Unzigzag(v)
 		dst[i] = t
 	}
-	r.Bytes(pos - start)
+	return nil
 }
 
-// readIDColumn reads one column's n per-event dictionary indexes,
-// range-checking against the block-local dictionary size and remapping
-// into dst's global ids. A nil dst validates without storing (the
-// column is not projected). The loop decodes straight off the payload
-// with a single-byte fast path — id columns are the bulk of a block's
-// varints and dictionaries are rarely larger than 127 entries, so the
-// generic sticky-error Reader machinery would dominate the decode.
-func readIDColumn(r *wire.Reader, payload []byte, n, dictLen int, remap []uint32, dst []uint32) {
-	if r.Err() != nil {
-		return
-	}
-	pos, start := r.Pos(), r.Pos()
+// readIDColumn reads all n of a column's per-event dictionary indexes
+// from chunk[pos:], range-checking each against the block-local
+// dictionary size and remapping it into dst's global ids. The loop
+// decodes straight off the bytes with a single-byte fast path — id
+// columns are the bulk of a block's varints and dictionaries are rarely
+// larger than 127 entries, so the generic sticky-error Reader machinery
+// would dominate the decode.
+func readIDColumn(chunk []byte, pos, n, dictLen int, remap, dst []uint32) error {
 	dl := uint64(dictLen)
 	for i := 0; i < n; i++ {
 		var id uint64
-		if pos < len(payload) && payload[pos] < 0x80 {
-			id = uint64(payload[pos])
+		if pos < len(chunk) && chunk[pos] < 0x80 {
+			id = uint64(chunk[pos])
 			pos++
 		} else {
-			v, sz := binary.Uvarint(payload[pos:])
+			v, sz := binary.Uvarint(chunk[pos:])
 			if sz <= 0 {
-				r.Fail("wire: truncated varint")
-				return
+				return fmt.Errorf("wire: truncated varint at offset %d", pos)
 			}
 			id = v
 			pos += sz
 		}
 		if id >= dl {
-			r.Fail("evstore: dictionary index %d out of range (dict size %d)", id, dictLen)
-			return
+			return fmt.Errorf("evstore: dictionary index %d out of range (dict size %d)", id, dictLen)
 		}
-		if dst != nil {
-			dst[i] = remap[id]
+		dst[i] = remap[id]
+	}
+	return nil
+}
+
+// readSparseIDs reads, from the id column at chunk[pos:], the ids of
+// the rows in sel (ascending), range-checks each against the dictionary
+// size nd and stores it block-local at dst[row]. The ids of the rows
+// between are skipped, not decoded or range-checked, and the column is
+// not read past the last selected row.
+func readSparseIDs(chunk []byte, pos, nd int, sel []int32, dst []uint32) error {
+	row := 0
+	for _, s := range sel {
+		pos = skipUvarints(chunk, pos, int(s)-row)
+		id, next, ok := uvarintAt(chunk, pos)
+		if !ok {
+			return fmt.Errorf("wire: truncated varint at row %d", s)
+		}
+		if id >= uint64(nd) {
+			return fmt.Errorf("evstore: dictionary index %d out of range (dict size %d) at row %d", id, nd, s)
+		}
+		dst[s] = uint32(id)
+		pos, row = next, int(s)+1
+	}
+	return nil
+}
+
+// skipUvarints returns the position k uvarints past pos (at most
+// len(b)): it counts varint-ending bytes, those with the high bit clear,
+// a word at a time.
+func skipUvarints(b []byte, pos, k int) int {
+	for k > 0 && pos+8 <= len(b) {
+		ends := ^binary.LittleEndian.Uint64(b[pos:]) & 0x8080808080808080
+		if c := bits.OnesCount64(ends); c < k {
+			pos, k = pos+8, k-c
+			continue
+		}
+		for ; k > 1; k-- {
+			ends &= ends - 1
+		}
+		return pos + bits.TrailingZeros64(ends)>>3 + 1
+	}
+	for ; k > 0 && pos < len(b); pos++ {
+		if b[pos] < 0x80 {
+			k--
 		}
 	}
-	r.Bytes(pos - start)
+	return pos
 }
 
 // unresolved marks a block-local dictionary entry no selected row has
 // referenced yet; no scan interns that many values (see release).
 const unresolved = math.MaxUint32
 
-// readSelectedIDs reads a value-dictionary column's n per-event local
-// ids in one pass: every row's id is range-checked against the nd
-// entries walkEntries just spanned, and the rows in sel (ascending) get
-// dst[row] = the entry's global id, the entry interned on its first such
-// reference. Rows outside sel leave dst alone; the runs of them between
-// selected rows are readIDColumn's validate-only loop. When sel is every
-// row there is nothing to skip: the entries are all resolved up front
-// and the column is readIDColumn's plain loop, so an unfiltered scan
-// pays nothing for the selection cursor.
-func (ds *decodeScratch) readSelectedIDs(r *wire.Reader, payload []byte, n, nd int, sel []int32, dst []uint32, paths bool) {
-	if r.Err() != nil {
-		return
+// readSmallColumn decodes column c's chunk — a collector, peer-AS,
+// peer-address or prefix dictionary, interned whole, then one id per
+// event — into *dst: at every row when rows is nil, else at rows only.
+func (ds *decodeScratch) readSmallColumn(h *blockHead, block []byte, c column, rows []int32, dst *[]uint32) error {
+	chunk, err := ds.open(h, block, c)
+	if err != nil {
+		return err
+	}
+	*dst = growU32(*dst, h.n)
+	r := wire.NewReader(chunk)
+	nd := r.Count(1)
+	remap := ds.remap[:0]
+	for i := 0; i < nd; i++ {
+		gid := ds.internSmall(c, r)
+		if r.Err() != nil {
+			return r.Err()
+		}
+		remap = append(remap, gid)
+	}
+	ds.remap = remap
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if rows == nil {
+		return readIDColumn(chunk, r.Pos(), h.n, nd, remap, *dst)
+	}
+	if err := readSparseIDs(chunk, r.Pos(), nd, rows, *dst); err != nil {
+		return err
+	}
+	for _, s := range rows {
+		(*dst)[s] = remap[(*dst)[s]]
+	}
+	return nil
+}
+
+// readValueColumn decodes a path or community-set column — the
+// dictionary chunk dictCol and the id chunk after it — into *dst at
+// rows, interning each entry by its encoded bytes where a selected row
+// references it; a repeat entry never re-decodes. With rows nil (every
+// row) the whole dictionary is walked and checked first, as the oracle
+// does; otherwise only the referenced entries are, through the offset
+// table.
+func (ds *decodeScratch) readValueColumn(h *blockHead, block []byte, dictCol column, rows []int32, dst *[]uint32) error {
+	paths := dictCol == colPathDict
+	dict, err := ds.open(h, block, dictCol)
+	if err != nil {
+		return err
+	}
+	nd, err := ds.readRuns(dict)
+	if err != nil {
+		return err
 	}
 	remap := growU32(ds.remap, nd)
 	ds.remap = remap
-	spans := ds.spans
-	if len(sel) == n {
-		for id := range remap {
-			remap[id] = ds.intern(payload[spans[id]:spans[id+1]], paths)
+	*dst = growU32(*dst, h.n)
+	if rows == nil {
+		if err := ds.internAll(dict, nd, paths, remap); err != nil {
+			return err
 		}
-		readIDColumn(r, payload, n, nd, remap, dst)
-		return
+		ids, err := ds.open(h, block, dictCol+1)
+		if err == nil {
+			err = readIDColumn(ids, 0, h.n, nd, remap, *dst)
+		}
+		return err
 	}
-	for id := range remap {
-		remap[id] = unresolved
+	ids, err := ds.open(h, block, dictCol+1)
+	if err == nil {
+		err = readSparseIDs(ids, 0, nd, rows, *dst)
 	}
-	pos, row := r.Pos(), 0
-	for _, s := range sel {
-		if gap := int(s) - row; gap > 0 {
-			r.Bytes(pos - r.Pos())
-			if readIDColumn(r, payload, gap, nd, nil, nil); r.Err() != nil {
-				return
+	if err != nil {
+		return err
+	}
+	ds.col = dictCol
+	for k := range remap {
+		remap[k] = unresolved
+	}
+	for _, s := range rows {
+		k := (*dst)[s]
+		if remap[k] == unresolved {
+			if remap[k], err = ds.resolve(dict, int(k), paths); err != nil {
+				return err
 			}
-			pos = r.Pos()
 		}
-		row = int(s) + 1
-		var id uint64
-		var ok bool
-		if id, pos, ok = uvarintAt(payload, pos); !ok {
-			r.Fail("wire: truncated varint")
-			return
-		}
-		if id >= uint64(nd) {
-			r.Fail("evstore: dictionary index %d out of range (dict size %d)", id, nd)
-			return
-		}
-		if remap[id] == unresolved {
-			remap[id] = ds.intern(payload[spans[id]:spans[id+1]], paths)
-		}
-		dst[s] = remap[id]
+		(*dst)[s] = remap[k]
 	}
-	r.Bytes(pos - r.Pos())
-	readIDColumn(r, payload, n-row, nd, nil, nil)
+	return nil
+}
+
+// internSmall reads one entry of column c's dictionary off r and
+// returns its global id, interning it by value on first sight. On a
+// read error it interns nothing.
+func (ds *decodeScratch) internSmall(c column, r *wire.Reader) uint32 {
+	switch c {
+	case colCollector:
+		raw := r.Bytes(r.Count(1))
+		if gid, ok := ds.collIDs[string(raw)]; ok || r.Err() != nil {
+			return gid
+		}
+		return internValue(ds.collIDs, &ds.dict.Collectors, string(raw))
+	case colPeerAS:
+		if as := r.Uint32(); r.Err() == nil {
+			return internValue(ds.asIDs, &ds.dict.PeerASNs, as)
+		}
+	case colPeerAddr:
+		if a := r.Addr(); r.Err() == nil {
+			return internValue(ds.addrIDs, &ds.dict.PeerAddrs, a)
+		}
+	default:
+		if p := r.Prefix(); r.Err() == nil {
+			return internValue(ds.pfxIDs, &ds.dict.Prefixes, p)
+		}
+	}
+	return 0
+}
+
+// internValue returns v's id in the table ids indexes, appending it on
+// first sight.
+func internValue[K comparable](ids map[K]uint32, table *[]K, v K) uint32 {
+	gid, ok := ids[v]
+	if !ok {
+		gid = uint32(len(*table))
+		*table = append(*table, v)
+		ids[v] = gid
+	}
+	return gid
 }
 
 // intern returns the global id of a value-dictionary entry — an AS path,
-// or a community set — by its encoded bytes (validated by walkEntries),
+// or a community set — by its encoded bytes (validated by walkEntry),
 // decoding it on first sight in the scan. The dict holds a community set
 // as stored (possibly non-canonical); consumers that compare sets
 // canonicalize, matching row-path semantics.
@@ -460,178 +619,115 @@ func (ds *decodeScratch) intern(key []byte, path bool) uint32 {
 	return gid
 }
 
-// decodeBatch parses a columnar payload into the scratch's batch and
-// returns it with the rows slr selects. It decodes only the projected
-// columns (times, flags, and MED always; what slr's predicate reads is
-// added), and the path and community-set columns — which follow the
-// predicate's in the payload — only at the selected rows: Batch.Path
-// and Batch.Comms are defined there and nowhere else. It accepts and
-// rejects exactly the payloads the row-decoder oracle (decodeBlock, in
-// the tests) does — unprojected columns and unreferenced dictionary
-// entries are still parsed and validated at the wire level, just never
-// interned or stored. The returned batch aliases the scratch and the
-// payload, the selection is slr's scratch; both are valid only until
-// the next decode.
-func (ds *decodeScratch) decodeBatch(payload []byte, proj classify.Projection, slr *selector) (*classify.Batch, []int32, error) {
-	r := wire.NewReader(payload)
-	rawN := r.Uvarint()
-	if err := r.Err(); err != nil {
+// decodeBatch parses a stored block into the scratch's batch and
+// returns it with the rows slr selects. It opens — decompresses and
+// CRC-checks — only the chunks it decodes, in this order: times; the
+// chunks slr's predicate reads, at every row; then, once the predicate
+// has selected, the rest of the projected chunks at the selected rows
+// only, and flags and MED. A block whose rows are all unselected stops
+// after the predicate, and only Times and the predicate's columns are
+// set. Every column but Times is defined at the selected rows and
+// nowhere else. With every row selected and every column projected it
+// accepts and rejects exactly the blocks the row-decoder oracle
+// (decodeBlock, in the tests) does, with the same first error;
+// otherwise it checks only what it reads. The returned batch aliases the
+// scratch and the block, the selection is slr's scratch; both are valid
+// only until the next decode.
+func (ds *decodeScratch) decodeBatch(block []byte, proj classify.Projection, slr *selector) (*classify.Batch, []int32, error) {
+	h, err := parseHead(block)
+	if err != nil {
 		return nil, nil, err
 	}
-	if rawN > maxBlockEvents || rawN > uint64(r.Remaining()) {
-		return nil, nil, fmt.Errorf("evstore: implausible block event count %d", rawN)
+	if cap(ds.ubuf) < h.raw {
+		ds.ubuf = make([]byte, h.raw)
 	}
-	n := int(rawN)
-	proj |= slr.cq.residualProjection()
+	ds.io = chunkIO{head: headLen}
+	sel, err := ds.decodeChunks(&h, block, proj, slr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s chunk: %w", ds.col, err)
+	}
+	return &ds.batch, sel, nil
+}
+
+// open makes column c the one being decoded (ds.col, which a decode
+// error names), counts it in ds.io and returns its raw bytes.
+func (ds *decodeScratch) open(h *blockHead, block []byte, c column) ([]byte, error) {
+	ch := &h.chunks[c]
+	ds.io.stored[ch.codec] += ch.stored
+	ds.io.raw[ch.codec] += ch.raw
+	ds.col = c
+	return h.open(block, ds.ubuf, c)
+}
+
+// decodeChunks is decodeBatch past the head.
+func (ds *decodeScratch) decodeChunks(h *blockHead, block []byte, proj classify.Projection, slr *selector) ([]int32, error) {
+	n, pred := h.n, slr.cq.residualProjection()
+	proj |= pred
 	b := &ds.batch
 	b.N, b.Dict, b.Cols = n, ds.dict, proj
-
+	chunk, err := ds.open(h, block, colTimes)
+	if err != nil {
+		return nil, err
+	}
 	b.Times = growI64(b.Times, n)
-	readTimes(r, payload, b.Times)
-
-	// Collectors: length-prefixed strings.
-	nd := r.Count(1)
-	remap := ds.remap[:0]
-	if proj&classify.ProjCollector != 0 {
-		for i := 0; i < nd; i++ {
-			raw := r.Bytes(r.Count(1))
-			if r.Err() != nil {
-				break
+	if err := readTimes(chunk, b.Times); err != nil {
+		return nil, err
+	}
+	smalls := [...]struct {
+		c   column
+		p   classify.Projection
+		dst *[]uint32
+	}{
+		{colCollector, classify.ProjCollector, &b.Collector},
+		{colPeerAS, classify.ProjPeerAS, &b.PeerAS},
+		{colPeerAddr, classify.ProjPeerAddr, &b.PeerAddr},
+		{colPrefix, classify.ProjPrefix, &b.Prefix},
+	}
+	for _, s := range smalls {
+		if pred&s.p != 0 {
+			if err := ds.readSmallColumn(h, block, s.c, nil, s.dst); err != nil {
+				return nil, err
 			}
-			gid, ok := ds.collIDs[string(raw)]
-			if !ok {
-				gid = uint32(len(ds.dict.Collectors))
-				s := string(raw)
-				ds.dict.Collectors = append(ds.dict.Collectors, s)
-				ds.collIDs[s] = gid
-			}
-			remap = append(remap, gid)
 		}
-		b.Collector = growU32(b.Collector, n)
-		readIDColumn(r, payload, n, nd, remap, b.Collector)
-	} else {
-		for i := 0; i < nd; i++ {
-			r.Bytes(r.Count(1))
-		}
-		readIDColumn(r, payload, n, nd, nil, nil)
 	}
 
-	// Peer ASNs: uvarint values.
-	nd = r.Count(1)
-	remap = remap[:0]
-	if proj&classify.ProjPeerAS != 0 {
-		for i := 0; i < nd; i++ {
-			as := r.Uint32()
-			if r.Err() != nil {
-				break
-			}
-			gid, ok := ds.asIDs[as]
-			if !ok {
-				gid = uint32(len(ds.dict.PeerASNs))
-				ds.dict.PeerASNs = append(ds.dict.PeerASNs, as)
-				ds.asIDs[as] = gid
-			}
-			remap = append(remap, gid)
-		}
-		b.PeerAS = growU32(b.PeerAS, n)
-		readIDColumn(r, payload, n, nd, remap, b.PeerAS)
-	} else {
-		for i := 0; i < nd; i++ {
-			r.Uint32()
-		}
-		readIDColumn(r, payload, n, nd, nil, nil)
-	}
-
-	// Peer addresses.
-	nd = r.Count(1)
-	remap = remap[:0]
-	if proj&classify.ProjPeerAddr != 0 {
-		for i := 0; i < nd; i++ {
-			a := r.Addr()
-			if r.Err() != nil {
-				break
-			}
-			gid, ok := ds.addrIDs[a]
-			if !ok {
-				gid = uint32(len(ds.dict.PeerAddrs))
-				ds.dict.PeerAddrs = append(ds.dict.PeerAddrs, a)
-				ds.addrIDs[a] = gid
-			}
-			remap = append(remap, gid)
-		}
-		b.PeerAddr = growU32(b.PeerAddr, n)
-		readIDColumn(r, payload, n, nd, remap, b.PeerAddr)
-	} else {
-		for i := 0; i < nd; i++ {
-			r.Addr()
-		}
-		readIDColumn(r, payload, n, nd, nil, nil)
-	}
-
-	// Prefixes.
-	nd = r.Count(1)
-	remap = remap[:0]
-	if proj&classify.ProjPrefix != 0 {
-		for i := 0; i < nd; i++ {
-			p := r.Prefix()
-			if r.Err() != nil {
-				break
-			}
-			gid, ok := ds.pfxIDs[p]
-			if !ok {
-				gid = uint32(len(ds.dict.Prefixes))
-				ds.dict.Prefixes = append(ds.dict.Prefixes, p)
-				ds.pfxIDs[p] = gid
-			}
-			remap = append(remap, gid)
-		}
-		b.Prefix = growU32(b.Prefix, n)
-		readIDColumn(r, payload, n, nd, remap, b.Prefix)
-	} else {
-		for i := 0; i < nd; i++ {
-			r.Prefix()
-		}
-		readIDColumn(r, payload, n, nd, nil, nil)
-	}
-
-	// Keep the grown remap backing array for the next block — the
-	// local slice may have outgrown (and replaced) ds.remap above.
-	ds.remap = remap[:0]
-
-	// The predicate's columns are all in: select. A payload already
-	// known corrupt has no rows to select from; the sticky error is the
-	// one a full parse would end with.
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
+	// The predicate's columns are all in: select.
 	sel := slr.selection(b)
-
-	// AS paths and community sets, interned by encoded bytes where a
-	// selected row references them; a repeat entry never re-decodes. The
-	// decode on a miss cannot fail: walkEntries validated the same bytes.
-	nd = r.Count(1)
-	ds.walkEntries(r, payload, nd, true)
+	if len(sel) == 0 && n > 0 {
+		return sel, nil
+	}
+	var rows []int32 // the selected rows, nil when that is every row
+	if len(sel) < n {
+		rows = sel
+	}
+	for _, s := range smalls {
+		if proj&s.p != 0 && pred&s.p == 0 {
+			if err := ds.readSmallColumn(h, block, s.c, rows, s.dst); err != nil {
+				return nil, err
+			}
+		}
+	}
 	if proj&classify.ProjPath != 0 {
-		b.Path = growU32(b.Path, n)
-		ds.readSelectedIDs(r, payload, n, nd, sel, b.Path, true)
-	} else {
-		readIDColumn(r, payload, n, nd, nil, nil)
+		if err := ds.readValueColumn(h, block, colPathDict, rows, &b.Path); err != nil {
+			return nil, err
+		}
 	}
-	nd = r.Count(1)
-	ds.walkEntries(r, payload, nd, false)
 	if proj&classify.ProjComms != 0 {
-		b.Comms = growU32(b.Comms, n)
-		ds.readSelectedIDs(r, payload, n, nd, sel, b.Comms, false)
-	} else {
-		readIDColumn(r, payload, n, nd, nil, nil)
+		if err := ds.readValueColumn(h, block, colCommDict, rows, &b.Comms); err != nil {
+			return nil, err
+		}
 	}
 
-	// Flag bitsets (aliasing the payload) and MED values.
+	// Flag bitsets (aliasing the chunk) and MED values.
+	if chunk, err = ds.open(h, block, colFlags); err != nil {
+		return nil, err
+	}
+	r := wire.NewReader(chunk)
 	nb := (n + 7) / 8
 	b.Withdraw = classify.Bitset(r.Bytes(nb))
 	b.HasMED = classify.Bitset(r.Bytes(nb))
 	if err := r.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b.MED = growU32(b.MED, n)
 	for i := 0; i < n; i++ {
@@ -644,10 +740,7 @@ func (ds *decodeScratch) decodeBatch(payload []byte, proj classify.Projection, s
 			b.MED[i] = uint32(med)
 		}
 	}
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return b, sel, nil
+	return sel, r.Err()
 }
 
 // residualProjection returns the columns the query's per-event
@@ -917,9 +1010,9 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 
 // scanBlocks is scanPartitionBatch over an opened partition. It walks
 // the blocks in order on the calling goroutine: prune by summary, check
-// ctx, read, decode, check the footer count, hand the selected rows to
-// fn. Nothing is read ahead, so a cancelled scan stops at the end of
-// the block in flight.
+// ctx, read the block, decode the chunks it needs, check the footer
+// count, hand the selected rows to fn. Nothing is read ahead, so a
+// cancelled scan stops at the end of the block in flight.
 func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File, cq *compiledQuery, st *ScanStats, proj classify.Projection, fn batchFunc) (more bool, err error) {
 	if cq.collectors != nil && !cq.collectors[p.collector] {
 		if st != nil {
@@ -944,7 +1037,7 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 	if br.slr == nil || br.slr.cq != cq {
 		br.slr = newSelector(cq)
 	}
-	for _, bm := range p.blocks {
+	for i, bm := range p.blocks {
 		if !cq.matchSummary(bm.sum, true) {
 			if st != nil {
 				st.BlocksPruned++
@@ -954,13 +1047,13 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		payload, err := br.readBlockPayload(f, bm)
+		block, err := br.readBlock(f, bm)
 		if err != nil {
-			return false, fmt.Errorf("%s: %w", p.path, err)
+			return false, fmt.Errorf("%s: block %d: %w", p.path, i, err)
 		}
-		b, sel, err := br.scratch.decodeBatch(payload, proj, br.slr)
+		b, sel, err := br.scratch.decodeBatch(block, proj, br.slr)
 		if err != nil {
-			return false, fmt.Errorf("%s: %w", p.path, err)
+			return false, fmt.Errorf("%s: block %d: %w", p.path, i, err)
 		}
 		// Pruning, sidecar time bounds and replay offsets all trust the
 		// footer's counts; a block that decodes to another length makes
@@ -969,7 +1062,7 @@ func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File,
 			return false, fmt.Errorf("%s: block at offset %d decodes to %d events, footer says %d", p.path, bm.offset, b.N, bm.sum.count)
 		}
 		if st != nil {
-			st.countBlock(bm)
+			st.countBlock(bm, &br.scratch.io)
 		}
 		if len(sel) == 0 {
 			continue

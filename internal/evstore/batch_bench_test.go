@@ -102,7 +102,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 		{"counts-only", block, 0, Query{}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			payload, _ := encodeBlock(tc.events, nil)
+			payload, _ := storedBlock(tc.events, CodecLZ)
 			ds := newDecodeScratch()
 			slr := newSelector(compileQuery(tc.q))
 			_, sel, err := ds.decodeBatch(payload, tc.proj, slr)
@@ -133,7 +133,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 // materialized into a fresh []classify.Event per decode.
 func BenchmarkDecodeBlock(b *testing.B) {
 	events := benchBlockEvents(4096)
-	payload, _ := encodeBlock(events, nil)
+	payload, _ := storedBlock(events, CodecLZ)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -152,7 +152,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 // batch: id-cache hits for every event, no value comparisons.
 func BenchmarkRunBatch(b *testing.B) {
 	events := benchBlockEvents(4096)
-	payload, _ := encodeBlock(events, nil)
+	payload, _ := storedBlock(events, CodecLZ)
 	ds := newDecodeScratch()
 	batch, sel, err := ds.decodeBatch(payload, classify.ClassifierProjection, newSelector(compileQuery(Query{})))
 	if err != nil {

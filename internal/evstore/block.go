@@ -2,6 +2,9 @@ package evstore
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"net/netip"
@@ -228,6 +231,159 @@ func readSummary(r *wire.Reader) blockSummary {
 // Columnar block codec
 // ---------------------------------------------------------------------------
 
+// column names one chunk of a block. A block holds one chunk per
+// column, in this order, so the columns a residual predicate reads come
+// before the path and community columns a filtered scan decodes only at
+// its selected rows.
+type column uint8
+
+const (
+	colTimes     column = iota // zigzag deltas from the previous event
+	colCollector               // length-prefixed names, then one id per event
+	colPeerAS                  // uvarint ASNs, then one id per event
+	colPeerAddr                // wire addresses, then one id per event
+	colPrefix                  // wire prefixes, then one id per event
+	colPathDict                // the AS-path dictionary, with its offset table
+	colPathIDs                 // one AS-path id per event
+	colCommDict                // the community-set dictionary, with its offset table
+	colCommIDs                 // one community-set id per event
+	colFlags                   // withdraw and has-MED bitsets, a MED per has-MED event
+	numColumns
+)
+
+var columnNames = [numColumns]string{"times", "collector", "peer AS", "peer address", "prefix",
+	"path dictionary", "path ids", "community dictionary", "community ids", "flags"}
+
+func (c column) String() string {
+	if c < numColumns {
+		return columnNames[c]
+	}
+	return fmt.Sprintf("column(%d)", uint8(c))
+}
+
+// A stored block is a head and then the stored chunks, back to back.
+// The head is the event count and a directory of one dirEntryLen-byte
+// entry per chunk, in column order: column id, codec id, raw length,
+// stored length and the CRC32C of the raw bytes, the counts and
+// lengths little-endian uint32s. A fixed-width head keeps a block's raw
+// size one number under every codec.
+const (
+	dirEntryLen = 14
+	headLen     = 4 + int(numColumns)*dirEntryLen
+)
+
+// entryStride is the number of value-dictionary entries per slot of a
+// dictionary chunk's offset table. A path or community-set dictionary
+// chunk is its entry count, then one uvarint per run of entryStride
+// entries giving the run's byte length (the last run may be short),
+// then the entries: entry k is reached by summing the table up to run
+// k/entryStride and walking at most entryStride-1 entries into it.
+const entryStride = 4
+
+// maxChunkBytes bounds a chunk's raw length, protecting the decoder's
+// buffer against corrupt or hostile directories.
+const maxChunkBytes = maxBlockEvents * 64
+
+// castagnoli is the CRC32C table chunks and footers are checked with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// rawBlock is one encoded block before framing: its event count and
+// the raw chunk bodies back to back, column c's ending at end[c].
+type rawBlock struct {
+	n   int
+	buf []byte
+	end [numColumns]int
+}
+
+// chunk returns column c's raw body.
+func (rb *rawBlock) chunk(c column) []byte {
+	start := 0
+	if c > 0 {
+		start = rb.end[c-1]
+	}
+	return rb.buf[start:rb.end[c]]
+}
+
+// size is the block's raw length: its head and every chunk's raw body.
+func (rb *rawBlock) size() int { return headLen + len(rb.buf) }
+
+// chunkRef locates one chunk of a stored block.
+type chunkRef struct {
+	codec       Codec
+	off         int // of the stored bytes, in the block
+	stored, raw int
+	rawOff      int // of the raw bytes, in a buffer of blockHead.raw bytes
+	crc         uint32
+}
+
+// blockHead is a stored block's parsed head.
+type blockHead struct {
+	n      int
+	raw    int // raw bytes of all chunks together
+	chunks [numColumns]chunkRef
+}
+
+// parseHead reads a stored block's head and checks it against the
+// block: columns in order, known codecs, and stored lengths that tile
+// the rest of the block exactly. Chunk contents are not touched.
+func parseHead(block []byte) (blockHead, error) {
+	var h blockHead
+	if len(block) < headLen {
+		return h, fmt.Errorf("evstore: truncated block head: %d of %d bytes", len(block), headLen)
+	}
+	pos := headLen
+	for c := range numColumns {
+		e := block[4+int(c)*dirEntryLen:]
+		ch := &h.chunks[c]
+		ch.codec = Codec(e[1])
+		ch.raw = int(binary.LittleEndian.Uint32(e[2:]))
+		ch.stored = int(binary.LittleEndian.Uint32(e[6:]))
+		ch.crc = binary.LittleEndian.Uint32(e[10:])
+		switch {
+		case column(e[0]) != c:
+			return h, fmt.Errorf("%s chunk: directory entry %d holds %s", c, c, column(e[0]))
+		case ch.codec.check() != nil:
+			return h, fmt.Errorf("%s chunk: %w", c, ch.codec.check())
+		case ch.stored > len(block)-pos:
+			return h, fmt.Errorf("%s chunk: stored length %d runs past the block's end (%d bytes left)", c, ch.stored, len(block)-pos)
+		case ch.raw > maxChunkBytes || ch.codec == CodecRaw && ch.raw != ch.stored ||
+			ch.codec == CodecLZ && ch.raw > 256*ch.stored:
+			return h, fmt.Errorf("%s chunk: raw length %d does not fit %d stored %s bytes", c, ch.raw, ch.stored, ch.codec)
+		}
+		ch.off, ch.rawOff = pos, h.raw
+		pos += ch.stored
+		h.raw += ch.raw
+	}
+	if pos != len(block) {
+		return h, fmt.Errorf("evstore: chunks end at byte %d of a %d-byte block", pos, len(block))
+	}
+	n := binary.LittleEndian.Uint32(block)
+	if n > maxBlockEvents || int(n) > h.chunks[colTimes].raw {
+		return h, fmt.Errorf("evstore: implausible block event count %d", n)
+	}
+	h.n = int(n)
+	return h, nil
+}
+
+// open returns column c's raw bytes, CRC-checked: the stored bytes
+// themselves when the chunk is raw, else decompressed into its slot of
+// buf (at least h.raw bytes). Its errors leave naming the column to the
+// caller.
+func (h *blockHead) open(block, buf []byte, c column) ([]byte, error) {
+	ch := &h.chunks[c]
+	raw := block[ch.off : ch.off+ch.stored]
+	if ch.codec != CodecRaw {
+		raw = buf[ch.rawOff : ch.rawOff+ch.raw]
+		if err := decompress(ch.codec, raw, block[ch.off:ch.off+ch.stored]); err != nil {
+			return nil, err
+		}
+	}
+	if crc32.Checksum(raw, castagnoli) != ch.crc {
+		return nil, errors.New("evstore: CRC mismatch")
+	}
+	return raw, nil
+}
+
 // dict accumulates a per-block dictionary keyed by the encoded form.
 type dict struct {
 	index map[string]uint32
@@ -272,18 +428,19 @@ func newBitset(n int) bitset { return make(bitset, (n+7)/8) }
 
 func (b bitset) set(i int) { b[i/8] |= 1 << (i % 8) }
 
-// encodeBlock renders events into the columnar payload (uncompressed)
-// and the block's pushdown summary. Layout, in order: event count;
-// zigzag-delta timestamps; then per column a dictionary followed by one
-// uvarint index per event (collector, peer AS, peer address, prefix,
-// AS path, communities); withdraw and has-MED bitsets; and a uvarint
-// MED per has-MED event.
-func encodeBlock(events []classify.Event, dst []byte) ([]byte, blockSummary) {
+// encodeBlock renders events into rb's raw chunks (see column for what
+// each holds) and returns the block's pushdown summary.
+func encodeBlock(events []classify.Event, rb *rawBlock) blockSummary {
 	n := len(events)
 	sum := blockSummary{count: n, tmin: math.MaxInt64, tmax: math.MinInt64}
 	var filter prefixFilter
-
-	dst = binary.AppendUvarint(dst, uint64(n))
+	rb.n = n
+	dst := rb.buf[:0]
+	next := colTimes
+	endChunk := func() {
+		rb.end[next] = len(dst)
+		next++
+	}
 
 	// Times: zigzag deltas from the previous event.
 	prev := int64(0)
@@ -301,19 +458,23 @@ func encodeBlock(events []classify.Event, dst []byte) ([]byte, blockSummary) {
 	if n == 0 {
 		sum.tmin, sum.tmax = 0, 0
 	}
+	endChunk()
 
 	// Dictionary columns.
 	var collectors, peerAS, peerAddrs, prefixes, paths, comms dict
 	ids := make([]uint32, n)
-
+	writeIDs := func() {
+		for _, id := range ids {
+			dst = binary.AppendUvarint(dst, uint64(id))
+		}
+		endChunk()
+	}
 	writeDict := func(d *dict) {
 		dst = binary.AppendUvarint(dst, uint64(len(d.keys)))
 		for _, key := range d.keys {
 			dst = append(dst, key...)
 		}
-		for _, id := range ids {
-			dst = binary.AppendUvarint(dst, uint64(id))
-		}
+		writeIDs()
 	}
 	writeStringDict := func(d *dict) {
 		dst = binary.AppendUvarint(dst, uint64(len(d.keys)))
@@ -321,9 +482,23 @@ func encodeBlock(events []classify.Event, dst []byte) ([]byte, blockSummary) {
 			dst = binary.AppendUvarint(dst, uint64(len(key)))
 			dst = append(dst, key...)
 		}
-		for _, id := range ids {
-			dst = binary.AppendUvarint(dst, uint64(id))
+		writeIDs()
+	}
+	// A value dictionary is a chunk of its own, with its offset table.
+	writeValueDict := func(d *dict) {
+		dst = binary.AppendUvarint(dst, uint64(len(d.keys)))
+		for run := 0; run < len(d.keys); run += entryStride {
+			size := 0
+			for _, key := range d.keys[run:min(run+entryStride, len(d.keys))] {
+				size += len(key)
+			}
+			dst = binary.AppendUvarint(dst, uint64(size))
 		}
+		for _, key := range d.keys {
+			dst = append(dst, key...)
+		}
+		endChunk()
+		writeIDs()
 	}
 
 	for i, e := range events {
@@ -366,12 +541,12 @@ func encodeBlock(events []classify.Event, dst []byte) ([]byte, blockSummary) {
 	for i, e := range events {
 		ids[i] = paths.id(pathKey(e.ASPath))
 	}
-	writeDict(&paths)
+	writeValueDict(&paths)
 
 	for i, e := range events {
 		ids[i] = comms.id(commsKey(e.Communities))
 	}
-	writeDict(&comms)
+	writeValueDict(&comms)
 
 	// Flag bitsets and MED values.
 	withdraw, hasMED := newBitset(n), newBitset(n)
@@ -390,7 +565,9 @@ func encodeBlock(events []classify.Event, dst []byte) ([]byte, blockSummary) {
 			dst = binary.AppendUvarint(dst, uint64(e.MED))
 		}
 	}
+	endChunk()
 
+	rb.buf = dst
 	sum.filter = filter.bits()
-	return dst, sum
+	return sum
 }

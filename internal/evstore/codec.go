@@ -1,20 +1,22 @@
 package evstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/lz"
 )
 
-// Codec identifies a block payload compression codec. The numeric
-// values are the on-disk per-block codec ids of the v2 partition
-// format and must never be renumbered.
+// Codec identifies a chunk compression codec. The numeric values are
+// the on-disk codec ids of every chunk and footer block entry (and of
+// sidecar bodies) and must never be renumbered.
 type Codec uint8
 
 const (
-	// CodecRaw stores the payload uncompressed. Also the automatic
-	// fallback when a compressor fails to shrink a block.
+	// CodecRaw stores the bytes uncompressed. Also the automatic
+	// fallback when a compressor fails to shrink them.
 	CodecRaw Codec = 0
 	// codecDeflate was DEFLATE at BestSpeed: 10% denser than lz
 	// on live-sized blocks, 27% slower to scan, and set by no caller.
@@ -32,6 +34,12 @@ const (
 const DefaultCodec = CodecLZ
 
 var errDeflateRetired = errors.New("evstore: codec deflate (id 1) is retired; recode the store with a build at or before 0ebe2db")
+
+// partitionMagicV2 is the retired format before column chunks; no build
+// converts it, so errPartitionV2Retired says what to do instead.
+const partitionMagicV2 = "EVP2"
+
+var errPartitionV2Retired = errors.New("evstore: partition format EVP2 is retired; this build reads EVP3 — re-ingest the store from its sources")
 
 func (c Codec) String() string {
 	switch c {
@@ -77,7 +85,7 @@ type blockCompressor struct {
 
 // compress encodes payload under the requested codec and returns the
 // bytes to store plus the codec id to record. A compressed form at
-// least as large as the input falls back to CodecRaw — per-block codec
+// least as large as the input falls back to CodecRaw — per-chunk codec
 // dispatch makes the fallback free for readers.
 func (bc *blockCompressor) compress(c Codec, payload []byte) ([]byte, Codec, error) {
 	switch c {
@@ -110,4 +118,54 @@ func decompress(c Codec, dst, src []byte) error {
 		return nil
 	}
 	return c.check()
+}
+
+// appendBlock frames rb as a stored block onto dst: the head, then each
+// chunk compressed under c by compressChunk's rule. It returns the
+// block's codec for the footer: c when any chunk is stored under it,
+// else raw.
+func (bc *blockCompressor) appendBlock(dst []byte, rb *rawBlock, c Codec) ([]byte, Codec, error) {
+	dir := len(dst) + 4
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rb.n))
+	dst = append(dst, emptyDir[:]...)
+	block := CodecRaw
+	for col := range numColumns {
+		body := rb.chunk(col)
+		data, cc, err := bc.compressChunk(c, body)
+		if err != nil {
+			return dst, 0, err
+		}
+		putDirEntry(dst[dir+int(col)*dirEntryLen:], col, cc, len(body), len(data), crc32.Checksum(body, castagnoli))
+		dst = append(dst, data...)
+		if cc != CodecRaw {
+			block = cc
+		}
+	}
+	return dst, block, nil
+}
+
+// compressChunk is compress with the rule a chunk is stored by: a
+// compressed form that saves less than 1/minChunkSaving of the chunk is
+// stored raw, since every read of the chunk would pay a decompression
+// for it. Times and id chunks mostly land there, dictionaries never.
+func (bc *blockCompressor) compressChunk(c Codec, raw []byte) ([]byte, Codec, error) {
+	data, cc, err := bc.compress(c, raw)
+	if cc != CodecRaw && len(data) > len(raw)-len(raw)/minChunkSaving {
+		return raw, CodecRaw, err
+	}
+	return data, cc, err
+}
+
+// minChunkSaving sets compressChunk's threshold: 1/16 of a chunk.
+const minChunkSaving = 16
+
+// emptyDir reserves a directory for appendBlock to fill in.
+var emptyDir [headLen - 4]byte
+
+// putDirEntry writes one chunk-directory entry into e.
+func putDirEntry(e []byte, col column, c Codec, raw, stored int, crc uint32) {
+	e[0], e[1] = byte(col), byte(c)
+	binary.LittleEndian.PutUint32(e[2:], uint32(raw))
+	binary.LittleEndian.PutUint32(e[6:], uint32(stored))
+	binary.LittleEndian.PutUint32(e[10:], crc)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -179,7 +180,9 @@ func TestMultiBlockScan(t *testing.T) {
 		t.Errorf("windowed scan yielded %d events (stats %d), want %d", got, win.Events, want)
 	}
 
-	ps, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, 4)
+	// The stats count the chunks a decode opens: a row-fallback analyzer
+	// makes the parallel run decode every column, as the row scan does.
+	ps, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, 4, analysis.NewPeerBehavior())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +309,11 @@ func TestRecodeRoundTrip(t *testing.T) {
 }
 
 // TestLegacyV1Rejected pins the one-format contract: a partition whose
-// magic is the retired "EVP1" is refused with the bad-magic error by
-// every reader (scan, stat, recode), never misread as v2; a sidecar
-// whose magic is the retired "EVS1" is an unreadable sidecar, which the
-// next build pass replaces.
+// magic is the retired "EVP1" is refused with the bad-magic error, and
+// one whose magic is the retired "EVP2" by name, by every reader (scan,
+// stat, recode), never misread as v3; a sidecar whose magic is the
+// retired "EVS1" is an unreadable sidecar, which the next build pass
+// replaces.
 func TestLegacyV1Rejected(t *testing.T) {
 	dir := ingestCodec(t, stream.FromSlice(liveEvents(testDay, "rrc00", 0, 64)), evstore.CodecLZ)
 	parts, err := filepath.Glob(filepath.Join(dir, "*"+evstore.Extension))
@@ -346,19 +350,26 @@ func TestLegacyV1Rejected(t *testing.T) {
 		}
 	}
 
-	overwriteMagic(parts[0], "EVP1")
-	var scanErr error
-	if n := stream.Count(evstore.Scan(dir, evstore.Query{}, &scanErr)); n != 0 || scanErr == nil || !strings.Contains(scanErr.Error(), "bad partition magic") {
-		t.Errorf("EVP1 scan yielded %d events, err %v; want bad partition magic", n, scanErr)
-	}
-	if _, err := evstore.Stat(dir); err == nil || !strings.Contains(err.Error(), "bad partition magic") {
-		t.Errorf("EVP1 stat: %v, want bad partition magic", err)
-	}
-	if _, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, 1, analysis.NewCounts()); err == nil || !strings.Contains(err.Error(), "bad partition magic") {
-		t.Errorf("EVP1 analysis scan: %v, want bad partition magic", err)
-	}
-	if _, err := evstore.Recode(context.Background(), dir, evstore.CodecLZ); err == nil || !strings.Contains(err.Error(), "bad partition magic") {
-		t.Errorf("EVP1 recode: %v, want bad partition magic", err)
+	// EVP1 is any foreign magic; EVP2, the format before column chunks,
+	// is refused by name.
+	for _, retired := range []struct{ magic, want string }{
+		{"EVP1", "bad partition magic"},
+		{"EVP2", "partition format EVP2 is retired"},
+	} {
+		overwriteMagic(parts[0], retired.magic)
+		var scanErr error
+		if n := stream.Count(evstore.Scan(dir, evstore.Query{}, &scanErr)); n != 0 || scanErr == nil || !strings.Contains(scanErr.Error(), retired.want) {
+			t.Errorf("%s scan yielded %d events, err %v; want %s", retired.magic, n, scanErr, retired.want)
+		}
+		if _, err := evstore.Stat(dir); err == nil || !strings.Contains(err.Error(), retired.want) {
+			t.Errorf("%s stat: %v, want %s", retired.magic, err, retired.want)
+		}
+		if _, err := evstore.ScanParallel(context.Background(), dir, evstore.Query{}, evstore.TimeRange{}, 1, analysis.NewCounts()); err == nil || !strings.Contains(err.Error(), retired.want) {
+			t.Errorf("%s analysis scan: %v, want %s", retired.magic, err, retired.want)
+		}
+		if _, err := evstore.Recode(context.Background(), dir, evstore.CodecLZ); err == nil || !strings.Contains(err.Error(), retired.want) {
+			t.Errorf("%s recode: %v, want %s", retired.magic, err, retired.want)
+		}
 	}
 }
 
@@ -456,8 +467,8 @@ func TestRetiredDeflateRefused(t *testing.T) {
 		t.Fatalf("partitions %v (%v), want one", parts, err)
 	}
 	// Footer: magic, block count, then per block offset, ulen, clen (all
-	// uvarints) and the codec byte; the trailer's first four bytes give
-	// the footer's length.
+	// uvarints) and the codec byte, and last the CRC32C; the trailer's
+	// first four bytes give the footer's length.
 	raw, err := os.ReadFile(parts[0])
 	if err != nil {
 		t.Fatal(err)
@@ -472,6 +483,10 @@ func TestRetiredDeflateRefused(t *testing.T) {
 		t.Fatalf("byte %d is %d, not the first block's lz codec id", at, raw[at])
 	}
 	raw[at] = 1
+	// The footer ends in the CRC32C of the bytes before it: a footer
+	// that says deflate is one whose checksum agrees.
+	crcAt := len(raw) - 12
+	binary.LittleEndian.PutUint32(raw[crcAt:], crc32.Checksum(raw[len(raw)-8-flen:crcAt], crc32.MakeTable(crc32.Castagnoli)))
 	if err := os.WriteFile(parts[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

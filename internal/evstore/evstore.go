@@ -6,20 +6,24 @@
 // A store is a directory of partition files, one per (collector, day,
 // ingest sequence), named "<collector>__<YYYYMMDD>__<seq>.evp". Each
 // partition is a header followed by a sequence of independently
-// decodable compressed blocks and a footer index. Blocks hold up to
-// Writer.BlockEvents events in columnar layout — zigzag-delta-encoded
-// timestamps and per-block dictionaries for collectors, peer ASNs,
-// peer addresses, prefixes, AS paths, and community sets — each
-// compressed with a per-block codec: raw or the in-repo internal/lz
-// fast byte-LZ (the default; Writer.Codec selects, with a raw fallback
-// when compression would grow a block). The codec id rides
-// in every block frame and footer entry and readers dispatch per block,
-// so a store mixes codecs freely; Recode migrates one in place
-// (atomically, via temp+rename). The footer records, per block, its
-// file offset and a summary: event count, time min/max, the distinct
-// peer-AS set, the prefix network-address range, and a bloom membership
-// filter over the prefixes (keyed at every /8 ancestor level, so "/16
-// contains" queries prune blocks, not just exact-prefix lookups).
+// decodable blocks and a footer index. Blocks hold up to
+// Writer.BlockEvents events in columnar layout: a chunk directory and
+// one chunk per column — zigzag-delta-encoded timestamps; collectors,
+// peer ASNs, peer addresses and prefixes, each a per-block dictionary
+// with one id per event; the AS-path and community-set dictionaries,
+// each with an offset table, and their id columns; the flag bitsets
+// and MEDs. Each chunk carries its raw and stored length, its codec —
+// raw or the in-repo internal/lz fast byte-LZ (the default;
+// Writer.Codec selects, and a chunk lz would shrink by less than 1/16
+// is stored raw) — and a CRC32C of its raw bytes, so readers decompress
+// and check exactly the chunks they read, a store mixes codecs freely,
+// and Recode migrates one in place (atomically, via temp+rename). The
+// footer records, per block, its file offset and a summary: event
+// count, time min/max, the distinct peer-AS set, the prefix
+// network-address range, and a bloom membership filter over the
+// prefixes (keyed at every /8 ancestor level, so "/16 contains" queries
+// prune blocks, not just exact-prefix lookups) — and ends in a CRC32C
+// of its own.
 //
 // Writer consumes any stream.EventSource in constant memory: events
 // are routed to per-(collector, day) partition writers whose only
@@ -36,10 +40,10 @@
 // block; only blocks whose summary matches are read and decoded, and
 // a final exact Query.Match filter handles summary false positives.
 // Within a partition, blocks are taken one at a time, in order, on the
-// goroutine scanning it: pruned by summary, or read, decompressed,
-// decoded and checked against the footer's count before the next one
-// is touched (ScanStats.PerCodec splits bytes read vs decompressed by
-// codec). The only concurrency in a scan is the executor's worker
+// goroutine scanning it: pruned by summary, or read, its needed chunks
+// decompressed, CRC-checked and decoded, and checked against the
+// footer's count before the next one is touched (ScanStats.PerCodec
+// splits the chunks opened by codec). The only concurrency in a scan is the executor's worker
 // pool, one shard per worker.
 // The result is a stream.EventSource ordered by (collector, day, seq,
 // ingest order), which preserves per-session event order — exactly
@@ -58,14 +62,14 @@
 //
 // Analysis-bearing scans (those runs and snapshot builds) execute
 // batch-at-a-time rather than event-at-a-time:
-// decodeBatch parses each block's columnar payload directly into
+// decodeBatch parses each block's column chunks directly into
 // classify.Batch column arrays, interning dictionary values into a
 // scan-lifetime classify.Dict so each distinct value is decoded once
 // per scan rather than once per block, and residual query predicates
 // are evaluated over the columns into a selection vector instead of
-// per-materialized-event — before the AS-path and community-set
-// columns are read, so those are validated in full but interned and
-// stored only for the rows the query keeps. Analyzers implementing
+// per-materialized-event — before any other chunk is opened, so the
+// rest are decoded only at the rows the query keeps, and not at all
+// when it keeps none. Analyzers implementing
 // classify.BatchAnalyzer consume (batch, selection) directly and
 // aggregate on dictionary ids; the rest see materialized events via
 // the row fallback, with identical results either way. Decode scratch
@@ -84,14 +88,16 @@ import (
 	"repro/internal/classify"
 )
 
-// Format constants. The partition format is v2: a per-block codec id
-// (raw, lz; id 1 is the retired deflate and is refused by name) is
-// carried in both the block frame and the footer entry. Files with any
-// other magic — including the retired all-deflate v1 ("EVP1"/"EVF1") —
-// are rejected as "bad partition magic".
+// Format constants. The partition format is v3: a block is a head and
+// one chunk per column (see column), each chunk with its own length,
+// codec (raw, lz; id 1 is the retired deflate and is refused by name)
+// and CRC32C, and the footer ends in a CRC32C of its own. The retired
+// v2 magic ("EVP2", whole-block codecs and no checksums) is refused by
+// name; any other — including the all-deflate v1 ("EVP1") — is "bad
+// partition magic".
 const (
-	partitionMagicV2 = "EVP2" // file header
-	footerMagicV2    = "EVF2" // footer and trailer
+	partitionMagic = "EVP3" // file header
+	footerMagic    = "EVF3" // footer and trailer
 
 	// DefaultBlockEvents is the default number of events per block: large
 	// enough that dictionaries and delta encoding pay off, small enough

@@ -3,6 +3,8 @@ package evstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"net/netip"
 	"os"
@@ -13,7 +15,9 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/classify"
+	"repro/internal/lz"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // fuzzReader doles out fuzzer bytes; exhausted input yields zeros, so
@@ -110,16 +114,22 @@ func fuzzEventsEqual(a, b classify.Event) bool {
 }
 
 // FuzzBlockRoundTrip: encode/decode must be the identity on every
-// event list the fuzzer can construct, and the summary must cover it.
+// event list the fuzzer can construct, under either codec, and the
+// summary must cover it.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0x02, 0x03, 0x04, 0x05})
 	f.Add(bytes.Repeat([]byte{0xa5, 0x3c, 0x07}, 40))
+	f.Add(bytes.Repeat([]byte{0x10, 0x00, 0x00, 0x5e, 0x2a}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := fuzzEvents(data)
-		payload, sum := encodeBlock(events, nil)
-		decoded, err := decodeBlock(payload)
+		codec := CodecLZ
+		if len(data)%2 == 1 {
+			codec = CodecRaw
+		}
+		block, sum := storedBlock(events, codec)
+		decoded, err := decodeBlock(block)
 		if err != nil {
 			t.Fatalf("decode of a fresh encode failed: %v", err)
 		}
@@ -227,60 +237,141 @@ func checkSelected(t *testing.T, b *classify.Batch, sel []int32, cq *compiledQue
 }
 
 // offsetSuffix is where a wire.Reader error says how far it got; the
-// batch decoder reads whole columns off the payload and reports a
-// column's first byte, the row decoder the failing varint's.
+// batch decoder reads whole columns off a chunk and reports a column's
+// first byte, the row decoder the failing varint's.
 var offsetSuffix = regexp.MustCompile(` at offset \d+$`)
 
-// FuzzDecodeBatch: the vectorized decoder must agree with the row
-// decoder on every input, under every projection and selection — the
-// same accept/reject verdict with the same first error, and on success
-// exactly the predicate's rows selected, each materializing equal to
-// the row decode. Corrupt bytes must error through both paths, never
-// panic. One scratch serves every decode of a fuzz case, so interning
-// (an entry first unreferenced, then referenced by a later decode's
-// selection) and buffer reuse are exercised too; the last decode
-// repeats the first through the warm scratch.
+// reframe gives every chunk of a fuzzed block whose stored bytes decode
+// under its directory entry the CRC32C of what they decode to, so a
+// mutated chunk body passes the CRC and reaches the structural checks
+// behind it. A block whose head does not parse comes back unchanged.
+func reframe(data []byte) []byte {
+	if len(data) < headLen {
+		return data
+	}
+	out := bytes.Clone(data)
+	pos := headLen
+	for c := range int(numColumns) {
+		e := out[4+c*dirEntryLen:]
+		raw, stored := int(binary.LittleEndian.Uint32(e[2:])), int(binary.LittleEndian.Uint32(e[6:]))
+		if stored > len(out)-pos {
+			break
+		}
+		body := out[pos : pos+stored]
+		if Codec(e[1]) == CodecLZ {
+			if raw > 256*stored || raw > 1<<20 {
+				break
+			}
+			body = make([]byte, raw)
+			if lz.Decompress(body, out[pos:pos+stored]) != nil {
+				body = nil
+			}
+		}
+		if body != nil {
+			binary.LittleEndian.PutUint32(e[10:], crc32.Checksum(body, castagnoli))
+		}
+		pos += stored
+	}
+	return out
+}
+
+// withChunk returns rb with column c's body replaced.
+func withChunk(rb rawBlock, c column, body []byte) rawBlock {
+	out := rawBlock{n: rb.n}
+	for col := range numColumns {
+		if col == c {
+			out.buf = append(out.buf, body...)
+		} else {
+			out.buf = append(out.buf, rb.chunk(col)...)
+		}
+		out.end[col] = len(out.buf)
+	}
+	return out
+}
+
+// rawFramed frames rb with every chunk stored raw.
+func rawFramed(rb rawBlock) []byte {
+	var bc blockCompressor
+	block, _, err := bc.appendBlock(nil, &rb, CodecRaw)
+	if err != nil {
+		panic(err)
+	}
+	return block
+}
+
+// FuzzDecodeBatch holds the vectorized decoder to the row decoder on
+// every input, as it arrives (so CRC and length refusal are exercised)
+// and reframed with valid CRCs (so mutations reach the structural
+// checks). With every column projected and every row selected the two
+// must agree exactly: the same accept/reject verdict with the same first
+// error, and on success the same events. Under every other projection
+// and selection decodeBatch reads only what the query needs, so it may
+// accept a block the row decoder refuses; it must never panic, and
+// whenever the row decoder accepts it must accept too, select exactly
+// the predicate's rows and carry the row decoder's value at each of
+// them in every projected column. One scratch serves every decode of a
+// fuzz case, so interning (an entry first unreferenced, then referenced
+// by a later decode's selection) and buffer reuse are exercised too;
+// the last decode repeats the exact one through the warm scratch.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	valid, _ := encodeBlock(fuzzEvents([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8}), nil)
+	valid, _ := storedBlock(fuzzEvents([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8}), CodecLZ)
 	f.Add(valid)
 	f.Add(bytes.Repeat([]byte{0xa5, 0x3c, 0x07}, 40))
 	// The widest ASN a path entry may hold is a five-byte varint ending
 	// 0x0f; next to it sit the overflow (0x1f: rejected) and a padded
 	// six-byte form of the same value (accepted, by the Reader the entry
-	// walk falls back to).
-	widest, _ := encodeBlock([]classify.Event{{Collector: "c", ASPath: bgp.NewASPath(math.MaxUint32)}}, nil)
+	// walk falls back to). Each is framed with a consistent offset table.
+	var rb rawBlock
+	encodeBlock([]classify.Event{{Collector: "c", ASPath: bgp.NewASPath(math.MaxUint32)}}, &rb)
+	entry := wire.AppendPath(nil, bgp.NewASPath(math.MaxUint32))
 	asn := []byte{0xff, 0xff, 0xff, 0xff, 0x0f}
-	f.Add(widest)
-	f.Add(bytes.Replace(widest, asn, []byte{0xff, 0xff, 0xff, 0xff, 0x1f}, 1))
-	f.Add(bytes.Replace(widest, asn, []byte{0xff, 0xff, 0xff, 0xff, 0x8f, 0x00}, 1))
+	for _, widened := range [][]byte{asn, {0xff, 0xff, 0xff, 0xff, 0x1f}, {0xff, 0xff, 0xff, 0xff, 0x8f, 0x00}} {
+		e := bytes.Replace(entry, asn, widened, 1)
+		dict := append([]byte{1, byte(len(e))}, e...)
+		f.Add(rawFramed(withChunk(rb, colPathDict, dict)))
+	}
+	f.Add(rawFramed(rb))
+	live, _ := storedBlock(liveBlockEvents(64), CodecLZ)
+	f.Add(live)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rowEvents, rowErr := decodeBlock(data)
-		proj, qs := fuzzSelections(data, rowEvents)
-		ds := newDecodeScratch()
-		for _, tc := range []struct {
-			proj classify.Projection
-			q    Query
-		}{
-			{proj, qs[2]}, {proj, qs[1]}, {classify.ProjAll, qs[1]}, {classify.ProjAll, qs[0]},
-			{0, qs[0]}, {classify.ProjAll, qs[2]}, {classify.ProjAll, qs[0]},
-		} {
-			cq := compileQuery(tc.q)
-			b, sel, err := ds.decodeBatch(data, tc.proj, newSelector(cq))
-			if (rowErr == nil) != (err == nil) {
-				t.Fatalf("decoder disagreement (projection %b, query %+v): decodeBlock err=%v, decodeBatch err=%v", tc.proj, tc.q, rowErr, err)
-			}
-			if rowErr != nil {
-				if got, want := offsetSuffix.ReplaceAllString(err.Error(), ""), offsetSuffix.ReplaceAllString(rowErr.Error(), ""); got != want {
-					t.Fatalf("first error (projection %b, query %+v): decodeBatch %q, decodeBlock %q", tc.proj, tc.q, got, want)
-				}
-				continue
-			}
-			checkSelected(t, b, sel, cq, rowEvents)
+		checkDecodeBatch(t, data)
+		if re := reframe(data); !bytes.Equal(re, data) {
+			checkDecodeBatch(t, re)
 		}
 	})
+}
+
+// checkDecodeBatch is FuzzDecodeBatch's oracle over one block.
+func checkDecodeBatch(t *testing.T, data []byte) {
+	rowEvents, rowErr := decodeBlock(data)
+	proj, qs := fuzzSelections(data, rowEvents)
+	ds := newDecodeScratch()
+	for _, tc := range []struct {
+		proj classify.Projection
+		q    Query
+	}{
+		{proj, qs[2]}, {proj, qs[1]}, {classify.ProjAll, qs[1]}, {classify.ProjAll, qs[0]},
+		{0, qs[0]}, {classify.ProjAll, qs[2]}, {classify.ProjAll, qs[0]},
+	} {
+		cq := compileQuery(tc.q)
+		b, sel, err := ds.decodeBatch(data, tc.proj, newSelector(cq))
+		exact := tc.proj == classify.ProjAll && tc.q.PeerAS == nil && !tc.q.PrefixRange.IsValid() && tc.q.Window == (TimeRange{})
+		switch {
+		case exact && (rowErr == nil) != (err == nil):
+			t.Fatalf("decoder disagreement (every row, every column): decodeBlock err=%v, decodeBatch err=%v", rowErr, err)
+		case exact && rowErr != nil:
+			if got, want := offsetSuffix.ReplaceAllString(err.Error(), ""), offsetSuffix.ReplaceAllString(rowErr.Error(), ""); got != want {
+				t.Fatalf("first error: decodeBatch %q, decodeBlock %q", got, want)
+			}
+		case rowErr == nil && err != nil:
+			t.Fatalf("decodeBatch refused a block the row decoder accepts (projection %b, query %+v): %v", tc.proj, tc.q, err)
+		case rowErr == nil:
+			checkSelected(t, b, sel, cq, rowEvents)
+		}
+	}
 }
 
 // FuzzBlockDecode: arbitrary bytes must never panic or over-allocate —
@@ -289,14 +380,17 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	// A valid payload as a seed so mutations explore near-valid inputs.
-	valid, _ := encodeBlock(fuzzEvents([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8}), nil)
+	// Valid blocks as seeds so mutations explore near-valid inputs.
+	valid, _ := storedBlock(fuzzEvents([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8}), CodecLZ)
 	f.Add(valid)
+	raw, _ := storedBlock(fuzzEvents([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8}), CodecRaw)
+	f.Add(raw)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := decodeBlock(data)
-		if err == nil {
-			// Whatever decoded must re-encode without panicking.
-			encodeBlock(events, nil)
+		for _, block := range [][]byte{data, reframe(data)} {
+			if events, err := decodeBlock(block); err == nil {
+				// Whatever decoded must re-encode without panicking.
+				storedBlock(events, CodecLZ)
+			}
 		}
 	})
 }

@@ -3,7 +3,6 @@ package evstore
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,17 +34,17 @@ func (s *RecodeStats) add(o RecodeStats) {
 	s.Sidecars += o.Sidecars
 }
 
-// Recode rewrites the store's partitions block-by-block into the
-// target codec — how an existing store migrates between raw and lz
-// without re-ingesting. Per block it decompresses with the block's
-// recorded codec and recompresses with the target, under the writer's
-// rule: a block the target codec would not shrink is stored raw. A
-// block already in the target codec is copied verbatim, and a partition
-// none of whose blocks would change codec — every block already in the
+// Recode rewrites the store's partitions chunk by chunk into the target
+// codec — how an existing store migrates between raw and lz without
+// re-ingesting. Per chunk it decompresses with the chunk's recorded
+// codec and recompresses with the target, under the writer's rule: a
+// chunk the target codec would not shrink is stored raw. A block
+// already in the target codec is copied verbatim, and a partition none
+// of whose chunks would change codec — every block already in the
 // target, or raw and staying raw — is not rewritten at all, so a
-// repeated pass is a no-op. Footers, block summaries, and event
-// payloads are preserved bit-for-bit, so scans over the recoded store
-// classify identically.
+// repeated pass is a no-op. Block summaries, raw chunks and their CRCs
+// are preserved bit-for-bit, so scans over the recoded store classify
+// identically.
 //
 // Partitions are never modified in place: each is rewritten to a temp
 // file and atomically renamed over the original, so a concurrent scan
@@ -138,27 +137,68 @@ func recodeShard(ctx context.Context, sh Shard, codec Codec, br *blockReader, rs
 }
 
 // recodeChanges reports whether recoding p into codec would change any
-// block's codec: a block in another compressing codec always does (it
-// is decompressed), a raw block only if the target codec shrinks it —
-// which takes compressing it, so the search stops at the first one.
+// chunk's codec: a block holding lz chunks always does when the target
+// is raw, a raw block only if the target codec shrinks one of its
+// chunks — which takes compressing them, so the search stops at the
+// first block that changes.
 func recodeChanges(p *partition, f *os.File, codec Codec, br *blockReader, bc *blockCompressor) (bool, error) {
-	for _, bm := range p.blocks {
+	var out []byte
+	for i, bm := range p.blocks {
 		if bm.codec == codec {
 			continue
 		}
 		if bm.codec != CodecRaw {
 			return true, nil
 		}
-		payload, err := br.readBlockPayload(f, bm)
-		if err != nil {
-			return false, fmt.Errorf("evstore: recode %s: %w", p.path, err)
+		block, err := br.readBlock(f, bm)
+		var c Codec
+		if err == nil {
+			out, c, err = recodeBlock(out[:0], block, codec, br, bc)
 		}
-		_, out, err := bc.compress(codec, payload)
-		if err != nil || out != CodecRaw {
-			return true, err
+		if err != nil {
+			return false, fmt.Errorf("evstore: recode %s: block %d: %w", p.path, i, err)
+		}
+		if c != CodecRaw {
+			return true, nil
 		}
 	}
 	return false, nil
+}
+
+// recodeBlock appends block re-coded into codec to dst, chunk by chunk:
+// a chunk already in codec is copied, any other is opened — decompressed
+// and CRC-checked — and compressed under the writer's rule
+// (compressChunk). Raw lengths and CRCs carry over unchanged. It returns
+// the new block's codec.
+func recodeBlock(dst, block []byte, codec Codec, br *blockReader, bc *blockCompressor) ([]byte, Codec, error) {
+	h, err := parseHead(block)
+	if err != nil {
+		return dst, 0, err
+	}
+	if cap(br.ubuf) < h.raw {
+		br.ubuf = make([]byte, h.raw)
+	}
+	dir := len(dst) + 4
+	dst = append(dst, block[:headLen]...)
+	out := CodecRaw
+	for c, ch := range h.chunks {
+		data, cc := block[ch.off:ch.off+ch.stored], ch.codec
+		if cc != codec {
+			raw, err := h.open(block, br.ubuf, column(c))
+			if err != nil {
+				return dst, 0, fmt.Errorf("%s chunk: %w", column(c), err)
+			}
+			if data, cc, err = bc.compressChunk(codec, raw); err != nil {
+				return dst, 0, err
+			}
+		}
+		putDirEntry(dst[dir+c*dirEntryLen:], column(c), cc, ch.raw, len(data), ch.crc)
+		dst = append(dst, data...)
+		if cc != CodecRaw {
+			out = cc
+		}
+	}
+	return dst, out, nil
 }
 
 // recodePartition rewrites one partition into the target codec via
@@ -176,7 +216,7 @@ func recodePartition(ctx context.Context, p *partition, f *os.File, codec Codec,
 	}
 
 	bw := bufio.NewWriter(tmp)
-	header := append([]byte(partitionMagicV2), byte(len(p.collector)))
+	header := append([]byte(partitionMagic), byte(len(p.collector)))
 	header = append(header, p.collector...)
 	header = wire.AppendVarint(header, p.day.Unix())
 	if _, err := bw.Write(header); err != nil {
@@ -185,43 +225,27 @@ func recodePartition(ctx context.Context, p *partition, f *os.File, codec Codec,
 	off := int64(len(header))
 
 	newBlocks := make([]blockMeta, 0, len(p.blocks))
-	for _, bm := range p.blocks {
+	var out []byte
+	for i, bm := range p.blocks {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		var data []byte
-		outCodec := bm.codec
-		if bm.codec == codec {
-			if cap(br.cbuf) < bm.clen {
-				br.cbuf = make([]byte, bm.clen)
-			}
-			data = br.cbuf[:bm.clen]
-			if _, err := f.ReadAt(data, bm.offset); err != nil {
-				return fail(err)
-			}
-		} else {
-			payload, err := br.readBlockPayload(f, bm)
-			if err != nil {
-				return fail(err)
-			}
-			if data, outCodec, err = bc.compress(codec, payload); err != nil {
-				return fail(err)
-			}
+		block, err := br.readBlock(f, bm)
+		if err != nil {
+			return fail(fmt.Errorf("block %d: %w", i, err))
 		}
-		var frame [2*binary.MaxVarintLen64 + 1]byte
-		k := binary.PutUvarint(frame[:], uint64(bm.ulen))
-		k += binary.PutUvarint(frame[k:], uint64(len(data)))
-		frame[k] = byte(outCodec)
-		k++
-		if _, err := bw.Write(frame[:k]); err != nil {
-			return fail(err)
+		data, outCodec := block, bm.codec
+		if bm.codec != codec {
+			if out, outCodec, err = recodeBlock(out[:0], block, codec, br, bc); err != nil {
+				return fail(fmt.Errorf("block %d: %w", i, err))
+			}
+			data = out
 		}
-		meta := blockMeta{offset: off + int64(k), ulen: bm.ulen, clen: len(data), codec: outCodec, sum: bm.sum}
 		if _, err := bw.Write(data); err != nil {
 			return fail(err)
 		}
-		off = meta.offset + int64(meta.clen)
-		newBlocks = append(newBlocks, meta)
+		newBlocks = append(newBlocks, blockMeta{offset: off, ulen: bm.ulen, clen: len(data), codec: outCodec, sum: bm.sum})
+		off += int64(len(data))
 		rs.Blocks++
 	}
 

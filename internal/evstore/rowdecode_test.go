@@ -13,28 +13,47 @@ import (
 
 func (b bitset) get(i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 
-// decodeBlock parses a columnar payload back into events, one block at
-// a time with per-block dictionaries — the row decoder the batch kernel
+// storedBlock encodes events as one stored block under codec, the way a
+// writer flushes them.
+func storedBlock(events []classify.Event, codec Codec) ([]byte, blockSummary) {
+	var rb rawBlock
+	sum := encodeBlock(events, &rb)
+	var bc blockCompressor
+	block, _, err := bc.appendBlock(nil, &rb, codec)
+	if err != nil {
+		panic(err)
+	}
+	return block, sum
+}
+
+// decodeBlock parses a stored block back into events, one block at a
+// time with per-block dictionaries — the row decoder the batch kernel
 // replaced, kept as the independent oracle the fuzz targets and the
-// decode benchmarks compare decodeBatch against.
-func decodeBlock(payload []byte) ([]classify.Event, error) {
-	r := wire.NewReader(payload)
-	rawN := r.Uvarint()
-	if err := r.Err(); err != nil {
+// decode benchmarks compare decodeBatch against. It shares the block
+// framing (parseHead, blockHead.open) with the kernel, opens every
+// chunk in column order and parses each in full, every dictionary entry
+// and every id included.
+func decodeBlock(block []byte) ([]classify.Event, error) {
+	h, err := parseHead(block)
+	if err != nil {
 		return nil, err
 	}
-	if rawN > maxBlockEvents || rawN > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("evstore: implausible block event count %d", rawN)
-	}
-	n := int(rawN)
+	buf := make([]byte, h.raw)
+	n := h.n
 	events := make([]classify.Event, n)
 
-	prev := int64(0)
-	for i := range events {
-		prev += r.Varint()
-		events[i].Time = time.Unix(0, prev).UTC()
+	var chunk []byte
+	var r *wire.Reader
+	col := colTimes
+	open := func(c column) error {
+		col = c
+		chunk, err = h.open(block, buf, c)
+		r = wire.NewReader(chunk)
+		return err
 	}
-
+	fail := func(err error) ([]classify.Event, error) {
+		return nil, fmt.Errorf("%s chunk: %w", col, err)
+	}
 	readIDs := func(dictLen int) []uint32 {
 		if r.Err() != nil {
 			return nil
@@ -50,72 +69,164 @@ func decodeBlock(payload []byte) ([]classify.Event, error) {
 		}
 		return out
 	}
+	// readValues reads a value dictionary: its count, its offset table
+	// (every length first, then their sum against the chunk), and each
+	// entry within its run, every run checked to end where the table
+	// says.
+	readValues := func(entry func(*wire.Reader)) error {
+		nd := r.Count(1)
+		lens := make([]uint64, (nd+entryStride-1)/entryStride)
+		for g := range lens {
+			lens[g] = r.Uvarint()
+		}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		ends := make([]int, len(lens))
+		pos := r.Pos()
+		for g, l := range lens {
+			if l > uint64(len(chunk)-pos) {
+				return fmt.Errorf("evstore: offset table entry %d runs past the chunk", g)
+			}
+			pos += int(l)
+			ends[g] = pos
+		}
+		if pos != len(chunk) {
+			return fmt.Errorf("evstore: offset table ends at byte %d of a %d-byte chunk", pos, len(chunk))
+		}
+		pos = r.Pos()
+		for i := 0; i < nd; i++ {
+			run := i / entryStride
+			er := wire.NewReader(chunk[:ends[run]])
+			er.Bytes(pos)
+			entry(er)
+			if err := er.Err(); err != nil {
+				return err
+			}
+			pos = er.Pos()
+			if (i%entryStride == entryStride-1 || i == nd-1) && pos != ends[run] {
+				return fmt.Errorf("evstore: entry run %d ends at byte %d, the offset table says %d", run, pos, ends[run])
+			}
+		}
+		return nil
+	}
+
+	if err := open(colTimes); err != nil {
+		return fail(err)
+	}
+	prev := int64(0)
+	for i := range events {
+		prev += r.Varint()
+		events[i].Time = time.Unix(0, prev).UTC()
+	}
+	if err := r.Err(); err != nil {
+		return fail(err)
+	}
 
 	// Collectors.
-	nc := r.Count(1)
-	collectors := make([]string, nc)
+	if err := open(colCollector); err != nil {
+		return fail(err)
+	}
+	collectors := make([]string, r.Count(1))
 	for i := range collectors {
 		collectors[i] = r.String()
 	}
-	for i, id := range readIDs(nc) {
+	for i, id := range readIDs(len(collectors)) {
 		events[i].Collector = collectors[id]
+	}
+	if err := r.Err(); err != nil {
+		return fail(err)
 	}
 
 	// Peer ASNs.
-	na := r.Count(1)
-	peerAS := make([]uint32, na)
+	if err := open(colPeerAS); err != nil {
+		return fail(err)
+	}
+	peerAS := make([]uint32, r.Count(1))
 	for i := range peerAS {
 		peerAS[i] = r.Uint32()
 	}
-	for i, id := range readIDs(na) {
+	for i, id := range readIDs(len(peerAS)) {
 		events[i].PeerAS = peerAS[id]
+	}
+	if err := r.Err(); err != nil {
+		return fail(err)
 	}
 
 	// Peer addresses.
-	nr := r.Count(1)
-	peerAddrs := make([]netip.Addr, nr)
+	if err := open(colPeerAddr); err != nil {
+		return fail(err)
+	}
+	peerAddrs := make([]netip.Addr, r.Count(1))
 	for i := range peerAddrs {
 		peerAddrs[i] = r.Addr()
 	}
-	for i, id := range readIDs(nr) {
+	for i, id := range readIDs(len(peerAddrs)) {
 		events[i].PeerAddr = peerAddrs[id]
+	}
+	if err := r.Err(); err != nil {
+		return fail(err)
 	}
 
 	// Prefixes.
-	np := r.Count(1)
-	prefixes := make([]netip.Prefix, np)
+	if err := open(colPrefix); err != nil {
+		return fail(err)
+	}
+	prefixes := make([]netip.Prefix, r.Count(1))
 	for i := range prefixes {
 		prefixes[i] = r.Prefix()
 	}
-	for i, id := range readIDs(np) {
+	for i, id := range readIDs(len(prefixes)) {
 		events[i].Prefix = prefixes[id]
+	}
+	if err := r.Err(); err != nil {
+		return fail(err)
 	}
 
 	// AS paths.
-	npth := r.Count(1)
-	paths := make([]bgp.ASPath, npth)
-	for i := range paths {
-		paths[i] = r.Path()
+	if err := open(colPathDict); err != nil {
+		return fail(err)
 	}
-	for i, id := range readIDs(npth) {
+	var paths []bgp.ASPath
+	if err := readValues(func(er *wire.Reader) { paths = append(paths, er.Path()) }); err != nil {
+		return fail(err)
+	}
+	if err := open(colPathIDs); err != nil {
+		return fail(err)
+	}
+	for i, id := range readIDs(len(paths)) {
 		events[i].ASPath = paths[id]
+	}
+	if err := r.Err(); err != nil {
+		return fail(err)
 	}
 
 	// Communities.
-	ncs := r.Count(1)
-	comms := make([]bgp.Communities, ncs)
-	for i := range comms {
-		comms[i] = r.Comms()
+	if err := open(colCommDict); err != nil {
+		return fail(err)
 	}
-	for i, id := range readIDs(ncs) {
+	var comms []bgp.Communities
+	if err := readValues(func(er *wire.Reader) { comms = append(comms, er.Comms()) }); err != nil {
+		return fail(err)
+	}
+	if err := open(colCommIDs); err != nil {
+		return fail(err)
+	}
+	for i, id := range readIDs(len(comms)) {
 		events[i].Communities = comms[id]
+	}
+	if err := r.Err(); err != nil {
+		return fail(err)
 	}
 
 	// Flags and MED.
+	if err := open(colFlags); err != nil {
+		return fail(err)
+	}
 	withdraw := bitset(r.Bytes((n + 7) / 8))
 	hasMED := bitset(r.Bytes((n + 7) / 8))
 	if err := r.Err(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	for i := range events {
 		events[i].Withdraw = withdraw.get(i)
@@ -129,7 +240,7 @@ func decodeBlock(payload []byte) ([]classify.Event, error) {
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	return events, nil
 }

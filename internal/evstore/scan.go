@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"net/netip"
@@ -27,23 +28,27 @@ import (
 // partition is either pruned or decoded, so a complete scan has
 // Blocks == BlocksPruned + BlocksDecoded.
 type ScanStats struct {
-	Partitions        int // partition files considered
-	PartitionsPruned  int // skipped by name or footer summary, no block decoded
-	Blocks            int // blocks in scanned partitions
-	BlocksPruned      int // skipped by block summary
-	BlocksDecoded     int
-	BytesRead         int64 // stored (compressed) payload bytes read from disk
-	BytesDecompressed int64 // uncompressed payload bytes decompressed and decoded
-	// PerCodec splits the decoded-block I/O by block codec.
+	Partitions       int // partition files considered
+	PartitionsPruned int // skipped by name or footer summary, no block decoded
+	Blocks           int // blocks in scanned partitions
+	BlocksPruned     int // skipped by block summary
+	BlocksDecoded    int
+	BytesRead        int64 // stored bytes of the decoded blocks, read from disk
+	// BytesDecompressed is the raw bytes the decodes opened: each
+	// decoded block's head and the chunks its query needed.
+	BytesDecompressed int64
+	// PerCodec splits the decode by codec: Blocks by the block's footer
+	// codec, the byte counts by the codec of each chunk opened.
 	PerCodec [NumCodecs]CodecScanStats
 	Events   int // events yielded after the residual filter
 }
 
-// CodecScanStats is one codec's share of a scan's decoded blocks.
+// CodecScanStats is one codec's share of a scan's decoded blocks and
+// opened chunks.
 type CodecScanStats struct {
 	Blocks            int
-	BytesRead         int64
-	BytesDecompressed int64
+	BytesRead         int64 // stored bytes of the chunks opened
+	BytesDecompressed int64 // raw bytes of the chunks opened
 }
 
 // Add accumulates another scan's stats — per-shard stats summed over a
@@ -64,16 +69,19 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.Events += o.Events
 }
 
-// countBlock records one decoded block.
-func (s *ScanStats) countBlock(bm blockMeta) {
+// countBlock records one decoded block: all of its stored bytes read,
+// and the head and chunks the decode opened (io) decoded.
+func (s *ScanStats) countBlock(bm blockMeta, io *chunkIO) {
 	s.BlocksDecoded++
 	s.BytesRead += int64(bm.clen)
-	s.BytesDecompressed += int64(bm.ulen)
+	s.BytesDecompressed += int64(io.head)
 	if bm.codec < NumCodecs {
-		pc := &s.PerCodec[bm.codec]
-		pc.Blocks++
-		pc.BytesRead += int64(bm.clen)
-		pc.BytesDecompressed += int64(bm.ulen)
+		s.PerCodec[bm.codec].Blocks++
+	}
+	for c := range s.PerCodec {
+		s.BytesDecompressed += int64(io.raw[c])
+		s.PerCodec[c].BytesRead += int64(io.stored[c])
+		s.PerCodec[c].BytesDecompressed += int64(io.raw[c])
 	}
 }
 
@@ -199,7 +207,7 @@ func (cq *compiledQuery) matchSummary(s blockSummary, useFilter bool) bool {
 // ---------------------------------------------------------------------------
 
 // partition is one decoded partition index: header fields plus the
-// footer's block directory. No block payload has been read.
+// footer's block directory. No block has been read.
 type partition struct {
 	path      string
 	size      int64
@@ -230,7 +238,7 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size < int64(len(partitionMagicV2))+8 {
+	if size < int64(len(partitionMagic))+8 {
 		return nil, fmt.Errorf("evstore: %s: too short for a partition", path)
 	}
 
@@ -240,7 +248,11 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 		return nil, err
 	}
 	hr := wire.NewReader(head[:hn])
-	if string(hr.Bytes(4)) != partitionMagicV2 {
+	switch string(hr.Bytes(4)) {
+	case partitionMagic:
+	case partitionMagicV2:
+		return nil, fmt.Errorf("%w (%s)", errPartitionV2Retired, path)
+	default:
 		return nil, fmt.Errorf("evstore: %s: bad partition magic", path)
 	}
 	nameLen := hr.Bytes(1)
@@ -257,19 +269,23 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 	if _, err := f.ReadAt(trailer[:], size-8); err != nil {
 		return nil, err
 	}
-	if string(trailer[4:]) != footerMagicV2 {
+	if string(trailer[4:]) != footerMagic {
 		return nil, fmt.Errorf("evstore: %s: bad footer magic", path)
 	}
 	flen := int64(binary.LittleEndian.Uint32(trailer[:4]))
-	if flen < int64(len(footerMagicV2)) || flen > size-8 {
+	if flen < int64(len(footerMagic))+4 || flen > size-8 {
 		return nil, fmt.Errorf("evstore: %s: bad footer length %d", path, flen)
 	}
 	footer := make([]byte, flen)
 	if _, err := f.ReadAt(footer, size-8-flen); err != nil {
 		return nil, err
 	}
-	fr := wire.NewReader(footer)
-	if string(fr.Bytes(4)) != footerMagicV2 {
+	body := footer[:flen-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(footer[flen-4:]) {
+		return nil, fmt.Errorf("evstore: %s: footer CRC mismatch", path)
+	}
+	fr := wire.NewReader(body)
+	if string(fr.Bytes(4)) != footerMagic {
 		return nil, fmt.Errorf("evstore: %s: bad footer header", path)
 	}
 	nblocks := fr.Count(1)
@@ -310,46 +326,29 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 	return p, nil
 }
 
-// blockReader reads, decompresses, and decodes blocks, reusing its
-// buffers, the batch decode scratch (global dictionary + column
-// arrays), and the residual selector across calls — one per scan
-// worker, so steady-state block decoding allocates nothing. A reader
-// belongs to one goroutine, and every block a scan touches is read and
-// decoded on it.
+// blockReader reads and decodes blocks, reusing its buffers, the batch
+// decode scratch (global dictionary + column arrays), and the residual
+// selector across calls — one per scan worker, so steady-state block
+// decoding allocates nothing. A reader belongs to one goroutine, and
+// every block a scan touches is read and decoded on it. ubuf is Recode's
+// buffer for the chunks it decompresses.
 type blockReader struct {
 	cbuf, ubuf []byte
 	scratch    *decodeScratch
 	slr        *selector
 }
 
-// readBlockPayload reads and decompresses one block's payload into the
-// reused buffer; the slice is valid until the next call.
-func (br *blockReader) readBlockPayload(f *os.File, b blockMeta) ([]byte, error) {
-	if cap(br.ubuf) < b.ulen {
-		br.ubuf = make([]byte, b.ulen)
-	}
-	ubuf := br.ubuf[:b.ulen]
-	if b.codec == CodecRaw {
-		// Raw blocks skip the staging buffer: read straight into place.
-		if b.clen != b.ulen {
-			return nil, fmt.Errorf("evstore: raw block length %d, footer says %d", b.clen, b.ulen)
-		}
-		if _, err := f.ReadAt(ubuf, b.offset); err != nil {
-			return nil, err
-		}
-		return ubuf, nil
-	}
+// readBlock reads one stored block whole into the reused buffer; the
+// slice is valid until the next call.
+func (br *blockReader) readBlock(f *os.File, b blockMeta) ([]byte, error) {
 	if cap(br.cbuf) < b.clen {
 		br.cbuf = make([]byte, b.clen)
 	}
-	cbuf := br.cbuf[:b.clen]
-	if _, err := f.ReadAt(cbuf, b.offset); err != nil {
+	block := br.cbuf[:b.clen]
+	if _, err := f.ReadAt(block, b.offset); err != nil {
 		return nil, err
 	}
-	if err := decompress(b.codec, ubuf, cbuf); err != nil {
-		return nil, err
-	}
-	return ubuf, nil
+	return block, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -558,8 +557,8 @@ type PartitionInfo struct {
 	// Codec names the partition's block codec — "mixed" when blocks
 	// differ (raw-fallback blocks inside an lz partition, say).
 	Codec string
-	// StoredBytes and RawBytes sum the blocks' compressed and
-	// uncompressed payload sizes; their ratio is the partition's
+	// StoredBytes and RawBytes sum the blocks' stored and raw sizes
+	// (chunk directory included); their ratio is the partition's
 	// effective compression.
 	StoredBytes int64
 	RawBytes    int64
@@ -613,6 +612,45 @@ func StatPartition(path string) (PartitionInfo, error) {
 		}
 	}
 	return info, nil
+}
+
+// ColumnInfo is one column's share of the blocks of a partition.
+type ColumnInfo struct {
+	Name        string
+	StoredBytes int64
+	RawBytes    int64
+	Chunks      [NumCodecs]int // the column's chunks stored under each codec
+}
+
+// StatColumns reads the chunk directory of every block of one partition
+// and sums it per column, in block order; no chunk is decompressed.
+func StatColumns(path string) ([]ColumnInfo, error) {
+	p, f, err := readPartition(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cols := make([]ColumnInfo, numColumns)
+	for c := range cols {
+		cols[c].Name = column(c).String()
+	}
+	var br blockReader
+	for i, bm := range p.blocks {
+		block, err := br.readBlock(f, bm)
+		if err == nil {
+			var h blockHead
+			if h, err = parseHead(block); err == nil {
+				for c, ch := range h.chunks {
+					cols[c].StoredBytes += int64(ch.stored)
+					cols[c].RawBytes += int64(ch.raw)
+					cols[c].Chunks[ch.codec]++
+				}
+				continue
+			}
+		}
+		return nil, fmt.Errorf("evstore: %s: block %d: %w", path, i, err)
+	}
+	return cols, nil
 }
 
 // Stat reads every partition index in the store, sorted like Scan.

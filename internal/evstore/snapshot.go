@@ -50,7 +50,7 @@ import (
 const SnapshotExtension = ".evps"
 
 // snapshotMagic heads a sidecar: magic, a codec byte (sidecars ride
-// the same per-block codec abstraction as partitions), the body length,
+// the same codec abstraction as partition chunks), the body length,
 // the compressed body. Any other magic — including the retired "EVS1"
 // and "EVS2", which carry no Results column — is a bad sidecar, which a
 // build pass replaces.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -81,12 +82,12 @@ type Writer struct {
 	// first Ingest (default DefaultBlockEvents).
 	BlockEvents int
 
-	// Codec selects the block payload codec for partitions this writer
-	// seals (Open defaults it to DefaultCodec; set before the first
-	// Append/Ingest). A block whose compressed form would not shrink is
-	// stored raw regardless — readers dispatch per block, so mixing is
-	// free. Existing partitions keep whatever codec they were written
-	// with; use Recode to migrate them.
+	// Codec selects the chunk codec for partitions this writer seals
+	// (Open defaults it to DefaultCodec; set before the first
+	// Append/Ingest). A chunk it would shrink by less than 1/16 is stored
+	// raw regardless — readers dispatch per chunk, so mixing is free.
+	// Existing partitions keep whatever codec they were written with;
+	// use Recode to migrate them.
 	Codec Codec
 
 	// Seal is the live-append seal policy (zero: batch behavior, seal
@@ -116,10 +117,11 @@ type Writer struct {
 	sealed []string
 	stats  WriterStats
 
-	// Shared encode scratch: flushes are sequential, so one payload
-	// buffer and one compressor serve every partition.
-	payload []byte
-	comp    blockCompressor
+	// Shared encode scratch: flushes are sequential, so one raw block,
+	// one stored-block buffer and one compressor serve every partition.
+	raw   rawBlock
+	block []byte
+	comp  blockCompressor
 }
 
 type partKey struct {
@@ -329,9 +331,11 @@ func (w *Writer) Close() error {
 // ---------------------------------------------------------------------------
 
 type blockMeta struct {
-	offset     int64 // file offset of the stored payload
+	offset int64 // file offset of the stored block
+	// ulen is the block's raw size (head and raw chunks), clen its stored
+	// size.
 	ulen, clen int
-	codec      Codec // how the stored bytes are compressed
+	codec      Codec // CodecLZ when any chunk is lz-coded, else CodecRaw
 	sum        blockSummary
 	// first is the partition-order index of the block's first event:
 	// the footer counts of the blocks before it, summed. Readers only
@@ -438,7 +442,7 @@ func (w *Writer) openPartition(collector string, day time.Time, key partKey) (*p
 	}
 	pw := &partWriter{collector: collector, day: day, seq: seq, tmpPath: f.Name(), f: f,
 		bw: bufio.NewWriter(f), openedAt: w.now()}
-	header := append([]byte(partitionMagicV2), byte(len(collector)))
+	header := append([]byte(partitionMagic), byte(len(collector)))
 	header = append(header, collector...)
 	header = wire.AppendVarint(header, day.Unix())
 	if _, err := pw.bw.Write(header); err != nil {
@@ -449,48 +453,39 @@ func (w *Writer) openPartition(collector string, day time.Time, key partKey) (*p
 	return pw, nil
 }
 
-// flushBlock encodes, compresses, and appends the pending events as one
-// block, recording its footer metadata.
+// flushBlock encodes the pending events as one block, compresses its
+// chunks and appends it, recording its footer metadata.
 func (w *Writer) flushBlock(pw *partWriter) error {
 	if len(pw.pending) == 0 {
 		return nil
 	}
-	w.payload = w.payload[:0]
-	var sum blockSummary
-	w.payload, sum = encodeBlock(pw.pending, w.payload)
+	sum := encodeBlock(pw.pending, &w.raw)
 	pw.pending = pw.pending[:0]
 
 	if err := w.Codec.check(); err != nil {
 		return err
 	}
-	data, codec, err := w.comp.compress(w.Codec, w.payload)
-	if err != nil {
+	var codec Codec
+	var err error
+	if w.block, codec, err = w.comp.appendBlock(w.block[:0], &w.raw, w.Codec); err != nil {
 		return err
 	}
-
-	var frame [2*binary.MaxVarintLen64 + 1]byte
-	k := binary.PutUvarint(frame[:], uint64(len(w.payload)))
-	k += binary.PutUvarint(frame[k:], uint64(len(data)))
-	frame[k] = byte(codec)
-	k++
-	if _, err := pw.bw.Write(frame[:k]); err != nil {
+	meta := blockMeta{offset: pw.off, ulen: w.raw.size(), clen: len(w.block), codec: codec, sum: sum}
+	if _, err := pw.bw.Write(w.block); err != nil {
 		return err
 	}
-	meta := blockMeta{offset: pw.off + int64(k), ulen: len(w.payload), clen: len(data), codec: codec, sum: sum}
-	if _, err := pw.bw.Write(data); err != nil {
-		return err
-	}
-	pw.off = meta.offset + int64(meta.clen)
+	pw.off += int64(meta.clen)
 	pw.blocks = append(pw.blocks, meta)
 	w.stats.Blocks++
 	return nil
 }
 
 // appendFooter appends a partition's footer index and trailer: what
-// follows the last block.
+// follows the last block. The footer ends in the CRC32C of the bytes
+// before it.
 func appendFooter(dst []byte, blocks []blockMeta) []byte {
 	start := len(dst)
-	dst = append(dst, footerMagicV2...)
+	dst = append(dst, footerMagic...)
 	dst = binary.AppendUvarint(dst, uint64(len(blocks)))
 	for _, b := range blocks {
 		dst = binary.AppendUvarint(dst, uint64(b.offset))
@@ -499,8 +494,9 @@ func appendFooter(dst []byte, blocks []blockMeta) []byte {
 		dst = append(dst, byte(b.codec))
 		dst = b.sum.append(dst)
 	}
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dst)-start))
-	return append(dst, footerMagicV2...)
+	return append(dst, footerMagic...)
 }
 
 // seal flushes the final block, writes the footer index, and links the

@@ -208,7 +208,13 @@ func Decompress(dst, src []byte) error {
 			if lit > len(src)-si || lit > len(dst)-di {
 				return ErrCorrupt
 			}
-			copy(dst[di:], src[si:si+lit])
+			if lit <= 8 && len(src)-si >= 8 && len(dst)-di >= 8 {
+				// A short run is one word copy; the bytes past the run
+				// are overwritten by what follows.
+				binary.LittleEndian.PutUint64(dst[di:], binary.LittleEndian.Uint64(src[si:]))
+			} else {
+				copy(dst[di:], src[si:si+lit])
+			}
 			si += lit
 			di += lit
 		}
@@ -241,7 +247,14 @@ func Decompress(dst, src []byte) error {
 			return ErrCorrupt
 		}
 		ref := di - offset
-		if offset >= mlen {
+		if offset >= 8 && mlen <= 16 && len(dst)-di >= 16 {
+			// A short match whose source lies a word behind is two word
+			// copies, the second reading what the first wrote where the
+			// two overlap — the byte-wise semantics of a match.
+			binary.LittleEndian.PutUint64(dst[di:], binary.LittleEndian.Uint64(dst[ref:]))
+			binary.LittleEndian.PutUint64(dst[di+8:], binary.LittleEndian.Uint64(dst[ref+8:]))
+			di += mlen
+		} else if offset >= mlen {
 			copy(dst[di:di+mlen], dst[ref:ref+mlen])
 			di += mlen
 		} else {

@@ -8,7 +8,32 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
+
+// The connection bounds of every HTTP server the commands start. A
+// connection that has not sent a whole request header within
+// readHeaderTimeout is closed, so idle or half-open connections cannot
+// pile up; writeTimeout bounds one response, and with it the longest
+// query a daemon will answer; idleTimeout closes a keep-alive
+// connection that sends nothing more.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns an http.Server for h with the connection bounds set.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // WriteText renders every family in Prometheus text exposition format
 // (version 0.0.4): families sorted by name, series sorted by label
