@@ -58,10 +58,17 @@ func fuzzSeedMessages() []Message {
 			Aggregator:       &Aggregator{ASN: 64512, Addr: addr("203.0.113.1")},
 			Communities:      Communities{CommunityNoExport, NewCommunity(64512, 100)},
 			LargeCommunities: LargeCommunities{{Global: 64512, Local1: 1, Local2: 2}},
-			Unknown:          []RawAttr{{Flags: flagOptional | flagTransitive, Type: 99, Value: []byte{1, 2, 3}}},
+			Unknown: []RawAttr{
+				{Flags: flagOptional | flagTransitive, Type: 99, Value: []byte{1, 2, 3}},
+				// RFC 4360 extended communities RT:64512:7 and SoO:3356:42,
+				// carried opaque like any attribute outside the paper's types.
+				{Flags: flagOptional | flagTransitive, Type: 16, Value: []byte{
+					0x00, 0x02, 0xfc, 0x00, 0x00, 0x00, 0x00, 0x07,
+					0x00, 0x03, 0x0d, 0x1c, 0x00, 0x00, 0x00, 0x2a,
+				}},
+			},
 		},
 	}
-	all.Attrs.SetExtendedCommunities(ExtendedCommunities{NewRouteTarget(64512, 7), NewRouteOrigin(3356, 42)})
 	return []Message{
 		&Keepalive{},
 		&Notification{Code: NotifCease, Subcode: 2, Data: []byte{0xAA}},

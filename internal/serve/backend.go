@@ -14,17 +14,17 @@ import (
 
 // The two-tier serving engine. A Backend answers "the merged analyzer
 // STATE for this spec over your partitions" — not shaped JSON — as a
-// StateEnvelope of serialized snapshots. The classify.Analyzer Merge
-// laws plus the Snapshot/Restore codecs make that state a distributed
-// aggregation protocol: because every analyzer's Merge is commutative
-// and associative across session-respecting splits, a Coordinator can
-// fan one spec out to N shard backends (each holding a disjoint set of
-// collector timelines) and fold every returned state into one set of
-// accumulators with Restore — and the result is bit-identical to one
-// LocalBackend over the union store. The Server frontend is
-// engine-agnostic: it shapes whatever backend it is given, so
-// single-node and scatter-gather modes share every line of the
-// answer/caching/HTTP path.
+// StateEnvelope carrying the accumulators themselves. Because every
+// analyzer's Merge is commutative and associative across
+// session-respecting splits, a Coordinator can fan one spec out to N
+// shard backends (each holding a disjoint set of collector timelines)
+// and Merge every returned set into one — and the result is
+// bit-identical to one LocalBackend over the union store. State becomes
+// bytes only where it leaves the process: a shard hop costs one
+// Snapshot (Server.State) and one Restore (RemoteBackend), a single-node
+// answer neither. The Server frontend is engine-agnostic: it shapes
+// whatever backend it is given, so single-node and scatter-gather modes
+// share every line of the answer/caching/HTTP path.
 
 // ErrEmptyStore reports a backend whose store holds no partitions yet.
 // A serving daemon may start before its first ingest seals anything,
@@ -67,11 +67,11 @@ type ShardProvenance struct {
 	Err        string        `json:"error,omitempty"`
 }
 
-// StateEnvelope is a backend's answer to one QuerySpec: for each
-// analyzer key of the spec (in stateAnalyzers order), the serialized
-// snapshot of the analyzer after observing the backend's matching
-// events, plus execution provenance. It is what crosses the wire
-// between a coordinator and its shards (see codec.go).
+// StateEnvelope is a backend's answer to one QuerySpec: the spec's
+// analyzers after observing the backend's matching events, plus
+// execution provenance. In process the state is Named; on the wire
+// (codec.go) it is Keys and States, filled only by Server.State and read
+// only by RemoteBackend.
 type StateEnvelope struct {
 	// Backend names the answering engine; Generation is its store
 	// version at answer time.
@@ -82,8 +82,9 @@ type StateEnvelope struct {
 	Plan       evstore.PlanStats
 	Scan       evstore.ScanStats
 	Merges     int
-	// Keys and States pair analyzer keys with snapshot bytes, in the
-	// stateAnalyzers order for the spec's kind.
+	// Named is the merged analyzer set, in stateAnalyzers order.
+	Named []evstore.NamedAnalyzer
+	// Keys and States are Named's wire form: keys and snapshot bytes.
 	Keys   []string
 	States [][]byte
 	// Shards is the per-backend provenance — one entry for a local
@@ -120,10 +121,12 @@ type BackendHealth struct {
 type Backend interface {
 	// Name identifies the backend in provenance and stats.
 	Name() string
-	// State answers one spec as merged analyzer state. Specs whose kind
-	// has no single-state form (figure2) are rejected; the Server
-	// decomposes them into per-year sub-specs first. An empty store is
-	// ErrEmptyStore.
+	// State answers one spec as merged analyzer state, in Named. Specs
+	// whose kind has no single-state form (figure2) are rejected; the
+	// Server decomposes them into per-year sub-specs first. An empty store
+	// is ErrEmptyStore. The caller owns the returned accumulators: Merge
+	// into an empty receiver takes over the argument's maps, so a backend
+	// never returns accumulators that it or a cache keeps.
 	State(ctx context.Context, spec QuerySpec) (*StateEnvelope, error)
 	// Refresh re-checks the underlying store(s) for newly sealed
 	// partitions and reports whether answers may have changed.
@@ -138,7 +141,7 @@ type Backend interface {
 }
 
 // stateAnalyzers returns the fresh named analyzer set for a spec's
-// kind — the unit both tiers compute, snapshot, and merge. The first
+// kind — the unit both tiers compute and merge. The first
 // analyzer is the kind's primary (the one shaped into Answer.Data).
 // Kind validation lives here so local and remote execution reject
 // malformed specs identically.
@@ -175,31 +178,4 @@ func stateAnalyzers(spec QuerySpec) ([]evstore.NamedAnalyzer, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown query kind %q", ErrBadSpec, spec.Kind)
 	}
-}
-
-// restoreStates folds an envelope's snapshot bytes into the named
-// analyzer set for the same spec (Restore folds, see classify.Analyzer):
-// into Fresh prototypes it reproduces the backend's state, and a
-// coordinator calls it once per answering shard on one set of
-// accumulators. It first validates that the backend answered exactly
-// the expected keys in order (a mismatch means registry or version skew
-// between tiers — corrupting state silently is the one failure mode
-// Merge cannot detect). A state that fails to decode leaves its own
-// analyzer unchanged but not those before it, so on error the caller
-// must discard the set.
-func restoreStates(named []evstore.NamedAnalyzer, env *StateEnvelope) error {
-	if len(env.Keys) != len(named) || len(env.States) != len(named) {
-		return fmt.Errorf("serve: backend %s answered %d states, want %d", env.Backend, len(env.States), len(named))
-	}
-	for i, na := range named {
-		if env.Keys[i] != na.Key {
-			return fmt.Errorf("serve: backend %s answered key %q at %d, want %q", env.Backend, env.Keys[i], i, na.Key)
-		}
-	}
-	for i, na := range named {
-		if err := na.Proto.Restore(env.States[i]); err != nil {
-			return fmt.Errorf("serve: restore %q from %s: %w", na.Key, env.Backend, err)
-		}
-	}
-	return nil
 }

@@ -9,12 +9,12 @@ import (
 
 // resultCache is a small LRU, the Server's only cache. It holds two
 // entry kinds under disjoint keys: shaped *Answer values (key = the
-// spec's CacheKey) and *StateEnvelope values (key = "state|" + it).
-// Values are immutable once cached (neither is mutated after compute),
-// so a hit hands back the shared pointer. The whole cache is
-// invalidated when the store grows (Server.invalidate, the only caller
-// of clear) — a windowed answer may gain events when a partition seals
-// into its window, so per-entry invalidation would need
+// spec's CacheKey) and wire-form *StateEnvelope values, Keys and States
+// only (key = "state|" + it). Neither holds accumulators. Values are
+// immutable once cached, so a hit hands back the shared pointer. The
+// whole cache is invalidated when the store grows (Server.invalidate,
+// the only caller of clear) — a windowed answer may gain events when a
+// partition seals into its window, so per-entry invalidation would need
 // window/partition intersection tracking.
 type resultCache struct {
 	mu    sync.Mutex

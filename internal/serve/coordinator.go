@@ -12,13 +12,12 @@ import (
 )
 
 // Coordinator is the scatter-gather engine: it fans one QuerySpec out
-// to every shard backend in parallel, restores each returned state
-// into fresh analyzer copies, and merges them under the Analyzer Merge
-// laws. Because shard assignment keeps each collector's whole timeline
-// on one shard (the ScanShards invariant carried across processes),
-// classifier state never crosses a shard boundary and the merged
-// result is bit-identical to a single-node answer over the union
-// store.
+// to every shard backend in parallel and merges the accumulators they
+// return under the Analyzer Merge laws. Because shard assignment keeps
+// each collector's whole timeline on one shard (the ScanShards
+// invariant carried across processes), classifier state never crosses a
+// shard boundary and the merged result is bit-identical to a
+// single-node answer over the union store.
 //
 // Shard loss degrades, it does not fail: as long as at least one shard
 // answers, the coordinator returns the merged state of the shards it
@@ -86,16 +85,10 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 		err error
 	}
 	results := make([]result, len(c.backends))
-	var wg sync.WaitGroup
-	for i, b := range c.backends {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			env, err := b.State(ctx, spec)
-			results[i] = result{env, err}
-		}(i, b)
-	}
-	wg.Wait()
+	c.fanOut(func(i int, b Backend) {
+		env, err := b.State(ctx, spec)
+		results[i] = result{env, err}
+	})
 
 	out := &StateEnvelope{Backend: c.Name(), Source: "snapshots"}
 	answered, empty := 0, 0
@@ -104,8 +97,13 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 		prov := ShardProvenance{Backend: c.backends[i].Name()}
 		switch {
 		case r.err == nil:
-			if err := restoreStates(named, r.env); err != nil {
-				return nil, err
+			// The first answering shard's set is the accumulator.
+			if out.Named == nil {
+				out.Named = r.env.Named
+			} else {
+				for k, na := range r.env.Named {
+					out.Named[k].Proto.Merge(na.Proto)
+				}
 			}
 			answered++
 			prov.Generation = r.env.Generation
@@ -114,7 +112,7 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 			c.setGen(prov.Backend, r.env.Generation)
 			out.Plan.Add(r.env.Plan)
 			out.Scan.Add(r.env.Scan)
-			// Shard-side merges plus this tier's restore per key.
+			// Shard-side merges plus this tier's restore of each key.
 			out.Merges += r.env.Merges + len(named)
 			if r.env.Source == "scan" {
 				out.Source = "scan"
@@ -140,14 +138,21 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 		return nil, ErrEmptyStore
 	}
 	out.Generation = c.generation()
-	out.Keys = make([]string, len(named))
-	out.States = make([][]byte, len(named))
-	for i, na := range named {
-		out.Keys[i] = na.Key
-		out.States[i] = na.Proto.Snapshot(nil)
-	}
 	out.Elapsed = time.Since(start)
 	return out, nil
+}
+
+// fanOut calls f once per shard, concurrently, and waits for all.
+func (c *Coordinator) fanOut(f func(i int, b Backend)) {
+	var wg sync.WaitGroup
+	for i, b := range c.backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i, b)
+		}()
+	}
+	wg.Wait()
 }
 
 // Refresh fans out to every shard; it fails only when every shard is
@@ -155,15 +160,9 @@ func (c *Coordinator) State(ctx context.Context, spec QuerySpec) (*StateEnvelope
 func (c *Coordinator) Refresh(ctx context.Context) (RefreshStats, error) {
 	results := make([]RefreshStats, len(c.backends))
 	errs := make([]error, len(c.backends))
-	var wg sync.WaitGroup
-	for i, b := range c.backends {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			results[i], errs[i] = b.Refresh(ctx)
-		}(i, b)
-	}
-	wg.Wait()
+	c.fanOut(func(i int, b Backend) {
+		results[i], errs[i] = b.Refresh(ctx)
+	})
 	rs := RefreshStats{}
 	okCount := 0
 	var firstErr error
@@ -194,43 +193,23 @@ func (c *Coordinator) Refresh(ctx context.Context) (RefreshStats, error) {
 }
 
 // Watch polls shard generations on the given interval, invoking
-// onChange whenever any shard's store moved.
+// onChange whenever any shard's store moved or every shard stopped
+// answering.
 func (c *Coordinator) Watch(ctx context.Context, interval time.Duration, onChange func(RefreshStats, error)) error {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-		rs, err := c.Refresh(ctx)
-		if (err != nil || rs.Changed) && onChange != nil {
-			onChange(rs, err)
-		}
-	}
+	return pollWatch(ctx, interval, c.Refresh, onChange)
 }
 
 // Health aggregates shard healths: OK only when every shard answers.
 func (c *Coordinator) Health(ctx context.Context) (BackendHealth, error) {
 	h := BackendHealth{Backend: c.Name(), OK: true}
 	h.Shards = make([]BackendHealth, len(c.backends))
-	var wg sync.WaitGroup
-	for i, b := range c.backends {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			sh, err := b.Health(ctx)
-			if err != nil {
-				sh = BackendHealth{Backend: b.Name(), OK: false}
-			}
-			h.Shards[i] = sh
-		}(i, b)
-	}
-	wg.Wait()
+	c.fanOut(func(i int, b Backend) {
+		sh, err := b.Health(ctx)
+		if err != nil {
+			sh = BackendHealth{Backend: b.Name(), OK: false}
+		}
+		h.Shards[i] = sh
+	})
 	for _, sh := range h.Shards {
 		if !sh.OK {
 			h.OK = false

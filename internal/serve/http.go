@@ -123,7 +123,8 @@ func (s *Server) handleOps(mux *http.ServeMux) {
 }
 
 // handleState serves the coordinator↔shard protocol: a binary
-// QuerySpec in, a binary StateEnvelope out. 204 reports an empty store
+// QuerySpec in, a binary StateEnvelope out, encoded from the wire form
+// Server.State caches. 204 reports an empty store
 // (nothing to contribute), which the coordinator treats as a complete
 // zero answer rather than a failure.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {

@@ -11,7 +11,7 @@ import (
 
 // LocalBackend answers state queries over one store directory through
 // the snapshot index's planner (evstore.SnapshotIndex.Query): validate
-// the spec, run the plan, snapshot the analyzers into an envelope. It
+// the spec, run the plan, hand back the analyzers it merged into. It
 // holds no cache — every State call computes; the Server above caches
 // envelopes (shard mode) and answers.
 type LocalBackend struct {
@@ -54,10 +54,10 @@ func (lb *LocalBackend) Registry() []string {
 
 func (lb *LocalBackend) generation() uint64 { return lb.ix.Generation() }
 
-// State answers one spec as serialized analyzer state: it runs the
-// spec through the index's planner into fresh analyzers and snapshots
-// them into an envelope stamped with the generation of the index view
-// the plan was made from. A spec with per-event filters plans as a cold
+// State answers one spec as merged analyzer state: it runs the spec
+// through the index's planner into fresh analyzers and returns them in
+// an envelope stamped with the generation of the index view the plan
+// was made from. A spec with per-event filters plans as a cold
 // scan (no sidecar trusted), so it reports Source "scan" like any
 // answer that merged and jumped nothing.
 func (lb *LocalBackend) State(ctx context.Context, spec QuerySpec) (*StateEnvelope, error) {
@@ -84,12 +84,7 @@ func (lb *LocalBackend) State(ctx context.Context, spec QuerySpec) (*StateEnvelo
 	// index's now: a Refresh that completed mid-query must not stamp
 	// its fingerprint on an answer computed without it.
 	env.Generation = ss.Generation
-	env.Keys = make([]string, len(named))
-	env.States = make([][]byte, len(named))
-	for i, na := range named {
-		env.Keys[i] = na.Key
-		env.States[i] = na.Proto.Snapshot(nil)
-	}
+	env.Named = named
 	env.Elapsed = time.Since(start)
 	env.Shards = []ShardProvenance{{
 		Backend:    lb.Name(),

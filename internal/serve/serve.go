@@ -15,11 +15,15 @@
 // Answer envelope and serves the same /v1 HTTP API whichever engine
 // sits below. Single-node (LocalBackend) remains the default.
 //
+// State stays accumulators inside a process; it becomes bytes only at
+// the /v1/state wire boundary (backend.go).
+//
 // Caching lives in the Server and nowhere else: one generation-guarded
 // LRU and one singleflight group hold both entry kinds — shaped
-// Answers (Server.Answer) and state envelopes (Server.State, which is
-// all a shard daemon serves) — and one method, Server.invalidate,
-// drops them when the store moves. Backends hold no cache.
+// Answers (Server.Answer) and wire-form state envelopes (Server.State,
+// which is all a shard daemon serves) — and one method,
+// Server.invalidate, drops them when the store moves. Backends hold no
+// cache.
 //
 // Query semantics are the live-collector convention: classification
 // state is warm from each collector's full stored timeline, and the
@@ -313,12 +317,28 @@ func (s *Server) Answer(ctx context.Context, spec QuerySpec) (*Answer, error) {
 
 func (s *Server) answer(ctx context.Context, spec QuerySpec) (*Answer, error) {
 	s.queries.Add(1)
+	ans, hit, err := s.cachedAnswer(ctx, spec, true)
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		cp := *ans
+		cp.Source = "cache"
+		return &cp, nil
+	}
+	return ans, nil
+}
+
+// cachedAnswer reads spec's answer through the cache (shared: do not
+// mutate it). observe records a leader's compute in the metrics; figure2
+// passes false, its own compute counting its years' work.
+func (s *Server) cachedAnswer(ctx context.Context, spec QuerySpec, observe bool) (*Answer, bool, error) {
 	v, hit, err := s.cached(ctx, spec.CacheKey(), func(ctx context.Context) (any, uint64, bool, error) {
 		ans, err := s.compute(ctx, spec)
 		if err != nil {
 			return nil, 0, false, err
 		}
-		if s.metrics != nil {
+		if observe && s.metrics != nil {
 			// Leader-only: followers and cache hits share this compute's
 			// scan work, so the counters track work actually done.
 			s.metrics.observeCompute(ans)
@@ -326,27 +346,29 @@ func (s *Server) answer(ctx context.Context, spec QuerySpec) (*Answer, error) {
 		return ans, ans.generation, ans.Partial, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if hit {
-		ans := *(v.(*Answer))
-		ans.Source = "cache"
-		return &ans, nil
-	}
-	return v.(*Answer), nil
+	return v.(*Answer), hit, nil
 }
 
-// State serves one spec's merged analyzer state — the envelope
-// counterpart of Answer, through the same cache (under "state|" + the
-// spec's key) and singleflight group. It is the whole of shard mode
-// (/v1/state) and what figure2 asks per year. The envelope is shared
-// with the cache: callers must not mutate it.
+// State serves one spec's merged analyzer state in wire form — the
+// envelope counterpart of Answer, through the same cache (under "state|"
+// + the spec's key) and singleflight group; it is the whole of shard
+// mode (/v1/state). A compute snapshots the accumulators once, so a hit
+// is a byte copy. Callers must not mutate the shared envelope.
 func (s *Server) State(ctx context.Context, spec QuerySpec) (*StateEnvelope, error) {
 	v, _, err := s.cached(ctx, "state|"+spec.CacheKey(), func(ctx context.Context) (any, uint64, bool, error) {
 		env, err := s.engine.State(ctx, spec)
 		if err != nil {
 			return nil, 0, false, err
 		}
+		env.Keys = make([]string, len(env.Named))
+		env.States = make([][]byte, len(env.Named))
+		for i, na := range env.Named {
+			env.Keys[i] = na.Key
+			env.States[i] = na.Proto.Snapshot(nil)
+		}
+		env.Named = nil
 		return env, env.Generation, env.Partial(), nil
 	})
 	if err != nil {
@@ -437,22 +459,15 @@ func (s *Server) observeGeneration(gen uint64) {
 }
 
 // compute answers one query uncached: figure2 decomposes into per-year
-// state queries, every other kind is one engine State call shaped into
-// its JSON form.
+// table2 answers, every other kind is one engine State call whose
+// primary accumulator is shaped into its JSON form.
 func (s *Server) compute(ctx context.Context, spec QuerySpec) (*Answer, error) {
 	if spec.Kind == KindFigure2 {
 		return s.figure2(ctx, spec)
 	}
 	start := time.Now()
-	named, err := stateAnalyzers(spec)
-	if err != nil {
-		return nil, err
-	}
 	env, err := s.engine.State(ctx, spec)
 	if err != nil {
-		return nil, err
-	}
-	if err := restoreStates(named, env); err != nil {
 		return nil, err
 	}
 	ans := &Answer{
@@ -465,40 +480,35 @@ func (s *Server) compute(ctx context.Context, spec QuerySpec) (*Answer, error) {
 		Shards:     env.Shards,
 		generation: env.Generation,
 	}
-	if ans.Data, err = shapeData(spec, named[0].Proto); err != nil {
+	if ans.Data, err = shapeData(spec.Kind, env.Named[0].Proto.Finish()); err != nil {
 		return nil, err
 	}
 	ans.Elapsed = time.Since(start)
 	return ans, nil
 }
 
-// shapeData renders the primary analyzer's finished result into the
+// shapeData renders the primary analyzer's Finish result into the
 // kind's JSON shape.
-func shapeData(spec QuerySpec, a classify.Analyzer) (any, error) {
-	switch spec.Kind {
-	case KindTable1:
-		return a.(*analysis.Table1Analyzer).Table1(), nil
+func shapeData(kind string, res any) (any, error) {
+	switch kind {
+	case KindTable1, KindFigure3, KindFigure6, KindIngress:
+		return res, nil
 	case KindTable2:
-		return countsData(a.(*classify.CountsAnalyzer).Counts), nil
-	case KindFigure3:
-		return a.(*analysis.SessionMixAnalyzer).Mixes(), nil
+		return countsData(res.(classify.Counts)), nil
 	case KindFigure4, KindFigure5:
-		return cumData(a.(*analysis.CumulativeAnalyzer).Series()), nil
-	case KindFigure6:
-		return a.(*analysis.RevealedAnalyzer).Summary(), nil
+		return cumData(res.(analysis.CumSeries)), nil
 	case KindPeers:
-		return peersData(a.(*analysis.PeerBehaviorAnalyzer).Inferences()), nil
-	case KindIngress:
-		return a.(*analysis.IngressAnalyzer).Locations(), nil
+		return peersData(res.([]analysis.PeerInference)), nil
 	default:
-		return nil, fmt.Errorf("serve: unknown query kind %q", spec.Kind)
+		return nil, fmt.Errorf("serve: unknown query kind %q", kind)
 	}
 }
 
 // figure2 answers the longitudinal series: one Table-2 counts row per
-// calendar year, each an independent windowed state query so pushdown
-// and snapshot merges prune everything outside that year (and, under a
-// coordinator, each year scatter-gathers independently).
+// calendar year, each an independent windowed table2 answer read
+// through the cache, so pushdown and snapshot merges prune everything
+// outside that year (and, under a coordinator, each year
+// scatter-gathers independently).
 func (s *Server) figure2(ctx context.Context, spec QuerySpec) (*Answer, error) {
 	if spec.FromYear == 0 || spec.ToYear < spec.FromYear {
 		return nil, fmt.Errorf("%w: figure2 needs fromyear <= toyear", ErrBadSpec)
@@ -518,32 +528,25 @@ func (s *Server) figure2(ctx context.Context, spec QuerySpec) (*Answer, error) {
 				To:   time.Date(y+1, 1, 1, 0, 0, 0, 0, time.UTC),
 			},
 		}
-		named, err := stateAnalyzers(sub)
+		ans, _, err := s.cachedAnswer(ctx, sub, false)
 		if err != nil {
 			return nil, err
 		}
-		env, err := s.State(ctx, sub)
-		if err != nil {
-			return nil, err
-		}
-		if err := restoreStates(named, env); err != nil {
-			return nil, err
-		}
-		a := named[0].Proto.(*classify.CountsAnalyzer)
 		// Each year re-plans the same shards: partitions add up, shards
 		// do not.
-		shards := max(total.Plan.Shards, env.Plan.Shards)
-		total.Plan.Add(env.Plan)
+		shards := max(total.Plan.Shards, ans.Plan.Shards)
+		total.Plan.Add(ans.Plan)
 		total.Plan.Shards = shards
-		total.Scan.Add(env.Scan)
-		total.Merges += env.Merges
-		total.Partial = total.Partial || env.Partial()
-		total.Shards = mergeProvenance(total.Shards, env.Shards)
-		total.generation = env.Generation
-		if env.Source == "scan" {
+		total.Scan.Add(ans.Scan)
+		total.Merges += ans.Merges
+		total.Partial = total.Partial || ans.Partial
+		total.Shards = mergeProvenance(total.Shards, ans.Shards)
+		total.generation = ans.generation
+		if ans.Source == "scan" {
 			total.Source = "scan"
 		}
-		rows = append(rows, Figure2Row{Year: y, Total: a.Counts.Announcements(), Counts: countsData(a.Counts)})
+		counts := ans.Data.(CountsData)
+		rows = append(rows, Figure2Row{Year: y, Total: counts.Announcements, Counts: counts})
 	}
 	total.Data = rows
 	total.Elapsed = time.Since(start)
