@@ -43,36 +43,70 @@ func TestMain(m *testing.M) {
 
 var benchDay = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
+// benchData is a generated day held in memory so a benchmark times its
+// analysis, not the generator: the peers and per-session sources, the
+// events in global time order, and the counting window.
+type benchData struct {
+	peers    []workload.Peer
+	sources  []stream.EventSource
+	events   []classify.Event
+	inWindow func(classify.Event) bool
+}
+
+func (d *benchData) source() stream.EventSource { return stream.FromSlice(d.events) }
+
+func newBenchData(peers []workload.Peer, sources []stream.EventSource, inWindow func(classify.Event) bool) *benchData {
+	return &benchData{peers: peers, sources: sources,
+		events: stream.Collect(stream.Merge(sources...)), inWindow: inWindow}
+}
+
 // Shared datasets, generated once.
 var (
 	dayOnce sync.Once
-	dayDS   *workload.Dataset
+	dayDS   *benchData
 
 	beaconOnce sync.Once
-	beaconDS   *workload.Dataset
+	beaconDS   *benchData
 	beaconCfg  workload.BeaconConfig
 )
 
-func benchDayDataset() *workload.Dataset {
+func benchDayData() *benchData {
 	dayOnce.Do(func() {
 		cfg := workload.DefaultDayConfig(benchDay)
 		cfg.Collectors = 4
 		cfg.PeersPerCollector = 10
 		cfg.PrefixesV4 = 250
 		cfg.PrefixesV6 = 25
-		dayDS = workload.GenerateDay(cfg)
+		peers, sources := workload.DaySources(cfg)
+		dayDS = newBenchData(peers, sources, cfg.InWindow)
 	})
 	return dayDS
 }
 
-func benchBeaconDataset() (*workload.Dataset, workload.BeaconConfig) {
+func benchBeaconData() (*benchData, workload.BeaconConfig) {
 	beaconOnce.Do(func() {
 		beaconCfg = workload.DefaultBeaconConfig(benchDay)
 		beaconCfg.Collectors = 4
 		beaconCfg.PeersPerCollector = 10
-		beaconDS = workload.GenerateBeacon(beaconCfg)
+		peers, sources := workload.BeaconSources(beaconCfg)
+		beaconDS = newBenchData(peers, sources, beaconCfg.InWindow)
 	})
 	return beaconDS, beaconCfg
+}
+
+// countTypes classifies src in one pass and returns the Table 2 counts of
+// its in-window events (nil counts every event).
+func countTypes(src stream.EventSource, inWindow func(classify.Event) bool) classify.Counts {
+	counts := analysis.NewCounts()
+	analysis.RunAll(src, inWindow, counts)
+	return counts.Counts
+}
+
+// report runs the combined Table 1 + Table 2 pass over every event.
+func report(src stream.EventSource) (analysis.Table1, classify.Counts) {
+	t1, counts := analysis.NewTable1(), analysis.NewCounts()
+	analysis.RunAll(src, nil, t1, counts)
+	return t1.Table1(), counts.Counts
 }
 
 // --- Lab experiments (paper §3, DESIGN E1-E4) ------------------------------
@@ -98,12 +132,12 @@ func BenchmarkExp4(b *testing.B) { benchmarkExperiment(b, labexp.Exp4, router.Ci
 func BenchmarkVendorMatrix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := labexp.RunMatrix()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 20 {
-			b.Fatalf("rows = %d", len(rows))
+		for _, e := range []labexp.Experiment{labexp.Exp1, labexp.Exp2, labexp.Exp3, labexp.Exp4} {
+			for _, vendor := range router.AllBehaviors() {
+				if _, err := labexp.Run(e, vendor); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }
@@ -112,27 +146,27 @@ func BenchmarkVendorMatrix(b *testing.B) {
 
 // BenchmarkTable1 computes the d_mar20 overview statistics.
 func BenchmarkTable1(b *testing.B) {
-	ds := benchDayDataset()
+	ds := benchDayData()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t1a := analysis.NewTable1()
-		analysis.RunAll(ds.Source(), ds.CountingWindow, t1a)
+		analysis.RunAll(ds.source(), ds.inWindow, t1a)
 		if t1a.Table1().Announcements == 0 {
 			b.Fatal("empty table")
 		}
 	}
-	b.ReportMetric(float64(len(ds.Events)), "events")
+	b.ReportMetric(float64(len(ds.events)), "events")
 }
 
 // BenchmarkTable2 classifies the full day into the six announcement types.
 func BenchmarkTable2(b *testing.B) {
-	ds := benchDayDataset()
+	ds := benchDayData()
 	b.ResetTimer()
 	b.ReportAllocs()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		counts = stream.Classify(ds.Source(), ds.CountingWindow)
+		counts = countTypes(ds.source(), ds.inWindow)
 	}
 	for _, ty := range classify.Types() {
 		b.ReportMetric(100*counts.Share(ty), ty.String()+"_pct")
@@ -142,12 +176,12 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable2BeaconColumn classifies the d_beacon subset (Table 2's
 // second column).
 func BenchmarkTable2BeaconColumn(b *testing.B) {
-	ds, _ := benchBeaconDataset()
+	ds, _ := benchBeaconData()
 	b.ResetTimer()
 	b.ReportAllocs()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		counts = stream.Classify(ds.Source(), ds.CountingWindow)
+		counts = countTypes(ds.source(), ds.inWindow)
 	}
 	b.ReportMetric(100*counts.Share(classify.PC), "pc_pct")
 }
@@ -198,13 +232,14 @@ func BenchmarkFigure2Generate(b *testing.B) {
 // BenchmarkFigure3 computes the per-session type mix for one beacon at one
 // collector.
 func BenchmarkFigure3(b *testing.B) {
-	ds, _ := benchBeaconDataset()
+	ds, _ := benchBeaconData()
 	prefix := beacon.RIPEBeacons()[0].Prefix
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mixes := analysis.Figure3PerSessionStream(ds.Source(), ds.CountingWindow, "rrc00", prefix)
-		if len(mixes) == 0 {
+		mix := analysis.NewSessionMix("rrc00", prefix)
+		analysis.RunAll(ds.source(), ds.inWindow, mix)
+		if len(mix.Mixes()) == 0 {
 			b.Fatal("no sessions")
 		}
 	}
@@ -213,11 +248,11 @@ func BenchmarkFigure3(b *testing.B) {
 // figureSessionPath finds a (session, backup path) pair for the cumulative
 // figures.
 func figureSessionPath(b *testing.B, kind workload.PeerKind) (classify.SessionKey, string) {
-	ds, cfg := benchBeaconDataset()
+	ds, cfg := benchBeaconData()
 	var peer *workload.Peer
-	for i := range ds.Peers {
-		if ds.Peers[i].Kind == kind && ds.Peers[i].TaggedUpstream {
-			peer = &ds.Peers[i]
+	for i := range ds.peers {
+		if ds.peers[i].Kind == kind && ds.peers[i].TaggedUpstream {
+			peer = &ds.peers[i]
 			break
 		}
 	}
@@ -226,7 +261,7 @@ func figureSessionPath(b *testing.B, kind workload.PeerKind) (classify.SessionKe
 	}
 	session := classify.SessionKey{Collector: peer.Collector, PeerAddr: peer.Addr}
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		if e.Session() == session && e.Prefix == prefix && !e.Withdraw &&
 			cfg.Schedule.PhaseAt(e.Time) == beacon.PhaseWithdrawal {
 			return session, e.ASPath.String()
@@ -239,14 +274,15 @@ func figureSessionPath(b *testing.B, kind workload.PeerKind) (classify.SessionKe
 // BenchmarkFigure4 extracts the community-exploration cumulative series on
 // a geo-tagged transparent path.
 func BenchmarkFigure4(b *testing.B) {
-	ds, _ := benchBeaconDataset()
+	ds, _ := benchBeaconData()
 	session, path := figureSessionPath(b, workload.PeerTransparent)
 	prefix := beacon.RIPEBeacons()[0].Prefix
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := analysis.CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, path)
-		if len(series.Points) == 0 {
+		cum := analysis.NewCumulative(session, prefix, path)
+		analysis.RunAll(ds.source(), ds.inWindow, cum)
+		if len(cum.Series().Points) == 0 {
 			b.Fatal("empty series")
 		}
 	}
@@ -254,14 +290,15 @@ func BenchmarkFigure4(b *testing.B) {
 
 // BenchmarkFigure5 does the same for an egress-cleaning path (nn bursts).
 func BenchmarkFigure5(b *testing.B) {
-	ds, _ := benchBeaconDataset()
+	ds, _ := benchBeaconData()
 	session, path := figureSessionPath(b, workload.PeerCleansEgress)
 	prefix := beacon.RIPEBeacons()[0].Prefix
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := analysis.CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, path)
-		if len(series.Points) == 0 {
+		cum := analysis.NewCumulative(session, prefix, path)
+		analysis.RunAll(ds.source(), ds.inWindow, cum)
+		if len(cum.Series().Points) == 0 {
 			b.Fatal("empty series")
 		}
 	}
@@ -269,12 +306,14 @@ func BenchmarkFigure5(b *testing.B) {
 
 // BenchmarkFigure6 runs the revealed-community attribution for one day.
 func BenchmarkFigure6(b *testing.B) {
-	ds, cfg := benchBeaconDataset()
+	ds, cfg := benchBeaconData()
 	b.ResetTimer()
 	b.ReportAllocs()
 	var s beacon.RevealedSummary
 	for i := 0; i < b.N; i++ {
-		s = analysis.RevealedForStream(ds.Source(), ds.CountingWindow, cfg.Schedule)
+		revealed := analysis.NewRevealed(cfg.Schedule)
+		analysis.RunAll(ds.source(), ds.inWindow, revealed)
+		s = revealed.Summary()
 	}
 	b.ReportMetric(100*s.WithdrawalRatio, "withdrawal_pct")
 }
@@ -352,20 +391,21 @@ func BenchmarkMRTWriteRead(b *testing.B) {
 
 // BenchmarkClassifier measures streaming classification throughput.
 func BenchmarkClassifier(b *testing.B) {
-	ds := benchDayDataset()
-	b.SetBytes(int64(len(ds.Events)))
+	ds := benchDayData()
+	b.SetBytes(int64(len(ds.events)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cl := classify.New()
-		for _, e := range ds.Events {
+		for _, e := range ds.events {
 			cl.Observe(e)
 		}
 	}
-	b.ReportMetric(float64(len(ds.Events)), "events/op")
+	b.ReportMetric(float64(len(ds.events)), "events/op")
 }
 
-// BenchmarkGenerateDay measures workload synthesis itself.
-func BenchmarkGenerateDay(b *testing.B) {
+// BenchmarkDaySynthesis measures workload synthesis itself: the day's
+// per-session sources merged into global time order.
+func BenchmarkDaySynthesis(b *testing.B) {
 	cfg := workload.DefaultDayConfig(benchDay)
 	cfg.Collectors = 2
 	cfg.PeersPerCollector = 5
@@ -373,8 +413,8 @@ func BenchmarkGenerateDay(b *testing.B) {
 	cfg.PrefixesV6 = 10
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ds := workload.GenerateDay(cfg)
-		if len(ds.Events) == 0 {
+		_, sources := workload.DaySources(cfg)
+		if stream.Count(stream.Merge(sources...)) == 0 {
 			b.Fatal("empty dataset")
 		}
 	}
@@ -608,17 +648,17 @@ func benchFigure2Fixture(b *testing.B) string {
 // compare.
 func benchStoreFixture(b *testing.B) (storeDir, mrtDir string) {
 	storeFixtureOnce.Do(func() {
-		ds := benchDayDataset()
+		ds := benchDayData()
 		if storeFixtureDir, storeFixtureErr = os.MkdirTemp("", "repro-bench-store-"); storeFixtureErr != nil {
 			return
 		}
 		if mrtFixtureDir, storeFixtureErr = os.MkdirTemp("", "repro-bench-mrt-"); storeFixtureErr != nil {
 			return
 		}
-		if _, storeFixtureErr = collector.WriteDatasetDir(ds, mrtFixtureDir); storeFixtureErr != nil {
+		if _, storeFixtureErr = collector.WriteSourcesDir(ds.peers, ds.sources, mrtFixtureDir); storeFixtureErr != nil {
 			return
 		}
-		_, storeFixtureErr = evstore.Ingest(storeFixtureDir, ds.Source())
+		_, storeFixtureErr = evstore.Ingest(storeFixtureDir, ds.source())
 	})
 	if storeFixtureErr != nil {
 		b.Fatal(storeFixtureErr)
@@ -629,7 +669,7 @@ func benchStoreFixture(b *testing.B) (storeDir, mrtDir string) {
 // BenchmarkStoreIngest measures one-pass columnar ingest of the full
 // benchmark day into a fresh store.
 func BenchmarkStoreIngest(b *testing.B) {
-	ds := benchDayDataset()
+	ds := benchDayData()
 	b.ResetTimer()
 	b.ReportAllocs()
 	var st evstore.WriterStats
@@ -640,7 +680,7 @@ func BenchmarkStoreIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		st, err = evstore.Ingest(dir, ds.Source())
+		st, err = evstore.Ingest(dir, ds.source())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -689,7 +729,7 @@ func BenchmarkStoreScanRow(b *testing.B) {
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
 		var scanErr error
-		t1, c := analysis.Report(evstore.Scan(storeDir, evstore.Query{}, &scanErr), nil)
+		t1, c := report(evstore.Scan(storeDir, evstore.Query{}, &scanErr))
 		if scanErr != nil {
 			b.Fatal(scanErr)
 		}
@@ -717,7 +757,7 @@ func lzCorpus(b *testing.B) []byte {
 		b.Fatal(err)
 	}
 	w.Codec = evstore.CodecRaw
-	if err := w.Ingest(benchDayDataset().Source()); err != nil {
+	if err := w.Ingest(benchDayData().source()); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -778,7 +818,7 @@ func BenchmarkStoreMRTReparse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		t1, _ := analysis.Report(stream.Concat(sources...), nil)
+		t1, _ := report(stream.Concat(sources...))
 		if srcErr != nil {
 			b.Fatal(srcErr)
 		}
@@ -805,7 +845,7 @@ func BenchmarkStoreScanWindow(b *testing.B) {
 	var st evstore.ScanStats
 	for i := 0; i < b.N; i++ {
 		var scanErr error
-		counts := stream.Classify(evstore.ScanWithStats(storeDir, q, &scanErr, &st), nil)
+		counts := countTypes(evstore.ScanWithStats(storeDir, q, &scanErr, &st), nil)
 		if scanErr != nil {
 			b.Fatal(scanErr)
 		}
@@ -923,11 +963,11 @@ func BenchmarkScanParallel(b *testing.B) {
 // Sub-benchmarks: a single-analyzer pass (the baseline), five
 // analyzers in one pass, and the same five as five separate passes.
 func BenchmarkRunAll(b *testing.B) {
-	ds := benchDayDataset()
-	prefix := ds.Events[0].Prefix
-	collector := ds.Events[0].Collector
-	session := ds.Events[0].Session()
-	path := ds.Events[0].ASPath.String()
+	ds := benchDayData()
+	prefix := ds.events[0].Prefix
+	collector := ds.events[0].Collector
+	session := ds.events[0].Session()
+	path := ds.events[0].ASPath.String()
 	fleet := func() []analysis.Analyzer {
 		return []analysis.Analyzer{
 			analysis.NewCounts(),
@@ -941,7 +981,7 @@ func BenchmarkRunAll(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			counts := analysis.NewCounts()
-			analysis.RunAll(ds.Source(), ds.CountingWindow, counts)
+			analysis.RunAll(ds.source(), ds.inWindow, counts)
 			if counts.Counts.Announcements() == 0 {
 				b.Fatal("empty")
 			}
@@ -951,7 +991,7 @@ func BenchmarkRunAll(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			analyzers := fleet()
-			analysis.RunAll(ds.Source(), ds.CountingWindow, analyzers...)
+			analysis.RunAll(ds.source(), ds.inWindow, analyzers...)
 			if analyzers[0].(*classify.CountsAnalyzer).Counts.Announcements() == 0 {
 				b.Fatal("empty")
 			}
@@ -961,7 +1001,7 @@ func BenchmarkRunAll(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, a := range fleet() {
-				analysis.RunAll(ds.Source(), ds.CountingWindow, a)
+				analysis.RunAll(ds.source(), ds.inWindow, a)
 			}
 		}
 	})
@@ -972,9 +1012,9 @@ func BenchmarkRunAll(b *testing.B) {
 // BenchmarkMergeStream measures the k-way heap merge of per-collector
 // slices through the lazy source path (iter.Pull cursors).
 func BenchmarkMergeStream(b *testing.B) {
-	ds := benchDayDataset()
+	ds := benchDayData()
 	byCollector := make(map[string][]classify.Event)
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		byCollector[e.Collector] = append(byCollector[e.Collector], e)
 	}
 	sources := make([]stream.EventSource, 0, len(byCollector))
@@ -985,8 +1025,8 @@ func BenchmarkMergeStream(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := stream.Count(stream.Merge(sources...))
-		if n != len(ds.Events) {
-			b.Fatalf("merged %d of %d", n, len(ds.Events))
+		if n != len(ds.events) {
+			b.Fatalf("merged %d of %d", n, len(ds.events))
 		}
 	}
 }
@@ -994,7 +1034,7 @@ func BenchmarkMergeStream(b *testing.B) {
 // BenchmarkTable2FromSources classifies the day straight from the lazy
 // per-session generators — generation, streaming, and classification in
 // one pass with no materialized dataset (compare against
-// BenchmarkGenerateDay + BenchmarkTable2 for the two-phase cost).
+// BenchmarkDaySynthesis + BenchmarkTable2 for the two-phase cost).
 func BenchmarkTable2FromSources(b *testing.B) {
 	cfg := workload.DefaultDayConfig(benchDay)
 	cfg.Collectors = 4
@@ -1004,7 +1044,7 @@ func BenchmarkTable2FromSources(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, sources := workload.DaySources(cfg)
-		counts := stream.Classify(stream.Concat(sources...), cfg.InWindow)
+		counts := countTypes(stream.Concat(sources...), cfg.InWindow)
 		if counts.Announcements() == 0 {
 			b.Fatal("empty")
 		}
@@ -1024,7 +1064,7 @@ func BenchmarkMultiDayStream(b *testing.B) {
 	b.ReportAllocs()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		counts = stream.Classify(workload.MultiDaySource(cfg, 3), nil)
+		counts = countTypes(workload.MultiDaySource(cfg, 3), nil)
 		if counts.Announcements() == 0 {
 			b.Fatal("empty")
 		}
@@ -1081,7 +1121,7 @@ func BenchmarkSweepStoreRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		var scanErr error
-		counts := stream.Classify(evstore.Scan(dir, evstore.Query{}, &scanErr), nil)
+		counts := countTypes(evstore.Scan(dir, evstore.Query{}, &scanErr), nil)
 		if scanErr != nil {
 			b.Fatal(scanErr)
 		}

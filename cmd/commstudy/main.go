@@ -37,6 +37,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -49,7 +50,10 @@ import (
 
 func main() {
 	cmds := map[string]func([]string) error{
-		"beacon": runBeacon, "simbeacon": runSimBeacon, "sweep": runSweep, "lab": runLab,
+		"beacon":    func(args []string) error { return runBeacon(os.Stdout, args) },
+		"simbeacon": func(args []string) error { return runSimBeacon(os.Stdout, args) },
+		"sweep":     runSweep,
+		"lab":       runLab,
 	}
 	if len(os.Args) < 2 || cmds[os.Args[1]] == nil {
 		fmt.Fprintln(os.Stderr, "usage: commstudy {beacon|simbeacon|sweep|lab} [flags]")
@@ -73,23 +77,24 @@ func vendorByName(name string) (router.Behavior, error) {
 
 // printTypeShares prints the Table 2 count and share of every
 // announcement type.
-func printTypeShares(counts classify.Counts) {
+func printTypeShares(w io.Writer, counts classify.Counts) {
 	var rows [][]string
 	for _, ty := range classify.Types() {
 		rows = append(rows, []string{ty.String(), strconv.Itoa(counts.Of(ty)),
 			fmt.Sprintf("%.1f%%", 100*counts.Share(ty))})
 	}
-	fmt.Print(textplot.Table([]string{"type", "count", "share"}, rows))
+	fmt.Fprint(w, textplot.Table([]string{"type", "count", "share"}, rows))
 }
 
 // ingestAll ingests the sources into the store at dir as one ingest,
-// so a failure leaves none of them behind, and prints the writer stats.
-func ingestAll(dir string, srcs ...stream.EventSource) error {
+// so a failure leaves none of them behind, and writes the writer stats
+// to w.
+func ingestAll(w io.Writer, dir string, srcs ...stream.EventSource) error {
 	st, err := evstore.Ingest(dir, stream.Concat(srcs...))
 	if err != nil {
 		return fmt.Errorf("store ingest: %w", err)
 	}
-	fmt.Printf("ingested into %s: %d events, %d blocks, %d partitions, %d bytes\n",
+	fmt.Fprintf(w, "ingested into %s: %d events, %d blocks, %d partitions, %d bytes\n",
 		dir, st.Events, st.Blocks, st.Partitions, st.Bytes)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -23,8 +24,8 @@ import (
 var simDay = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
 // runSimBeacon runs the §6 beacon methodology on the protocol-level
-// simulator.
-func runSimBeacon(args []string) error {
+// simulator and writes the report to w.
+func runSimBeacon(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("simbeacon", flag.ExitOnError)
 	vendor := fs.String("vendor", router.CiscoIOS.Name, "router behaviour profile")
 	beacons := fs.Int("beacons", 1, "number of beacon prefixes")
@@ -47,23 +48,23 @@ func runSimBeacon(args []string) error {
 		return err
 	}
 
-	fmt.Printf("simulated beacon day (%s, %d beacon prefix(es), geo tagging %v):\n",
+	fmt.Fprintf(w, "simulated beacon day (%s, %d beacon prefix(es), geo tagging %v):\n",
 		behavior.Name, *beacons, !*noGeo)
-	fmt.Printf("  collector messages: %d (announcements %d, withdrawals %d)\n\n",
+	fmt.Fprintf(w, "  collector messages: %d (announcements %d, withdrawals %d)\n\n",
 		res.CollectorMessages, res.Counts.Announcements(), res.Counts.Withdrawals)
 
-	fmt.Println("announcement types at the collector:")
-	printTypeShares(res.Counts)
+	fmt.Fprintln(w, "announcement types at the collector:")
+	printTypeShares(w, res.Counts)
 
 	if *storeDir != "" {
-		fmt.Println()
-		if err := ingestAll(*storeDir, res.Source()); err != nil {
+		fmt.Fprintln(w)
+		if err := ingestAll(w, *storeDir, res.Source()); err != nil {
 			return err
 		}
 	}
 
-	fmt.Println("\nrevealed community attributes (protocol-level Figure 6):")
-	fmt.Printf("  total %d — withdrawal-only %d (%.0f%%), announcement-only %d (%.0f%%), ambiguous %d\n",
+	fmt.Fprintln(w, "\nrevealed community attributes (protocol-level Figure 6):")
+	fmt.Fprintf(w, "  total %d — withdrawal-only %d (%.0f%%), announcement-only %d (%.0f%%), ambiguous %d\n",
 		res.Revealed.Total,
 		res.Revealed.WithdrawalOnly, 100*res.Revealed.WithdrawalRatio,
 		res.Revealed.AnnouncementOnly, 100*res.Revealed.AnnouncementRatio,
@@ -126,7 +127,7 @@ func runSweep(args []string) error {
 	}
 
 	if *storeDir != "" {
-		if err := ingestAll(*storeDir, captures...); err != nil {
+		if err := ingestAll(os.Stdout, *storeDir, captures...); err != nil {
 			return err
 		}
 	}
@@ -171,23 +172,24 @@ func verifyPaths(matrix []simnet.Scenario, results []*simnet.Result) error {
 			return fmt.Errorf("%s: rerun counts %+v != sweep counts %+v (determinism broken)",
 				ref.Scenario.Name, res.Counts, ref.Counts)
 		}
-		replayed := stream.Classify(res.Capture.ReplayTrace(buf.Messages()).Source(), nil)
-		if replayed != ref.Counts {
+		replayed := analysis.NewCounts()
+		analysis.RunAll(res.Capture.ReplayTrace(buf.Messages()).Source(), nil, replayed)
+		if replayed.Counts != ref.Counts {
 			return fmt.Errorf("%s: materialized-trace counts %+v != streaming %+v",
-				ref.Scenario.Name, replayed, ref.Counts)
+				ref.Scenario.Name, replayed.Counts, ref.Counts)
 		}
 		if _, err := evstore.Ingest(dir, ref.Capture.Source()); err != nil {
 			return fmt.Errorf("%s: ingest: %w", ref.Scenario.Name, err)
 		}
 		var scanErr error
-		scanned := stream.Classify(
-			evstore.Scan(dir, evstore.Query{Collectors: []string{ref.Scenario.Name}}, &scanErr), nil)
+		scanned := analysis.NewCounts()
+		analysis.RunAll(evstore.Scan(dir, evstore.Query{Collectors: []string{ref.Scenario.Name}}, &scanErr), nil, scanned)
 		if scanErr != nil {
 			return fmt.Errorf("%s: scan: %w", ref.Scenario.Name, scanErr)
 		}
-		if scanned != ref.Counts {
+		if scanned.Counts != ref.Counts {
 			return fmt.Errorf("%s: store round-trip counts %+v != streaming %+v",
-				ref.Scenario.Name, scanned, ref.Counts)
+				ref.Scenario.Name, scanned.Counts, ref.Counts)
 		}
 		parCounts := analysis.NewCounts()
 		if _, err := evstore.ScanParallel(context.Background(), dir,

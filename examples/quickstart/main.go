@@ -12,6 +12,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/classify"
 	"repro/internal/collector"
 	"repro/internal/pipeline"
@@ -29,8 +30,9 @@ func main() {
 	cfg.PeersPerCollector = 8
 	cfg.PrefixesV4 = 200
 	cfg.PrefixesV6 = 20
-	ds := workload.GenerateDay(cfg)
-	fmt.Printf("generated %d events from %d peer sessions\n", len(ds.Events), len(ds.Peers))
+	peers, sources := workload.DaySources(cfg)
+	fmt.Printf("generated %d events from %d peer sessions\n",
+		stream.Count(stream.Concat(sources...)), len(peers))
 
 	// 2. Write per-collector MRT archives (RFC 6396 BGP4MP_ET records).
 	dir, err := os.MkdirTemp("", "quickstart-mrt-")
@@ -38,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	files, err := collector.WriteDatasetDir(ds, dir)
+	files, err := collector.WriteSourcesDir(peers, sources, dir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,9 +51,9 @@ func main() {
 	// Each archive becomes a lazy event source — records are decoded one
 	// at a time as the classifier pulls them, never a whole file.
 	norm := pipeline.NewNormalizer(registry.Synthetic(day.AddDate(-10, 0, 0)))
-	norm.RouteServers = ds.RouteServerASNs()
+	norm.RouteServers = workload.RouteServerASNs(peers)
 	var srcErr error
-	_, sources, err := pipeline.DirSources(norm, dir, &srcErr)
+	_, archives, err := pipeline.DirSources(norm, dir, &srcErr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,10 +61,12 @@ func main() {
 	// 4. Classify per (session, prefix) stream in one streaming pass. The
 	// archives include pre-day warm-up announcements that seed per-stream
 	// state; they feed the classifier but only the measured day is counted.
-	counts := stream.Classify(stream.Concat(sources...), ds.CountingWindow)
+	tally := analysis.NewCounts()
+	analysis.RunAll(stream.Concat(archives...), cfg.InWindow, tally)
 	if srcErr != nil {
 		log.Fatal(srcErr)
 	}
+	counts := tally.Counts
 
 	// 5. Report the Table 2 type mix.
 	fmt.Printf("\nclassified %d announcements, %d withdrawals\n",

@@ -23,13 +23,15 @@ func main() {
 	cfg.Collectors = 6
 	cfg.PeersPerCollector = 12
 	// Both inferences below scan the same day, so generate it once
-	// (session by session, no global sort) and replay the slice; each
-	// inference is still a single stream pass, as it would be over live
-	// collector archives.
+	// (session by session, no global sort) and replay the slice. Peer
+	// behaviour counts the measured day only; the ingress footprint
+	// counts every event, warm-up included, so each is its own pass.
 	peers, sources := workload.BeaconSources(cfg)
 	src := stream.FromSlice(stream.Collect(stream.Concat(sources...)))
 
-	inferences := analysis.InferPeerBehaviorStream(src, cfg.InWindow)
+	behavior := analysis.NewPeerBehavior()
+	analysis.RunAll(src, cfg.InWindow, behavior)
+	inferences := behavior.Inferences()
 	fmt.Printf("classified %d peer sessions from their update streams alone:\n\n", len(inferences))
 
 	byClass := map[analysis.PeerBehavior]int{}
@@ -61,7 +63,9 @@ func main() {
 	fmt.Printf("\naccuracy against the generator's ground truth: %.1f%%\n\n", 100*acc)
 
 	// Interconnection inference: distinct geo locations per (peer, tagger).
-	locs := analysis.InferIngressLocationsStream(src)
+	ingress := analysis.NewIngress()
+	analysis.RunAll(src, nil, ingress)
+	locs := ingress.Locations()
 	fmt.Printf("geo communities reveal ingress footprints for %d (peer, transit) pairs:\n", len(locs))
 	for i, inf := range locs {
 		if i >= 8 {

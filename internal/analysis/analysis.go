@@ -8,10 +8,9 @@
 // Observe folds classified events in, Merge combines shard accumulators,
 // Finish produces the table or figure. RunAll answers any number of
 // questions in ONE classification pass over a stream.EventSource, and the
-// same analyzers run shard-parallel over a store via evstore. The
-// remaining *Stream functions are one-analyzer, one-pass conveniences
-// for the study commands; a materialized workload.Dataset is streamed
-// with ds.Source() and ds.CountingWindow.
+// same analyzers run shard-parallel over a store via evstore. A New*
+// constructor plus RunAll is the one way to answer a question over a
+// stream.
 package analysis
 
 import (
@@ -180,31 +179,6 @@ func (a *table1Accum) finish() Table1 {
 	return a.t1
 }
 
-// runPlain drives analyzers that ignore the classification result
-// (Table 1, Figure 6, the ingress/geo inferences) without paying for a
-// classifier state map: every in-window event is observed with the zero
-// Result.
-func runPlain(src stream.EventSource, inWindow func(classify.Event) bool, analyzers ...Analyzer) {
-	for e := range src {
-		if inWindow != nil && !inWindow(e) {
-			continue
-		}
-		for _, a := range analyzers {
-			a.Observe(classify.Result{}, e)
-		}
-	}
-}
-
-// Report computes Table 1 and the Table 2 type counts in one combined
-// pass over the stream — the full §4–§5 measurement on archive-backed
-// sources that can only be read once.
-func Report(src stream.EventSource, inWindow func(classify.Event) bool) (Table1, classify.Counts) {
-	t1 := NewTable1()
-	counts := NewCounts()
-	RunAll(src, inWindow, t1, counts)
-	return t1.Table1(), counts.Counts
-}
-
 // Figure2Row is one day of the longitudinal type series.
 type Figure2Row struct {
 	Year   int
@@ -232,8 +206,9 @@ func Figure2SeriesWorkers(fromYear, toYear, workers int) []Figure2Row {
 		y := fromYear + i
 		cfg := workload.HistoricalDayConfig(y)
 		_, sources := workload.DaySources(cfg)
-		counts := stream.Classify(stream.Concat(sources...), cfg.InWindow)
-		rows[i] = Figure2Row{Year: y, Counts: counts}
+		counts := NewCounts()
+		RunAll(stream.Concat(sources...), cfg.InWindow, counts)
+		rows[i] = Figure2Row{Year: y, Counts: counts.Counts}
 	})
 	return rows
 }
@@ -248,16 +223,6 @@ type SessionMix struct {
 
 // Total returns the session's announcement count.
 func (s SessionMix) Total() int { return s.Counts.Announcements() }
-
-// Figure3PerSessionStream classifies a source and returns, for one
-// collector and prefix, each session's type mix sorted by descending
-// announcement count (the paper's stacked bars for 84.205.64.0/24 at
-// rrc00). The source must preserve per-session event order.
-func Figure3PerSessionStream(src stream.EventSource, inWindow func(classify.Event) bool, collector string, prefix netip.Prefix) []SessionMix {
-	a := NewSessionMix(collector, prefix)
-	RunAll(src, inWindow, a)
-	return a.Mixes()
-}
 
 // CumPoint is one classified announcement on a (session, prefix, path)
 // stream.
@@ -274,14 +239,6 @@ type CumSeries struct {
 	Withdrawals []time.Time
 }
 
-// CumulativeByPathStream classifies a source and extracts the
-// announcements of one session and prefix whose AS path matches pathStr.
-func CumulativeByPathStream(src stream.EventSource, inWindow func(classify.Event) bool, session classify.SessionKey, prefix netip.Prefix, pathStr string) CumSeries {
-	a := NewCumulative(session, prefix, pathStr)
-	RunAll(src, inWindow, a)
-	return a.Series()
-}
-
 // TypeCounts tallies the series by type.
 func (c CumSeries) TypeCounts() classify.Counts {
 	var counts classify.Counts
@@ -289,13 +246,6 @@ func (c CumSeries) TypeCounts() classify.Counts {
 		counts.Add(classify.Result{Type: p.Type})
 	}
 	return counts
-}
-
-// RevealedForStream runs the Figure 6 attribution over a beacon source.
-func RevealedForStream(src stream.EventSource, inWindow func(classify.Event) bool, sched beacon.Schedule) beacon.RevealedSummary {
-	a := NewRevealed(sched)
-	runPlain(src, inWindow, a)
-	return a.Summary()
 }
 
 // Figure6Row is one year of the revealed-information series.
@@ -322,8 +272,9 @@ func Figure6SeriesWorkers(fromYear, toYear, workers int) []Figure6Row {
 		y := fromYear + i
 		cfg := workload.HistoricalBeaconConfig(y)
 		_, sources := workload.BeaconSources(cfg)
-		summary := RevealedForStream(stream.Concat(sources...), cfg.InWindow, cfg.Schedule)
-		rows[i] = Figure6Row{Year: y, Summary: summary}
+		revealed := NewRevealed(cfg.Schedule)
+		RunAll(stream.Concat(sources...), cfg.InWindow, revealed)
+		rows[i] = Figure6Row{Year: y, Summary: revealed.Summary()}
 	})
 	return rows
 }
@@ -354,8 +305,9 @@ func Figure2SeriesQuarterlyWorkers(fromYear, toYear, workers int) []Figure2Quart
 		y, q := fromYear+i/4, i%4
 		cfg := workload.HistoricalQuarterConfig(y, q)
 		_, sources := workload.DaySources(cfg)
-		counts := stream.Classify(stream.Concat(sources...), cfg.InWindow)
-		rows[i] = Figure2QuarterRow{Year: y, Quarter: q, Counts: counts}
+		counts := NewCounts()
+		RunAll(stream.Concat(sources...), cfg.InWindow, counts)
+		rows[i] = Figure2QuarterRow{Year: y, Quarter: q, Counts: counts.Counts}
 	})
 	return rows
 }

@@ -12,13 +12,30 @@ import (
 
 var day = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
-func smallDay() *workload.Dataset {
+// genDay is a generated day held for the tests that read it more than
+// once: its peers, its events in global time order (the merge of the
+// per-session sources) and its counting window.
+type genDay struct {
+	peers    []workload.Peer
+	events   []classify.Event
+	day      time.Time
+	inWindow func(classify.Event) bool
+}
+
+func (d *genDay) source() stream.EventSource { return stream.FromSlice(d.events) }
+
+func merged(peers []workload.Peer, sources []stream.EventSource, day time.Time, inWindow func(classify.Event) bool) *genDay {
+	return &genDay{peers: peers, events: stream.Collect(stream.Merge(sources...)), day: day, inWindow: inWindow}
+}
+
+func smallDay() *genDay {
 	cfg := workload.DefaultDayConfig(day)
 	cfg.Collectors = 3
 	cfg.PeersPerCollector = 8
 	cfg.PrefixesV4 = 150
 	cfg.PrefixesV6 = 15
-	return workload.GenerateDay(cfg)
+	peers, sources := workload.DaySources(cfg)
+	return merged(peers, sources, cfg.Day, cfg.InWindow)
 }
 
 func smallBeaconCfg() workload.BeaconConfig {
@@ -28,11 +45,15 @@ func smallBeaconCfg() workload.BeaconConfig {
 	return cfg
 }
 
-// table1Of computes Table 1 over a materialized dataset's counting
-// window.
-func table1Of(ds *workload.Dataset) Table1 {
+func beaconDay(cfg workload.BeaconConfig) *genDay {
+	peers, sources := workload.BeaconSources(cfg)
+	return merged(peers, sources, cfg.Day, cfg.InWindow)
+}
+
+// table1Of computes Table 1 over the day's counting window.
+func table1Of(ds *genDay) Table1 {
 	a := NewTable1()
-	RunAll(ds.Source(), ds.CountingWindow, a)
+	RunAll(ds.source(), ds.inWindow, a)
 	return a.Table1()
 }
 
@@ -67,8 +88,8 @@ func TestTable1ExcludesWarmup(t *testing.T) {
 	ds := smallDay()
 	t1 := table1Of(ds)
 	total := 0
-	for _, e := range ds.Events {
-		if ds.CountingWindow(e) {
+	for _, e := range ds.events {
+		if ds.inWindow(e) {
 			total++
 		}
 	}
@@ -76,20 +97,20 @@ func TestTable1ExcludesWarmup(t *testing.T) {
 		t.Errorf("table counts %d+%d != in-window events %d",
 			t1.Announcements, t1.Withdrawals, total)
 	}
-	if total == len(ds.Events) {
+	if total == len(ds.events) {
 		t.Error("no warm-up events excluded; test is vacuous")
 	}
 }
 
-func TestClassifyDatasetUsesWarmupState(t *testing.T) {
+func TestClassifyUsesWarmupState(t *testing.T) {
 	// With warm-up events seeding state, the First share inside the day
 	// must be small (only withdraw/re-announce cycles restart streams).
 	ds := smallDay()
 	cl := classify.New()
 	var first, total int
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		res, ok := cl.Observe(e)
-		if !ds.CountingWindow(e) || !ok {
+		if !ds.inWindow(e) || !ok {
 			continue
 		}
 		total++
@@ -136,9 +157,11 @@ func TestFigure2SeriesShapes(t *testing.T) {
 
 func TestFigure3PerSession(t *testing.T) {
 	cfg := smallBeaconCfg()
-	ds := workload.GenerateBeacon(cfg)
+	ds := beaconDay(cfg)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	mixes := Figure3PerSessionStream(ds.Source(), ds.CountingWindow, "rrc00", prefix)
+	mix := NewSessionMix("rrc00", prefix)
+	RunAll(ds.source(), ds.inWindow, mix)
+	mixes := mix.Mixes()
 	if len(mixes) != cfg.PeersPerCollector {
 		t.Fatalf("sessions = %d, want %d", len(mixes), cfg.PeersPerCollector)
 	}
@@ -164,8 +187,9 @@ func TestFigure3PerSession(t *testing.T) {
 		t.Errorf("only %d types across sessions", len(seen))
 	}
 	// Filtering by another collector yields a disjoint session set.
-	other := Figure3PerSessionStream(ds.Source(), ds.CountingWindow, "rrc01", prefix)
-	for _, m := range other {
+	other := NewSessionMix("rrc01", prefix)
+	RunAll(ds.source(), ds.inWindow, other)
+	for _, m := range other.Mixes() {
 		if m.Session.Collector != "rrc01" {
 			t.Error("collector filter leaked")
 		}
@@ -174,14 +198,14 @@ func TestFigure3PerSession(t *testing.T) {
 
 // findStream locates a (session, beacon prefix, backup path) triple for a
 // peer with the wanted kind and tagging, returning the session, the backup
-// path string, and the dataset.
-func findStream(t *testing.T, ds *workload.Dataset, kind workload.PeerKind, tagged bool) (classify.SessionKey, string) {
+// path string.
+func findStream(t *testing.T, ds *genDay, kind workload.PeerKind, tagged bool) (classify.SessionKey, string) {
 	t.Helper()
 	var peer *workload.Peer
-	for i := range ds.Peers {
-		p := ds.Peers[i]
+	for i := range ds.peers {
+		p := ds.peers[i]
 		if p.Kind == kind && p.TaggedUpstream == tagged {
-			peer = &ds.Peers[i]
+			peer = &ds.peers[i]
 			break
 		}
 	}
@@ -192,8 +216,8 @@ func findStream(t *testing.T, ds *workload.Dataset, kind workload.PeerKind, tagg
 	prefix := beacon.RIPEBeacons()[0].Prefix
 	// The backup path is the one announced during withdrawal phases (4 hops
 	// in the generator vs 4-hop primary; distinguish by phase).
-	sched := workload.DefaultBeaconConfig(ds.Day).Schedule
-	for _, e := range ds.Events {
+	sched := workload.DefaultBeaconConfig(ds.day).Schedule
+	for _, e := range ds.events {
 		if e.Session() != session || e.Prefix != prefix || e.Withdraw {
 			continue
 		}
@@ -209,10 +233,12 @@ func TestFigure4CommunityExploration(t *testing.T) {
 	// A geo-tagged, non-cleaning session: announcements on the backup path
 	// appear only during withdrawal phases, starting with pc followed by
 	// nc's (community exploration).
-	ds := workload.GenerateBeacon(smallBeaconCfg())
+	ds := beaconDay(smallBeaconCfg())
 	session, backup := findStream(t, ds, workload.PeerTransparent, true)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	series := CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, backup)
+	cum := NewCumulative(session, prefix, backup)
+	RunAll(ds.source(), ds.inWindow, cum)
+	series := cum.Series()
 	if len(series.Points) < 6 {
 		t.Fatalf("points = %d, want >= 6 (one per withdrawal phase)", len(series.Points))
 	}
@@ -226,7 +252,7 @@ func TestFigure4CommunityExploration(t *testing.T) {
 	if counts.Of(classify.NN) != 0 {
 		t.Errorf("nn = %d on a transparent tagged path", counts.Of(classify.NN))
 	}
-	sched := workload.DefaultBeaconConfig(ds.Day).Schedule
+	sched := workload.DefaultBeaconConfig(ds.day).Schedule
 	for _, p := range series.Points {
 		if sched.PhaseAt(p.Time) != beacon.PhaseWithdrawal {
 			t.Errorf("backup-path announcement at %v outside withdrawal phase", p.Time)
@@ -237,10 +263,12 @@ func TestFigure4CommunityExploration(t *testing.T) {
 func TestFigure5DuplicatesFromEgressCleaning(t *testing.T) {
 	// An egress-cleaning session: withdrawal phases open with pn (no
 	// communities visible) followed by nn duplicates.
-	ds := workload.GenerateBeacon(smallBeaconCfg())
+	ds := beaconDay(smallBeaconCfg())
 	session, backup := findStream(t, ds, workload.PeerCleansEgress, true)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	series := CumulativeByPathStream(ds.Source(), ds.CountingWindow, session, prefix, backup)
+	cum := NewCumulative(session, prefix, backup)
+	RunAll(ds.source(), ds.inWindow, cum)
+	series := cum.Series()
 	counts := series.TypeCounts()
 	if counts.Of(classify.PN) != 6 {
 		t.Errorf("pn = %d, want 6", counts.Of(classify.PN))
@@ -255,8 +283,10 @@ func TestFigure5DuplicatesFromEgressCleaning(t *testing.T) {
 
 func TestFigure6Revealed(t *testing.T) {
 	cfg := workload.DefaultBeaconConfig(day)
-	ds := workload.GenerateBeacon(cfg)
-	s := RevealedForStream(ds.Source(), ds.CountingWindow, cfg.Schedule)
+	_, sources := workload.BeaconSources(cfg)
+	revealed := NewRevealed(cfg.Schedule)
+	RunAll(stream.Concat(sources...), cfg.InWindow, revealed)
+	s := revealed.Summary()
 	if s.Total == 0 {
 		t.Fatal("no community attributes observed")
 	}
@@ -296,17 +326,17 @@ func TestBeaconSubset(t *testing.T) {
 	ds := smallDay()
 	// The day generator uses 10.0.0.0/8 and 2001:db8::/32 prefixes, none of
 	// which are beacons.
-	beacons := func(ds *workload.Dataset) int {
-		return stream.Count(stream.Filter(ds.Source(), func(e classify.Event) bool {
+	beacons := func(ds *genDay) int {
+		return stream.Count(stream.Filter(ds.source(), func(e classify.Event) bool {
 			return beacon.IsBeaconPrefix(e.Prefix)
 		}))
 	}
 	if n := beacons(ds); n != 0 {
 		t.Errorf("day dataset should contain no beacon prefixes, got %d", n)
 	}
-	bds := workload.GenerateBeacon(smallBeaconCfg())
-	if n := beacons(bds); n != len(bds.Events) {
-		t.Errorf("beacon dataset should be fully retained: %d vs %d", n, len(bds.Events))
+	bds := beaconDay(smallBeaconCfg())
+	if n := beacons(bds); n != len(bds.events) {
+		t.Errorf("beacon dataset should be fully retained: %d vs %d", n, len(bds.events))
 	}
 }
 

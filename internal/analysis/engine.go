@@ -280,7 +280,7 @@ type peerAcc struct {
 }
 
 // PeerBehaviorAnalyzer accumulates per-session community-handling
-// evidence (InferPeerBehaviorStream as an accumulator).
+// evidence and infers each session's PeerBehavior.
 type PeerBehaviorAnalyzer struct {
 	accs map[classify.SessionKey]*peerAcc
 }
@@ -376,8 +376,9 @@ type ingressKey struct {
 	tagger uint16
 }
 
-// IngressAnalyzer counts distinct city-level geo communities per
-// (peer, tagger) pair (InferIngressLocationsStream as an accumulator).
+// IngressAnalyzer counts distinct city-level geo communities (the
+// generator's 2000-2999 value convention, mirroring real geo schemes
+// like AS3356's) per (peer, tagger) pair.
 type IngressAnalyzer struct {
 	locs map[ingressKey]map[bgp.Community]struct{}
 }

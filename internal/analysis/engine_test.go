@@ -116,38 +116,20 @@ func TestAnalyzerMergeLaws(t *testing.T) {
 	}
 }
 
-// TestWrappersMatchAnalyzers pins the convenience wrappers to the
-// engine: each *Stream function must return exactly what its analyzer
-// produces under RunAll.
-func TestWrappersMatchAnalyzers(t *testing.T) {
+// TestRunAllAloneMatchesOnePass pins the one-pass claim the study
+// commands rely on: every analyzer run alone through RunAll returns
+// exactly what it returns when it shares one RunAll pass with all the
+// others.
+func TestRunAllAloneMatchesOnePass(t *testing.T) {
 	sources, protos := mergeLawFixture(t)
-	all := func() stream.EventSource { return stream.Concat(sources...) }
-
-	run := classify.FreshAll(protos)
-	RunAll(all(), nil, run...)
-
-	mix := protos[2].(*SessionMixAnalyzer)
-	cum := protos[3].(*CumulativeAnalyzer)
-
-	t1, counts := Report(all(), nil)
-	if !reflect.DeepEqual(t1, run[0].Finish()) || !reflect.DeepEqual(counts, run[1].Finish()) {
-		t.Error("Report wrapper diverged from analyzers")
-	}
-	if got, want := Figure3PerSessionStream(all(), nil, mix.collector, mix.prefix), run[2].Finish(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Figure3 wrapper diverged: %+v != %+v", got, want)
-	}
-	if got, want := CumulativeByPathStream(all(), nil, cum.session, cum.prefix, cum.path), run[3].Finish(); !reflect.DeepEqual(got, want) {
-		t.Error("CumulativeByPath wrapper diverged")
-	}
-	sched := protos[4].(*RevealedAnalyzer).sched
-	if got, want := RevealedForStream(all(), nil, sched), run[4].Finish(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Revealed wrapper diverged: %+v != %+v", got, want)
-	}
-	if got, want := InferPeerBehaviorStream(all(), nil), run[5].Finish(); !reflect.DeepEqual(got, want) {
-		t.Error("InferPeerBehavior wrapper diverged")
-	}
-	if got, want := InferIngressLocationsStream(all()), run[6].Finish(); !reflect.DeepEqual(got, want) {
-		t.Error("InferIngressLocations wrapper diverged")
+	together := classify.FreshAll(protos)
+	RunAll(stream.Concat(sources...), nil, together...)
+	for i, proto := range protos {
+		alone := proto.Fresh()
+		RunAll(stream.Concat(sources...), nil, alone)
+		if got, want := alone.Finish(), together[i].Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T alone diverged from the shared pass:\n got %+v\nwant %+v", proto, got, want)
+		}
 	}
 }
 

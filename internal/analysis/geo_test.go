@@ -8,15 +8,15 @@ import (
 	"repro/internal/workload"
 )
 
-// geoBreakdownOf scans the dataset for the route's announcements.
-func geoBreakdownOf(ds *workload.Dataset, session classify.SessionKey, prefix, pathStr string) GeoBreakdown {
+// geoBreakdownOf scans the day for the route's announcements.
+func geoBreakdownOf(ds *genDay, session classify.SessionKey, prefix, pathStr string) GeoBreakdown {
 	a := NewGeoBreakdown(session, prefix, pathStr)
-	RunAll(ds.Source(), nil, a)
+	RunAll(ds.source(), nil, a)
 	return a.Breakdown()
 }
 
 func TestGeoBreakdownFor(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
+	ds := beaconDay(smallBeaconCfg())
 	session, backup := findStream(t, ds, workload.PeerTransparent, true)
 	prefix := beacon.RIPEBeacons()[0].Prefix
 	gb := geoBreakdownOf(ds, session, prefix.String(), backup)
@@ -35,7 +35,7 @@ func TestGeoBreakdownFor(t *testing.T) {
 }
 
 func TestGeoBreakdownEmptyForUnknownRoute(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
+	ds := beaconDay(smallBeaconCfg())
 	gb := geoBreakdownOf(ds, classify.SessionKey{Collector: "nope"}, "0.0.0.0/0", "1 2 3")
 	if gb != (GeoBreakdown{}) {
 		t.Errorf("unknown route: %+v", gb)

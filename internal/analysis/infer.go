@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/classify"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -65,14 +64,6 @@ const (
 	nnShareThreshold   = 0.10
 )
 
-// InferPeerBehaviorStream classifies every session observed on a source
-// in one pass (inWindow nil considers everything).
-func InferPeerBehaviorStream(src stream.EventSource, inWindow func(classify.Event) bool) []PeerInference {
-	a := NewPeerBehavior()
-	RunAll(src, inWindow, a)
-	return a.Inferences()
-}
-
 // InferenceAccuracyPeers scores inferences against ground-truth peer
 // profiles, mapping ground truth to the closest observable class:
 // transparent+tagged → propagates; cleans-egress+tagged → cleans-egress;
@@ -111,13 +102,4 @@ type IngressInference struct {
 	PeerAS    uint32
 	TaggerAS  uint16
 	Locations int
-}
-
-// InferIngressLocationsStream counts distinct city-level geo communities
-// (the generator's 2000-2999 value convention, mirroring real geo schemes
-// like AS3356's) per (peer, tagger) pair, in one pass over a source.
-func InferIngressLocationsStream(src stream.EventSource) []IngressInference {
-	a := NewIngress()
-	runPlain(src, nil, a)
-	return a.Locations()
 }

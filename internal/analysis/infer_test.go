@@ -7,19 +7,35 @@ import (
 	"repro/internal/workload"
 )
 
+// inferPeers runs the peer-behaviour inference over the day's counting
+// window.
+func inferPeers(ds *genDay) []PeerInference {
+	a := NewPeerBehavior()
+	RunAll(ds.source(), ds.inWindow, a)
+	return a.Inferences()
+}
+
+// ingressOf runs the ingress-location inference over every event of the
+// day, warm-up included.
+func ingressOf(ds *genDay) []IngressInference {
+	a := NewIngress()
+	RunAll(ds.source(), nil, a)
+	return a.Locations()
+}
+
 func TestInferPeerBehaviorOnBeaconData(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
-	inferences := InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
+	ds := beaconDay(smallBeaconCfg())
+	inferences := inferPeers(ds)
 	if len(inferences) == 0 {
 		t.Fatal("no inferences")
 	}
 	// Every peer session that announced anything is covered.
-	if len(inferences) != len(ds.Peers) {
-		t.Errorf("inferences = %d, peers = %d", len(inferences), len(ds.Peers))
+	if len(inferences) != len(ds.peers) {
+		t.Errorf("inferences = %d, peers = %d", len(inferences), len(ds.peers))
 	}
 	// The beacon workload exercises the mechanisms strongly, so inference
 	// should be near-perfect.
-	acc := InferenceAccuracyPeers(ds.Peers, inferences)
+	acc := InferenceAccuracyPeers(ds.peers, inferences)
 	if acc < 0.9 {
 		t.Errorf("accuracy = %.2f, want >= 0.9", acc)
 	}
@@ -38,8 +54,8 @@ func TestInferPeerBehaviorOnBeaconData(t *testing.T) {
 
 func TestInferPeerBehaviorOnDayData(t *testing.T) {
 	ds := smallDay()
-	inferences := InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
-	acc := InferenceAccuracyPeers(ds.Peers, inferences)
+	inferences := inferPeers(ds)
+	acc := InferenceAccuracyPeers(ds.peers, inferences)
 	// The wild-style day data is noisier than the beacon view; accuracy
 	// must still be well above random guessing among three classes.
 	if acc < 0.7 {
@@ -48,8 +64,8 @@ func TestInferPeerBehaviorOnDayData(t *testing.T) {
 }
 
 func TestInferPeerBehaviorEvidence(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
-	for _, inf := range InferPeerBehaviorStream(ds.Source(), ds.CountingWindow) {
+	ds := beaconDay(smallBeaconCfg())
+	for _, inf := range inferPeers(ds) {
 		switch inf.Behavior {
 		case BehaviorPropagates:
 			if inf.CommShare <= commShareThreshold {
@@ -69,22 +85,22 @@ func TestInferPeerBehaviorEvidence(t *testing.T) {
 
 func TestInferenceAccuracyEmpty(t *testing.T) {
 	ds := smallDay()
-	if InferenceAccuracyPeers(ds.Peers, nil) != 0 {
+	if InferenceAccuracyPeers(ds.peers, nil) != 0 {
 		t.Error("empty inference accuracy should be 0")
 	}
 }
 
 func TestInferIngressLocations(t *testing.T) {
 	cfg := smallBeaconCfg()
-	ds := workload.GenerateBeacon(cfg)
-	infs := InferIngressLocationsStream(ds.Source())
+	ds := beaconDay(cfg)
+	infs := ingressOf(ds)
 	if len(infs) == 0 {
 		t.Fatal("no ingress inferences")
 	}
 	// Only transparent tagged peers leak locations; each leaks several
 	// (steady + exploration pools).
 	taggedTransparent := map[uint32]bool{}
-	for _, p := range ds.Peers {
+	for _, p := range ds.peers {
 		if p.TaggedUpstream && p.Kind == workload.PeerTransparent {
 			taggedTransparent[p.AS] = true
 		}
@@ -120,10 +136,10 @@ func TestBehaviorString(t *testing.T) {
 }
 
 func TestInferenceSessionsMatchClassifierSessions(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
-	infs := InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
+	ds := beaconDay(smallBeaconCfg())
+	infs := inferPeers(ds)
 	sessions := make(map[classify.SessionKey]bool)
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		sessions[e.Session()] = true
 	}
 	for _, inf := range infs {

@@ -68,19 +68,3 @@ func (a *PathAttrs) EffectivePath() (ASPath, error) {
 	}
 	return a.ASPath, nil
 }
-
-// AppendAS4PathAttr attaches an AS4_PATH raw attribute carrying path,
-// as a 2-octet-only speaker would forward it (the codec treats AS4_PATH as
-// an opaque transitive attribute on 2-octet sessions).
-func (a *PathAttrs) AppendAS4PathAttr(path ASPath) error {
-	val, err := appendASPath(nil, path, true)
-	if err != nil {
-		return err
-	}
-	a.Unknown = append(a.Unknown, RawAttr{
-		Flags: flagOptional | flagTransitive,
-		Type:  AttrAS4Path,
-		Value: val,
-	})
-	return nil
-}

@@ -93,9 +93,15 @@ func TestEffectivePathEndToEnd(t *testing.T) {
 		ASPath:  truth,
 		NextHop: mustAddr(t, "10.0.0.1"),
 	}
-	if err := attrs.AppendAS4PathAttr(truth); err != nil {
+	// Attach AS4_PATH as a 2-octet-only speaker forwards it: an opaque
+	// optional transitive attribute.
+	as4, err := appendASPath(nil, truth, true)
+	if err != nil {
 		t.Fatal(err)
 	}
+	attrs.Unknown = append(attrs.Unknown, RawAttr{
+		Flags: flagOptional | flagTransitive, Type: AttrAS4Path, Value: as4,
+	})
 	u := &Update{NLRI: []netip.Prefix{mustPrefix(t, "192.0.2.0/24")}, Attrs: attrs}
 	wire, err := Marshal(u, MarshalOptions{FourByteAS: false})
 	if err != nil {

@@ -204,42 +204,6 @@ func (p ASPath) String() string {
 	return sb.String()
 }
 
-// ParseASPath parses the String form: space-separated ASNs with optional
-// {a,b,c} AS_SET segments.
-func ParseASPath(s string) (ASPath, error) {
-	var path ASPath
-	var seq []uint32
-	flush := func() {
-		if len(seq) > 0 {
-			path = append(path, ASPathSegment{Type: SegmentSequence, ASNs: seq})
-			seq = nil
-		}
-	}
-	for _, tok := range strings.Fields(s) {
-		if strings.HasPrefix(tok, "{") {
-			flush()
-			inner := strings.TrimSuffix(strings.TrimPrefix(tok, "{"), "}")
-			var set []uint32
-			for _, m := range strings.Split(inner, ",") {
-				v, err := strconv.ParseUint(strings.TrimSpace(m), 10, 32)
-				if err != nil {
-					return nil, fmt.Errorf("bgp: AS path %q: %w", s, err)
-				}
-				set = append(set, uint32(v))
-			}
-			path = append(path, ASPathSegment{Type: SegmentSet, ASNs: set})
-			continue
-		}
-		v, err := strconv.ParseUint(tok, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bgp: AS path %q: %w", s, err)
-		}
-		seq = append(seq, uint32(v))
-	}
-	flush()
-	return path, nil
-}
-
 // appendASPath serializes the path value using 2- or 4-octet ASNs.
 func appendASPath(dst []byte, p ASPath, fourByte bool) ([]byte, error) {
 	for _, s := range p {

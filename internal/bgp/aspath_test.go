@@ -107,37 +107,6 @@ func TestASPathContains(t *testing.T) {
 	}
 }
 
-func TestParseASPath(t *testing.T) {
-	tests := []struct {
-		in   string
-		want string
-		err  bool
-	}{
-		{"20205 3356 174 12654", "20205 3356 174 12654", false},
-		{"", "", false},
-		{"1 {2,3} 4", "1 {2,3} 4", false},
-		{"{7}", "{7}", false},
-		{"1 x 3", "", true},
-		{"{a,b}", "", true},
-	}
-	for _, tc := range tests {
-		got, err := ParseASPath(tc.in)
-		if tc.err {
-			if err == nil {
-				t.Errorf("ParseASPath(%q): want error", tc.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseASPath(%q): %v", tc.in, err)
-			continue
-		}
-		if got.String() != tc.want {
-			t.Errorf("ParseASPath(%q).String() = %q, want %q", tc.in, got.String(), tc.want)
-		}
-	}
-}
-
 func TestASPathWireRoundTrip(t *testing.T) {
 	paths := []ASPath{
 		nil,

@@ -50,33 +50,6 @@ func (c Community) String() string {
 	return strconv.Itoa(int(c.ASN())) + ":" + strconv.Itoa(int(c.Value()))
 }
 
-// ParseCommunity parses "ASN:value" (or a well-known name) into a Community.
-func ParseCommunity(s string) (Community, error) {
-	switch strings.ToLower(s) {
-	case "no-export":
-		return CommunityNoExport, nil
-	case "no-advertise":
-		return CommunityNoAdvertise, nil
-	case "no-export-subconfed":
-		return CommunityNoExportSubconfed, nil
-	case "blackhole":
-		return CommunityBlackhole, nil
-	}
-	asn, value, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, fmt.Errorf("bgp: community %q: want ASN:value", s)
-	}
-	a, err := strconv.ParseUint(asn, 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: community %q: bad ASN: %w", s, err)
-	}
-	v, err := strconv.ParseUint(value, 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: community %q: bad value: %w", s, err)
-	}
-	return NewCommunity(uint16(a), uint16(v)), nil
-}
-
 // Communities is a set of standard communities. The canonical form is sorted
 // ascending with duplicates removed; most operations assume canonical input.
 type Communities []Community
@@ -157,17 +130,6 @@ func (cs Communities) With(c Community) Communities {
 	return append(cs.Clone(), c).Canonical()
 }
 
-// Without returns a copy of cs with every community matching pred removed.
-func (cs Communities) Without(pred func(Community) bool) Communities {
-	var out Communities
-	for _, c := range cs {
-		if !pred(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // String renders the set space-separated in canonical order.
 func (cs Communities) String() string {
 	parts := make([]string, len(cs))
@@ -210,23 +172,6 @@ type LargeCommunity struct {
 // String renders the large community in canonical colon form.
 func (lc LargeCommunity) String() string {
 	return fmt.Sprintf("%d:%d:%d", lc.Global, lc.Local1, lc.Local2)
-}
-
-// ParseLargeCommunity parses "global:local1:local2".
-func ParseLargeCommunity(s string) (LargeCommunity, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return LargeCommunity{}, fmt.Errorf("bgp: large community %q: want three fields", s)
-	}
-	var vals [3]uint32
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 32)
-		if err != nil {
-			return LargeCommunity{}, fmt.Errorf("bgp: large community %q: %w", s, err)
-		}
-		vals[i] = uint32(v)
-	}
-	return LargeCommunity{vals[0], vals[1], vals[2]}, nil
 }
 
 // Less orders large communities lexicographically by field.

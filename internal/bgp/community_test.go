@@ -29,56 +29,6 @@ func TestCommunityRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestParseCommunity(t *testing.T) {
-	tests := []struct {
-		in   string
-		want Community
-		err  bool
-	}{
-		{"3356:901", NewCommunity(3356, 901), false},
-		{"0:0", 0, false},
-		{"65535:65535", NewCommunity(65535, 65535), false},
-		{"no-export", CommunityNoExport, false},
-		{"NO-EXPORT", CommunityNoExport, false},
-		{"blackhole", CommunityBlackhole, false},
-		{"no-advertise", CommunityNoAdvertise, false},
-		{"no-export-subconfed", CommunityNoExportSubconfed, false},
-		{"65536:1", 0, true},
-		{"1:65536", 0, true},
-		{"junk", 0, true},
-		{"1:2:3", 0, true},
-		{"", 0, true},
-		{"-1:5", 0, true},
-	}
-	for _, tc := range tests {
-		got, err := ParseCommunity(tc.in)
-		if tc.err {
-			if err == nil {
-				t.Errorf("ParseCommunity(%q): want error, got %v", tc.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseCommunity(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("ParseCommunity(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestParseCommunityStringInverse(t *testing.T) {
-	f := func(v uint32) bool {
-		c := Community(v)
-		got, err := ParseCommunity(c.String())
-		return err == nil && got == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWellKnownCommunities(t *testing.T) {
 	if !CommunityNoExport.WellKnown() {
 		t.Error("no-export should be well-known")
@@ -159,7 +109,7 @@ func TestCommunitiesEqualNilEmpty(t *testing.T) {
 	}
 }
 
-func TestCommunitiesWithWithout(t *testing.T) {
+func TestCommunitiesWith(t *testing.T) {
 	cs := Communities{NewCommunity(100, 1), NewCommunity(200, 2)}
 	added := cs.With(NewCommunity(150, 5))
 	if len(added) != 3 || !added.Contains(NewCommunity(150, 5)) {
@@ -167,15 +117,6 @@ func TestCommunitiesWithWithout(t *testing.T) {
 	}
 	if len(cs) != 2 {
 		t.Error("With mutated receiver")
-	}
-	removed := added.Without(func(c Community) bool { return c.ASN() == 150 })
-	if len(removed) != 2 || removed.Contains(NewCommunity(150, 5)) {
-		t.Errorf("Without: got %v", removed)
-	}
-	// Without everything yields empty.
-	none := added.Without(func(Community) bool { return true })
-	if len(none) != 0 {
-		t.Errorf("Without(all): got %v", none)
 	}
 }
 
@@ -220,22 +161,6 @@ func TestLargeCommunityString(t *testing.T) {
 	lc := LargeCommunity{Global: 64512, Local1: 1, Local2: 2}
 	if lc.String() != "64512:1:2" {
 		t.Errorf("String() = %q", lc.String())
-	}
-	parsed, err := ParseLargeCommunity("64512:1:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed != lc {
-		t.Errorf("parse mismatch: %v", parsed)
-	}
-	if _, err := ParseLargeCommunity("1:2"); err == nil {
-		t.Error("want error for two fields")
-	}
-	if _, err := ParseLargeCommunity("a:b:c"); err == nil {
-		t.Error("want error for non-numeric")
-	}
-	if _, err := ParseLargeCommunity("4294967296:1:2"); err == nil {
-		t.Error("want error for overflow")
 	}
 }
 

@@ -78,11 +78,3 @@ func DecodePrefixes(b []byte, afi uint16) ([]netip.Prefix, error) {
 	}
 	return out, nil
 }
-
-// AFIOf returns the address family identifier for the prefix.
-func AFIOf(p netip.Prefix) uint16 {
-	if p.Addr().Is4() {
-		return AFIIPv4
-	}
-	return AFIIPv6
-}

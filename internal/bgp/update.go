@@ -129,17 +129,6 @@ func (u *Update) IsWithdrawOnly() bool {
 	return len(u.Announced()) == 0 && len(u.AllWithdrawn()) > 0
 }
 
-// NextHopFor returns the next hop used for the given family.
-func (u *Update) NextHopFor(afi uint16) netip.Addr {
-	if afi == AFIIPv4 {
-		return u.Attrs.NextHop
-	}
-	if u.Attrs.MPReach != nil && u.Attrs.MPReach.AFI == afi {
-		return u.Attrs.MPReach.NextHop
-	}
-	return netip.Addr{}
-}
-
 // String renders a compact human-readable summary, useful in experiment
 // transcripts.
 func (u *Update) String() string {

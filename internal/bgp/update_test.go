@@ -154,11 +154,8 @@ func TestUpdateRoundTripIPv6(t *testing.T) {
 	if len(back.AllWithdrawn()) != 1 || back.AllWithdrawn()[0] != u.Attrs.MPUnreach.Withdrawn[0] {
 		t.Errorf("AllWithdrawn(): %v", back.AllWithdrawn())
 	}
-	if back.NextHopFor(AFIIPv6) != u.Attrs.MPReach.NextHop {
-		t.Errorf("NextHopFor(v6): %v", back.NextHopFor(AFIIPv6))
-	}
-	if back.NextHopFor(AFIIPv4).IsValid() {
-		t.Error("NextHopFor(v4) should be invalid on a v6-only update")
+	if back.Attrs.NextHop.IsValid() {
+		t.Error("classic NEXT_HOP should be unset on a v6-only update")
 	}
 }
 

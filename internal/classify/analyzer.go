@@ -89,9 +89,8 @@ func MergeAll(into, from []Analyzer) {
 	}
 }
 
-// CountsAnalyzer accumulates the Table 2 type counts — the Analyzer
-// form of stream.Classify, and the accumulator the parallel engines
-// merge per shard.
+// CountsAnalyzer accumulates the Table 2 type counts — the accumulator
+// the parallel engines merge per shard.
 type CountsAnalyzer struct {
 	Counts Counts
 }

@@ -31,7 +31,12 @@ func TestRunAllMatchesSingleClassifier(t *testing.T) {
 	want := Counts{}
 	cl := New()
 	for _, e := range evs {
-		want.Observe(cl, e)
+		res, ok := cl.Observe(e)
+		if !ok {
+			want.Withdrawals++
+			continue
+		}
+		want.Add(res)
 	}
 
 	a1, a2 := &CountsAnalyzer{}, &CountsAnalyzer{}

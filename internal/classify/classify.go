@@ -275,16 +275,6 @@ type Counts struct {
 	MEDOnlyNN int
 }
 
-// Observe classifies an event into the counts via the classifier.
-func (c *Counts) Observe(cl *Classifier, e Event) {
-	res, ok := cl.Observe(e)
-	if !ok {
-		c.Withdrawals++
-		return
-	}
-	c.Add(res)
-}
-
 // Add tallies one classification result.
 func (c *Counts) Add(res Result) {
 	c.ByType[res.Type]++

@@ -2,6 +2,9 @@ package classify
 
 import (
 	"net/netip"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,11 +17,21 @@ var (
 	t0     = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 )
 
-func ev(path string, comms ...bgp.Community) Event {
-	p, err := bgp.ParseASPath(path)
-	if err != nil {
-		panic(err)
+// parsePath parses a space-separated AS_SEQUENCE such as "20205 3356".
+func parsePath(s string) bgp.ASPath {
+	var asns []uint32
+	for _, tok := range strings.Fields(s) {
+		v, err := strconv.ParseUint(tok, 10, 32)
+		if err != nil {
+			panic(err)
+		}
+		asns = append(asns, uint32(v))
 	}
+	return bgp.NewASPath(asns...)
+}
+
+func ev(path string, comms ...bgp.Community) Event {
+	p := parsePath(path)
 	return Event{
 		Time:        t0,
 		Collector:   "rrc00",
@@ -173,14 +186,17 @@ func TestCommunityExplorationSequence(t *testing.T) {
 	// The Figure 4 pattern: during each withdrawal phase the backup route
 	// appears with rotating geo communities: pc, nc, nc, then a withdrawal;
 	// repeated per phase.
-	c := New()
-	var counts Counts
+	var evs []Event
 	for phase := 0; phase < 6; phase++ {
-		counts.Observe(c, ev("20205 3356 174 12654", bgp.NewCommunity(3356, 501)))
-		counts.Observe(c, ev("20205 3356 174 12654", bgp.NewCommunity(3356, 502)))
-		counts.Observe(c, ev("20205 3356 174 12654", bgp.NewCommunity(3356, 503)))
-		counts.Observe(c, withdraw())
+		evs = append(evs,
+			ev("20205 3356 174 12654", bgp.NewCommunity(3356, 501)),
+			ev("20205 3356 174 12654", bgp.NewCommunity(3356, 502)),
+			ev("20205 3356 174 12654", bgp.NewCommunity(3356, 503)),
+			withdraw())
 	}
+	var a CountsAnalyzer
+	RunAll(slices.Values(evs), nil, &a)
+	counts := a.Counts
 	if got := counts.Of(PC); got != 6 {
 		t.Errorf("pc = %d, want 6 (one per phase)", got)
 	}

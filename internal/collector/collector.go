@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/classify"
@@ -96,11 +95,6 @@ func EventRecord(e classify.Event, routeServers map[uint32]bool) (*mrt.BGP4MPMes
 	}, nil
 }
 
-// WriteEvents streams events (already time-ordered) into an MRT writer.
-func WriteEvents(w *mrt.Writer, events []classify.Event, routeServers map[uint32]bool) error {
-	return WriteEventSource(w, stream.FromSlice(events), routeServers)
-}
-
 // WriteEventSource drains an event source (already time-ordered) into an
 // MRT writer, one record at a time.
 func WriteEventSource(w *mrt.Writer, src stream.EventSource, routeServers map[uint32]bool) error {
@@ -121,6 +115,8 @@ func WriteEventSource(w *mrt.Writer, src stream.EventSource, routeServers map[ui
 // without ever materializing the dataset: each collector's archive is a
 // time-ordered merge of just that collector's sessions, so the peak
 // working set is one collector's events rather than the whole day.
+// Files are named <collector>.updates.mrt as the real archives name
+// their update dumps; the result maps collector → file path.
 func WriteSourcesDir(peers []workload.Peer, sources []stream.EventSource, dir string) (map[string]string, error) {
 	if len(peers) != len(sources) {
 		return nil, fmt.Errorf("collector: %d peers but %d sources", len(peers), len(sources))
@@ -129,13 +125,10 @@ func WriteSourcesDir(peers []workload.Peer, sources []stream.EventSource, dir st
 		return nil, err
 	}
 	byCollector := make(map[string][]stream.EventSource)
-	routeServers := make(map[uint32]bool)
 	for i, p := range peers {
 		byCollector[p.Collector] = append(byCollector[p.Collector], sources[i])
-		if p.RouteServer {
-			routeServers[p.AS] = true
-		}
 	}
+	routeServers := workload.RouteServerASNs(peers)
 	names := make([]string, 0, len(byCollector))
 	for name := range byCollector {
 		names = append(names, name)
@@ -151,44 +144,6 @@ func WriteSourcesDir(peers []workload.Peer, sources []stream.EventSource, dir st
 		w := mrt.NewWriter(f)
 		w.ExtendedTime = true
 		if err := WriteEventSource(w, stream.Merge(byCollector[name]...), routeServers); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("collector %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		files[name] = path
-	}
-	return files, nil
-}
-
-// WriteDatasetDir writes one MRT archive per collector into dir, returning
-// collector → file path. Files are named <collector>.updates.mrt as the
-// real archives name their update dumps.
-func WriteDatasetDir(ds *workload.Dataset, dir string) (map[string]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	byCollector := make(map[string][]classify.Event)
-	for _, e := range ds.Events {
-		byCollector[e.Collector] = append(byCollector[e.Collector], e)
-	}
-	routeServers := ds.RouteServerASNs()
-	files := make(map[string]string, len(byCollector))
-	names := make([]string, 0, len(byCollector))
-	for name := range byCollector {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		path := filepath.Join(dir, name+".updates.mrt")
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		w := mrt.NewWriter(f)
-		w.ExtendedTime = true
-		if err := WriteEvents(w, byCollector[name], routeServers); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("collector %s: %w", name, err)
 		}
@@ -220,7 +175,3 @@ func CountRecords(path string) (int, error) {
 	}
 	return n, nil
 }
-
-// ArchiveWindow truncates a time to the archive rotation boundary used by
-// RIS (5-minute update files), for tools that split archives.
-func ArchiveWindow(t time.Time) time.Time { return t.Truncate(5 * time.Minute) }

@@ -3,6 +3,7 @@ package collector
 import (
 	"net/netip"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/mrt"
 	"repro/internal/pipeline"
 	"repro/internal/registry"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -95,19 +97,19 @@ func TestEventRecordIPv6(t *testing.T) {
 	}
 }
 
-// TestDatasetMRTRoundTrip is the end-to-end §4 test: generate a dataset,
+// TestSourcesMRTRoundTrip is the end-to-end §4 test: generate a day,
 // write MRT archives, read them back through the pipeline, and verify the
 // classifier sees the same announcement mix.
-func TestDatasetMRTRoundTrip(t *testing.T) {
+func TestSourcesMRTRoundTrip(t *testing.T) {
 	cfg := workload.DefaultDayConfig(day)
 	cfg.Collectors = 2
 	cfg.PeersPerCollector = 6
 	cfg.PrefixesV4 = 80
 	cfg.PrefixesV6 = 8
-	ds := workload.GenerateDay(cfg)
+	peers, sources := workload.DaySources(cfg)
 
 	dir := t.TempDir()
-	files, err := WriteDatasetDir(ds, dir)
+	files, err := WriteSourcesDir(peers, sources, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,24 +118,21 @@ func TestDatasetMRTRoundTrip(t *testing.T) {
 	}
 
 	// Direct classification.
-	clDirect := classify.New()
-	var direct classify.Counts
-	for _, e := range ds.Events {
-		direct.Observe(clDirect, e)
-	}
+	var direct classify.CountsAnalyzer
+	classify.RunAll(stream.Concat(sources...), nil, &direct)
 
 	// Via MRT + pipeline.
 	norm := pipeline.NewNormalizer(registry.Synthetic(time.Date(2009, 1, 1, 0, 0, 0, 0, time.UTC)))
-	norm.RouteServers = ds.RouteServerASNs()
-	clPipe := classify.New()
-	var piped classify.Counts
+	routeServers := workload.RouteServerASNs(peers)
+	norm.RouteServers = routeServers
+	var pipedEvents []classify.Event
 	for name, path := range files {
 		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = norm.ProcessReader(name, mrt.NewReader(f), func(e classify.Event) error {
-			piped.Observe(clPipe, e)
+			pipedEvents = append(pipedEvents, e)
 			return nil
 		})
 		f.Close()
@@ -141,24 +140,18 @@ func TestDatasetMRTRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var piped classify.CountsAnalyzer
+	classify.RunAll(slices.Values(pipedEvents), nil, &piped)
 
-	if piped.Announcements() != direct.Announcements() {
-		t.Errorf("announcements: piped %d, direct %d", piped.Announcements(), direct.Announcements())
-	}
-	if piped.Withdrawals != direct.Withdrawals {
-		t.Errorf("withdrawals: piped %d, direct %d", piped.Withdrawals, direct.Withdrawals)
-	}
-	for _, ty := range classify.Types() {
-		if piped.Of(ty) != direct.Of(ty) {
-			t.Errorf("%v: piped %d, direct %d", ty, piped.Of(ty), direct.Of(ty))
-		}
+	if piped.Counts != direct.Counts {
+		t.Errorf("counts: piped %+v, direct %+v", piped.Counts, direct.Counts)
 	}
 	if norm.Stats.DroppedBogonASN != 0 || norm.Stats.DroppedBogonPrefix != 0 {
 		t.Errorf("synthetic dataset should contain no bogons: %+v", norm.Stats)
 	}
-	// Route-server fixups happened iff the dataset has RS peers that
+	// Route-server fixups happened iff the day has RS peers that
 	// announced something.
-	if len(ds.RouteServerASNs()) > 0 && norm.Stats.RouteServerFixups == 0 {
+	if len(routeServers) > 0 && norm.Stats.RouteServerFixups == 0 {
 		t.Error("no route-server fixups recorded")
 	}
 }
@@ -167,9 +160,9 @@ func TestCountRecords(t *testing.T) {
 	cfg := workload.DefaultBeaconConfig(day)
 	cfg.Collectors = 1
 	cfg.PeersPerCollector = 2
-	ds := workload.GenerateBeacon(cfg)
+	peers, sources := workload.BeaconSources(cfg)
 	dir := t.TempDir()
-	files, err := WriteDatasetDir(ds, dir)
+	files, err := WriteSourcesDir(peers, sources, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +174,7 @@ func TestCountRecords(t *testing.T) {
 		}
 		total += n
 	}
-	if total != len(ds.Events) {
-		t.Errorf("records = %d, events = %d", total, len(ds.Events))
-	}
-}
-
-func TestArchiveWindow(t *testing.T) {
-	ts := time.Date(2020, 3, 15, 2, 7, 33, 0, time.UTC)
-	want := time.Date(2020, 3, 15, 2, 5, 0, 0, time.UTC)
-	if got := ArchiveWindow(ts); !got.Equal(want) {
-		t.Errorf("ArchiveWindow = %v, want %v", got, want)
+	if events := stream.Count(stream.Concat(sources...)); total != events {
+		t.Errorf("records = %d, events = %d", total, events)
 	}
 }

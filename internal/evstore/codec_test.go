@@ -43,7 +43,7 @@ func ingestCodec(t *testing.T, src stream.EventSource, codec evstore.Codec) stri
 func TestCrossCodecScanEquivalence(t *testing.T) {
 	cfg := smallDayConfig()
 	const days = 2
-	want := stream.Classify(workload.MultiDaySource(cfg, days), nil)
+	want := countTypes(workload.MultiDaySource(cfg, days), nil)
 
 	var base *evstore.ScanStats
 	for _, codec := range []evstore.Codec{evstore.CodecRaw, evstore.CodecLZ} {
@@ -51,7 +51,7 @@ func TestCrossCodecScanEquivalence(t *testing.T) {
 			dir := ingestCodec(t, workload.MultiDaySource(cfg, days), codec)
 			var scanErr error
 			var st evstore.ScanStats
-			got := stream.Classify(evstore.ScanWithStats(dir, evstore.Query{}, &scanErr, &st), nil)
+			got := countTypes(evstore.ScanWithStats(dir, evstore.Query{}, &scanErr, &st), nil)
 			if scanErr != nil {
 				t.Fatal(scanErr)
 			}
@@ -86,7 +86,7 @@ func TestCodecStatsAttribution(t *testing.T) {
 	rawDir := ingestCodec(t, src(), evstore.CodecRaw)
 	var scanErr error
 	var st evstore.ScanStats
-	stream.Classify(evstore.ScanWithStats(rawDir, evstore.Query{}, &scanErr, &st), nil)
+	countTypes(evstore.ScanWithStats(rawDir, evstore.Query{}, &scanErr, &st), nil)
 	if scanErr != nil {
 		t.Fatal(scanErr)
 	}
@@ -97,7 +97,7 @@ func TestCodecStatsAttribution(t *testing.T) {
 	}
 
 	lzDir := ingestCodec(t, src(), evstore.CodecLZ)
-	stream.Classify(evstore.ScanWithStats(lzDir, evstore.Query{}, &scanErr, &st), nil)
+	countTypes(evstore.ScanWithStats(lzDir, evstore.Query{}, &scanErr, &st), nil)
 	if scanErr != nil {
 		t.Fatal(scanErr)
 	}
@@ -151,7 +151,7 @@ func TestMultiBlockScan(t *testing.T) {
 
 	var scanErr error
 	var seq evstore.ScanStats
-	counts := stream.Classify(evstore.ScanWithStats(dir, evstore.Query{}, &scanErr, &seq), nil)
+	counts := countTypes(evstore.ScanWithStats(dir, evstore.Query{}, &scanErr, &seq), nil)
 	if scanErr != nil {
 		t.Fatal(scanErr)
 	}
@@ -159,7 +159,7 @@ func TestMultiBlockScan(t *testing.T) {
 		t.Errorf("complete scan: %d pruned + %d decoded != %d blocks", seq.BlocksPruned, seq.BlocksDecoded, seq.Blocks)
 	}
 
-	direct := stream.Classify(workload.MultiDaySource(cfg, 2), nil)
+	direct := countTypes(workload.MultiDaySource(cfg, 2), nil)
 	if counts != direct {
 		t.Errorf("multi-block counts diverge:\n got %+v\nwant %+v", counts, direct)
 	}
@@ -201,7 +201,7 @@ func TestRecodeRoundTrip(t *testing.T) {
 	const days = 2
 	dir := ingestCodec(t, workload.MultiDaySource(cfg, days), evstore.CodecLZ)
 
-	before := stream.Classify(evstore.Scan(dir, evstore.Query{}, nil), nil)
+	before := countTypes(evstore.Scan(dir, evstore.Query{}, nil), nil)
 	bs, err := evstore.BuildSnapshots(context.Background(), dir, snapNamed())
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestRecodeRoundTrip(t *testing.T) {
 		t.Fatalf("implausible byte accounting: %+v", rs)
 	}
 
-	after := stream.Classify(evstore.Scan(dir, evstore.Query{}, nil), nil)
+	after := countTypes(evstore.Scan(dir, evstore.Query{}, nil), nil)
 	if after != before {
 		t.Errorf("recode changed classification:\n got %+v\nwant %+v", after, before)
 	}

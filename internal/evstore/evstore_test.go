@@ -115,9 +115,9 @@ func TestScanClassifiesLikeMultiDaySource(t *testing.T) {
 	const days = 3
 	dir := ingest(t, workload.MultiDaySource(cfg, days))
 
-	direct := stream.Classify(workload.MultiDaySource(cfg, days), nil)
+	direct := countTypes(workload.MultiDaySource(cfg, days), nil)
 	var scanErr error
-	scanned := stream.Classify(evstore.Scan(dir, evstore.Query{}, &scanErr), nil)
+	scanned := countTypes(evstore.Scan(dir, evstore.Query{}, &scanErr), nil)
 	if scanErr != nil {
 		t.Fatal(scanErr)
 	}
@@ -209,10 +209,10 @@ func TestPushdownMatchesFilter(t *testing.T) {
 	}
 	for _, tc := range queries {
 		t.Run(tc.name, func(t *testing.T) {
-			want := stream.Classify(stream.Filter(direct(), tc.q.Match), nil)
+			want := countTypes(stream.Filter(direct(), tc.q.Match), nil)
 			var scanErr error
 			var st evstore.ScanStats
-			got := stream.Classify(evstore.ScanWithStats(dir, tc.q, &scanErr, &st), nil)
+			got := countTypes(evstore.ScanWithStats(dir, tc.q, &scanErr, &st), nil)
 			if scanErr != nil {
 				t.Fatal(scanErr)
 			}
@@ -529,9 +529,14 @@ func TestEarlyExitStopsScan(t *testing.T) {
 	dir := ingest(t, stream.Concat(sources...))
 	var scanErr error
 	var st evstore.ScanStats
-	n := stream.Count(stream.Take(evstore.ScanWithStats(dir, evstore.Query{}, &scanErr, &st), 10))
+	n := 0
+	for range evstore.ScanWithStats(dir, evstore.Query{}, &scanErr, &st) {
+		if n++; n == 10 {
+			break
+		}
+	}
 	if n != 10 || scanErr != nil {
-		t.Fatalf("Take(10) over scan: n=%d err=%v", n, scanErr)
+		t.Fatalf("first 10 events of a scan: n=%d err=%v", n, scanErr)
 	}
 	if st.BlocksDecoded > 1 {
 		t.Errorf("early exit decoded %d blocks", st.BlocksDecoded)
@@ -564,7 +569,17 @@ func TestQueryMatchPrefixSemantics(t *testing.T) {
 
 // analysisReport runs the combined Table 1 + Table 2 pass.
 func analysisReport(src stream.EventSource) (analysis.Table1, classify.Counts) {
-	return analysis.Report(src, nil)
+	t1, counts := analysis.NewTable1(), analysis.NewCounts()
+	analysis.RunAll(src, nil, t1, counts)
+	return t1.Table1(), counts.Counts
+}
+
+// countTypes classifies src in one pass and returns the Table 2 counts of
+// its in-window events (nil counts every event).
+func countTypes(src stream.EventSource, inWindow func(classify.Event) bool) classify.Counts {
+	counts := analysis.NewCounts()
+	analysis.RunAll(src, inWindow, counts)
+	return counts.Counts
 }
 
 func truncateFile(path string, size int64) error {

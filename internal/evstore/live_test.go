@@ -184,8 +184,8 @@ func TestScanDuringIngest(t *testing.T) {
 
 	// The final store classifies like a freshly scanned one.
 	var aErr, bErr error
-	a := stream.Classify(evstore.Scan(dir, evstore.Query{}, &aErr), nil)
-	b := stream.Classify(evstore.Scan(dir, evstore.Query{}, &bErr), nil)
+	a := countTypes(evstore.Scan(dir, evstore.Query{}, &aErr), nil)
+	b := countTypes(evstore.Scan(dir, evstore.Query{}, &bErr), nil)
 	if aErr != nil || bErr != nil {
 		t.Fatalf("post-ingest scans errored: %v / %v", aErr, bErr)
 	}

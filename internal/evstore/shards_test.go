@@ -138,7 +138,7 @@ func TestScanParallelMultiDay(t *testing.T) {
 	}
 
 	var seqErr error
-	want := stream.Classify(evstore.Scan(dir, evstore.Query{}, &seqErr), nil)
+	want := countTypes(evstore.Scan(dir, evstore.Query{}, &seqErr), nil)
 	if seqErr != nil {
 		t.Fatal(seqErr)
 	}

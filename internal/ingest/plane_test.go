@@ -43,11 +43,12 @@ func smallDay() workload.DayConfig {
 func scanCounts(t *testing.T, dir string) classify.Counts {
 	t.Helper()
 	var scanErr error
-	counts := stream.Classify(evstore.Scan(dir, evstore.Query{}, &scanErr), nil)
+	var counts classify.CountsAnalyzer
+	classify.RunAll(evstore.Scan(dir, evstore.Query{}, &scanErr), nil, &counts)
 	if scanErr != nil {
 		t.Fatalf("scan %s: %v", dir, scanErr)
 	}
-	return counts
+	return counts.Counts
 }
 
 // batchIngest writes sources into dir the pre-plane way: one writer,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bgp"
 	"repro/internal/router"
 	"repro/internal/topo"
 )
@@ -57,21 +56,6 @@ type Result struct {
 	X1toC1 []router.TracedMessage
 }
 
-// CollectorCommunities returns the community sets seen at the collector,
-// one entry per announcement.
-func (r Result) CollectorCommunities() []bgp.Communities {
-	var out []bgp.Communities
-	for _, m := range r.X1toC1 {
-		if !m.Withdraw {
-			// Canonical may alias the captured update's attrs, which the
-			// sender's Adj-RIB-Out still holds; Clone so callers may sort
-			// or append freely.
-			out = append(out, m.Update.Attrs.Communities.Canonical().Clone())
-		}
-	}
-	return out
-}
-
 // Run executes one experiment with one vendor profile: build the converged
 // topology, fail Y1–Y2, and capture the induced messages. Only the two
 // observation points the paper instruments are recorded — the builder's
@@ -99,50 +83,4 @@ func Run(e Experiment, b router.Behavior) (Result, error) {
 		Y1toX1:     y1x1.Messages(),
 		X1toC1:     x1c1.Messages(),
 	}, nil
-}
-
-// MatrixRow is one cell of the vendor × experiment summary (§3 Summary).
-type MatrixRow struct {
-	Experiment Experiment
-	Behavior   string
-	// UpdatesAtX1 counts messages Y1→X1; UpdatesAtC1 counts X1→C1.
-	UpdatesAtX1 int
-	UpdatesAtC1 int
-	// DuplicateAtX1 marks a Y1→X1 update whose attributes match what Y1
-	// had previously advertised (an RFC-violating duplicate).
-	DuplicateAtX1 bool
-	// DuplicateAtC1 likewise for the collector link.
-	DuplicateAtC1 bool
-}
-
-// RunMatrix executes all four experiments across every vendor profile.
-func RunMatrix() ([]MatrixRow, error) {
-	var rows []MatrixRow
-	for _, e := range []Experiment{Exp1, Exp2, Exp3, Exp4} {
-		for _, b := range router.AllBehaviors() {
-			res, err := Run(e, b)
-			if err != nil {
-				return nil, err
-			}
-			row := MatrixRow{
-				Experiment:  e,
-				Behavior:    b.Name,
-				UpdatesAtX1: len(res.Y1toX1),
-				UpdatesAtC1: len(res.X1toC1),
-			}
-			// A duplicate is an announcement whose path and communities are
-			// unchanged relative to the pre-event state; in these scenarios
-			// any post-event message with the pre-event attribute values is
-			// one. Exp1: path and (absent) communities unchanged. Exp3: the
-			// cleaned egress makes the collector message attribute-identical.
-			switch e {
-			case Exp1:
-				row.DuplicateAtX1 = row.UpdatesAtX1 > 0
-			case Exp3:
-				row.DuplicateAtC1 = row.UpdatesAtC1 > 0
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
 }

@@ -160,40 +160,42 @@ func TestExp4IngressCleaningSuppressesForAllVendors(t *testing.T) {
 	}
 }
 
+// TestMatrixShape pins the §3 summary: every experiment across every
+// vendor profile, as commstudy lab prints it.
 func TestMatrixShape(t *testing.T) {
-	rows, err := RunMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4*len(router.AllBehaviors()) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, row := range rows {
-		junos := row.Behavior == router.Junos.Name
-		switch row.Experiment {
-		case Exp1:
-			wantX1 := 1
-			if junos {
-				wantX1 = 0
+	for _, e := range []Experiment{Exp1, Exp2, Exp3, Exp4} {
+		for _, b := range router.AllBehaviors() {
+			res, err := Run(e, b)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if row.UpdatesAtX1 != wantX1 || row.UpdatesAtC1 != 0 {
-				t.Errorf("%v/%s: X1=%d C1=%d", row.Experiment, row.Behavior, row.UpdatesAtX1, row.UpdatesAtC1)
-			}
-		case Exp2:
-			if row.UpdatesAtX1 != 1 || row.UpdatesAtC1 != 1 {
-				t.Errorf("%v/%s: X1=%d C1=%d, want 1/1", row.Experiment, row.Behavior, row.UpdatesAtX1, row.UpdatesAtC1)
-			}
-		case Exp3:
-			wantC1 := 1
-			if junos {
-				wantC1 = 0
-			}
-			if row.UpdatesAtX1 != 1 || row.UpdatesAtC1 != wantC1 {
-				t.Errorf("%v/%s: X1=%d C1=%d", row.Experiment, row.Behavior, row.UpdatesAtX1, row.UpdatesAtC1)
-			}
-		case Exp4:
-			if row.UpdatesAtC1 != 0 {
-				t.Errorf("%v/%s: C1=%d, want 0", row.Experiment, row.Behavior, row.UpdatesAtC1)
+			x1, c1 := len(res.Y1toX1), len(res.X1toC1)
+			junos := b.Name == router.Junos.Name
+			switch e {
+			case Exp1:
+				wantX1 := 1
+				if junos {
+					wantX1 = 0
+				}
+				if x1 != wantX1 || c1 != 0 {
+					t.Errorf("%v/%s: X1=%d C1=%d", e, b.Name, x1, c1)
+				}
+			case Exp2:
+				if x1 != 1 || c1 != 1 {
+					t.Errorf("%v/%s: X1=%d C1=%d, want 1/1", e, b.Name, x1, c1)
+				}
+			case Exp3:
+				wantC1 := 1
+				if junos {
+					wantC1 = 0
+				}
+				if x1 != 1 || c1 != wantC1 {
+					t.Errorf("%v/%s: X1=%d C1=%d", e, b.Name, x1, c1)
+				}
+			case Exp4:
+				if c1 != 0 {
+					t.Errorf("%v/%s: C1=%d, want 0", e, b.Name, c1)
+				}
 			}
 		}
 	}
@@ -211,7 +213,10 @@ func TestLinkRestoreReconverges(t *testing.T) {
 	if best == nil || !best.Attrs.Communities.Contains(topo.TagY400) {
 		t.Fatalf("after failure: %+v", best)
 	}
-	if err := lab.RestoreY1Y2(); err != nil {
+	if err := lab.Net.SetSession("Y1", "Y2", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lab.Net.Run(); err != nil {
 		t.Fatal(err)
 	}
 	best = lab.C1.Best(lab.Prefix)

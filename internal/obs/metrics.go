@@ -209,19 +209,6 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// SetMax raises the gauge to v if v is larger — high-water tracking.
-func (g *Gauge) SetMax(v float64) {
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -224,19 +224,6 @@ func TestVecChildIdentity(t *testing.T) {
 	}
 }
 
-// TestGaugeSetMax pins high-water semantics.
-func TestGaugeSetMax(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("hw", "hw")
-	g.SetMax(3)
-	g.SetMax(1)
-	g.SetMax(7)
-	g.SetMax(6)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("SetMax high water = %v, want 7", got)
-	}
-}
-
 // TestDuplicateRegistrationPanics pins fail-at-startup semantics.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()

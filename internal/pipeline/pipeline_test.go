@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -223,15 +224,17 @@ func TestProcessReaderEndToEnd(t *testing.T) {
 	w.Flush()
 
 	n := NewNormalizer(registry.Synthetic(epoch))
-	cl := classify.New()
-	var counts classify.Counts
+	var evs []classify.Event
 	err := n.ProcessReader("rrc00", mrt.NewReader(&buf), func(e classify.Event) error {
-		counts.Observe(cl, e)
+		evs = append(evs, e)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tally classify.CountsAnalyzer
+	classify.RunAll(slices.Values(evs), nil, &tally)
+	counts := tally.Counts
 	if counts.Announcements() != 2 || counts.Withdrawals != 1 {
 		t.Fatalf("counts: %+v", counts)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/classify"
 	"repro/internal/collector"
 	"repro/internal/pipeline"
 	"repro/internal/stream"
@@ -14,7 +15,7 @@ import (
 // TestMRTSourceDrivesClassification is the end-to-end streaming path: a
 // generated day is archived per collector (never materialized as one
 // slice), read back lazily through the normalizer, and classified — and
-// the counts must match classifying the materialized dataset directly.
+// the counts must match classifying the generated day directly.
 func TestMRTSourceDrivesClassification(t *testing.T) {
 	day := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 	cfg := workload.DefaultDayConfig(day)
@@ -39,15 +40,15 @@ func TestMRTSourceDrivesClassification(t *testing.T) {
 		t.Fatalf("wrote %d archives, want %d", len(files), cfg.Collectors)
 	}
 
-	// Reference: the materialized slice path.
-	ds := workload.GenerateDay(cfg)
-	want := stream.Classify(ds.Source(), ds.CountingWindow)
+	// Reference: the generated day in global time order.
+	var want classify.CountsAnalyzer
+	classify.RunAll(stream.Merge(sources...), cfg.InWindow, &want)
 
 	// Consumer side: archives → normalizer → classifier, one record at a
 	// time. Route-server fixup must undo the collector's ASN trimming so
 	// the round trip is lossless.
 	norm := pipeline.NewNormalizer(nil)
-	norm.RouteServers = ds.RouteServerASNs()
+	norm.RouteServers = workload.RouteServerASNs(peers)
 	var srcErr error
 	names, archSources, err := pipeline.DirSources(norm, dir, &srcErr)
 	if err != nil {
@@ -56,12 +57,13 @@ func TestMRTSourceDrivesClassification(t *testing.T) {
 	if len(names) != cfg.Collectors {
 		t.Fatalf("found %d archives, want %d", len(names), cfg.Collectors)
 	}
-	got := stream.Classify(stream.Concat(archSources...), cfg.InWindow)
+	var got classify.CountsAnalyzer
+	classify.RunAll(stream.Concat(archSources...), cfg.InWindow, &got)
 	if srcErr != nil {
 		t.Fatal(srcErr)
 	}
-	if got != want {
-		t.Fatalf("archive-backed counts %+v != dataset counts %+v", got, want)
+	if got.Counts != want.Counts {
+		t.Fatalf("archive-backed counts %+v != generated counts %+v", got.Counts, want.Counts)
 	}
 }
 

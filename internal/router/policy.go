@@ -32,76 +32,12 @@ func (c addCommunity) Apply(attrs *bgp.PathAttrs) bool {
 // AddCommunity tags routes with c — the geo/ingress tagging of Exp2.
 func AddCommunity(c bgp.Community) Action { return addCommunity(c) }
 
-type stripCommunities struct {
-	match func(bgp.Community) bool
-}
+type stripCommunities struct{}
 
-func (s stripCommunities) Apply(attrs *bgp.PathAttrs) bool {
-	if s.match == nil {
-		attrs.Communities = nil
-		return true
-	}
-	attrs.Communities = attrs.Communities.Without(s.match)
+func (stripCommunities) Apply(attrs *bgp.PathAttrs) bool {
+	attrs.Communities = nil
 	return true
 }
 
 // StripAllCommunities removes every community — the cleaning of Exp3/Exp4.
 func StripAllCommunities() Action { return stripCommunities{} }
-
-// StripCommunitiesMatching removes communities for which match is true.
-func StripCommunitiesMatching(match func(bgp.Community) bool) Action {
-	return stripCommunities{match: match}
-}
-
-type setLocalPref uint32
-
-func (v setLocalPref) Apply(attrs *bgp.PathAttrs) bool {
-	attrs.LocalPref = uint32(v)
-	attrs.HasLocalPref = true
-	return true
-}
-
-// SetLocalPref pins LOCAL_PREF, the usual primary routing preference knob.
-func SetLocalPref(v uint32) Action { return setLocalPref(v) }
-
-type setMED uint32
-
-func (v setMED) Apply(attrs *bgp.PathAttrs) bool {
-	attrs.MED = uint32(v)
-	attrs.HasMED = true
-	return true
-}
-
-// SetMED sets the multi-exit discriminator on outbound routes.
-func SetMED(v uint32) Action { return setMED(v) }
-
-type prepend struct {
-	asn   uint32
-	count int
-}
-
-func (p prepend) Apply(attrs *bgp.PathAttrs) bool {
-	attrs.ASPath = attrs.ASPath.Prepend(p.asn, p.count)
-	return true
-}
-
-// PrependAS prepends asn count times — traffic engineering that produces
-// the paper's xn/xc announcement types.
-func PrependAS(asn uint32, count int) Action { return prepend{asn: asn, count: count} }
-
-type rejectIf func(*bgp.PathAttrs) bool
-
-func (r rejectIf) Apply(attrs *bgp.PathAttrs) bool { return !r(attrs) }
-
-// RejectIf drops routes for which pred is true.
-func RejectIf(pred func(*bgp.PathAttrs) bool) Action { return rejectIf(pred) }
-
-type addLargeCommunity bgp.LargeCommunity
-
-func (c addLargeCommunity) Apply(attrs *bgp.PathAttrs) bool {
-	attrs.LargeCommunities = append(attrs.LargeCommunities.Clone(), bgp.LargeCommunity(c)).Canonical()
-	return true
-}
-
-// AddLargeCommunity tags routes with an RFC 8092 large community.
-func AddLargeCommunity(c bgp.LargeCommunity) Action { return addLargeCommunity(c) }

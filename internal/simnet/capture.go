@@ -4,7 +4,7 @@
 // scenario matrix spanning topology shape, community-hygiene policy,
 // vendor behavior, timer settings, and workload, and a sweep runner that
 // executes many independent engines in parallel. A simulated collector
-// day flows through stream.Merge/Classify, analysis.Report,
+// day flows through stream.Merge, analysis.RunAll,
 // collector.WriteSourcesDir, and evstore ingestion exactly like a
 // generated or MRT-parsed one.
 package simnet

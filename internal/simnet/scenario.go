@@ -10,7 +10,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dampening"
 	"repro/internal/router"
-	"repro/internal/stream"
 	"repro/internal/topo"
 )
 
@@ -369,7 +368,7 @@ type Result struct {
 	Scenario Scenario
 	// Capture holds the per-(collector, peer) feeds; nil when Err is set.
 	Capture *Capture
-	// Counts is stream.Classify over the merged feed.
+	// Counts is the Table 2 type counts of the merged feed.
 	Counts classify.Counts
 	// Messages is the raw collector-bound message count.
 	Messages int
@@ -401,10 +400,12 @@ func RunObserved(s Scenario, extra router.Sink) (*Result, error) {
 		return nil, fmt.Errorf("simnet: %s: %w", s.Name, err)
 	}
 	elapsed := time.Since(started) // engine time only: classification is a consumer
+	var counts classify.CountsAnalyzer
+	classify.RunAll(capture.Source(), nil, &counts)
 	res := &Result{
 		Scenario: s,
 		Capture:  capture,
-		Counts:   stream.Classify(capture.Source(), nil),
+		Counts:   counts.Counts,
 		Messages: capture.Messages(),
 		Elapsed:  elapsed,
 	}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,7 +94,7 @@ func TestCaptureEventsDoNotAliasRouterState(t *testing.T) {
 			t.Fatal("captured event aliases router-owned update attrs")
 		}
 	}
-	if again := stream.Classify(res.Capture.Source(), nil); again != res.Counts {
+	if again := countTypes(res.Capture.Source(), nil); again != res.Counts {
 		t.Error("capture counts changed after router-side mutation")
 	}
 }
@@ -102,21 +103,20 @@ func TestCaptureEventsDoNotAliasRouterState(t *testing.T) {
 // materialize the full network trace, filter to the collector, convert,
 // and classify in one pass — independently of the Capture code path.
 func legacyCounts(msgs []router.TracedMessage, collectorRouter, label string, tb *Capture) classify.Counts {
-	var counts classify.Counts
-	cl := classify.New()
+	var evs []classify.Event
 	for _, m := range msgs {
 		if m.To != collectorRouter {
 			continue
 		}
 		for _, prefix := range m.Update.AllWithdrawn() {
-			counts.Observe(cl, classify.Event{
+			evs = append(evs, classify.Event{
 				Time: m.Time, Collector: label,
 				PeerAS: tb.peerAS[m.From], PeerAddr: tb.peerAddr[m.From],
 				Prefix: prefix, Withdraw: true,
 			})
 		}
 		for _, prefix := range m.Update.Announced() {
-			counts.Observe(cl, classify.Event{
+			evs = append(evs, classify.Event{
 				Time: m.Time, Collector: label,
 				PeerAS: tb.peerAS[m.From], PeerAddr: tb.peerAddr[m.From],
 				Prefix:      prefix,
@@ -127,7 +127,15 @@ func legacyCounts(msgs []router.TracedMessage, collectorRouter, label string, tb
 			})
 		}
 	}
-	return counts
+	return countTypes(slices.Values(evs), nil)
+}
+
+// countTypes classifies src in one pass and returns the Table 2 counts of
+// its in-window events (nil counts every event).
+func countTypes(src stream.EventSource, inWindow func(classify.Event) bool) classify.Counts {
+	var counts classify.CountsAnalyzer
+	classify.RunAll(src, inWindow, &counts)
+	return counts.Counts
 }
 
 func TestStreamingMatchesMaterializedTrace(t *testing.T) {
@@ -148,7 +156,7 @@ func TestStreamingMatchesMaterializedTrace(t *testing.T) {
 			}
 			// The replay bridge normalizes the materialized trace through
 			// the same capture path; it must agree too.
-			replayed := stream.Classify(res.Capture.ReplayTrace(buf.Messages()).Source(), nil)
+			replayed := countTypes(res.Capture.ReplayTrace(buf.Messages()).Source(), nil)
 			if replayed != res.Counts {
 				t.Errorf("replayed counts %+v != streaming counts %+v", replayed, res.Counts)
 			}
@@ -176,7 +184,7 @@ func TestStoreRoundTripClassifiesIdentically(t *testing.T) {
 	for _, res := range results {
 		var scanErr error
 		src := evstore.Scan(dir, evstore.Query{Collectors: []string{res.Scenario.Name}}, &scanErr)
-		got := stream.Classify(src, nil)
+		got := countTypes(src, nil)
 		if scanErr != nil {
 			t.Fatalf("%s: scan: %v", res.Scenario.Name, scanErr)
 		}
@@ -288,7 +296,7 @@ func TestDriveMatchesCapture(t *testing.T) {
 	if n == 0 {
 		t.Fatal("scenario produced no events")
 	}
-	got := stream.Classify(stream.FromSlice(streamed), nil)
+	got := countTypes(stream.FromSlice(streamed), nil)
 	if got != res.Counts {
 		t.Fatalf("Drive classification %+v != capture %+v", got, res.Counts)
 	}

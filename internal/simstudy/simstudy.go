@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/beacon"
 	"repro/internal/classify"
 	"repro/internal/router"
@@ -53,9 +54,6 @@ type Result struct {
 	Revealed beacon.RevealedSummary
 	// CollectorMessages is the raw number of messages the collector saw.
 	CollectorMessages int
-	// Events is the normalized collector view in time order — the
-	// materialized compatibility view of Sources.
-	Events []classify.Event
 	// Peers and Sources expose the capture as per-(collector, peer)
 	// event sources, the shape collector.WriteSourcesDir and
 	// evstore ingestion consume directly.
@@ -68,9 +66,8 @@ func (r Result) Source() stream.EventSource { return stream.Merge(r.Sources...) 
 
 // Run simulates one beacon day and analyses the collector capture. The
 // collector feed streams through a simnet.Capture — no full network
-// trace is retained — and every analysis (classification, revealed
-// attribution) is a single pass over the merged feed; Events is the
-// materialized compatibility view.
+// trace is retained — and both analyses (classification, revealed
+// attribution) share one analysis.RunAll pass over the merged feed.
 func Run(cfg Config) (Result, error) {
 	if cfg.BeaconPrefixes <= 0 {
 		cfg.BeaconPrefixes = 1
@@ -100,15 +97,8 @@ func Run(cfg Config) (Result, error) {
 
 	res := Result{CollectorMessages: capture.Messages()}
 	res.Peers, res.Sources = capture.Sources()
-	cl := classify.New()
-	tracker := beacon.NewRevealedTracker(cfg.Schedule)
-	for e := range res.Source() {
-		res.Events = append(res.Events, e)
-		res.Counts.Observe(cl, e)
-		if !e.Withdraw {
-			tracker.Observe(e.Time, e.Communities)
-		}
-	}
-	res.Revealed = tracker.Summary()
+	counts, revealed := analysis.NewCounts(), analysis.NewRevealed(cfg.Schedule)
+	analysis.RunAll(res.Source(), nil, counts, revealed)
+	res.Counts, res.Revealed = counts.Counts, revealed.Summary()
 	return res, nil
 }

@@ -43,7 +43,7 @@ func TestSimulatedDayShowsPathExploration(t *testing.T) {
 	res := runDefault(t, router.CiscoIOS)
 	// Path exploration produces announcements during withdrawal phases.
 	exploration := 0
-	for _, e := range res.Events {
+	for e := range res.Source() {
 		if e.Withdraw {
 			continue
 		}
@@ -156,7 +156,7 @@ func TestSimulatedDayProducesNCAndNN(t *testing.T) {
 	// And they occur during withdrawal phases (community exploration).
 	cl := classify.New()
 	ncInWithdrawal := 0
-	for _, e := range res.Events {
+	for e := range res.Source() {
 		r, ok := cl.Observe(e)
 		if !ok {
 			continue

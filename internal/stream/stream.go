@@ -67,32 +67,11 @@ func Filter(src EventSource, keep func(classify.Event) bool) EventSource {
 }
 
 // Window restricts a source to events with from <= Time < to, the
-// counting-window convention of workload.Dataset.
+// half-open counting-window convention of the workload configs.
 func Window(src EventSource, from, to time.Time) EventSource {
 	return Filter(src, func(e classify.Event) bool {
 		return !e.Time.Before(from) && e.Time.Before(to)
 	})
-}
-
-// Take yields at most n events from src; early exit propagates back to
-// the producer, so a Take over an expensive source (an archive read, a
-// store scan) stops generating as soon as the quota is reached.
-func Take(src EventSource, n int) EventSource {
-	return func(yield func(classify.Event) bool) {
-		if n <= 0 {
-			return
-		}
-		left := n
-		for e := range src {
-			if !yield(e) {
-				return
-			}
-			left--
-			if left == 0 {
-				return
-			}
-		}
-	}
 }
 
 // Tee invokes fn on every event flowing through and yields the stream
@@ -125,25 +104,4 @@ func Concat(sources ...EventSource) EventSource {
 			}
 		}
 	}
-}
-
-// Classify runs a classifier over the stream in one pass and tallies the
-// events for which inWindow returns true (nil counts everything). Events
-// outside the window still feed classifier state, matching the warm-up
-// convention of the day datasets.
-func Classify(src EventSource, inWindow func(classify.Event) bool) classify.Counts {
-	cl := classify.New()
-	var counts classify.Counts
-	for e := range src {
-		res, ok := cl.Observe(e)
-		if inWindow != nil && !inWindow(e) {
-			continue
-		}
-		if !ok {
-			counts.Withdrawals++
-			continue
-		}
-		counts.Add(res)
-	}
-	return counts
 }

@@ -79,37 +79,6 @@ func TestConcatOrderAndEarlyExit(t *testing.T) {
 	}
 }
 
-func TestTake(t *testing.T) {
-	evs := mkEvents("rrc00", 1, 2, 3, 4, 5)
-	got := stream.Collect(stream.Take(stream.FromSlice(evs), 3))
-	if len(got) != 3 || got[2].Time.Second() != 3 {
-		t.Errorf("Take(3): %v", got)
-	}
-	// Quota beyond the source length drains it; zero takes nothing.
-	if n := stream.Count(stream.Take(stream.FromSlice(evs), 10)); n != 5 {
-		t.Errorf("Take(10) yielded %d", n)
-	}
-	if n := stream.Count(stream.Take(stream.FromSlice(evs), 0)); n != 0 {
-		t.Errorf("Take(0) yielded %d", n)
-	}
-	// Reaching the quota stops the producer rather than draining it.
-	produced := 0
-	counting := func(yield func(classify.Event) bool) {
-		for _, e := range evs {
-			produced++
-			if !yield(e) {
-				return
-			}
-		}
-	}
-	if n := stream.Count(stream.Take(counting, 2)); n != 2 {
-		t.Fatalf("Take(2) yielded %d", n)
-	}
-	if produced != 2 {
-		t.Errorf("producer generated %d events past the quota", produced)
-	}
-}
-
 func TestTee(t *testing.T) {
 	evs := mkEvents("rrc00", 1, 2, 3)
 	seen := 0
@@ -206,54 +175,5 @@ func TestMergeEdgeCases(t *testing.T) {
 	}
 	if n != 3 {
 		t.Errorf("early exit consumed %d", n)
-	}
-}
-
-// classifySeq is the reference sequential classification.
-func classifySeq(evs []classify.Event, inWindow func(classify.Event) bool) classify.Counts {
-	cl := classify.New()
-	var counts classify.Counts
-	for _, e := range evs {
-		res, ok := cl.Observe(e)
-		if inWindow != nil && !inWindow(e) {
-			continue
-		}
-		if !ok {
-			counts.Withdrawals++
-			continue
-		}
-		counts.Add(res)
-	}
-	return counts
-}
-
-// randomDayEvents builds a multi-collector, multi-prefix event soup with
-// withdrawals, community and path churn — adversarial input for the
-// classification equivalence properties.
-func randomDayEvents(seed int64) []classify.Event {
-	rng := rand.New(rand.NewSource(seed))
-	var evs []classify.Event
-	collectors := []string{"rrc00", "rrc01", "route-views2"}
-	n := 200 + rng.Intn(600)
-	for i := 0; i < n; i++ {
-		e := classify.Event{
-			Time:      ts0.Add(time.Duration(rng.Intn(86400)) * time.Second),
-			Collector: collectors[rng.Intn(len(collectors))],
-			PeerAS:    uint32(20000 + rng.Intn(4)),
-			PeerAddr:  netip.AddrFrom4([4]byte{10, 0, 0, byte(rng.Intn(4))}),
-			Prefix:    netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), 0, 0}), 16),
-			Withdraw:  rng.Float64() < 0.1,
-		}
-		evs = append(evs, e)
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-	return evs
-}
-
-func TestClassifyMatchesReference(t *testing.T) {
-	evs := randomDayEvents(99)
-	want := classifySeq(evs, nil)
-	if got := stream.Classify(stream.FromSlice(evs), nil); got != want {
-		t.Errorf("Classify %+v != reference %+v", got, want)
 	}
 }

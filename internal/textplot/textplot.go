@@ -8,22 +8,6 @@ import (
 	"strings"
 )
 
-// Bar renders one labelled horizontal bar scaled to maxValue over width
-// columns.
-func Bar(label string, value, maxValue float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	n := 0
-	if maxValue > 0 {
-		n = int(value / maxValue * float64(width))
-	}
-	if n > width {
-		n = width
-	}
-	return fmt.Sprintf("%-14s %s %.1f", label, strings.Repeat("█", n)+strings.Repeat("·", width-n), value)
-}
-
 // StackedBar renders one row of a stacked bar chart: segments are drawn
 // proportionally using one rune per series.
 func StackedBar(label string, segments []float64, runes []rune, total float64, width int) string {

@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-func TestBar(t *testing.T) {
-	s := Bar("pc", 50, 100, 10)
-	if !strings.HasPrefix(s, "pc") {
-		t.Errorf("label missing: %q", s)
-	}
-	if got := strings.Count(s, "█"); got != 5 {
-		t.Errorf("filled cells = %d, want 5: %q", got, s)
-	}
-	// Value above max clamps.
-	s = Bar("x", 200, 100, 10)
-	if got := strings.Count(s, "█"); got != 10 {
-		t.Errorf("clamp failed: %q", s)
-	}
-	// Zero max draws empty.
-	s = Bar("x", 5, 0, 10)
-	if strings.Contains(s, "█") {
-		t.Errorf("zero max drew cells: %q", s)
-	}
-	// Default width.
-	if s := Bar("x", 1, 1, 0); !strings.Contains(s, strings.Repeat("█", 40)) {
-		t.Errorf("default width: %q", s)
-	}
-}
-
 func TestStackedBar(t *testing.T) {
 	s := StackedBar("sess", []float64{5, 5}, []rune{'a', 'b'}, 10, 10)
 	if !strings.Contains(s, "aaaaabbbbb") {

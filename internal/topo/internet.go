@@ -236,28 +236,3 @@ func BuildInternet(start time.Time, cfg InternetConfig) (*Internet, error) {
 	n.ClearTrace()
 	return inet, nil
 }
-
-// RunBeaconCycle drives one announce/withdraw beacon cycle from the origin
-// stub: announce at the current instant, run to convergence, advance to
-// the withdraw offset, withdraw, and reconverge. It returns the collector
-// trace observed during the cycle.
-func (inet *Internet) RunBeaconCycle(prefix netip.Prefix, gap time.Duration) ([]router.TracedMessage, error) {
-	n := inet.Net
-	n.ClearTrace()
-	inet.Origin.Originate(prefix, nil)
-	if _, err := n.Run(); err != nil {
-		return nil, fmt.Errorf("topo: announce convergence: %w", err)
-	}
-	n.Engine.RunUntil(n.Engine.Now().Add(gap))
-	inet.Origin.WithdrawOriginated(prefix)
-	if _, err := n.Run(); err != nil {
-		return nil, fmt.Errorf("topo: withdraw convergence: %w", err)
-	}
-	var out []router.TracedMessage
-	for _, m := range n.Trace() {
-		if m.To == "COLLECTOR" {
-			out = append(out, m)
-		}
-	}
-	return out, nil
-}

@@ -144,12 +144,3 @@ func (l *Lab) FailY1Y2() error {
 	_, err := l.Net.Run()
 	return err
 }
-
-// RestoreY1Y2 re-enables the Y1–Y2 link and reconverges.
-func (l *Lab) RestoreY1Y2() error {
-	if err := l.Net.SetSession("Y1", "Y2", true); err != nil {
-		return err
-	}
-	_, err := l.Net.Run()
-	return err
-}

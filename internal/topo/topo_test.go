@@ -1,7 +1,9 @@
 package topo
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,6 +84,31 @@ func TestInternetReachability(t *testing.T) {
 	_ = cleaned // either outcome is topologically valid; just ensure no panic
 }
 
+// runBeaconCycle drives one announce/withdraw beacon cycle from the
+// origin stub: announce at the current instant, run to convergence,
+// advance to the withdraw offset, withdraw, and reconverge. It returns
+// the collector trace observed during the cycle.
+func runBeaconCycle(inet *Internet, prefix netip.Prefix, gap time.Duration) ([]router.TracedMessage, error) {
+	n := inet.Net
+	n.ClearTrace()
+	inet.Origin.Originate(prefix, nil)
+	if _, err := n.Run(); err != nil {
+		return nil, fmt.Errorf("topo: announce convergence: %w", err)
+	}
+	n.Engine.RunUntil(n.Engine.Now().Add(gap))
+	inet.Origin.WithdrawOriginated(prefix)
+	if _, err := n.Run(); err != nil {
+		return nil, fmt.Errorf("topo: withdraw convergence: %w", err)
+	}
+	var out []router.TracedMessage
+	for _, m := range n.Trace() {
+		if m.To == "COLLECTOR" {
+			out = append(out, m)
+		}
+	}
+	return out, nil
+}
+
 // TestInternetPathExploration is the end-to-end protocol validation of §6:
 // when the origin withdraws, asynchronous withdrawal propagation makes the
 // collector observe alternate paths — and with geo tagging, alternate
@@ -94,7 +121,7 @@ func TestInternetPathExploration(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := netip.MustParsePrefix("84.205.64.0/24")
-	msgs, err := inet.RunBeaconCycle(p, 2*time.Hour)
+	msgs, err := runBeaconCycle(inet, p, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +130,7 @@ func TestInternetPathExploration(t *testing.T) {
 	}
 
 	// Classify the collector's view per session.
-	cl := classify.New()
-	var counts classify.Counts
+	var evs []classify.Event
 	announceTime := start
 	withdrawPhase := announceTime.Add(2 * time.Hour)
 	var exploredDuringWithdrawal int
@@ -119,7 +145,7 @@ func TestInternetPathExploration(t *testing.T) {
 				ASPath:      m.Update.Attrs.ASPath,
 				Communities: m.Update.Attrs.Communities.Canonical(),
 			}
-			counts.Observe(cl, e)
+			evs = append(evs, e)
 			if !m.Time.Before(withdrawPhase) {
 				exploredDuringWithdrawal++
 			}
@@ -132,9 +158,12 @@ func TestInternetPathExploration(t *testing.T) {
 				Prefix:   prefix, Withdraw: true,
 				Collector: "COLLECTOR",
 			}
-			counts.Observe(cl, e)
+			evs = append(evs, e)
 		}
 	}
+	var tally classify.CountsAnalyzer
+	classify.RunAll(slices.Values(evs), nil, &tally)
+	counts := tally.Counts
 	// Every collector peer must end with a withdrawal.
 	if counts.Withdrawals == 0 {
 		t.Error("no withdrawals reached the collector")
@@ -213,7 +242,7 @@ func TestInternetDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msgs, err := inet.RunBeaconCycle(netip.MustParsePrefix("84.205.64.0/24"), time.Hour)
+		msgs, err := runBeaconCycle(inet, netip.MustParsePrefix("84.205.64.0/24"), time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}

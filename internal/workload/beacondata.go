@@ -7,7 +7,6 @@ import (
 	"repro/internal/beacon"
 	"repro/internal/bgp"
 	"repro/internal/classify"
-	"repro/internal/stream"
 )
 
 // BeaconConfig parameterizes the d_beacon generator: updates for the RIPE
@@ -159,17 +158,6 @@ func (s *beaconStream) comms(rng *rand.Rand, loc int) bgp.Communities {
 	default:
 		return set
 	}
-}
-
-// GenerateBeacon synthesizes one day of beacon updates, materialized and
-// globally time-ordered — the compatibility wrapper over BeaconSources.
-// As in GenerateDay, collect-then-stable-sort costs one session slice of
-// extra peak memory and matches stream.Merge's output exactly.
-func GenerateBeacon(cfg BeaconConfig) *Dataset {
-	peers, sources := BeaconSources(cfg)
-	events := stream.Collect(stream.Concat(sources...))
-	sortEvents(events)
-	return &Dataset{Day: cfg.Day, Peers: peers, Events: events}
 }
 
 // InWindow reports whether an event falls inside the configured measured

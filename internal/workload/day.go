@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/classify"
-	"repro/internal/stream"
 )
 
 // DayConfig parameterizes the full-day dataset generator (d_mar20 and the
@@ -45,8 +44,8 @@ type DayConfig struct {
 }
 
 // InWindow reports whether an event falls inside the configured measured
-// day — the streaming analogue of Dataset.CountingWindow, usable before
-// (or without) materializing a Dataset.
+// day: events before it are warm-up announcements that establish
+// classifier state but are not counted in day totals.
 func (c DayConfig) InWindow(e classify.Event) bool {
 	return inDay(c.Day, e)
 }
@@ -199,21 +198,6 @@ func (s *streamScript) emitWithdraw(t time.Time) {
 		Prefix:    s.prefix,
 		Withdraw:  true,
 	})
-}
-
-// GenerateDay synthesizes one full day of collector updates, materialized
-// and globally time-ordered. It is the compatibility wrapper over
-// DaySources; streaming consumers should merge or concatenate the
-// per-session sources directly instead of holding the whole day.
-// Collect-then-sort keeps only one session slice live beyond the output
-// (a k-way Merge would hold every session's slice concurrently), and the
-// stable sort reproduces Merge's tie-break exactly: per-session order is
-// preserved and cross-session ties keep source (session) order.
-func GenerateDay(cfg DayConfig) *Dataset {
-	peers, sources := DaySources(cfg)
-	events := stream.Collect(stream.Concat(sources...))
-	sortEvents(events)
-	return &Dataset{Day: cfg.Day, Peers: peers, Events: events}
 }
 
 // dayPrefixes builds the day's announced prefix universe.

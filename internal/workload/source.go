@@ -15,9 +15,10 @@ import (
 // time (stream.Concat, per-collector fan-out) never hold the whole day.
 // Sources are replayable: ranging one again regenerates deterministically.
 //
-// stream.Merge(sources...) reproduces the globally time-ordered stream of
-// GenerateDay; stream.Concat(sources...) preserves only per-session order,
-// which is all classification and the per-session analyses need.
+// stream.Merge(sources...) yields the day globally time-ordered, with
+// cross-session ties in session order; stream.Concat(sources...)
+// preserves only per-session order, which is all classification and the
+// per-session analyses need.
 func DaySources(cfg DayConfig) ([]Peer, []stream.EventSource) {
 	peers := buildPeers(cfg.Seed, cfg.Collectors, cfg.PeersPerCollector,
 		cfg.CleanEgressFrac, cfg.CleanIngressFrac, cfg.TaggedFrac)
@@ -56,11 +57,6 @@ func BeaconSources(cfg BeaconConfig) ([]Peer, []stream.EventSource) {
 		}
 	}
 	return peers, sources
-}
-
-// Source adapts a materialized dataset into an event source.
-func (d *Dataset) Source() stream.EventSource {
-	return stream.FromSlice(d.Events)
 }
 
 // MultiDayConfigs derives n consecutive day configurations from base:

@@ -18,25 +18,6 @@ func tinyDayConfig() DayConfig {
 	return cfg
 }
 
-// TestDaySourcesMergeEqualsGenerateDay pins the compatibility contract:
-// the materialized dataset is exactly the stable merge of the per-session
-// sources.
-func TestDaySourcesMergeEqualsGenerateDay(t *testing.T) {
-	cfg := tinyDayConfig()
-	ds := GenerateDay(cfg)
-	peers, sources := DaySources(cfg)
-	if !reflect.DeepEqual(peers, ds.Peers) {
-		t.Fatal("peer fabric differs between DaySources and GenerateDay")
-	}
-	merged := stream.Collect(stream.Merge(sources...))
-	if len(merged) != len(ds.Events) {
-		t.Fatalf("merged %d events, dataset has %d", len(merged), len(ds.Events))
-	}
-	if !reflect.DeepEqual(merged, ds.Events) {
-		t.Fatal("merged stream differs from materialized dataset")
-	}
-}
-
 // TestDaySourcesPerSession checks every source yields only its own
 // session's events, time-sorted — the contract Concat consumers rely on.
 func TestDaySourcesPerSession(t *testing.T) {
@@ -72,29 +53,16 @@ func TestDaySourcesReplayable(t *testing.T) {
 	}
 }
 
-func TestBeaconSourcesMergeEqualsGenerateBeacon(t *testing.T) {
-	cfg := DefaultBeaconConfig(day)
-	cfg.Collectors = 2
-	cfg.PeersPerCollector = 4
-	ds := GenerateBeacon(cfg)
-	_, sources := BeaconSources(cfg)
-	merged := stream.Collect(stream.Merge(sources...))
-	if !reflect.DeepEqual(merged, ds.Events) {
-		t.Fatal("merged beacon stream differs from materialized dataset")
-	}
-}
-
-// TestConcatClassifyMatchesDataset: classification over the unmergeed
+// TestConcatClassifyMatchesMerge: classification over the unmerged
 // session-by-session stream must match classification over the globally
-// time-ordered dataset — streams are independent per (session, prefix).
-func TestConcatClassifyMatchesDataset(t *testing.T) {
+// time-ordered merge — streams are independent per (session, prefix).
+func TestConcatClassifyMatchesMerge(t *testing.T) {
 	cfg := tinyDayConfig()
-	ds := GenerateDay(cfg)
-	want := stream.Classify(ds.Source(), ds.CountingWindow)
+	want := classifyAll(dayEvents(cfg), cfg.InWindow)
 	_, sources := DaySources(cfg)
-	got := stream.Classify(stream.Concat(sources...), cfg.InWindow)
+	got := classifyAll(stream.Collect(stream.Concat(sources...)), cfg.InWindow)
 	if got != want {
-		t.Fatalf("concat classify %+v != dataset classify %+v", got, want)
+		t.Fatalf("concat classify %+v != merged classify %+v", got, want)
 	}
 }
 
@@ -122,7 +90,7 @@ func TestMultiDaySourceEquivalence(t *testing.T) {
 			}
 		}
 	}
-	got := stream.Classify(MultiDaySource(cfg, days), nil)
+	got := classifyAll(stream.Collect(MultiDaySource(cfg, days)), nil)
 	if got != want {
 		t.Fatalf("multi-day stream %+v != per-day reference %+v", got, want)
 	}

@@ -54,36 +54,18 @@ type Peer struct {
 	RouteServer bool
 }
 
-// Dataset is a generated update stream plus its provenance.
-type Dataset struct {
-	// Events holds all observations sorted by time. Events before Day
-	// (warm-up announcements establishing stream state) must be fed to the
-	// classifier but not counted in day totals.
-	Events []classify.Event
-	// Day is the midnight-UTC start of the measured day.
-	Day time.Time
-	// Peers lists the synthetic peer sessions.
-	Peers []Peer
-}
-
 // inDay is the single definition of the counting-window convention:
-// [day, day+24h), half-open. Dataset.CountingWindow and the config
-// InWindow predicates all share it so streaming and materialized
-// analyses can never disagree on the boundary.
+// [day, day+24h), half-open. The config InWindow predicates share it so
+// no two analyses can disagree on the boundary.
 func inDay(day time.Time, e classify.Event) bool {
 	return !e.Time.Before(day) && e.Time.Before(day.Add(24*time.Hour))
 }
 
-// CountingWindow reports whether an event falls inside the measured day.
-func (d *Dataset) CountingWindow(e classify.Event) bool {
-	return inDay(d.Day, e)
-}
-
 // RouteServerASNs returns the ASNs of peers flagged as IXP route servers,
 // the set the pipeline needs for its §4 AS-path fixup.
-func (d *Dataset) RouteServerASNs() map[uint32]bool {
+func RouteServerASNs(peers []Peer) map[uint32]bool {
 	out := make(map[uint32]bool)
-	for _, p := range d.Peers {
+	for _, p := range peers {
 		if p.RouteServer {
 			out[p.AS] = true
 		}

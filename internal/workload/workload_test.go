@@ -1,11 +1,13 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/beacon"
 	"repro/internal/classify"
+	"repro/internal/stream"
 )
 
 var day = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
@@ -27,31 +29,35 @@ func smallBeaconConfig() BeaconConfig {
 	return cfg
 }
 
-func classifyAll(ds *Dataset) classify.Counts {
-	cl := classify.New()
-	var counts classify.Counts
-	for _, e := range ds.Events {
-		res, ok := cl.Observe(e)
-		if !ds.CountingWindow(e) {
-			continue
-		}
-		if !ok {
-			counts.Withdrawals++
-			continue
-		}
-		counts.Add(res)
-	}
-	return counts
+// dayEvents is the generated day globally time-ordered: the merge of its
+// per-session sources.
+func dayEvents(cfg DayConfig) []classify.Event {
+	_, sources := DaySources(cfg)
+	return stream.Collect(stream.Merge(sources...))
 }
 
-func TestGenerateDayDeterministic(t *testing.T) {
-	a := GenerateDay(smallDayConfig())
-	b := GenerateDay(smallDayConfig())
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(a.Events), len(b.Events))
+// beaconEvents is dayEvents for the beacon generator.
+func beaconEvents(cfg BeaconConfig) []classify.Event {
+	_, sources := BeaconSources(cfg)
+	return stream.Collect(stream.Merge(sources...))
+}
+
+// classifyAll counts the in-window events of evs in one classification
+// pass.
+func classifyAll(evs []classify.Event, inWindow func(classify.Event) bool) classify.Counts {
+	var counts classify.CountsAnalyzer
+	classify.RunAll(slices.Values(evs), inWindow, &counts)
+	return counts.Counts
+}
+
+func TestDaySourcesDeterministic(t *testing.T) {
+	a := dayEvents(smallDayConfig())
+	b := dayEvents(smallDayConfig())
+	if len(a) != len(b) {
+		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a.Events {
-		x, y := a.Events[i], b.Events[i]
+	for i := range a {
+		x, y := a[i], b[i]
 		if !x.Time.Equal(y.Time) || x.Prefix != y.Prefix || x.PeerAddr != y.PeerAddr ||
 			x.Withdraw != y.Withdraw || !x.ASPath.Equal(y.ASPath) || !x.Communities.Equal(y.Communities) {
 			t.Fatalf("event %d differs:\n%+v\n%+v", i, x, y)
@@ -60,11 +66,11 @@ func TestGenerateDayDeterministic(t *testing.T) {
 	// A different seed produces a different stream.
 	cfg := smallDayConfig()
 	cfg.Seed++
-	c := GenerateDay(cfg)
-	if len(c.Events) == len(a.Events) {
+	c := dayEvents(cfg)
+	if len(c) == len(a) {
 		same := true
-		for i := range c.Events {
-			if !c.Events[i].Time.Equal(a.Events[i].Time) {
+		for i := range c {
+			if !c[i].Time.Equal(a[i].Time) {
 				same = false
 				break
 			}
@@ -75,30 +81,30 @@ func TestGenerateDayDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateDaySorted(t *testing.T) {
-	ds := GenerateDay(smallDayConfig())
-	if len(ds.Events) == 0 {
+func TestDaySourcesMergeSorted(t *testing.T) {
+	evs := dayEvents(smallDayConfig())
+	if len(evs) == 0 {
 		t.Fatal("no events")
 	}
-	for i := 1; i < len(ds.Events); i++ {
-		if ds.Events[i].Time.Before(ds.Events[i-1].Time) {
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Time.Before(evs[i-1].Time) {
 			t.Fatalf("events out of order at %d", i)
 		}
 	}
 }
 
-func TestGenerateDayWarmup(t *testing.T) {
-	ds := GenerateDay(smallDayConfig())
+func TestDaySourcesWarmup(t *testing.T) {
+	cfg := smallDayConfig()
 	var warm, inday int
-	for _, e := range ds.Events {
-		if ds.CountingWindow(e) {
+	for _, e := range dayEvents(cfg) {
+		if cfg.InWindow(e) {
 			inday++
 		} else {
 			warm++
 			if e.Withdraw {
 				t.Error("warm-up events must be announcements")
 			}
-			if !e.Time.Before(ds.Day) {
+			if !e.Time.Before(cfg.Day) {
 				t.Error("non-window event after day start")
 			}
 		}
@@ -114,8 +120,8 @@ func TestDayTypeSharesMatchTable2(t *testing.T) {
 	}
 	// Paper Table 2 (d_mar20): pc 33.7, pn 15.1, nc 24.5, nn 25.7,
 	// xc 0.3, xn 0.7. The synthetic mechanisms should land near these.
-	ds := GenerateDay(DefaultDayConfig(day))
-	c := classifyAll(ds)
+	cfg := DefaultDayConfig(day)
+	c := classifyAll(dayEvents(cfg), cfg.InWindow)
 	checks := []struct {
 		ty       classify.Type
 		lo, hi   float64
@@ -151,10 +157,10 @@ func TestDayCommunityPrevalence(t *testing.T) {
 		t.Skip("generates a full-scale synthetic day; skipped in -short mode")
 	}
 	// ~73% of announcements carried communities in d_mar20.
-	ds := GenerateDay(DefaultDayConfig(day))
+	cfg := DefaultDayConfig(day)
 	var withComm, total int
-	for _, e := range ds.Events {
-		if !ds.CountingWindow(e) || e.Withdraw {
+	for _, e := range dayEvents(cfg) {
+		if !cfg.InWindow(e) || e.Withdraw {
 			continue
 		}
 		total++
@@ -188,10 +194,9 @@ func TestHistoricalGrowth(t *testing.T) {
 		cfg.PeersPerCollector = maxInt(3, cfg.PeersPerCollector/3)
 		cfg.PrefixesV4 = 150
 		cfg.PrefixesV6 = 15
-		ds := GenerateDay(cfg)
 		n := 0
-		for _, e := range ds.Events {
-			if ds.CountingWindow(e) && !e.Withdraw {
+		for _, e := range dayEvents(cfg) {
+			if cfg.InWindow(e) && !e.Withdraw {
 				n++
 			}
 		}
@@ -211,8 +216,8 @@ func maxInt(a, b int) int {
 
 func TestBeaconSharesMatchTable2(t *testing.T) {
 	// Paper Table 2 (d_beacon): pc 44.6, pn 29.9, nc 13.8, nn 11.2.
-	ds := GenerateBeacon(DefaultBeaconConfig(day))
-	c := classifyAll(ds)
+	cfg := DefaultBeaconConfig(day)
+	c := classifyAll(beaconEvents(cfg), cfg.InWindow)
 	checks := []struct {
 		ty     classify.Type
 		lo, hi float64
@@ -235,14 +240,13 @@ func TestBeaconSharesMatchTable2(t *testing.T) {
 
 func TestBeaconWithdrawalsPerStream(t *testing.T) {
 	cfg := smallBeaconConfig()
-	ds := GenerateBeacon(cfg)
 	// Every stream sees 6 withdrawals (one per withdrawal phase).
 	type sk struct {
 		s classify.SessionKey
 		p string
 	}
 	wd := make(map[sk]int)
-	for _, e := range ds.Events {
+	for _, e := range beaconEvents(cfg) {
 		if e.Withdraw {
 			wd[sk{e.Session(), e.Prefix.String()}]++
 		}
@@ -260,8 +264,7 @@ func TestBeaconWithdrawalsPerStream(t *testing.T) {
 
 func TestBeaconEventsRespectPhases(t *testing.T) {
 	cfg := smallBeaconConfig()
-	ds := GenerateBeacon(cfg)
-	for _, e := range ds.Events {
+	for _, e := range beaconEvents(cfg) {
 		if got := cfg.Schedule.PhaseAt(e.Time); got == beacon.PhaseOutside {
 			t.Fatalf("event at %v falls outside both phase windows", e.Time)
 		}
@@ -274,13 +277,13 @@ func TestBeaconEventsRespectPhases(t *testing.T) {
 }
 
 func TestBeaconDeterministic(t *testing.T) {
-	a := GenerateBeacon(smallBeaconConfig())
-	b := GenerateBeacon(smallBeaconConfig())
-	if len(a.Events) != len(b.Events) {
+	a := beaconEvents(smallBeaconConfig())
+	b := beaconEvents(smallBeaconConfig())
+	if len(a) != len(b) {
 		t.Fatalf("event counts differ")
 	}
-	for i := range a.Events {
-		if !a.Events[i].Time.Equal(b.Events[i].Time) || a.Events[i].Prefix != b.Events[i].Prefix {
+	for i := range a {
+		if !a[i].Time.Equal(b[i].Time) || a[i].Prefix != b[i].Prefix {
 			t.Fatalf("event %d differs", i)
 		}
 	}
