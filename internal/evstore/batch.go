@@ -22,11 +22,12 @@ import (
 // time/collector/peer/prefix predicate reads, a selector evaluates the
 // predicate over them into a selection vector of surviving row indexes,
 // and only then are the other projected chunks opened, and decoded only
-// at the selected rows: an id chunk is skipped between them, and a path
-// or community-set dictionary is reached through its offset table and
-// interned into the scan-global classify.Dict only where a selected row
-// references an entry. So the same value decodes at most once per scan,
-// and a filtered scan pays for the chunks and rows its filter selects.
+// at the selected rows: an id chunk or a MED is skipped between them,
+// and a dictionary entry (a path or community set, via its offset table;
+// a small one's when fewer rows are selected than it holds) is interned
+// into the scan-global classify.Dict only where a selected row
+// references it. So the same value decodes at most once per scan, and a
+// filtered scan pays for the chunks and rows its filter selects.
 // batchRunner drives the classifier plus a mix of BatchAnalyzer and
 // row-fallback analyzers over (batch, selection) pairs. Events are only
 // materialized for row-fallback analyzers; the row Scan API itself
@@ -80,7 +81,7 @@ type decodeScratch struct {
 
 	// remap maps a column's block-local ids to global ids; runs holds
 	// the start of each offset-table run of the value dictionary being
-	// read, plus the end of the last.
+	// read, plus the end of the last, or of each entry of a small one.
 	remap []uint32
 	runs  []int
 	batch classify.Batch
@@ -464,13 +465,55 @@ func skipUvarints(b []byte, pos, k int) int {
 	return pos
 }
 
+// readSparseMEDs reads, from the MED varints at chunk[pos:] — one per
+// row whose hasMED bit is set — the MEDs of the rows in sel (ascending)
+// into dst, zero where a row has none. The varints of the rows between
+// are skipped, counted by a popcount of hasMED, not decoded.
+func readSparseMEDs(chunk []byte, pos int, hasMED classify.Bitset, sel []int32, dst []uint32) error {
+	row := 0
+	for _, s := range sel {
+		pos = skipUvarints(chunk, pos, onesBetween(hasMED, row, int(s)))
+		row, dst[s] = int(s)+1, 0
+		if !hasMED.Get(int(s)) {
+			continue
+		}
+		med, next, ok := uvarintAt(chunk, pos)
+		if !ok || med > math.MaxUint32 {
+			return fmt.Errorf("evstore: MED truncated or overflowing at row %d", s)
+		}
+		dst[s], pos = uint32(med), next
+	}
+	return nil
+}
+
+// onesBetween counts the set bits of bs in [from, to).
+func onesBetween(bs classify.Bitset, from, to int) int {
+	n := 0
+	for ; from < to && from%8 != 0; from++ {
+		if bs.Get(from) {
+			n++
+		}
+	}
+	for ; from+8 <= to; from += 8 {
+		n += bits.OnesCount8(bs[from/8])
+	}
+	for ; from < to; from++ {
+		if bs.Get(from) {
+			n++
+		}
+	}
+	return n
+}
+
 // unresolved marks a block-local dictionary entry no selected row has
 // referenced yet; no scan interns that many values (see release).
 const unresolved = math.MaxUint32
 
 // readSmallColumn decodes column c's chunk — a collector, peer-AS,
-// peer-address or prefix dictionary, interned whole, then one id per
-// event — into *dst: at every row when rows is nil, else at rows only.
+// peer-address or prefix dictionary, then one id per event — into *dst:
+// at every row when rows is nil, else at rows only — and when they are
+// fewer than the entries, interning only the ones they reference (every
+// entry is still checked).
 func (ds *decodeScratch) readSmallColumn(h *blockHead, block []byte, c column, rows []int32, dst *[]uint32) error {
 	chunk, err := ds.open(h, block, c)
 	if err != nil {
@@ -479,15 +522,17 @@ func (ds *decodeScratch) readSmallColumn(h *blockHead, block []byte, c column, r
 	*dst = growU32(*dst, h.n)
 	r := wire.NewReader(chunk)
 	nd := r.Count(1)
-	remap := ds.remap[:0]
+	remap, starts := ds.remap[:0], ds.runs[:0]
+	lazy := rows != nil && len(rows) < nd
 	for i := 0; i < nd; i++ {
-		gid := ds.internSmall(c, r)
+		starts = append(starts, r.Pos())
+		gid := ds.internSmall(c, r, lazy)
 		if r.Err() != nil {
 			return r.Err()
 		}
 		remap = append(remap, gid)
 	}
-	ds.remap = remap
+	ds.remap, ds.runs = remap, starts
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -498,7 +543,11 @@ func (ds *decodeScratch) readSmallColumn(h *blockHead, block []byte, c column, r
 		return err
 	}
 	for _, s := range rows {
-		(*dst)[s] = remap[(*dst)[s]]
+		k := (*dst)[s]
+		if remap[k] == unresolved {
+			remap[k] = ds.internSmall(c, wire.NewReader(chunk[starts[k]:]), false)
+		}
+		(*dst)[s] = remap[k]
 	}
 	return nil
 }
@@ -557,30 +606,34 @@ func (ds *decodeScratch) readValueColumn(h *blockHead, block []byte, dictCol col
 }
 
 // internSmall reads one entry of column c's dictionary off r and
-// returns its global id, interning it by value on first sight. On a
-// read error it interns nothing.
-func (ds *decodeScratch) internSmall(c column, r *wire.Reader) uint32 {
+// returns its global id, interning it by value on first sight; with
+// skip it only reads it and returns unresolved. On a read error it
+// interns nothing.
+func (ds *decodeScratch) internSmall(c column, r *wire.Reader, skip bool) uint32 {
 	switch c {
 	case colCollector:
 		raw := r.Bytes(r.Count(1))
-		if gid, ok := ds.collIDs[string(raw)]; ok || r.Err() != nil {
+		if skip || r.Err() != nil {
+			return unresolved
+		}
+		if gid, ok := ds.collIDs[string(raw)]; ok {
 			return gid
 		}
 		return internValue(ds.collIDs, &ds.dict.Collectors, string(raw))
 	case colPeerAS:
-		if as := r.Uint32(); r.Err() == nil {
+		if as := r.Uint32(); r.Err() == nil && !skip {
 			return internValue(ds.asIDs, &ds.dict.PeerASNs, as)
 		}
 	case colPeerAddr:
-		if a := r.Addr(); r.Err() == nil {
+		if a := r.Addr(); r.Err() == nil && !skip {
 			return internValue(ds.addrIDs, &ds.dict.PeerAddrs, a)
 		}
 	default:
-		if p := r.Prefix(); r.Err() == nil {
+		if p := r.Prefix(); r.Err() == nil && !skip {
 			return internValue(ds.pfxIDs, &ds.dict.Prefixes, p)
 		}
 	}
-	return 0
+	return unresolved
 }
 
 // internValue returns v's id in the table ids indexes, appending it on
@@ -718,7 +771,8 @@ func (ds *decodeScratch) decodeChunks(h *blockHead, block []byte, proj classify.
 		}
 	}
 
-	// Flag bitsets (aliasing the chunk) and MED values.
+	// Flag bitsets (aliasing the chunk), then MED values: none unless
+	// projected, only the selected rows' when a selection drops some.
 	if chunk, err = ds.open(h, block, colFlags); err != nil {
 		return nil, err
 	}
@@ -726,10 +780,13 @@ func (ds *decodeScratch) decodeChunks(h *blockHead, block []byte, proj classify.
 	nb := (n + 7) / 8
 	b.Withdraw = classify.Bitset(r.Bytes(nb))
 	b.HasMED = classify.Bitset(r.Bytes(nb))
-	if err := r.Err(); err != nil {
-		return nil, err
+	if err := r.Err(); err != nil || proj&classify.ProjMED == 0 {
+		return sel, err
 	}
 	b.MED = growU32(b.MED, n)
+	if rows != nil {
+		return sel, readSparseMEDs(chunk, r.Pos(), b.HasMED, rows, b.MED)
+	}
 	for i := 0; i < n; i++ {
 		b.MED[i] = 0
 		if b.HasMED.Get(i) {
@@ -998,14 +1055,30 @@ type batchFunc func(b *classify.Batch, sel []int32, first int) bool
 // selection) pairs; more reports whether the consumer wants to
 // continue. Cancellation is honoured at block boundaries: a cancelled
 // ctx never interrupts the decode of a block already in flight. This IS
-// the scan kernel; the row path materializes from it.
-func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn batchFunc) (more bool, err error) {
-	p, f, err := readPartition(path)
+// the scan kernel; the row path materializes from it. A partition its
+// held footer (e.foot) prunes is never opened.
+func scanPartitionBatch(ctx context.Context, e storeEntry, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn batchFunc) (more bool, err error) {
+	if e.foot != nil && cq.prunes(e.foot, st) {
+		return true, nil
+	}
+	p, f, err := readPartition(e.path, e.foot)
 	if err != nil {
 		return false, err
 	}
 	defer f.Close()
 	return br.scanBlocks(ctx, p, f, cq, st, proj, fn)
+}
+
+// prunes reports whether p's collector or footer aggregate rules out
+// every event cq selects, and counts the partition pruned in st if so.
+func (cq *compiledQuery) prunes(p *partition, st *ScanStats) bool {
+	if (cq.collectors == nil || cq.collectors[p.collector]) && cq.matchSummary(p.agg, false) {
+		return false
+	}
+	if st != nil {
+		st.PartitionsPruned++
+	}
+	return true
 }
 
 // scanBlocks is scanPartitionBatch over an opened partition. It walks
@@ -1014,16 +1087,7 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 // count, hand the selected rows to fn. Nothing is read ahead, so a
 // cancelled scan stops at the end of the block in flight.
 func (br *blockReader) scanBlocks(ctx context.Context, p *partition, f *os.File, cq *compiledQuery, st *ScanStats, proj classify.Projection, fn batchFunc) (more bool, err error) {
-	if cq.collectors != nil && !cq.collectors[p.collector] {
-		if st != nil {
-			st.PartitionsPruned++
-		}
-		return true, nil
-	}
-	if !cq.matchSummary(p.agg, false) {
-		if st != nil {
-			st.PartitionsPruned++
-		}
+	if cq.prunes(p, st) {
 		return true, nil
 	}
 	if st != nil {

@@ -157,7 +157,7 @@ func writeCorruptCorpus(t *testing.T, dir string) {
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("want one partition, have %v (%v)", entries, err)
 	}
-	p, f, err := readPartition(entries[0].path)
+	p, f, err := readPartition(entries[0].path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

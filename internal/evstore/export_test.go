@@ -2,6 +2,11 @@ package evstore
 
 import "os"
 
+// FooterParses returns how many partition footers this process has
+// parsed so far: what a query or a Refresh read from footers is the
+// difference across it.
+func FooterParses() int64 { return footerParses.Load() }
+
 // DropSnapshot makes ix forget the sidecar it holds for partPath, so
 // tests can plan a scan where no sidecar is trusted (a partition whose
 // sidecar is missing or stale at the index's last refresh).
@@ -23,11 +28,10 @@ func DropSnapshot(ix *SnapshotIndex, partPath string) {
 // trust over the blocks themselves. Payload bytes and (for same-width
 // varints) the file size are untouched.
 func SetFooterCounts(partPath string, edit func(counts []int)) error {
-	p, f, err := readPartition(partPath)
+	p, err := parseFooter(partPath)
 	if err != nil {
 		return err
 	}
-	f.Close()
 	counts := make([]int, len(p.blocks))
 	for i, bm := range p.blocks {
 		counts[i] = bm.sum.count

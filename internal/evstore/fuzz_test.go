@@ -6,10 +6,12 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"math/rand/v2"
 	"net/netip"
 	"os"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,8 +224,8 @@ func checkSelected(t *testing.T, b *classify.Batch, sel []int32, cq *compiledQue
 			}
 			continue
 		}
-		ok := b.Times[i] == e.Time.UnixNano() && b.Withdraw.Get(i) == e.Withdraw &&
-			b.HasMED.Get(i) == e.HasMED && (!e.HasMED || b.MED[i] == e.MED)
+		ok := b.Times[i] == e.Time.UnixNano() && b.Withdraw.Get(i) == e.Withdraw && b.HasMED.Get(i) == e.HasMED
+		ok = ok && (b.Cols&classify.ProjMED == 0 || b.MED[i] == e.MED)
 		ok = ok && (b.Cols&classify.ProjCollector == 0 || d.Collectors[b.Collector[i]] == e.Collector)
 		ok = ok && (b.Cols&classify.ProjPeerAS == 0 || d.PeerASNs[b.PeerAS[i]] == e.PeerAS)
 		ok = ok && (b.Cols&classify.ProjPeerAddr == 0 || d.PeerAddrs[b.PeerAddr[i]] == e.PeerAddr)
@@ -370,6 +372,106 @@ func checkDecodeBatch(t *testing.T, data []byte) {
 			t.Fatalf("decodeBatch refused a block the row decoder accepts (projection %b, query %+v): %v", tc.proj, tc.q, err)
 		case rowErr == nil:
 			checkSelected(t, b, sel, cq, rowEvents)
+		}
+	}
+}
+
+// TestSparseMEDMatchesFullDecode pins the MED column's two readers
+// against each other: under random peer-AS and time-window selections
+// and random projections, a decode that projects MED carries at every
+// selected row the MED the every-row decode read — over a block whose
+// MEDs are random in presence and width — and one that does not still
+// selects the same rows. A MED that overflows fails the every-row
+// decode with the row decoder's error, and a sparse decode exactly when
+// the selection holds its row.
+func TestSparseMEDMatchesFullDecode(t *testing.T) {
+	rng := rand.New(rand.NewPCG(38, 1))
+	events := liveBlockEvents(1000)
+	for i := range events {
+		if events[i].HasMED = rng.IntN(3) > 0; events[i].HasMED {
+			events[i].MED = rng.Uint32() >> rng.IntN(32)
+		}
+	}
+	block, _ := storedBlock(events, CodecLZ)
+	ds := newDecodeScratch()
+	full, _, err := ds.decodeBatch(block, classify.ProjAll, newSelector(compileQuery(Query{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(full.MED)
+	for i, e := range events {
+		if want[i] != e.MED {
+			t.Fatalf("every-row decode: row %d has MED %d, want %d", i, want[i], e.MED)
+		}
+	}
+	sparse := 0
+	for trial := range 300 {
+		var q Query
+		if trial%3 != 1 {
+			for as := uint32(64500); as < 64515; as++ {
+				if rng.IntN(4) == 0 {
+					q.PeerAS = append(q.PeerAS, as)
+				}
+			}
+		}
+		if trial%3 != 0 {
+			from := events[0].Time.Add(time.Duration(rng.IntN(20000)) * time.Millisecond)
+			q.Window = TimeRange{From: from, To: from.Add(time.Duration(rng.IntN(8000)) * time.Millisecond)}
+		}
+		proj := classify.Projection(rng.IntN(int(classify.ProjAll) + 1))
+		cq := compileQuery(q)
+		b, sel, err := ds.decodeBatch(block, proj|classify.ProjMED, newSelector(cq))
+		if err != nil {
+			t.Fatalf("trial %d (query %+v, projection %b): %v", trial, q, proj, err)
+		}
+		if len(sel) > 0 && len(sel) < len(events) {
+			sparse++
+		}
+		for _, si := range sel {
+			if b.MED[si] != want[si] {
+				t.Fatalf("trial %d (query %+v, projection %b): row %d has MED %d, the every-row decode %d", trial, q, proj, si, b.MED[si], want[si])
+			}
+		}
+		sel = slices.Clone(sel)
+		b, noMED, err := ds.decodeBatch(block, proj&^classify.ProjMED, newSelector(cq))
+		if err != nil || !slices.Equal(noMED, sel) || len(sel) > 0 && b.HasMED.Get(int(sel[0])) != events[sel[0]].HasMED {
+			t.Fatalf("trial %d without MED: selected %v (err %v), with it %v", trial, noMED, err, sel)
+		}
+	}
+	if sparse < 200 {
+		t.Fatalf("%d of 300 trials selected some but not all rows", sparse)
+	}
+
+	// Three MED-carrying rows of peer ASes 1, 2, 3; row 1's MED is
+	// rewritten as a five-byte varint of 2^32.
+	three := make([]classify.Event, 3)
+	for i := range three {
+		three[i] = classify.Event{Time: events[i].Time, Collector: "c", PeerAS: uint32(i + 1), HasMED: true, MED: uint32(i + 1)}
+	}
+	var rb rawBlock
+	encodeBlock(three, &rb)
+	flags := rb.chunk(colFlags)
+	flags = append(slices.Clone(flags[:3]), append([]byte{0x80, 0x80, 0x80, 0x80, 0x10}, flags[4:]...)...)
+	bad := rawFramed(withChunk(rb, colFlags, flags))
+	_, rowErr := decodeBlock(bad)
+	if rowErr == nil || !strings.Contains(rowErr.Error(), "MED overflow") {
+		t.Fatalf("row decoder: %v, want a MED overflow", rowErr)
+	}
+	for _, tc := range []struct {
+		peers []uint32
+		fails bool
+	}{{nil, true}, {[]uint32{1, 3}, false}, {[]uint32{2}, true}, {[]uint32{3}, false}} {
+		b, sel, err := ds.decodeBatch(bad, classify.ProjAll, newSelector(compileQuery(Query{PeerAS: tc.peers})))
+		if tc.fails != (err != nil) || err != nil && !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("peers %v: %v, want a MED overflow: %t", tc.peers, err, tc.fails)
+		}
+		if tc.peers == nil && err.Error() != rowErr.Error() {
+			t.Fatalf("every-row decode: %q, the row decoder %q", err, rowErr)
+		}
+		for _, si := range sel {
+			if err == nil && b.MED[si] != uint32(si+1) {
+				t.Fatalf("peers %v: row %d has MED %d", tc.peers, si, b.MED[si])
+			}
 		}
 	}
 }

@@ -46,8 +46,8 @@ import (
 //     early. Walking the shard backwards from its last partition, each
 //     one must offer a hard lower bound on its event times that is
 //     at/after the window end: its trusted sidecar's earliest event,
-//     else the day in its file name, else — one footer read — the
-//     earliest event its footer records. The walk stops at the first
+//     else the day in its file name, else the earliest event its footer
+//     records (held by the index, or read). The walk stops at the first
 //     partition none of them clears, so the rule is decided per
 //     partition in shard order, never by event timestamp, and an
 //     out-of-order store is still classified exactly as a full
@@ -61,16 +61,19 @@ import (
 // (SnapshotIndex.Query) trusts the index's sidecars.
 //
 // The planner lists nothing: it plans over the shards it is handed.
-// ScanParallel and ScanAnalyze list the store directory for their run;
-// a SnapshotIndex lists it once per Refresh and every query — warm, or
-// filtered and so cold — plans from the shards of the view that Refresh
-// swapped in, so a partition sealed since is planned from the next
-// Refresh on. What is per partition stays per query: the trust walk
-// stats every partition of a planned shard and recomputes its chain, so
-// a partition replaced since the Refresh loses its sidecar's trust (and
-// so does every later one of its shard), and one removed since fails
-// the run by name when it is opened; the tail rule reads footers; a
-// replay checks the footer's event count against the sidecar's Results.
+// ScanParallel and ScanAnalyze list the store directory for their run
+// and parse each footer as they open its partition; a SnapshotIndex
+// lists it once per Refresh and holds every partition's parsed footer,
+// and every query — warm, or filtered and so cold — plans from the view
+// that Refresh swapped in, so a partition sealed since is planned from
+// the next Refresh on. The tail rule and partition pruning read the held
+// footers; a partition is opened only to read blocks, and one whose
+// fstat no longer matches its held footer is parsed afresh. The trust
+// walk stats every partition of a warm query's shard and recomputes its
+// chain, so a partition replaced since the Refresh loses its sidecar's
+// trust (and so does every later one of its shard), and one removed
+// since fails the run by name when it is opened; a replay checks the
+// footer's event count against the sidecar's Results.
 //
 // The classifier chain is lazy (classChain): Classifier.Restore
 // replaces the whole state, so of a run of jumps, merges and replays
@@ -195,11 +198,11 @@ type shardPlan struct {
 
 // SnapshotIndex is the in-memory picture of a store a serving process
 // keeps warm: the partition listing — as a Manifest and as per-collector
-// shards of parsed names, in shard order — and each partition's parsed
-// sidecar, when valid. Refresh lists the store directory once and swaps
-// all three in together as one immutable view; Query plans from the
-// view it finds, so a warm query lists nothing. All methods are safe
-// for concurrent use.
+// shards of parsed names and footers, in shard order — and each
+// partition's parsed sidecar, when valid. Refresh lists the store
+// directory once and swaps them in together as one immutable view;
+// Query plans from the view it finds, so a query lists nothing and
+// parses no held footer. All methods are safe for concurrent use.
 type SnapshotIndex struct {
 	dir   string
 	named []NamedAnalyzer
@@ -214,12 +217,12 @@ type SnapshotIndex struct {
 
 // indexView is one Refresh's picture of the store, derived from one
 // directory listing and never modified after the swap: a query that
-// took it plans from it to the end while later refreshes swap in
-// others.
+// took it plans from it to the end, sharing its footers and sidecars
+// read-only, while later refreshes swap in others.
 type indexView struct {
 	manifest Manifest
 	gen      uint64  // manifest.Fingerprint()
-	shards   []Shard // the listing grouped per collector, in shard order
+	shards   []Shard // the listing grouped per collector, in shard order, with footers
 	snaps    map[string]*PartitionSnapshot
 }
 
@@ -262,13 +265,15 @@ func (ix *SnapshotIndex) Generation() uint64 { return ix.current().gen }
 
 // Refresh brings the index up to date after new partitions seal. It
 // lists the store directory once, and from that one listing derives the
-// manifest, the shards queries plan from, and the sidecars they may
-// trust, swapped in together as the next view. The sidecars are a delta
-// against what the index already holds: a partition whose sidecar is in
-// memory and still matches (path, size, chain) costs one stat and a
-// pointer — it is neither re-read nor decompressed nor restored — a
-// sidecar this pass builds is kept rather than read back, and only
-// partitions the index has never seen touch their sidecar files. The
+// manifest, the shards queries plan from with their footers, and the
+// sidecars they may trust, swapped in together as the next view. Both
+// are a delta against what the index already holds: a partition whose
+// sidecar is in memory and still matches (path, size, chain) costs one
+// stat and a pointer — it is neither re-read nor decompressed nor
+// restored — and its footer too, if the stat shows its file unchanged;
+// a sidecar this pass builds is kept rather than read back, with the
+// footer its decode parsed. Only partitions with neither touch their
+// sidecar files or parse their footers. The
 // build pass drains the shards on every core (see BuildSnapshots), so a
 // backfilled day — which invalidates every later sidecar of each
 // collector it touches — is rebuilt on every core while queries are
@@ -281,8 +286,8 @@ func (ix *SnapshotIndex) Generation() uint64 { return ix.current().gen }
 // polls), so a warm answer and the generation it is stamped with always
 // describe the same partitions. Safe to call concurrently with Query
 // (queries in flight keep using the previous view until the swap; no
-// sidecar the index holds is ever mutated) and with itself (refreshes
-// run one at a time).
+// sidecar or footer the index holds is ever mutated) and with itself
+// (refreshes run one at a time).
 func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error) {
 	ix.refreshMu.Lock()
 	defer ix.refreshMu.Unlock()
@@ -290,14 +295,11 @@ func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error
 	if err != nil && !errors.Is(err, ErrNoPartitions) {
 		return SnapshotBuildStats{}, err
 	}
-	var held map[string]*PartitionSnapshot
-	if prev := ix.current(); prev != nil {
-		held = prev.snaps
-	}
-	v := &indexView{shards: shards, snaps: make(map[string]*PartitionSnapshot, len(held))}
+	prev := ix.current()
+	v := &indexView{shards: shards, snaps: make(map[string]*PartitionSnapshot)}
 	var bs SnapshotBuildStats
 	if len(shards) > 0 { // an empty store has nothing to snapshot yet
-		if bs, err = buildSnapshots(ctx, shards, ix.named, held, v.snaps); err != nil {
+		if bs, err = buildSnapshots(ctx, shards, ix.named, prev, v); err != nil {
 			return bs, err
 		}
 	}
@@ -379,11 +381,11 @@ func planShards(shards []Shard, scan Query, tally TimeRange, snaps map[string]*P
 				// hard lower bound on every event time in the partition.
 				afterStart = i
 				continue
-			} else if toNano != math.MaxInt64 && footerTMin(e.path) >= toNano {
+			} else if toNano != math.MaxInt64 && footerTMin(e) >= toNano {
 				// Nor does the day settle it, but the footer's earliest
-				// event time — the bound matchSummary prunes by — does. One
-				// footer read per partition skipped this way, plus the one
-				// that ends the walk; each skip saves a decode.
+				// event time — the bound matchSummary prunes by — does; a
+				// cold run reads the footer of each partition skipped this
+				// way, and of the one that ends the walk.
 				afterStart = i
 				continue
 			}
@@ -425,16 +427,15 @@ func planShards(shards []Shard, scan Query, tally TimeRange, snaps map[string]*P
 	return plans, st
 }
 
-// footerTMin returns the earliest event time partPath's footer records,
-// or math.MinInt64 — no lower bound at all — when the partition is
-// empty or cannot be read: the scan that then plans it reports why.
-func footerTMin(partPath string) int64 {
-	p, f, err := readPartition(partPath)
-	if err != nil {
-		return math.MinInt64
+// footerTMin returns the earliest event time e's held (else read) footer
+// records, or math.MinInt64 — no lower bound at all — when the partition
+// is empty or cannot be read: the scan that then plans it reports why.
+func footerTMin(e storeEntry) int64 {
+	p, err := e.foot, error(nil)
+	if p == nil {
+		p, err = parseFooter(e.path)
 	}
-	f.Close()
-	if p.agg.count == 0 {
+	if err != nil || p.agg.count == 0 {
 		return math.MinInt64
 	}
 	return p.agg.tmin
@@ -582,7 +583,7 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.
 				continue
 			}
 			if snap := sp.snaps[i]; snap != nil {
-				if err := sp.replayPartition(ctx, entry.path, snap, br, run, &st.Scan); err != nil {
+				if err := sp.replayPartition(ctx, entry, snap, br, run, &st.Scan); err != nil {
 					return fmt.Errorf("replaying %s: %w", SnapshotPath(entry.path), err)
 				}
 				st.Replayed++
@@ -592,7 +593,7 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.
 			if err := chain.settle(); err != nil {
 				return err
 			}
-			_, err := scanPartitionBatch(ctx, entry.path, cq, br, &st.Scan, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
+			_, err := scanPartitionBatch(ctx, entry, cq, br, &st.Scan, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
 				run.observe(b, sel)
 				return true
 			})
@@ -613,14 +614,14 @@ func (sp shardPlan) run(ctx context.Context, br *blockReader, locals []classify.
 // that belong to other events. With that, and scanBlocks holding every
 // decoded block to its footer count, a block's slice of the column is
 // always in range: first is the sum of the counts before it.
-func (sp shardPlan) replayPartition(ctx context.Context, path string, snap *PartitionSnapshot, br *blockReader, run *batchRunner, st *ScanStats) error {
-	p, f, err := readPartition(path)
+func (sp shardPlan) replayPartition(ctx context.Context, e storeEntry, snap *PartitionSnapshot, br *blockReader, run *batchRunner, st *ScanStats) error {
+	p, f, err := readPartition(e.path, e.foot)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	if p.agg.count != len(snap.Results) {
-		return fmt.Errorf("%d result codes for the %d events of %s", len(snap.Results), p.agg.count, path)
+		return fmt.Errorf("%d result codes for the %d events of %s", len(snap.Results), p.agg.count, e.path)
 	}
 	var rerr error
 	_, err = br.scanBlocks(ctx, p, f, sp.replay, st, run.replayProj, func(b *classify.Batch, sel []int32, first int) bool {
@@ -641,9 +642,10 @@ func (sp shardPlan) replayPartition(ctx context.Context, path string, snap *Part
 // lists no directory: the answer reflects the store as of the last
 // Refresh, whose manifest fingerprint ServeStats.Generation reports, and
 // a partition sealed after that Refresh is not planned until the next
-// one. Every per-partition check still runs per query (see plan.go), so
-// a partition replaced since is scanned rather than trusted, and one
-// removed since fails the query by name rather than shrink the total.
+// one; its held footers prune and bound partitions. Every other
+// per-partition check still runs per query (see plan.go), so a partition
+// replaced since is scanned rather than trusted, and one removed since
+// fails the query by name when it is opened.
 //
 // Each analyzer is merged/restored under its NamedAnalyzer key; an
 // analyzer with an empty key (or one absent from a partition's sidecar)
@@ -660,12 +662,13 @@ func (sp shardPlan) replayPartition(ctx context.Context, path string, snap *Part
 // prefix), without the peer AS, so a recorded classification equals
 // filter-then-classify only while an address never changes its AS —
 // which nothing checks. What a filtered query saves, it saves inside the
-// scan: pruning by footer, and a decode that materializes selected rows
-// only (decodeBatch).
+// scan: pruning by the held footers, before any open, and a decode that
+// materializes selected rows only (decodeBatch).
 //
 // Results are bit-identical to ScanParallel(ctx, dir, q minus its
 // Window, q.Window, ...) over the view's partitions — a cold scan of the
-// same collector timelines tallying the same window.
+// same collector timelines tallying the same window — and a filtered
+// query's ScanStats equal that scan's, field for field.
 func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named ...NamedAnalyzer) (ServeStats, error) {
 	v := ix.current()
 	if len(v.shards) == 0 {

@@ -93,7 +93,7 @@ func recodeShard(ctx context.Context, sh Shard, codec Codec, br *blockReader, rs
 		}
 		rs.Partitions++
 		base := filepath.Base(entry.path)
-		p, f, err := readPartition(entry.path)
+		p, f, err := readPartition(entry.path, nil)
 		if err != nil {
 			return err
 		}

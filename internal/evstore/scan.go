@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -207,24 +208,38 @@ func (cq *compiledQuery) matchSummary(s blockSummary, useFilter bool) bool {
 // ---------------------------------------------------------------------------
 
 // partition is one decoded partition index: header fields plus the
-// footer's block directory. No block has been read.
+// footer's block directory, and the stat of the file they were parsed
+// from. No block has been read, and it is never modified once parsed.
 type partition struct {
 	path      string
 	size      int64
+	fi        os.FileInfo
 	collector string
 	day       time.Time
 	blocks    []blockMeta
 	agg       blockSummary
 }
 
-// readPartition opens a partition file and parses its header and
-// footer index.
-func readPartition(path string) (*partition, *os.File, error) {
+// sameFile reports whether fi, a stat of p's path, still describes the
+// file p was parsed from: the same file, size and modification time.
+func (p *partition) sameFile(fi os.FileInfo) bool {
+	return p != nil && os.SameFile(p.fi, fi) && fi.Size() == p.size && fi.ModTime().Equal(p.fi.ModTime())
+}
+
+// readPartition opens a partition file to read its blocks, with held —
+// the footer a SnapshotIndex holds for it, or nil — as its index while
+// the open file's fstat shows the file held was parsed from; otherwise
+// the header and footer are parsed from the open file now.
+func readPartition(path string, held *partition) (*partition, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := parsePartition(f, path)
+	fi, err := f.Stat()
+	p := held
+	if err == nil && !held.sameFile(fi) {
+		p, err = parsePartition(f, fi, path)
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -232,11 +247,20 @@ func readPartition(path string) (*partition, *os.File, error) {
 	return p, f, nil
 }
 
-func parsePartition(f *os.File, path string) (*partition, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
+// parseFooter parses a partition file's header and footer and closes it.
+func parseFooter(path string) (*partition, error) {
+	p, f, err := readPartition(path, nil)
+	if err == nil {
+		f.Close()
 	}
+	return p, err
+}
+
+// footerParses counts parsePartition calls, the footers read.
+var footerParses atomic.Int64
+
+func parsePartition(f *os.File, fi os.FileInfo, path string) (*partition, error) {
+	footerParses.Add(1)
 	size := fi.Size()
 	if size < int64(len(partitionMagic))+8 {
 		return nil, fmt.Errorf("evstore: %s: too short for a partition", path)
@@ -292,6 +316,7 @@ func parsePartition(f *os.File, path string) (*partition, error) {
 	p := &partition{
 		path:      path,
 		size:      size,
+		fi:        fi,
 		collector: collector,
 		day:       time.Unix(dayUnix, 0).UTC(),
 		blocks:    make([]blockMeta, 0, nblocks),
@@ -363,6 +388,7 @@ type storeEntry struct {
 	dayUnix   int64
 	seq       int
 	parsed    bool
+	foot      *partition // the footer a SnapshotIndex holds; nil on a cold listing
 }
 
 // listPartitions enumerates a store's partition files sorted by
@@ -521,7 +547,7 @@ func scanEntries(entries []storeEntry, cq *compiledQuery, br *blockReader, st *S
 // materialized from the batch kernel; their slice fields alias the
 // reader's scan-lifetime dictionary and stay valid after the scan.
 func scanPartition(path string, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
-	return scanPartitionBatch(context.Background(), path, cq, br, st, classify.ProjAll, func(b *classify.Batch, sel []int32, _ int) bool {
+	return scanPartitionBatch(context.Background(), storeEntry{path: path}, cq, br, st, classify.ProjAll, func(b *classify.Batch, sel []int32, _ int) bool {
 		for _, si := range sel {
 			if !yield(b.Event(int(si))) {
 				return false
@@ -571,11 +597,10 @@ type PartitionInfo struct {
 
 // StatPartition reads one partition's index without decoding blocks.
 func StatPartition(path string) (PartitionInfo, error) {
-	p, f, err := readPartition(path)
+	p, err := parseFooter(path)
 	if err != nil {
 		return PartitionInfo{}, err
 	}
-	f.Close()
 	_, _, seq, _ := parsePartitionName(filepath.Base(path))
 	info := PartitionInfo{
 		Path:      path,
@@ -625,7 +650,7 @@ type ColumnInfo struct {
 // StatColumns reads the chunk directory of every block of one partition
 // and sums it per column, in block order; no chunk is decompressed.
 func StatColumns(path string) ([]ColumnInfo, error) {
-	p, f, err := readPartition(path)
+	p, f, err := readPartition(path, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -135,7 +135,7 @@ func chainHash(prev uint64, base string, size int64) uint64 {
 // then judges a candidate sidecar for that partition.
 type trustWalk struct {
 	chain uint64
-	size  int64 // of the partition next last stat'ed
+	fi    os.FileInfo // of the partition next last stat'ed
 }
 
 func (w *trustWalk) next(partPath string) error {
@@ -143,8 +143,8 @@ func (w *trustWalk) next(partPath string) error {
 	if err != nil {
 		return err
 	}
-	w.size = fi.Size()
-	w.chain = chainHash(w.chain, filepath.Base(partPath), w.size)
+	w.fi = fi
+	w.chain = chainHash(w.chain, filepath.Base(partPath), fi.Size())
 	return nil
 }
 
@@ -153,7 +153,7 @@ func (w *trustWalk) next(partPath string) error {
 // invalidates every later sidecar in the shard, whose states embed
 // classification against the old chain — and holds every key.
 func (w *trustWalk) trusts(snap *PartitionSnapshot, keys []string) bool {
-	return snap != nil && snap.Chain == w.chain && snapshotCovers(snap, w.size, keys)
+	return snap != nil && snap.Chain == w.chain && snapshotCovers(snap, w.fi.Size(), keys)
 }
 
 // SnapshotPath returns the sidecar path for a partition path.
@@ -358,19 +358,29 @@ func BuildSnapshots(ctx context.Context, dir string, named []NamedAnalyzer) (Sna
 
 // buildSnapshots is the build pass behind BuildSnapshots and
 // SnapshotIndex.Refresh, over the shards of a listing the caller made
-// (it lists nothing itself). held (may be nil) maps partition paths to
-// sidecars the caller already has in memory: one that still matches its
-// partition's size and chain and covers the keys is reused as is,
-// without touching the sidecar file, and none is ever modified. current
-// (may be nil) receives every partition's up-to-date sidecar, reused or
-// just built.
-func buildSnapshots(ctx context.Context, shards []Shard, named []NamedAnalyzer, held, current map[string]*PartitionSnapshot) (SnapshotBuildStats, error) {
+// (it lists nothing itself). prev (may be nil) is the caller's view: a
+// sidecar of it still matching its partition's size and chain and
+// covering the keys is reused without touching the sidecar file, a
+// footer whose file the trust walk's stat shows unchanged is carried
+// over; neither is ever modified. next (may be nil), the view being
+// built over shards, receives every up-to-date sidecar, and each entry
+// of shards its footer: carried over, or parsed by the build's decode,
+// or else parsed once.
+func buildSnapshots(ctx context.Context, shards []Shard, named []NamedAnalyzer, prev, next *indexView) (SnapshotBuildStats, error) {
 	start := time.Now()
 	var bs SnapshotBuildStats
 	var err error
-	pass := snapshotPass{held: held, zero: compileQuery(Query{})}
+	pass := snapshotPass{zero: compileQuery(Query{}), hold: next != nil}
+	if prev != nil {
+		pass.held, pass.feet = prev.snaps, make(map[string]*partition, len(prev.snaps))
+		for _, sh := range prev.shards {
+			for _, e := range sh.entries {
+				pass.feet[e.path] = e.foot
+			}
+		}
+	}
 	pass.keys, pass.protos = splitNamed(named)
-	var mu sync.Mutex // merges the shards' counts into bs, their sidecars into current
+	var mu sync.Mutex // merges the shards' counts into bs, their sidecars into next
 	bs.Workers, err = forEachShard(len(shards), 0, func(br *blockReader, i int) error {
 		sh := shards[i]
 		var st SnapshotBuildStats
@@ -379,10 +389,10 @@ func buildSnapshots(ctx context.Context, shards []Shard, named []NamedAnalyzer, 
 		mu.Lock()
 		defer mu.Unlock()
 		bs.add(st)
-		if current != nil {
+		if next != nil {
 			for j, snap := range snaps {
 				if snap != nil {
-					current[sh.entries[j].path] = snap
+					next.snaps[sh.entries[j].path] = snap
 				}
 			}
 		}
@@ -393,12 +403,15 @@ func buildSnapshots(ctx context.Context, shards []Shard, named []NamedAnalyzer, 
 }
 
 // snapshotPass is what every shard of one build pass reads and none
-// writes: the analyzer keys and prototypes, the caller's held sidecars,
-// and the compiled zero query.
+// writes: the analyzer keys and prototypes, the caller's held sidecars
+// and footers, whether each footer must be held (for a view), and the
+// compiled zero query.
 type snapshotPass struct {
 	keys   []string
 	protos []classify.Analyzer
 	held   map[string]*PartitionSnapshot
+	feet   map[string]*partition
+	hold   bool
 	zero   *compiledQuery
 }
 
@@ -406,9 +419,9 @@ type snapshotPass struct {
 // on its own classifier chain, trust walk and encode scratch, counting
 // into st and recording each partition's up-to-date sidecar in snaps
 // (index-aligned with sh.entries; nil from the partition that failed
-// on). Every partition's locals are snapshotted — their id-state
-// resolved — before the next one is scanned, so br may be reused or
-// recycled as soon as it returns.
+// on) and its footer in sh.entries. Every partition's locals are
+// snapshotted — their id-state resolved — before the next one is
+// scanned, so br may be reused or recycled as soon as it returns.
 func (ps *snapshotPass) buildShard(ctx context.Context, sh Shard, br *blockReader, st *SnapshotBuildStats, snaps []*PartitionSnapshot) error {
 	cc := classChain{cl: classify.New(), restores: &st.Restores}
 	var walk trustWalk
@@ -418,13 +431,16 @@ func (ps *snapshotPass) buildShard(ctx context.Context, sh Shard, br *blockReade
 			return err
 		}
 		st.Partitions++
-		if err := walk.next(entry.path); err != nil {
+		err := walk.next(entry.path)
+		if err != nil {
 			return err
+		}
+		if foot := ps.feet[entry.path]; foot.sameFile(walk.fi) {
+			entry.foot = foot
 		}
 		old := ps.held[entry.path]
 		if !walk.trusts(old, ps.keys) {
 			// Missing or corrupt reads as nil → rebuild.
-			var err error
 			if old, err = ReadSnapshot(entry.path); err == nil {
 				st.SidecarsRead++
 			}
@@ -433,6 +449,12 @@ func (ps *snapshotPass) buildShard(ctx context.Context, sh Shard, br *blockReade
 			cc.at(entry.path, old)
 			st.Reused++
 			snaps[i] = old
+			if ps.hold && entry.foot == nil {
+				if entry.foot, err = parseFooter(entry.path); err != nil {
+					return err
+				}
+			}
+			sh.entries[i].foot = entry.foot
 			continue
 		}
 
@@ -441,10 +463,14 @@ func (ps *snapshotPass) buildShard(ctx context.Context, sh Shard, br *blockReade
 		}
 		locals := classify.FreshAll(ps.protos)
 		run := newBatchRunner(cc.cl, locals, TimeRange{})
-		snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: walk.size, Chain: walk.chain}
+		snap := &PartitionSnapshot{Partition: filepath.Base(entry.path), Size: walk.fi.Size(), Chain: walk.chain}
 		first := true
 		codes = codes[:0]
-		_, err := scanPartitionBatch(ctx, entry.path, ps.zero, br, nil, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
+		p, f, err := readPartition(entry.path, entry.foot)
+		if err != nil {
+			return err
+		}
+		_, err = br.scanBlocks(ctx, p, f, ps.zero, nil, run.proj, func(b *classify.Batch, sel []int32, _ int) bool {
 			results := run.observe(b, sel)
 			for _, si := range sel {
 				codes = append(codes, classify.EncodeResult(results[si], b.Withdraw.Get(int(si))))
@@ -464,9 +490,11 @@ func (ps *snapshotPass) buildShard(ctx context.Context, sh Shard, br *blockReade
 			}
 			return true
 		})
+		f.Close()
 		if err != nil {
 			return err
 		}
+		sh.entries[i].foot = p
 		snap.Events = len(codes)
 		st.Events += snap.Events
 		// Encode into one reused buffer and keep exact-size copies: the

@@ -132,7 +132,7 @@ func checkSnapshotQueryFor(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Qu
 	}
 	cold := q
 	cold.Window = evstore.TimeRange{}
-	_, err := evstore.ScanParallel(context.Background(), ix.Dir(), cold, q.Window, 2, refAnalyzers...)
+	ps, err := evstore.ScanParallel(context.Background(), ix.Dir(), cold, q.Window, 2, refAnalyzers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,12 @@ func checkSnapshotQueryFor(t *testing.T, ix *evstore.SnapshotIndex, q evstore.Qu
 		t.Errorf("%d restores and %d replays for %d scanned partitions (plan %+v)",
 			ss.Restores, ss.Replayed, ss.Plan.Scanned, ss.Plan)
 	}
+	// A filtered query plans as the cold run, and its stats are a function
+	// of store and query: the cold run's, field for field.
 	filtered := len(q.PeerAS) > 0 || q.PrefixRange.IsValid()
+	if filtered && ss.Scan != ps.Total {
+		t.Errorf("filtered query's scan stats %+v, the cold run's %+v", ss.Scan, ps.Total)
+	}
 	if parts, snapped := ix.Coverage(); !filtered && snapped == parts && (ss.Restores != 0 || ss.Replayed != ss.Plan.Scanned) {
 		t.Errorf("fully snapshotted store: %d restores, %d of %d scanned partitions replayed; want 0 and all",
 			ss.Restores, ss.Replayed, ss.Plan.Scanned)
